@@ -8,10 +8,8 @@ from .curve_branch import (
     CoverResult,
     SearchStats,
     budget_partitions,
-    cc_recursive,
     curve_cover,
     recursion_depth,
-    rich_poor_candidates,
 )
 from .geometry import (
     CIRCLE2,
@@ -54,13 +52,4 @@ from .inclusion_exclusion import (
 from .instances import Instance, InvalidInstanceError, generate, load_instance, parse_instance, save_instance, serialize_instance
 from .kernel import KernelResult, curve_kernel, plane_kernel_r3
 from .oracle import count_rich, oracle_decide, oracle_min_cover
-from .plane_branch import (
-    PlaneBranchConfig,
-    StampedLine,
-    StampedLineSet,
-    extend_lines,
-    is_too_degenerate,
-    pc_recursive,
-    plane_cover,
-    ripe_lines,
-)
+from .plane_branch import extend_lines, plane_cover

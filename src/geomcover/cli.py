@@ -97,7 +97,7 @@ class ResultRecord:
 
 
 def _pick_auto(inst: Instance, oracle_cap: int, ie_cap: int) -> str:
-    if inst.n <= 12:
+    if inst.n <= min(12, oracle_cap):
         return "oracle"
     if inst.n <= ie_cap:
         return "ie"

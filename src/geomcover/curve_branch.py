@@ -4,6 +4,8 @@ The budget k is split over r recursion levels (all compositions are tried).
 Level i only branches on candidates whose richness lies in the halving window
 [gamma_i, gamma_(i-1)] with gamma_i = s*k/2^i; once few enough points remain,
 or at the deepest level, the subset-sweep decider finishes the job exactly.
+`branch_cover`, which runs the search over the budget partitions, is shared
+with the R^3 plane solver.
 
 All thresholds are evaluated in exact rational (or integer-power) arithmetic,
 so accept/reject boundaries cannot drift with platform rounding.
@@ -13,14 +15,14 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from concurrent import futures
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .geometry import FamilySpec, Point, curve_covers, enumerate_candidates, family_by_tag, richness
+from .geometry import FamilySpec, Point, curve_covers, enumerate_candidates
 from .inclusion_exclusion import DEFAULT_SUBSET_CAP, extract_cover, ie_decide
-from .kernel import curve_kernel
+from .kernel import KernelResult, curve_kernel
 
 
 @dataclass
@@ -88,18 +90,6 @@ def budget_partitions(k: int, r: int) -> Iterator[tuple[int, ...]]:
     yield from rec((), k, r)
 
 
-def rich_poor_candidates(points: Sequence[Point], family: FamilySpec,
-                         lo: Fraction, hi: Fraction) -> list:
-    """Candidates whose richness over P lies in [lo, hi], richest first."""
-    if lo > hi:
-        raise ValueError("empty richness window")
-    pts = tuple(points)
-    out = [(richness(c, pts), c) for c in enumerate_candidates(pts, family)]
-    out = [(r, c) for r, c in out if lo <= r <= hi]
-    out.sort(key=lambda rc: (-rc[0], rc[1]))
-    return [c for _, c in out]
-
-
 def below_base_threshold(n_pts: int, budget_factor: Fraction, k: int) -> bool:
     """Exact test for n_pts < budget_factor * log2(k); for k not a power of
     two the comparison is lifted to integer powers: 2^(n*q) < k^p."""
@@ -111,41 +101,33 @@ def below_base_threshold(n_pts: int, budget_factor: Fraction, k: int) -> bool:
     return 2 ** (n_pts * q) < k ** p
 
 
-@dataclass
+@dataclass(frozen=True)
 class BranchConfig:
+    """Search parameters of one kernelized instance: depth r, and the richness
+    thresholds gamma_0 > ... > gamma_r bounding each level's window."""
     k: int
-    d: int
-    s: int
     r: int
     base_case_factor: Fraction
-    ie_cap: int = DEFAULT_SUBSET_CAP
-    node_cap: Optional[int] = None  # abort the search beyond this many nodes
-    debug_windows: bool = False
-    memo_rejected: bool = False
-    gammas: tuple[Fraction, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if not self.gammas:
-            self.gammas = tuple(Fraction(self.s * self.k, 1 << i) for i in range(self.r + 1))
+    ie_cap: int
+    gammas: tuple[Fraction, ...]
 
 
 def make_branch_config(k: int, family: FamilySpec,
                        base_case_factor: Optional[Fraction] = None,
-                       ie_cap: int = DEFAULT_SUBSET_CAP,
-                       node_cap: Optional[int] = None,
-                       debug_windows: bool = False,
-                       memo_rejected: bool = False) -> BranchConfig:
-    """Depth and thresholds for a kernelized budget k >= 2. The depth formula
-    is capped so every branching level's window can still catch candidates
-    through at least d points (gamma_i >= d-1 for i < r)."""
+                       ie_cap: int = DEFAULT_SUBSET_CAP) -> BranchConfig:
+    """Depth and thresholds gamma_i = s*k/2^i for a kernelized budget k. The
+    depth formula is capped so every branching level's window can still catch
+    candidates through at least d points (gamma_i >= d-1 for i < r). Below
+    k=2 the search never runs and the depth is 1."""
     d, s = family.d, family.s
-    r = recursion_depth(k, d, s)
+    r = recursion_depth(k, d, s) if k >= 2 else 1
     deepest = 0
     while Fraction(s * k, 1 << (deepest + 1)) >= d - 1:
         deepest += 1
     r = max(1, min(r, deepest + 1))
     factor = base_case_factor if base_case_factor is not None else Fraction(d - 1, 2)
-    return BranchConfig(k, d, s, r, factor, ie_cap, node_cap, debug_windows, memo_rejected)
+    gammas = tuple(Fraction(s * k, 1 << i) for i in range(r + 1))
+    return BranchConfig(k, r, factor, ie_cap, gammas)
 
 
 class _CurveSearch:
@@ -167,7 +149,6 @@ class _CurveSearch:
                     m |= 1 << i
             self.cands.append((c, m))
         self._ie_cache: dict[tuple[int, int], bool] = {}
-        self._memo: dict[tuple, bool] = {}
 
     def _subset_points(self, mask: int) -> list[Point]:
         return [p for i, p in enumerate(self.points) if (mask >> i) & 1]
@@ -182,15 +163,24 @@ class _CurveSearch:
             self._ie_cache[key] = hit
         return hit
 
+    def window(self, mask: int, depth: int) -> list[tuple]:
+        """(curve, mask, richness) of the candidates whose richness over the
+        points in `mask` lies in [gamma_depth, gamma_(depth-1)], richest
+        first. Richness >= d keeps only curves through d surviving points,
+        matching a fresh enumeration over the current point set."""
+        lo, hi = self.cfg.gammas[depth], self.cfg.gammas[depth - 1]
+        d = self.family.d
+        window = [(c, m, (m & mask).bit_count()) for c, m in self.cands]
+        window = [(c, m, r) for c, m, r in window if r >= d and lo <= r <= hi]
+        window.sort(key=lambda t: (-t[2], t[0]))
+        return window
+
     def run(self, partition: tuple[int, ...], mask: Optional[int] = None,
             depth: int = 1, partial: tuple = ()) -> tuple[bool, Optional[list]]:
         cfg = self.cfg
         if mask is None:
             mask = (1 << len(self.points)) - 1
         self.stats.nodes_expanded += 1
-        if cfg.node_cap is not None and self.stats.nodes_expanded > cfg.node_cap:
-            from .inclusion_exclusion import CapExceededError
-            raise CapExceededError("search passed the %d-node cap" % cfg.node_cap)
         self.stats.max_depth = max(self.stats.max_depth, depth)
         remaining_budget = sum(partition[depth - 1:])
         n_pts = mask.bit_count()
@@ -207,24 +197,7 @@ class _CurveSearch:
                 return True, list(partial) + ext
             return False, None
 
-        memo_key = None
-        if cfg.memo_rejected:
-            memo_key = (mask, depth, partition[depth - 1:])
-            if self._memo.get(memo_key):
-                return False, None
-
-        lo, hi = cfg.gammas[depth], cfg.gammas[depth - 1]
-        window = [(c, m, (m & mask).bit_count()) for c, m in self.cands]
-        # richness >= d keeps only curves through d surviving points, matching
-        # a fresh enumeration over the current point set
-        window = [(c, m, r) for c, m, r in window if r >= cfg.d and lo <= r <= hi]
-        window.sort(key=lambda t: (-t[2], t[0]))
-        if cfg.debug_windows:
-            fresh = rich_poor_candidates(self._subset_points(mask), self.family, lo, hi)
-            assert fresh == [c for c, _, _ in window], "candidate window out of sync"
-
-        k_i = partition[depth - 1]
-        for combo in itertools.combinations(window, k_i):
+        for combo in itertools.combinations(self.window(mask, depth), partition[depth - 1]):
             covered = 0
             for _, m, _ in combo:
                 covered |= m
@@ -232,90 +205,74 @@ class _CurveSearch:
                                partial + tuple(c for c, _, _ in combo))
             if ok:
                 return True, wit
-        if memo_key is not None:
-            self._memo[memo_key] = True
         return False, None
 
 
-def cc_recursive(points: Sequence[Point], family: FamilySpec, config: BranchConfig,
-                 partition: tuple[int, ...], depth: int = 1,
-                 partial: Sequence = ()) -> tuple[bool, Optional[list], SearchStats]:
-    """One branch of the search, entered at the given depth with an already
-    chosen partial solution. P is expected to be kernelized."""
-    search = _CurveSearch(points, family, config)
-    full = (1 << len(tuple(points))) - 1
-    ok, wit = search.run(partition, full, depth, tuple(partial))
-    return ok, wit, search.stats
-
-
-def _partition_worker(args) -> tuple[bool, Optional[list], SearchStats]:
-    family_kind, points, config, partition = args
-    search = _CurveSearch(points, family_by_tag(family_kind), config)
+def _search_partition(job) -> tuple[bool, Optional[list], SearchStats]:
+    search_cls, points, family, config, partition = job
+    search = search_cls(points, family, config)
     ok, wit = search.run(partition)
     return ok, wit, search.stats
+
+
+def branch_cover(kern: KernelResult, family: FamilySpec, config: BranchConfig, search_cls,
+                 partitions: Iterable[tuple[int, ...]], threads: int) -> CoverResult:
+    """Search over the budget partitions, shared by the curve and plane
+    solvers and run on their kernel's result. A small reduced instance goes
+    straight to the subset sweep. Otherwise `search_cls(points, family,
+    config)` searches the budget partitions in order, and the first one that
+    accepts gives the witness, after the kernel's forced objects. One search object serves every
+    partition, so its sweep-result cache is shared between them.
+
+    With threads > 1 the partitions run in a process pool, one search object
+    each, but their results are read in partition order: decision and
+    witness equal the single-threaded ones, and the stats count only the
+    partitions read."""
+    forced, pts, k2 = kern.forced, kern.points, kern.k
+    stats = SearchStats()
+    if kern.rejected:
+        return CoverResult(False, None, stats)
+    if not pts:
+        return CoverResult(True, list(forced), stats)
+
+    if k2 < 2 or below_base_threshold(len(pts), config.base_case_factor * k2, k2):
+        res = ie_decide(pts, family, k2, cap=config.ie_cap)
+        stats.ie_subsets += res.subsets
+        stats.leaves_ie += 1
+        if not res.decision:
+            return CoverResult(False, None, stats)
+        return CoverResult(True, list(forced) + extract_cover(pts, family, k2, cap=config.ie_cap),
+                           stats)
+
+    if threads <= 1:
+        search = search_cls(pts, family, config)
+        for partition in partitions:
+            ok, wit = search.run(partition)
+            if ok:
+                return CoverResult(True, list(forced) + wit, search.stats)
+        return CoverResult(False, None, search.stats)
+
+    jobs = [(search_cls, pts, family, config, p) for p in partitions]
+    with futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        for ok, wit, st in pool.map(_search_partition, jobs):
+            stats = stats.merge(st)
+            if ok:
+                pool.shutdown(cancel_futures=True)
+                return CoverResult(True, list(forced) + wit, stats)
+    return CoverResult(False, None, stats)
 
 
 def curve_cover(points: Sequence[Point], family: FamilySpec, k: int,
                 base_case_factor: Optional[Fraction] = None,
                 ie_cap: int = DEFAULT_SUBSET_CAP,
-                node_cap: Optional[int] = None,
-                threads: int = 1,
-                debug_windows: bool = False,
-                memo_rejected: bool = False) -> CoverResult:
+                threads: int = 1) -> CoverResult:
     """Kernelize, then try every budget partition; accept on the first one
     whose recursive search accepts. Forced curves from the kernel lead the
     witness."""
     t0 = time.perf_counter()
-    stats = SearchStats()
-
-    def done(decision: bool, witness: Optional[list]) -> CoverResult:
-        stats.wall_ms = int((time.perf_counter() - t0) * 1000)
-        return CoverResult(decision, witness, stats)
-
     kern = curve_kernel(points, family, k)
-    if kern.rejected:
-        return done(False, None)
-    forced, pts, k2 = kern.forced, kern.points, kern.k
-    if not pts:
-        return done(True, list(forced))
-
-    factor = base_case_factor if base_case_factor is not None else Fraction(family.d - 1, 2)
-    if k2 < 2 or below_base_threshold(len(pts), factor * k2, k2):
-        res = ie_decide(pts, family, k2, cap=ie_cap)
-        stats.ie_subsets += res.subsets
-        stats.leaves_ie += 1
-        if not res.decision:
-            return done(False, None)
-        return done(True, list(forced) + extract_cover(pts, family, k2, cap=ie_cap))
-
-    config = make_branch_config(k2, family, factor, ie_cap, node_cap,
-                                debug_windows, memo_rejected)
-    partitions = list(budget_partitions(k2, config.r))
-
-    if threads <= 1:
-        search = _CurveSearch(pts, family, config)
-        for partition in partitions:
-            ok, wit = search.run(partition)
-            if ok:
-                stats = stats.merge(search.stats)
-                stats.wall_ms = int((time.perf_counter() - t0) * 1000)
-                return CoverResult(True, list(forced) + wit, stats)
-        stats = stats.merge(search.stats)
-        return done(False, None)
-
-    jobs = [(family.kind, pts, config, p) for p in partitions]
-    decision, witness = False, None
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        pending = {pool.submit(_partition_worker, j) for j in jobs}
-        while pending:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in finished:
-                ok, wit, st = fut.result()
-                stats = stats.merge(st)
-                if ok and not decision:
-                    decision, witness = True, list(forced) + wit
-            if decision:
-                for fut in pending:
-                    fut.cancel()
-                break
-    return done(decision, witness)
+    config = make_branch_config(kern.k, family, base_case_factor, ie_cap)
+    res = branch_cover(kern, family, config, _CurveSearch,
+                       budget_partitions(config.k, config.r), threads)
+    res.stats.wall_ms = int((time.perf_counter() - t0) * 1000)
+    return res

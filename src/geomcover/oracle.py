@@ -103,11 +103,3 @@ def count_rich(points: Sequence[Point], family: FamilySpec, gamma: int) -> int:
     pts = tuple(points)
     return sum(1 for c in enumerate_candidates(pts, family) if richness(c, pts) >= gamma)
 
-
-def rich_candidate_reference(n: int, family: FamilySpec, gamma: int):
-    """Dominant term n^d / gamma^(2d-1) of the asymptotic rich-candidate
-    bound, for side-by-side reporting (no assertion is attached to it)."""
-    from fractions import Fraction
-
-    d = family.d
-    return Fraction(n ** d, gamma ** (2 * d - 1))

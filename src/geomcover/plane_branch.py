@@ -19,20 +19,21 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .curve_branch import (
+    BranchConfig,
     CoverResult,
     SearchStats,
     below_base_threshold,
+    branch_cover,
     budget_partitions,
     recursion_depth,
 )
 from .geometry import (
     PLANE3,
+    FamilySpec,
     Flat,
     Plane3,
     Point,
@@ -40,80 +41,35 @@ from .geometry import (
     enumerate_candidates,
     enumerate_lines3,
     flat_contains,
-    max_collinear,
     plane_covers,
     plane_through_line_point,
-    richness,
 )
 from .inclusion_exclusion import DEFAULT_SUBSET_CAP, extract_cover, ie_decide
 from .kernel import plane_kernel_r3
 
 
-@dataclass(frozen=True)
-class StampedLine:
-    line: Flat
-    depth_added: int
-
-
-@dataclass(frozen=True)
-class StampedLineSet:
-    entries: tuple[StampedLine, ...] = ()
-
-    def __post_init__(self):
-        lines = [e.line for e in self.entries]
-        if len(set(lines)) != len(lines):
-            raise ValueError("stamped lines must be pairwise distinct")
-        if any(e.depth_added < 1 for e in self.entries):
-            raise ValueError("stamp depths start at 1")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass
-class PlaneBranchConfig:
-    k: int
-    r: int
-    base_case_factor: Fraction = Fraction(1)
-    ie_cap: int = DEFAULT_SUBSET_CAP
-    gammas: tuple[Fraction, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if not self.gammas:
-            k = self.k
-            self.gammas = (Fraction(k * k + k),) + tuple(
-                Fraction(k * k, 1 << i) for i in range(1, self.r + 1))
-
-
 def make_plane_config(k: int, base_case_factor: Optional[Fraction] = None,
-                      ie_cap: int = DEFAULT_SUBSET_CAP) -> PlaneBranchConfig:
+                      ie_cap: int = DEFAULT_SUBSET_CAP) -> BranchConfig:
     """Depth from the generic formula with s frozen at the kernel's plane
-    intersection bound k+1, capped so gamma_r >= 1."""
-    r = recursion_depth(k, 3, k + 1)
+    intersection bound k+1, capped so gamma_r >= 1; thresholds
+    gamma_0 = k^2+k and gamma_i = k^2/2^i. Below k=2 the search never runs
+    and the depth is 1."""
+    r = recursion_depth(k, 3, k + 1) if k >= 2 else 1
     while r > 1 and Fraction(k * k, 1 << r) < 1:
         r -= 1
     factor = base_case_factor if base_case_factor is not None else Fraction(1)
-    return PlaneBranchConfig(k, r, factor, ie_cap)
+    gammas = (Fraction(k * k + k),) + tuple(Fraction(k * k, 1 << i) for i in range(1, r + 1))
+    return BranchConfig(k, r, factor, ie_cap, gammas)
 
 
 # ---------------------------------------------------------------------------
 # exact threshold tests
 
 
-def is_too_degenerate(plane: Plane3, points: Sequence[Point], depth: int,
-                      config: PlaneBranchConfig) -> bool:
-    """A window plane is too degenerate when more than a delta_i fraction of
-    its points sit on one line; with t points, m of them collinear, and
-    delta_i = 1 - gamma_i^(-1/5) this is exactly (t-m)^5 * gamma_i < t^5."""
-    pts = tuple(points)
-    t = richness(plane, pts)
-    if not (config.gammas[depth] <= t <= config.gammas[depth - 1]):
-        raise ValueError("plane is outside the depth-%d richness window" % depth)
-    m, _ = max_collinear([p for p in pts if plane_covers(plane, p)])
-    return _too_degenerate_counts(t, m, config.gammas[depth])
-
-
 def _too_degenerate_counts(t: int, m: int, gamma: Fraction) -> bool:
+    """A window plane with t points, m of them on one line, is too degenerate
+    when more than a delta fraction of its points sit on that line; with
+    delta = 1 - gamma^(-1/5) this is exactly (t-m)^5 * gamma < t^5."""
     return (t - m) ** 5 * gamma < t ** 5
 
 
@@ -129,15 +85,6 @@ def _is_ripe(stamp_depth: int, depth: int, gammas: Sequence[Fraction]) -> bool:
     ghost allowance one level down would no longer cover it:
     ripe <=> not (gamma_i^5 >= 32 * gamma_j^4)."""
     return not (gammas[depth] ** 5 >= 32 * gammas[stamp_depth] ** 4)
-
-
-def ripe_lines(stamped: StampedLineSet, depth: int, k: int) -> list[StampedLine]:
-    """Entries due for extension into planes at this depth."""
-    cfg = make_plane_config(k) if k >= 2 else PlaneBranchConfig(k, 1)
-    gammas = cfg.gammas
-    if depth >= len(gammas):
-        return list(stamped.entries)  # beyond the configured depth: everything is due
-    return [e for e in stamped.entries if _is_ripe(e.depth_added, depth, gammas)]
 
 
 def extend_lines(lines: Sequence[Flat], points: Sequence[Point],
@@ -174,12 +121,14 @@ def extend_lines(lines: Sequence[Flat], points: Sequence[Point],
 
 
 class _PlaneSearch:
-    def __init__(self, points: Sequence[Point], config: PlaneBranchConfig,
-                 debug_planted: Optional[Sequence[Plane3]] = None):
+    """Mask-based search over one kernelized instance. A stamped line is a
+    pair (index into self.lines, depth at which it was guessed)."""
+
+    def __init__(self, points: Sequence[Point], family: FamilySpec, config: BranchConfig):
         self.points = tuple(points)
+        self.family = family
         self.cfg = config
         self.stats = SearchStats()
-        self.debug_planted = list(debug_planted) if debug_planted else None
 
         self.planes: list[tuple[Plane3, int, list[int]]] = []       # (plane, mask, line indexes)
         self.lines: list[tuple[Flat, int]] = []                     # (line, mask)
@@ -189,7 +138,7 @@ class _PlaneSearch:
                 if flat_contains(line, p):
                     m |= 1 << i
             self.lines.append((line, m))
-        for plane in enumerate_candidates(self.points, PLANE3):
+        for plane in enumerate_candidates(self.points, family):
             m = 0
             for i, p in enumerate(self.points):
                 if plane_covers(plane, p):
@@ -217,8 +166,8 @@ class _PlaneSearch:
         key = (mask, tuple(e[0] for e in stamped), budget)
         hit = self._ie_cache.get(key)
         if hit is None:
-            flats = [self.lines[idx][0] if isinstance(idx, int) else idx for idx, _ in stamped]
-            res = ie_decide(self._subset_points(mask), PLANE3, budget,
+            flats = [self.lines[j][0] for j, _ in stamped]
+            res = ie_decide(self._subset_points(mask), self.family, budget,
                             flats=flats, cap=self.cfg.ie_cap)
             self.stats.ie_subsets += res.subsets
             hit = res.decision
@@ -233,29 +182,6 @@ class _PlaneSearch:
             return t
         return max((self.lines[j][1] & cur).bit_count() for j in contained)
 
-    def _debug_ghost_check(self, mask: int, stamped: tuple, depth: int, partial: tuple):
-        """On branches following the planted solution, uncovered leftovers of
-        stamped lines' planes must stay within the ghost allowance."""
-        planted = self.debug_planted
-        if not set(partial) <= set(planted):
-            return
-        ghost_planes = []
-        for idx, _ in stamped:
-            line = self.lines[idx][0] if isinstance(idx, int) else idx
-            holders = [h for h in planted if flat_contains(h, line)]
-            if not holders:
-                return  # this branch guessed a line outside the plant
-            ghost_planes.extend(holders)
-        if not ghost_planes:
-            return
-        ghosts = 0
-        for i, p in enumerate(self.points):
-            if (mask >> i) & 1 and any(plane_covers(h, p) for h in ghost_planes):
-                ghosts += 1
-        allowance = len(stamped) * self.cfg.gammas[depth - 1]
-        assert ghosts <= allowance, (
-            "ghost points %d exceed allowance %s at depth %d" % (ghosts, allowance, depth))
-
     def run(self, partition: tuple[int, ...], mask: Optional[int] = None,
             stamped: tuple = (), depth: int = 1,
             partial: tuple = ()) -> tuple[bool, Optional[list]]:
@@ -269,9 +195,6 @@ class _PlaneSearch:
         gammas = cfg.gammas
         assert len(stamped) <= cfg.k, "pending lines exceed the budget"
 
-        if self.debug_planted is not None:
-            self._debug_ghost_check(mask, stamped, depth, partial)
-
         ripe = [e for e in stamped if _is_ripe(e[1], depth, gammas)]
 
         # the size reject presumes every pending line already passed a
@@ -283,8 +206,8 @@ class _PlaneSearch:
         if depth == cfg.r or below_base_threshold(n_pts, cfg.base_case_factor * remaining_budget, cfg.k):
             self.stats.leaves_ie += 1
             if self._ie(mask, stamped, remaining_budget + len(stamped)):
-                flats = [self.lines[idx][0] if isinstance(idx, int) else idx for idx, _ in stamped]
-                ext = extract_cover(self._subset_points(mask), PLANE3,
+                flats = [self.lines[j][0] for j, _ in stamped]
+                ext = extract_cover(self._subset_points(mask), self.family,
                                     remaining_budget + len(stamped), flats=flats,
                                     cap=cfg.ie_cap)
                 return True, list(partial) + ext
@@ -292,8 +215,8 @@ class _PlaneSearch:
 
         if ripe:
             keep = tuple(e for e in stamped if e not in ripe)
-            keep_lines = [self.lines[idx][0] if isinstance(idx, int) else idx for idx, _ in keep]
-            ripe_flats = [self.lines[idx][0] if isinstance(idx, int) else idx for idx, _ in ripe]
+            keep_lines = [self.lines[j][0] for j, _ in keep]
+            ripe_flats = [self.lines[j][0] for j, _ in ripe]
             for combo in extend_lines(ripe_flats, self._subset_points(mask), avoid=keep_lines):
                 covered = 0
                 for h in combo:
@@ -339,82 +262,17 @@ class _PlaneSearch:
         return False, None
 
 
-def pc_recursive(points: Sequence[Point], stamped: StampedLineSet,
-                 config: PlaneBranchConfig, partition: tuple[int, ...],
-                 depth: int = 1) -> tuple[bool, Optional[list], SearchStats]:
-    """One branch of the plane search entered at the given depth."""
-    search = _PlaneSearch(points, config)
-    entries = tuple((e.line, e.depth_added) for e in stamped.entries)
-    full = (1 << len(tuple(points))) - 1
-    ok, wit = search.run(partition, full, entries, depth)
-    return ok, wit, search.stats
-
-
-def _plane_partition_worker(args) -> tuple[bool, Optional[list], SearchStats]:
-    points, config, partition = args
-    search = _PlaneSearch(points, config)
-    ok, wit = search.run(partition)
-    return ok, wit, search.stats
-
-
 def plane_cover(points: Sequence[Point], k: int,
                 base_case_factor: Optional[Fraction] = None,
                 ie_cap: int = DEFAULT_SUBSET_CAP,
                 threads: int = 1,
-                rng_seed: int = 0,
-                debug_planted: Optional[Sequence[Plane3]] = None) -> CoverResult:
+                rng_seed: int = 0) -> CoverResult:
     """Kernelize, then run the recursive search over every budget partition
     <h_1, l_1, ..., h_r, l_r> summing to the reduced budget."""
     t0 = time.perf_counter()
-    stats = SearchStats()
-
-    def done(decision: bool, witness: Optional[list]) -> CoverResult:
-        stats.wall_ms = int((time.perf_counter() - t0) * 1000)
-        return CoverResult(decision, witness, stats)
-
     kern = plane_kernel_r3(points, k, rng_seed)
-    if kern.rejected:
-        return done(False, None)
-    forced, pts, k2 = kern.forced, kern.points, kern.k
-    if not pts:
-        return done(True, list(forced))
-
-    factor = base_case_factor if base_case_factor is not None else Fraction(1)
-    if k2 < 2 or below_base_threshold(len(pts), factor * k2, k2):
-        res = ie_decide(pts, PLANE3, k2, cap=ie_cap)
-        stats.ie_subsets += res.subsets
-        stats.leaves_ie += 1
-        if not res.decision:
-            return done(False, None)
-        return done(True, list(forced) + extract_cover(pts, PLANE3, k2, cap=ie_cap))
-
-    config = make_plane_config(k2, factor, ie_cap)
-    partitions = list(budget_partitions(k2, 2 * config.r))
-
-    if threads <= 1:
-        search = _PlaneSearch(pts, config, debug_planted)
-        for partition in partitions:
-            ok, wit = search.run(partition)
-            if ok:
-                stats = stats.merge(search.stats)
-                stats.wall_ms = int((time.perf_counter() - t0) * 1000)
-                return CoverResult(True, list(forced) + wit, stats)
-        stats = stats.merge(search.stats)
-        return done(False, None)
-
-    jobs = [(pts, config, p) for p in partitions]
-    decision, witness = False, None
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        pending = {pool.submit(_plane_partition_worker, j) for j in jobs}
-        while pending:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in finished:
-                ok, wit, st = fut.result()
-                stats = stats.merge(st)
-                if ok and not decision:
-                    decision, witness = True, list(forced) + wit
-            if decision:
-                for fut in pending:
-                    fut.cancel()
-                break
-    return done(decision, witness)
+    config = make_plane_config(kern.k, base_case_factor, ie_cap)
+    res = branch_cover(kern, PLANE3, config, _PlaneSearch,
+                       budget_partitions(config.k, 2 * config.r), threads)
+    res.stats.wall_ms = int((time.perf_counter() - t0) * 1000)
+    return res

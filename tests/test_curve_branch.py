@@ -5,15 +5,23 @@ import pytest
 
 from conftest import random_points_2d
 from geomcover.curve_branch import (
+    _CurveSearch,
     below_base_threshold,
     budget_partitions,
-    cc_recursive,
     curve_cover,
     make_branch_config,
     recursion_depth,
-    rich_poor_candidates,
 )
-from geomcover.geometry import CIRCLE2, LINE2, VPARABOLA2, check_cover, line2_curve, pt
+from geomcover.geometry import (
+    CIRCLE2,
+    LINE2,
+    VPARABOLA2,
+    check_cover,
+    enumerate_candidates,
+    line2_curve,
+    pt,
+    richness,
+)
 from geomcover.inclusion_exclusion import ie_decide
 from geomcover.oracle import oracle_decide
 
@@ -21,6 +29,18 @@ TRIPLES = [pt(0, 0), pt(1, 0), pt(2, 0),
            pt(0, 7), pt(1, 9), pt(2, 11),
            pt(10, 1), pt(10, 2), pt(10, 3)]
 GRID3 = [pt(i, j) for i in range(3) for j in range(3)]
+
+
+def rich_poor_candidates(points, family, lo, hi):
+    """Reference window: candidates freshly enumerated over `points` whose
+    richness lies in [lo, hi], richest first."""
+    if lo > hi:
+        raise ValueError("empty richness window")
+    pts = tuple(points)
+    out = [(richness(c, pts), c) for c in enumerate_candidates(pts, family)]
+    out = [(r, c) for r, c in out if lo <= r <= hi]
+    out.sort(key=lambda rc: (-rc[0], rc[1]))
+    return [c for _, c in out]
 
 
 class TestDepthAndPartitions:
@@ -85,12 +105,6 @@ class TestCurveCover:
         res = curve_cover(inst.points, CIRCLE2, 2)
         assert res.decision and check_cover(inst.points, res.witness, 2)
 
-    def test_cc_recursive_surface(self):
-        cfg = make_branch_config(3, LINE2)
-        ok, wit, stats = cc_recursive(TRIPLES, LINE2, cfg, (3,) + (0,) * (cfg.r - 1))
-        assert ok and check_cover(TRIPLES, wit, 3)
-        assert stats.nodes_expanded >= 1
-
     def test_monotone_in_k(self):
         rng = random.Random(53)
         pts = random_points_2d(rng, 9)
@@ -99,15 +113,28 @@ class TestCurveCover:
 
     def test_agrees_with_oracle_and_ie(self):
         rng = random.Random(59)
+        mask_rng = random.Random(60)
         for fam in (LINE2, CIRCLE2, VPARABOLA2):
             for _ in range(12):
                 pts = random_points_2d(rng, rng.randint(4, 10))
                 k = rng.randint(1, 4)
                 want = oracle_decide(pts, fam, k)
-                res = curve_cover(pts, fam, k, debug_windows=True)
+                res = curve_cover(pts, fam, k)
                 assert res.decision == want == ie_decide(pts, fam, k).decision
                 if res.decision:
                     assert check_cover(pts, res.witness, k)
+                # the mask-based window equals a fresh enumeration over the
+                # surviving points, at every branching depth
+                cfg = make_branch_config(max(k, 2), fam)
+                search = _CurveSearch(pts, fam, cfg)
+                full = (1 << len(pts)) - 1
+                masks = [full] + [mask_rng.getrandbits(len(pts)) for _ in range(4)]
+                for depth in range(1, cfg.r):
+                    for mask in masks:
+                        survivors = [p for i, p in enumerate(pts) if (mask >> i) & 1]
+                        fresh = rich_poor_candidates(survivors, fam, cfg.gammas[depth],
+                                                     cfg.gammas[depth - 1])
+                        assert [c for c, _, _ in search.window(mask, depth)] == fresh
 
     def test_base_case_factor_variants_agree(self):
         # both published thresholds (factor (d-1)/2 and factor 1) are exact
@@ -120,15 +147,6 @@ class TestCurveCover:
             wide = curve_cover(pts, LINE2, k, base_case_factor=Fraction(1))
             assert default.decision == wide.decision == oracle_decide(pts, LINE2, k)
 
-    def test_memo_flag_preserves_decision(self):
-        rng = random.Random(61)
-        for _ in range(8):
-            pts = random_points_2d(rng, 9)
-            k = rng.randint(1, 3)
-            plain = curve_cover(pts, LINE2, k)
-            memo = curve_cover(pts, LINE2, k, memo_rejected=True)
-            assert plain.decision == memo.decision
-
     def test_leaf_count_bounded_by_branch_product(self):
         res = curve_cover(GRID3, LINE2, 2)
         # crude sanity bound: every leaf comes from some partition's chain of
@@ -139,9 +157,11 @@ class TestCurveCover:
     def test_threads_same_decision(self):
         rng = random.Random(67)
         pts = random_points_2d(rng, 10)
-        for k in (2, 3):
+        # at k=5 six different witnesses come from the accepting partitions
+        for k in (2, 3, 4, 5):
             seq = curve_cover(pts, LINE2, k)
             par = curve_cover(pts, LINE2, k, threads=2)
             assert seq.decision == par.decision
+            assert seq.witness == par.witness
             if par.decision:
                 assert check_cover(pts, par.witness, k)

@@ -116,6 +116,15 @@ class TestCli:
                              {"n": 30, "coord_range": 60}, 1)
         assert main(["solve", "--input", str(path), "--algorithm", "ie", "--k", "3"]) == EXIT_CAP
 
+    def test_auto_respects_oracle_cap(self, tmp_path, capsys):
+        path, inst = self.write(tmp_path, "u.json", "uniform-random",
+                                {"n": 11, "coord_range": 20}, 4)
+        assert inst.n == 11
+        assert main(["solve", "--input", str(path), "--k", "4", "--oracle-cap", "10"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["algorithm"] == "ie"
+        assert main(["solve", "--input", str(path), "--k", "4"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["algorithm"] == "oracle"
+
     def test_invalid_input_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -5,12 +5,7 @@ import pytest
 from conftest import random_points_2d
 from geomcover.geometry import CIRCLE2, LINE2, VPARABOLA2, check_cover, pt
 from geomcover.inclusion_exclusion import CapExceededError
-from geomcover.oracle import (
-    count_rich,
-    oracle_decide,
-    oracle_min_cover,
-    rich_candidate_reference,
-)
+from geomcover.oracle import count_rich, oracle_decide, oracle_min_cover
 
 GRID3 = [pt(i, j) for i in range(3) for j in range(3)]
 
@@ -73,5 +68,3 @@ class TestCountRich:
         counts = [count_rich(pts, LINE2, g) for g in range(2, 10)]
         assert counts == sorted(counts, reverse=True)
 
-    def test_reference_term(self):
-        assert rich_candidate_reference(9, LINE2, 3) == 3  # 81/27

@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from conftest import random_points_3d
 from geomcover.geometry import (
     PLANE3,
@@ -10,23 +8,18 @@ from geomcover.geometry import (
     flat_contains,
     line_through,
     plane3_curve,
-    plane_through,
     pt,
 )
 from geomcover.instances import generate
 from geomcover.oracle import oracle_decide
 from geomcover.plane_branch import (
-    PlaneBranchConfig,
-    StampedLine,
-    StampedLineSet,
+    _is_ripe,
+    _line_rich_enough,
+    _too_degenerate_counts,
     extend_lines,
-    is_too_degenerate,
     make_plane_config,
-    pc_recursive,
     plane_cover,
-    ripe_lines,
 )
-from geomcover.plane_branch import _line_rich_enough, _too_degenerate_counts
 
 XAXIS = line_through(pt(0, 0, 0), pt(1, 0, 0))
 
@@ -36,14 +29,6 @@ class TestDegeneracy:
         assert _too_degenerate_counts(10, 9, Fraction(16))        # 1^5*16 < 10^5
         assert not _too_degenerate_counts(10, 2, Fraction(16))    # 8^5*16 >= 10^5
         assert _too_degenerate_counts(7, 7, Fraction(1))          # fully collinear
-
-    def test_public_op_with_window_check(self):
-        pts = [pt(i, 0, 0) for i in range(9)] + [pt(0, 1, 0)]
-        plane = plane_through(pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0))
-        cfg = PlaneBranchConfig(4, 1, gammas=(Fraction(20), Fraction(10)))
-        assert is_too_degenerate(plane, pts, 1, cfg)
-        with pytest.raises(ValueError):
-            is_too_degenerate(plane, pts[:3], 1, cfg)  # outside the richness window
 
     def test_agrees_with_float_evaluation(self):
         rng = random.Random(97)
@@ -65,24 +50,18 @@ class TestDegeneracy:
 
 
 class TestRipeness:
+    CFG = make_plane_config(16)
+
     def test_just_stamped_line_not_ripe_at_large_gamma(self):
-        s = StampedLineSet((StampedLine(XAXIS, 3),))
-        assert ripe_lines(s, 3, 16) == []  # gamma_3^5 = 32^5 >= 32*32^4
+        assert not _is_ripe(3, 3, self.CFG.gammas)  # gamma_3^5 = 32^5 >= 32*32^4
 
     def test_shallow_stamp_ripens(self):
-        s = StampedLineSet((StampedLine(XAXIS, 1),))
-        assert [e.line for e in ripe_lines(s, 2, 16)] == [XAXIS]
+        assert _is_ripe(1, 2, self.CFG.gammas)
 
     def test_eventually_ripe(self):
-        s = StampedLineSet((StampedLine(XAXIS, 2),))
-        k = 16
-        cfg = make_plane_config(k)
-        ripe_depths = [d for d in range(2, cfg.r + 1) if ripe_lines(s, d, k)]
-        assert ripe_depths and ripe_depths == list(range(ripe_depths[0], cfg.r + 1))
-
-    def test_distinct_lines_enforced(self):
-        with pytest.raises(ValueError):
-            StampedLineSet((StampedLine(XAXIS, 1), StampedLine(XAXIS, 2)))
+        r = self.CFG.r
+        ripe_depths = [d for d in range(2, r + 1) if _is_ripe(2, d, self.CFG.gammas)]
+        assert ripe_depths and ripe_depths == list(range(ripe_depths[0], r + 1))
 
 
 class TestExtendLines:
@@ -128,22 +107,6 @@ class TestPlaneCover:
         res = plane_cover([], 0)
         assert res.decision and res.witness == []
 
-    def test_pc_recursive_surface(self):
-        # a single partition may dead-end; acceptance over all partitions must
-        # match the oracle
-        from geomcover.curve_branch import budget_partitions
-        P = [pt(i, 0, 0) for i in range(3)] + [pt(0, 1, 0), pt(0, 0, 1)]
-        cfg = make_plane_config(2)
-        accepted = False
-        for partition in budget_partitions(2, 2 * cfg.r):
-            ok, wit, stats = pc_recursive(P, StampedLineSet(), cfg, partition)
-            assert stats.nodes_expanded >= 1
-            if ok:
-                assert check_cover(P, wit, 2)
-                accepted = True
-                break
-        assert accepted == oracle_decide(P, PLANE3, 2)
-
     def test_agrees_with_oracle_random(self):
         rng = random.Random(103)
         for t in range(12):
@@ -155,15 +118,14 @@ class TestPlaneCover:
             if res.decision:
                 assert check_cover(pts, res.witness, k)
 
-    def test_degenerate_instances_with_ghost_audit(self):
+    def test_degenerate_instances_agree_with_oracle(self):
         # planted clusters with 90% of each cluster on one line force the
-        # too-degenerate path; the ghost audit runs on planted-following branches
+        # too-degenerate path, where heavy lines are stamped and extended
         for seed in range(4):
             inst = generate("degenerate-plane", {"k": 2, "m": 5}, seed=seed)
             pts = list(inst.points)
             if len(pts) > 12:
                 continue
-            planted = []
             want = oracle_decide(pts, PLANE3, inst.k)
             res = plane_cover(pts, inst.k, rng_seed=seed)
             assert res.decision == want
@@ -179,6 +141,8 @@ class TestPlaneCover:
     def test_threads_same_decision(self):
         rng = random.Random(107)
         pts = random_points_3d(rng, 8)
-        seq = plane_cover(pts, 2)
-        par = plane_cover(pts, 2, threads=2)
-        assert seq.decision == par.decision
+        for k in (2, 3):
+            seq = plane_cover(pts, k)
+            par = plane_cover(pts, k, threads=2)
+            assert seq.decision == par.decision
+            assert seq.witness == par.witness
