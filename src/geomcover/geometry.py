@@ -396,18 +396,12 @@ def enumerate_candidates(points: Sequence[Point], family: FamilySpec):
     """All family objects through at least d points of P, deduplicated and in
     canonical order. For plane3 these are planes through affinely independent
     triples."""
-    pts = tuple(points)
-    found = set()
     if family.kind == "plane3":
-        for a, b, c in itertools.combinations(pts, 3):
-            try:
-                found.add(plane_through(a, b, c))
-            except GeometryError:
-                continue
-    else:
-        for combo in itertools.combinations(pts, family.d):
-            for c in curve_through(family, combo):
-                found.add(c)
+        return [plane for plane, _ in plane_masks3(points)]
+    found = set()
+    for combo in itertools.combinations(tuple(points), family.d):
+        for c in curve_through(family, combo):
+            found.add(c)
     return sorted(found)
 
 
@@ -563,12 +557,36 @@ def plane3_from_flat(f: Flat) -> Plane3:
     return plane3_curve(n[0], n[1], n[2], e)
 
 
+def line_masks3(points: Sequence[Point]) -> list[tuple[Flat, int]]:
+    """Each line through at least two of the given R^3 points, in canonical
+    order, with the mask of the points on it (point i is bit i). A point is
+    on a line exactly when it spans the line with another point on it, so the
+    masks come from the point pairs alone."""
+    masks: dict[Flat, int] = {}
+    for (i, p), (j, q) in itertools.combinations(enumerate(points), 2):
+        line = line_through(p, q)
+        masks[line] = masks.get(line, 0) | 1 << i | 1 << j
+    return sorted(masks.items())
+
+
+def plane_masks3(points: Sequence[Point]) -> list[tuple[Plane3, int]]:
+    """Each plane through three affinely independent R^3 points, in canonical
+    order, with the mask of the points on it (point i is bit i). Every point
+    on such a plane spans it with two others, so the masks come from the
+    point triples alone."""
+    masks: dict[Plane3, int] = {}
+    for (i, p), (j, q), (l, r) in itertools.combinations(enumerate(points), 3):
+        try:
+            plane = plane_through(p, q, r)
+        except GeometryError:
+            continue
+        masks[plane] = masks.get(plane, 0) | 1 << i | 1 << j | 1 << l
+    return sorted(masks.items())
+
+
 def enumerate_lines3(points: Sequence[Point]) -> list[Flat]:
     """Deduplicated lines through at least two of the given R^3 points."""
-    found = set()
-    for p, q in itertools.combinations(points, 2):
-        found.add(line_through(p, q))
-    return sorted(found)
+    return [line for line, _ in line_masks3(points)]
 
 
 def max_collinear(points: Sequence[Point]) -> tuple[int, Optional[Flat]]:
@@ -578,10 +596,9 @@ def max_collinear(points: Sequence[Point]) -> tuple[int, Optional[Flat]]:
     if len(pts) <= 1:
         return len(pts), None
     best, witness = 0, None
-    for line in enumerate_lines3(pts):
-        count = sum(1 for p in pts if flat_contains(line, p))
-        if count > best:
-            best, witness = count, line
+    for line, mask in line_masks3(pts):
+        if mask.bit_count() > best:
+            best, witness = mask.bit_count(), line
     return best, witness
 
 

@@ -14,7 +14,7 @@ Counts are exact arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .geometry import (
     FamilySpec,
@@ -334,23 +334,31 @@ def _check_cap(n: int, cap: int):
         raise CapExceededError("ground set of %d exceeds the subset-sweep cap %d" % (n, cap))
 
 
-def ie_decide(points: Sequence[Point], family: FamilySpec, k: int,
-              flats: Sequence[Flat] = (), cap: int = DEFAULT_SUBSET_CAP,
-              counter: Optional[CoverableCounter] = None) -> IEResult:
-    """Signed subset sweep; yes iff the alternating sum reaches 1."""
-    if k < 0:
-        raise ValueError("negative budget")
-    counter = counter or CoverableCounter(points, family, flats)
-    n = counter.n
+def _signed_sum(c_of_mask, ground: int, k: int, cap: int) -> IEResult:
+    """Signed sweep over the submasks X of the `ground` mask: the sum of
+    c(X)^k, negated when |ground \\ X| is odd; yes iff it reaches 1."""
+    n = ground.bit_count()
     _check_cap(n, cap)
     total = 0
-    for sub in range(1 << n):
-        c = counter.c_of_mask(sub)
+    sub = ground
+    while True:
+        c = c_of_mask(sub)
         if (n - sub.bit_count()) & 1:
             total -= c ** k
         else:
             total += c ** k
-    return IEResult(total >= 1, total, 1 << n)
+        if not sub:
+            return IEResult(total >= 1, total, 1 << n)
+        sub = (sub - 1) & ground
+
+
+def ie_decide(points: Sequence[Point], family: FamilySpec, k: int,
+              flats: Sequence[Flat] = (), cap: int = DEFAULT_SUBSET_CAP) -> IEResult:
+    """Signed subset sweep; yes iff the alternating sum reaches 1."""
+    if k < 0:
+        raise ValueError("negative budget")
+    counter = CoverableCounter(points, family, flats)
+    return _signed_sum(counter.c_of_mask, (1 << counter.n) - 1, k, cap)
 
 
 def ie_sums(points: Sequence[Point], family: FamilySpec, ks: Sequence[int],

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .geometry import (
-    PLANE3,
     Curve,
     FamilySpec,
     Flat,
@@ -29,9 +28,9 @@ from .geometry import (
     Point,
     curve_covers,
     enumerate_candidates,
-    enumerate_lines3,
     flat_contains,
-    plane_covers,
+    line_masks3,
+    plane_masks3,
     richness,
 )
 
@@ -87,8 +86,7 @@ def _collinear3(a: Point, b: Point, c: Point) -> bool:
 
 
 def _line_counts(pts: Sequence[Point]) -> list[tuple[Flat, int]]:
-    return [(line, sum(1 for p in pts if flat_contains(line, p)))
-            for line in enumerate_lines3(pts)]
+    return [(line, mask.bit_count()) for line, mask in line_masks3(pts)]
 
 
 def _replacement_point(line: Flat, pts: Sequence[Point], rng: random.Random) -> Point:
@@ -175,15 +173,14 @@ def plane_kernel_r3(points: Sequence[Point], k: int, rng_seed: int = 0) -> Kerne
         pts = _make_one_ready(pts, k_cur, rng, added)
         threshold = k_cur * (k_cur + 1) + 1
         best: Optional[Plane3] = None
-        best_rich = 0
-        for cand in enumerate_candidates(pts, PLANE3):
-            r = richness(cand, pts)
-            if r > best_rich:
-                best, best_rich = cand, r
-        if best is None or best_rich < threshold:
+        best_mask = 0
+        for cand, mask in plane_masks3(pts):
+            if mask.bit_count() > best_mask.bit_count():
+                best, best_mask = cand, mask
+        if best is None or best_mask.bit_count() < threshold:
             break
         forced.append(best)
-        pts = [p for p in pts if not plane_covers(best, p)]
+        pts = [p for i, p in enumerate(pts) if not (best_mask >> i) & 1]
         k_cur -= 1
     bound = k_cur * k_cur * (k_cur + 1)
     verdict = "rejected" if len(pts) > bound else "reduced"

@@ -57,8 +57,10 @@ def oracle_min_cover(points: Sequence[Point], family: FamilySpec,
             m ^= low
     max_size = max((mask.bit_count() for _, mask in cands), default=1)
 
-    best = n + 1
+    best = n + 1  # no cover found yet
     best_witness: list = []
+    # a found cover (of at most n objects) at or below stop_at ends the search
+    good_enough = min(n, stop_at) if stop_at is not None else -1
 
     def search(uncovered: int, chosen: list):
         nonlocal best, best_witness
@@ -68,16 +70,14 @@ def oracle_min_cover(points: Sequence[Point], family: FamilySpec,
                 best_witness = list(chosen)
             return
         lower = len(chosen) + -(-uncovered.bit_count() // max_size)
-        if lower >= best:
-            return
-        if stop_at is not None and best <= stop_at:
+        if lower >= best or best <= good_enough:
             return
         e = (uncovered & -uncovered).bit_length() - 1
         for obj, mask in by_element[e]:
             chosen.append(obj)
             search(uncovered & ~mask, chosen)
             chosen.pop()
-            if stop_at is not None and best <= stop_at:
+            if best <= good_enough:
                 return
 
     search(full, [])

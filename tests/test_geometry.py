@@ -7,6 +7,7 @@ from conftest import random_points_2d, random_points_3d
 from geomcover.geometry import (
     CIRCLE2,
     LINE2,
+    PLANE3,
     VPARABOLA2,
     GeometryError,
     affine_hull,
@@ -21,9 +22,12 @@ from geomcover.geometry import (
     flat_contains,
     flat_point,
     line2_curve,
+    line_masks3,
     line_through,
     max_collinear,
     plane3_curve,
+    plane_covers,
+    plane_masks3,
     plane_through,
     plane_through_line_point,
     pt,
@@ -147,6 +151,24 @@ class TestEnumeration:
             got = enumerate_candidates(pts, fam)
             assert got == sorted(naive)
             assert all(richness(c, pts) >= fam.d for c in got)
+
+    def test_3d_masks_match_fraction_predicates(self):
+        # the masks come from point pairs and triples; every point on a line
+        # or plane must be in its mask, checked point by point
+        rng = random.Random(8)
+        sets = [random_points_3d(rng, 9), random_points_3d(rng, 12, span=2),
+                [pt(i, 0, 0) for i in range(4)] + [pt(i, j, 0) for i in range(2) for j in (1, 2)]
+                + random_points_3d(rng, 3, span=5)]
+        for pts in sets:
+            pairs = sorted({line_through(p, q) for p, q in itertools.combinations(pts, 2)})
+            lines = line_masks3(pts)
+            assert [line for line, _ in lines] == pairs
+            for line, mask in lines:
+                assert mask == sum(1 << i for i, p in enumerate(pts) if flat_contains(line, p))
+            planes = plane_masks3(pts)
+            assert [plane for plane, _ in planes] == enumerate_candidates(pts, PLANE3)
+            for plane, mask in planes:
+                assert mask == sum(1 << i for i, p in enumerate(pts) if plane_covers(plane, p))
 
     def test_canonical_idempotent(self):
         rng = random.Random(6)

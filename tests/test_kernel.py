@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from conftest import random_points_2d, random_points_3d
@@ -10,11 +11,13 @@ from geomcover.geometry import (
     enumerate_lines3,
     flat_contains,
     line2_curve,
+    line_through,
     plane3_curve,
     pt,
     richness,
 )
-from geomcover.kernel import curve_kernel, plane_kernel_r3
+from geomcover.instances import generate
+from geomcover.kernel import _line_counts, curve_kernel, plane_kernel_r3
 from geomcover.oracle import oracle_decide
 
 
@@ -118,6 +121,18 @@ class TestPlaneKernel:
                 assert online <= res.k + 1
             reduced = oracle_decide(res.points, PLANE3, res.k) if res.points else True
             assert original == reduced
+
+    def test_line_counts_match_point_by_point_count(self):
+        rng = random.Random(73)
+        sets = [random_points_3d(rng, 10), random_points_3d(rng, 14, span=2),
+                list(generate("degenerate-plane", {"k": 2, "m": 6}, seed=3).points)]
+        heaviest = 0
+        for pts in sets:
+            lines = sorted({line_through(p, q) for p, q in itertools.combinations(pts, 2)})
+            want = [(line, sum(1 for p in pts if flat_contains(line, p))) for line in lines]
+            assert _line_counts(pts) == want
+            heaviest = max(heaviest, max(count for _, count in want))
+        assert heaviest >= 4
 
     def test_same_seed_bit_identical(self):
         rng = random.Random(83)

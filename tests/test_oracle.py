@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_points_2d
-from geomcover.geometry import CIRCLE2, LINE2, VPARABOLA2, check_cover, pt
+from geomcover.geometry import CIRCLE2, LINE2, PLANE3, VPARABOLA2, check_cover, pt
 from geomcover.inclusion_exclusion import CapExceededError
 from geomcover.oracle import count_rich, oracle_decide, oracle_min_cover
 
@@ -50,6 +50,12 @@ class TestMinCover:
         decisions = [oracle_decide(pts, LINE2, k) for k in range(0, 9)]
         assert decisions == sorted(decisions)
         assert decisions[-1]
+
+    def test_decide_budget_above_n(self):
+        # a budget past n objects must not be mistaken for a found cover
+        assert oracle_decide([pt(0, 0, 0)], PLANE3, 2)
+        pts = [pt(0, 0), pt(1, 2), pt(3, 1)]
+        assert [oracle_decide(pts, LINE2, k) for k in range(6)] == [False, False, True, True, True, True]
 
 
 class TestCountRich:

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import random_points_3d
+from geomcover.curve_branch import budget_partitions
 from geomcover.geometry import (
     PLANE3,
     check_cover,
@@ -10,11 +14,19 @@ from geomcover.geometry import (
     plane3_curve,
     pt,
 )
+from geomcover.inclusion_exclusion import (
+    DEFAULT_SUBSET_CAP,
+    CoverableCounter,
+    _signed_sum,
+    ie_decide,
+)
 from geomcover.instances import generate
+from geomcover.kernel import plane_kernel_r3
 from geomcover.oracle import oracle_decide
 from geomcover.plane_branch import (
     _is_ripe,
     _line_rich_enough,
+    _PlaneSearch,
     _too_degenerate_counts,
     extend_lines,
     make_plane_config,
@@ -146,3 +158,136 @@ class TestPlaneCover:
             par = plane_cover(pts, k, threads=2)
             assert seq.decision == par.decision
             assert seq.witness == par.witness
+
+
+class _LeafRecorder(_PlaneSearch):
+    """The plane search, recording the (mask, line indexes, budget) of every
+    sweep leaf it reaches."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.leaves = set()
+
+    def _ie(self, mask, stamped, budget):
+        self.leaves.add((mask, tuple(j for j, _ in stamped), budget))
+        return super()._ie(mask, stamped, budget)
+
+
+def _searched(points, k):
+    """The recording search over every budget partition of the kernelized
+    instance, stopping at the first that accepts."""
+    kern = plane_kernel_r3(points, k)
+    assert not kern.rejected and kern.k >= 2
+    config = make_plane_config(kern.k)
+    search = _LeafRecorder(kern.points, PLANE3, config)
+    for partition in budget_partitions(config.k, 2 * config.r):
+        if search.run(partition)[0]:
+            break
+    return search
+
+
+def _assert_leaf_matches_counter(search, mask, lines, budgets):
+    """Every c(X) of the leaf counter equals CoverableCounter's over the same
+    ground (the points in mask, then the lines), and so does every signed sum."""
+    n = len(search.points)
+    points = search._subset_points(mask)
+    flats = [search.lines[j][0] for j in lines]
+    leaf = search._leaf_counter(mask, lines)
+    ref = CoverableCounter(points, PLANE3, flats)
+    order = [i for i in range(n) if (mask >> i) & 1] + [n + q for q in range(len(lines))]
+    assert leaf.ground == sum(1 << g for g in order)
+    for local in range(1 << len(order)):
+        sub = sum(1 << g for b, g in enumerate(order) if (local >> b) & 1)
+        assert leaf.c_of_mask(sub) == ref.c_of_mask(local), (mask, lines, sub)
+    for budget in budgets:
+        assert (_signed_sum(leaf.c_of_mask, leaf.ground, budget, DEFAULT_SUBSET_CAP)
+                == ie_decide(points, PLANE3, budget, flats=flats))
+
+
+def _leaf_instances():
+    rng = random.Random(211)
+    insts = [random_points_3d(rng, 7 + t % 2) for t in range(4)]
+    insts += [list(generate("degenerate-plane", {"k": 2, "m": 5}, seed=s).points) for s in (0, 1)]
+    return insts
+
+
+class TestLeafCounter:
+    def test_every_leaf_matches_counter_and_ie_decide(self):
+        by_lines = {}
+        for points in _leaf_instances():
+            search = _searched(points, 2)
+            for mask, lines, budget in sorted(search.leaves):
+                _assert_leaf_matches_counter(search, mask, lines, [budget])
+                by_lines[len(lines)] = by_lines.get(len(lines), 0) + 1
+        assert by_lines.get(1) and by_lines.get(2), by_lines
+
+    # lines A (three points) and B are parallel, C crosses both away from
+    # the points, D is skew to A and B and parallel to C
+    HAND = [pt(0, 0, 0), pt(1, 0, 0), pt(2, 0, 0), pt(0, 1, 0), pt(1, 1, 0),
+            pt(3, -1, 0), pt(3, 2, 0), pt(0, 0, 1), pt(0, 1, 1),
+            pt(1, 2, 0), pt(2, 3, 5), pt(5, 1, 2), pt(0, 0, 3), pt(4, 4, 1)]
+
+    def test_hand_built_grounds(self):
+        search = _PlaneSearch(self.HAND, PLANE3, make_plane_config(3))
+        index = {line: j for j, (line, _) in enumerate(search.lines)}
+
+        def line(a, b):
+            return index[line_through(self.HAND[a], self.HAND[b])]
+
+        A, B, C, D = line(0, 1), line(3, 4), line(5, 6), line(7, 8)
+        assert all(search._lines_plane(f, g) is not None for f, g in ((A, B), (A, C), (C, D)))
+        assert all(search._lines_plane(f, g) is None for f, g in ((A, D), (B, D)))
+        off = sum(1 << i for i in range(9, 14))
+        cases = [
+            (off, (A, B)),                     # parallel
+            (off, (A, C)),                     # intersecting
+            (off, (D, A)),                     # skew
+            (off, (A, C, B)),
+            (off & ~(1 << 13), (D, B, C)),
+            (0b1001 | 1 << 10, (A, B)),        # points on the lines themselves
+            (0b100101 | 1 << 9, (C, A, D)),
+            (0, (A, B, C, D)),
+        ]
+        for mask, lines in cases:
+            _assert_leaf_matches_counter(search, mask, lines, (0, 1, 2, 3))
+
+
+class TestIncidenceLayer:
+    def test_contained_lines_match_flat_contains(self):
+        anchor = generate("degenerate-plane", {"k": 3, "m": 8}, seed=1)
+        point_sets = _leaf_instances() + [list(anchor.points)]
+        assert len(point_sets[-1]) == 24
+        for points in point_sets:
+            search = _PlaneSearch(points, PLANE3, make_plane_config(3))
+            for plane, _, contained in search.planes:
+                assert contained == [j for j, (line, _) in enumerate(search.lines)
+                                     if flat_contains(plane, line)]
+
+
+@st.composite
+def _clustered_plane3(draw):
+    """At most 8 distinct integer points in R^3: a collinear cluster, a
+    coplanar cluster and a few free points, with a budget of 1 to 3."""
+    coord = st.integers(-3, 3)
+    vec = st.tuples(coord, coord, coord)
+    step = st.integers(-2, 2)
+    base, d = draw(vec), draw(vec.filter(any))
+    points = [tuple(b + t * x for b, x in zip(base, d))
+              for t in draw(st.lists(step, min_size=2, max_size=4, unique=True))]
+    base, u, v = draw(vec), draw(vec.filter(any)), draw(vec.filter(any))
+    points += [tuple(b + s * x + t * y for b, x, y in zip(base, u, v))
+               for s, t in draw(st.lists(st.tuples(step, step), min_size=3, max_size=5, unique=True))]
+    points += draw(st.lists(vec, max_size=3))
+    unique = list(dict.fromkeys(points))[:8]
+    return [pt(*p) for p in unique], draw(st.sampled_from((2, 1, 3)))
+
+
+class TestPlaneCoverProperty:
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(_clustered_plane3())
+    def test_agrees_with_oracle(self, instance):
+        points, k = instance
+        res = plane_cover(points, k)
+        assert res.decision == oracle_decide(points, PLANE3, k)
+        if res.decision:
+            assert check_cover(points, res.witness, k)
