@@ -3,17 +3,24 @@
 The decision `does P have a k-cover?` reduces to the sign-alternating sum
 over all subsets X of the ground set of c(P \\ X)^k, where c(Y) counts the
 subsets of Y coverable by a single object (the empty set included). The sum
-is at least 1 exactly on yes-instances. c is computed per subset through
-representatives: each coverable set is charged to a unique small prefix
-(its first points in a fixed order, or a greedy hull-growing sequence for
-the plane variant with mixed points and lines), so no table over subsets is
-ever stored.
+is at least 1 exactly on yes-instances. No table over subsets is ever
+stored: one Gray-code walk visits the subsets, flipping one element per
+step, and keeps a signed histogram of the c values, so each budget's sum
+takes one power per distinct c.
+
+Curve counters keep one point mask per curve through three or more ground
+points and step c by the coverable subsets that hold the flipped element.
+Plane counters evaluate c per subset through representatives: each
+coverable set is charged to a unique greedy hull-growing prefix of at most
+three elements, which owns a tail mask of optional later elements.
 
 Counts are exact arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from typing import NamedTuple, Sequence, Union
 
 from .geometry import (
@@ -136,10 +143,25 @@ def c_count(elements: Sequence[GroundElement], family: FamilySpec) -> int:
 # fast per-subset counting
 
 
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _w(m: int) -> int:
+    """The subsets of three or more among m points."""
+    return (1 << m) - 1 - m - m * (m - 1) // 2
+
+
 class CoverableCounter:
-    """Precomputes, for one fixed ground set, every candidate representative
-    together with its optional-tail mask, so that c(X) for any subset mask X
-    costs one pass over the representatives inside X."""
+    """Precomputes, for one fixed ground set, what c(X) reads for any subset
+    mask X: the curve masks of a curve family, or every representative of
+    the plane family with its optional-tail mask. `step(e, Y)` gives
+    c(Y + e) - c(Y) for curves and is None for planes."""
 
     def __init__(self, points: Sequence[Point], family: FamilySpec,
                  flats: Sequence[Flat] = ()):
@@ -163,50 +185,79 @@ class CoverableCounter:
             raise GeometryError("ground order must list points before flats")
         return cls(pts, family, fls)
 
-    # -- curves: representatives are pi-prefixes of size <= s+1
+    # -- curves: one point mask per curve through >= 3 ground points
 
     def _build_curves(self):
+        """A subset of three or more points is coverable exactly when it lies
+        inside one of `_curves`, the masks of the curves through >= 3 ground
+        points (s+1 points fix a curve, so that curve is unique). Each curve
+        is fitted once, at its s+1 lowest points; later tuples inside a found
+        curve are skipped. `_pair[e]` holds the partners e can be covered
+        with."""
         pts, fam, n = self.points, self.family, self.n
-        s = fam.s
-        if s == 1:
-            tails = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    fits = curve_through(fam, (pts[i], pts[j]))
-                    c = fits[0]
-                    m = 0
-                    for l in range(j + 1, n):
-                        if curve_covers(c, pts[l]):
-                            m |= 1 << l
-                    tails[i][j] = m
-            self._pair_tails = tails
-            self._pair_ok = None
-            self._triple_tails = None
-        else:
-            ok = [[False] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    ok[i][j] = covering_curve(fam, (pts[i], pts[j])) is not None
-            triples: dict[int, int] = {}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for l in range(j + 1, n):
-                        fits = curve_through(fam, (pts[i], pts[j], pts[l]))
-                        if not fits:
-                            continue
-                        c = fits[0]
-                        m = 0
-                        for t in range(l + 1, n):
-                            if curve_covers(c, pts[t]):
-                                m |= 1 << t
-                        triples[(i * n + j) * n + l] = m
-            self._pair_ok = ok
-            self._pair_tails = None
-            self._triple_tails = triples
+        size = fam.s + 1
+        curves = []
+        on_found: dict[tuple, int] = {}  # tuple head -> points on a found curve through it
+        for combo in itertools.combinations(range(n), size):
+            head, last = combo[:-1], combo[-1]
+            if on_found.get(head, 0) >> last & 1:
+                continue
+            fits = curve_through(fam, [pts[i] for i in combo])
+            if not fits:
+                continue
+            mask = sum(1 << i for i in combo)
+            for t in range(last + 1, n):
+                if curve_covers(fits[0], pts[t]):
+                    mask |= 1 << t
+            if mask.bit_count() < 3:
+                continue
+            curves.append(mask)
+            if mask.bit_count() > size:
+                for sub in itertools.combinations(_bits(mask), size - 1):
+                    on_found[sub] = on_found.get(sub, 0) | mask
+        # q[e][1 << p]: the other points on the >= 3-point curves through e
+        # and p; heavy[e]: the curves through e with >= 4 points
+        pair = [0] * n
+        q: list[dict[int, int]] = [{} for _ in range(n)]
+        heavy: list[list[int]] = [[] for _ in range(n)]
+        for mask in curves:
+            members = _bits(mask)
+            for a in members:
+                pair[a] |= mask & ~(1 << a)
+                if len(members) >= 4:
+                    heavy[a].append(mask)
+                for b in members:
+                    if a != b:
+                        q[a][1 << b] = q[a].get(1 << b, 0) | (mask & ~(1 << a | 1 << b))
+        for i, j in itertools.combinations(range(n), 2):
+            # any two points lie on a line; a pair off every found curve needs a fit
+            if not pair[i] >> j & 1 and (
+                    size == 2 or covering_curve(fam, (pts[i], pts[j])) is not None):
+                pair[i] |= 1 << j
+                pair[j] |= 1 << i
+        self._pair = pair
+        self._curves = curves
+        self._q = [list(row.items()) for row in q]
+        self._heavy = heavy
+
+    def step(self, e: int, y: int) -> int:
+        """c(Y + e) - c(Y) for e not in Y: the coverable subsets that hold e.
+        They are {e}, the coverable pairs, the triples {e, p, q} (counted
+        once from p and once from q: three points fix the curve) and, on
+        each curve with >= 4 points, the larger subsets."""
+        twice = 0
+        for p_bit, others in self._q[e]:
+            if y & p_bit:
+                twice += (others & y).bit_count()
+        total = 1 + (self._pair[e] & y).bit_count() + (twice >> 1)
+        for mask in self._heavy[e]:
+            total += _w((mask & y).bit_count())
+        return total
 
     # -- planes: representatives grow the affine hull strictly, size <= 3
 
     def _build_anyflat(self):
+        self.step = None  # no incremental step: the sweep calls c_of_mask
         ground, n = self.ground, self.n
         hull1 = [affine_hull([e]) for e in ground]
         inside1 = [[flat_contains(hull1[i], ground[j]) for j in range(n)] for i in range(n)]
@@ -267,39 +318,13 @@ class CoverableCounter:
     # -- evaluation
 
     def c_of_mask(self, mask: int) -> int:
-        bits = []
-        m = mask
-        while m:
-            low = m & -m
-            bits.append(low.bit_length() - 1)
-            m ^= low
-        total = 1  # the empty set
-        fam = self.family
-        if fam.kind != "plane3":
-            total += len(bits)
-            if fam.s == 1:
-                tails = self._pair_tails
-                for a in range(len(bits)):
-                    row = tails[bits[a]]
-                    for b in range(a + 1, len(bits)):
-                        total += 1 << (row[bits[b]] & mask).bit_count()
-            else:
-                ok = self._pair_ok
-                trip = self._triple_tails
-                n = self.n
-                for a in range(len(bits)):
-                    i = bits[a]
-                    for b in range(a + 1, len(bits)):
-                        j = bits[b]
-                        if ok[i][j]:
-                            total += 1
-                        base = (i * n + j) * n
-                        for c in range(b + 1, len(bits)):
-                            t = trip.get(base + bits[c])
-                            if t is not None:
-                                total += 1 << (t & mask).bit_count()
-            return total
+        bits = _bits(mask)
+        if self.family.kind != "plane3":
+            pairs = sum((self._pair[i] & mask).bit_count() for i in bits) >> 1
+            return (1 + len(bits) + pairs
+                    + sum(_w((c & mask).bit_count()) for c in self._curves))
 
+        total = 1  # the empty set
         n = self.n
         singles, pair_tail, triple_tail = self._singles, self._pair_tail, self._triple_tail
         for a in range(len(bits)):
@@ -334,22 +359,41 @@ def _check_cap(n: int, cap: int):
         raise CapExceededError("ground set of %d exceeds the subset-sweep cap %d" % (n, cap))
 
 
-def _signed_sum(c_of_mask, ground: int, k: int, cap: int) -> IEResult:
-    """Signed sweep over the submasks X of the `ground` mask: the sum of
-    c(X)^k, negated when |ground \\ X| is odd; yes iff it reaches 1."""
-    n = ground.bit_count()
+def _signed_histogram(counter, ground: int, cap: int) -> dict[int, int]:
+    """{c(X): signed multiplicity} over the submasks X of the `ground` mask,
+    each X counted with sign (-1)^|ground \\ X|. One Gray-code walk from the
+    empty set flips one ground bit per step; c moves by `counter.step` when
+    the counter has one, else `counter.c_of_mask` evaluates it afresh."""
+    # the walk's i-th step flips the element at i's lowest set bit
+    flips = {1 << j: 1 << e for j, e in enumerate(_bits(ground))}
+    n = len(flips)
     _check_cap(n, cap)
-    total = 0
-    sub = ground
-    while True:
-        c = c_of_mask(sub)
-        if (n - sub.bit_count()) & 1:
-            total -= c ** k
+    step, c_of_mask = counter.step, counter.c_of_mask
+    x = 0
+    c = c_of_mask(0)
+    sign = -1 if n & 1 else 1
+    hist: dict[int, int] = defaultdict(int)
+    hist[c] = sign
+    for i in range(1, 1 << n):
+        bit = flips[i & -i]
+        x ^= bit
+        if step is None:
+            c = c_of_mask(x)
+        elif x & bit:
+            c += step(bit.bit_length() - 1, x ^ bit)
         else:
-            total += c ** k
-        if not sub:
-            return IEResult(total >= 1, total, 1 << n)
-        sub = (sub - 1) & ground
+            c -= step(bit.bit_length() - 1, x)
+        sign = -sign
+        hist[c] += sign
+    return hist
+
+
+def _signed_sum(counter, ground: int, k: int, cap: int) -> IEResult:
+    """The sum over the submasks X of `ground` of c(X)^k, negated when
+    |ground \\ X| is odd; yes iff it reaches 1."""
+    hist = _signed_histogram(counter, ground, cap)
+    total = sum(m * c ** k for c, m in hist.items())
+    return IEResult(total >= 1, total, 1 << ground.bit_count())
 
 
 def ie_decide(points: Sequence[Point], family: FamilySpec, k: int,
@@ -358,35 +402,25 @@ def ie_decide(points: Sequence[Point], family: FamilySpec, k: int,
     if k < 0:
         raise ValueError("negative budget")
     counter = CoverableCounter(points, family, flats)
-    return _signed_sum(counter.c_of_mask, (1 << counter.n) - 1, k, cap)
+    return _signed_sum(counter, (1 << counter.n) - 1, k, cap)
 
 
 def ie_sums(points: Sequence[Point], family: FamilySpec, ks: Sequence[int],
             flats: Sequence[Flat] = (), cap: int = DEFAULT_SUBSET_CAP) -> dict[int, int]:
-    """Alternating sums for several budgets in one sweep (c is computed once
-    per subset and powered per budget)."""
+    """Alternating sums for several budgets from one sweep: each distinct c
+    is powered once per budget."""
     counter = CoverableCounter(points, family, flats)
-    n = counter.n
-    _check_cap(n, cap)
     ks = sorted(set(ks))
     if any(k < 0 for k in ks):
         raise ValueError("negative budget")
-    totals = {k: 0 for k in ks}
-    for sub in range(1 << n):
-        c = counter.c_of_mask(sub)
-        sign = -1 if (n - sub.bit_count()) & 1 else 1
-        power, exp = 1, 0
-        for k in ks:
-            power *= c ** (k - exp)
-            exp = k
-            totals[k] += sign * power
-    return totals
+    hist = _signed_histogram(counter, (1 << counter.n) - 1, cap)
+    return {k: sum(m * c ** k for c, m in hist.items()) for k in ks}
 
 
 def ie_min_cover(points: Sequence[Point], family: FamilySpec,
                  flats: Sequence[Flat] = (), cap: int = DEFAULT_SUBSET_CAP) -> int:
-    """Minimum k whose alternating sum reaches 1, from one subset sweep with
-    one accumulator per candidate budget."""
+    """Minimum k whose alternating sum reaches 1, from one subset sweep that
+    sums every candidate budget."""
     n = len(tuple(points)) + len(tuple(flats))
     totals = ie_sums(points, family, range(n + 1), flats, cap)
     for k in range(n + 1):

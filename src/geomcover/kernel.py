@@ -33,6 +33,7 @@ from .geometry import (
     plane_masks3,
     richness,
 )
+from .inclusion_exclusion import SolverInternalError
 
 
 @dataclass
@@ -92,27 +93,36 @@ def _line_counts(pts: Sequence[Point]) -> list[tuple[Flat, int]]:
 def _replacement_point(line: Flat, pts: Sequence[Point], rng: random.Random) -> Point:
     """A point on `line`, off every other line spanned by two current points.
     Integer parameters are drawn from a widening window; rejected samples are
-    retried."""
+    retried. At most n + C(n, 2) parameters are bad: a current point, or where
+    the line through two points off `line` crosses it. So once the window
+    holds more integers than that and its draws have failed, it is scanned in
+    order and its first good parameter is taken."""
     base, direction = line.base, line.basis[0]
+    bad_bound = len(pts) + len(pts) * (len(pts) - 1) // 2
+
+    def good(t: int) -> Optional[Point]:
+        cand = Point(tuple(b + t * d for b, d in zip(base, direction)))
+        if cand in pts:
+            return None
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                if _collinear3(cand, pts[i], pts[j]):
+                    if not (flat_contains(line, pts[i]) and flat_contains(line, pts[j])):
+                        return None
+        return cand
+
     span = 8
     while True:
         for _ in range(40):
-            t = rng.randint(-span, span)
-            cand = Point(tuple(b + t * d for b, d in zip(base, direction)))
-            if cand in pts:
-                continue
-            ok = True
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    if _collinear3(cand, pts[i], pts[j]):
-                        on_target = flat_contains(line, pts[i]) and flat_contains(line, pts[j])
-                        if not on_target:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
+            cand = good(rng.randint(-span, span))
+            if cand is not None:
                 return cand
+        if 2 * span + 1 > bad_bound:
+            for t in range(-span, span + 1):
+                cand = good(t)
+                if cand is not None:
+                    return cand
+            raise SolverInternalError("no replacement point on %r" % (line,))
         span *= 2
 
 

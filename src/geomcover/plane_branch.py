@@ -47,7 +47,7 @@ from .geometry import (
     plane_masks3,
     plane_through_line_point,
 )
-from .inclusion_exclusion import DEFAULT_SUBSET_CAP, _signed_sum, extract_cover
+from .inclusion_exclusion import DEFAULT_SUBSET_CAP, _bits, _signed_sum, extract_cover
 from .kernel import plane_kernel_r3
 
 
@@ -123,22 +123,15 @@ def extend_lines(lines: Sequence[Flat], points: Sequence[Point],
 # the recursive search
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class _LeafCounter:
     """CoverableCounter's c(X) for one sweep leaf, over its ground mask: the
     empty set, every single element, and one term 2^|tail & X| per
     representative pair or triple inside X. `rows` holds, per first element,
-    (second bit, pair tail, [(third bit, triple tail), ...])."""
+    (second bit, pair tail, [(third bit, triple tail), ...]). It has no
+    incremental step, so the sweep evaluates c at every subset."""
 
     __slots__ = ("ground", "rows")
+    step = None
 
     def __init__(self, ground: int, rows: list):
         self.ground = ground
@@ -291,7 +284,7 @@ class _PlaneSearch:
         hit = self._ie_cache.get(key)
         if hit is None:
             counter = self._leaf_counter(mask, key[1])
-            res = _signed_sum(counter.c_of_mask, counter.ground, budget, self.cfg.ie_cap)
+            res = _signed_sum(counter, counter.ground, budget, self.cfg.ie_cap)
             self.stats.ie_subsets += res.subsets
             hit = res.decision
             self._ie_cache[key] = hit

@@ -2,8 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_points_2d, random_points_3d
+from geomcover.curve_branch import curve_cover
 from geomcover.geometry import (
     CIRCLE2,
     LINE2,
@@ -239,3 +242,121 @@ class TestOracleEquivalence:
             pts = random_points_3d(rng, rng.randint(3, 7))
             for k in (1, 2):
                 assert ie_decide(pts, PLANE3, k).decision == oracle_decide(pts, PLANE3, k)
+
+
+def _degenerate_curve_instances():
+    """Seeded instances of 9 points, each with a built-in degeneracy: 5
+    collinear points for line2, 5 concyclic points for circle2, and 5
+    points on one parabola plus two shared-x pairs for vparabola2."""
+    clusters = (
+        (LINE2, [pt(t, 2 * t + 1) for t in range(-2, 3)]),
+        (CIRCLE2, [pt(5, 0), pt(3, 4), pt(0, 5), pt(-4, 3), pt(-3, -4)]),
+        (VPARABOLA2, [pt(x, x * x - 1) for x in range(-2, 3)] + [pt(0, 3), pt(1, -4)]),
+    )
+    out = []
+    for seed in range(3):
+        rng = random.Random(600 + seed)
+        for fam, cluster in clusters:
+            points = list(cluster)
+            while len(points) < 9:
+                p = pt(rng.randint(-5, 5), rng.randint(-5, 5))
+                if p not in points:
+                    points.append(p)
+            rng.shuffle(points)
+            out.append((fam, points))
+    return out
+
+
+def _brute_c(points, fam):
+    """c(X) for every subset mask X, from a coverability test of every
+    subset Z of the points and a sum over the submasks of X."""
+    n = len(points)
+    coverable = [not z or covering_curve(fam, [points[i] for i in range(n) if z >> i & 1]) is not None
+                 for z in range(1 << n)]
+    table = []
+    for x in range(1 << n):
+        z, total = x, 0
+        while True:
+            total += coverable[z]
+            if not z:
+                break
+            z = (z - 1) & x
+        table.append(total)
+    return table
+
+
+class TestCurveCounterIdentities:
+    def test_c_of_mask_matches_brute_force(self):
+        for fam, points in _degenerate_curve_instances():
+            counter = CoverableCounter(points, fam)
+            assert [counter.c_of_mask(x) for x in range(1 << 9)] == _brute_c(points, fam)
+
+    def test_every_gray_step_matches_brute_difference(self):
+        for fam, points in _degenerate_curve_instances():
+            c = _brute_c(points, fam)
+            counter = CoverableCounter(points, fam)
+            x = 0
+            for i in range(1, 1 << 9):
+                e = (i & -i).bit_length() - 1
+                y = x & ~(1 << e)
+                assert counter.step(e, y) == c[y | 1 << e] - c[y], (fam.kind, points, e, y)
+                x ^= 1 << e
+            assert x == 1 << 8  # the walk visited every subset and ends on the top bit
+
+    def test_sums_match_reference_signed_sum(self):
+        full = (1 << 9) - 1
+        for fam, points in _degenerate_curve_instances():
+            c = _brute_c(points, fam)
+            ref = dict.fromkeys(range(10), 0)
+            sub = full
+            while True:
+                sign = -1 if (9 - sub.bit_count()) & 1 else 1
+                for k in ref:
+                    ref[k] += sign * c[sub] ** k
+                if not sub:
+                    break
+                sub = (sub - 1) & full
+            assert ie_sums(points, fam, range(10)) == ref
+            for k in range(10):
+                assert ie_decide(points, fam, k) == (ref[k] >= 1, ref[k], 1 << 9)
+
+
+# the 12 integer points at distance 5 from the origin
+_RADIUS5 = [(5, 0), (-5, 0), (0, 5), (0, -5)] + [(a * x, b * y) for x, y in ((3, 4), (4, 3))
+                                                  for a in (1, -1) for b in (1, -1)]
+
+
+@st.composite
+def _clustered_curve_instance(draw):
+    """A curve family and at most 9 distinct integer points: a collinear,
+    concyclic or shared-x cluster and a few free points."""
+    coord = st.integers(-4, 4)
+    bx, by = draw(coord), draw(coord)
+    kind = draw(st.sampled_from(("collinear", "concyclic", "shared-x")))
+    if kind == "collinear":
+        dx, dy = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+        ts = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=5, unique=True))
+        points = [(bx + t * dx, by + t * dy) for t in ts]
+    elif kind == "concyclic":
+        offsets = draw(st.lists(st.sampled_from(_RADIUS5), min_size=3, max_size=5, unique=True))
+        points = [(bx + dx, by + dy) for dx, dy in offsets]
+    else:
+        xs = draw(st.lists(coord, min_size=1, max_size=3, unique=True))
+        points = [(x, y) for x in xs
+                  for y in draw(st.lists(coord, min_size=2, max_size=2, unique=True))]
+    points += draw(st.lists(st.tuples(coord, coord), max_size=4))
+    unique = list(dict.fromkeys(points))[:9]
+    return draw(st.sampled_from((LINE2, CIRCLE2, VPARABOLA2))), [pt(*p) for p in unique]
+
+
+class TestCurveSweepProperty:
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(_clustered_curve_instance())
+    def test_agrees_with_oracle_and_branch(self, instance):
+        fam, points = instance
+        opt = oracle_min_cover(points, fam).opt
+        assert ie_min_cover(points, fam) == opt
+        assert curve_cover(points, fam, opt).decision
+        assert opt == 0 or not curve_cover(points, fam, opt - 1).decision
+        witness = extract_cover(points, fam, opt)
+        assert check_cover(points, witness, opt)

@@ -17,7 +17,13 @@ from geomcover.geometry import (
     richness,
 )
 from geomcover.instances import generate
-from geomcover.kernel import _line_counts, curve_kernel, plane_kernel_r3
+from geomcover.kernel import (
+    _collinear3,
+    _line_counts,
+    _replacement_point,
+    curve_kernel,
+    plane_kernel_r3,
+)
 from geomcover.oracle import oracle_decide
 
 
@@ -76,7 +82,6 @@ class TestPlaneKernel:
     def test_forces_rich_plane(self):
         # 20 points on z=0, no 3 collinear, plus one point off the plane
         rng = random.Random(5)
-        from geomcover.kernel import _collinear3
         pts = []
         while len(pts) < 20:
             c = pt(rng.randint(0, 40), rng.randint(0, 40), 0)
@@ -150,3 +155,27 @@ class TestPlaneKernel:
                 again = plane_kernel_r3(res.points, res.k, rng_seed=0)
                 assert again.verdict == "reduced"
                 assert again.points == res.points and again.k == res.k
+
+
+class _AlwaysTaken:
+    """A stand-in generator whose every draw is parameter 0, a point that is
+    already in the instance."""
+
+    def randint(self, a, b):
+        return 0
+
+
+class TestReplacementPoint:
+    def test_terminates_when_every_draw_is_bad(self):
+        # 5 points allow at most 5 + C(5, 2) = 15 bad parameters, so the
+        # first window of 17 is scanned from t = -8; the pair at x = -8
+        # crosses the x-axis there, so the scan moves on to t = -7
+        P = [pt(0, 0, 0), pt(1, 0, 0), pt(-8, 1, 0), pt(-8, -1, 0), pt(-7, 1, 1)]
+        xaxis = line_through(P[0], P[1])
+        assert xaxis.base == (0, 0, 0)
+        got = _replacement_point(xaxis, P, _AlwaysTaken())
+        assert got == pt(-7, 0, 0)
+        assert flat_contains(xaxis, got) and got not in P
+        for a, b in itertools.combinations(P, 2):
+            if not (flat_contains(xaxis, a) and flat_contains(xaxis, b)):
+                assert not _collinear3(got, a, b)

@@ -200,7 +200,7 @@ def _assert_leaf_matches_counter(search, mask, lines, budgets):
         sub = sum(1 << g for b, g in enumerate(order) if (local >> b) & 1)
         assert leaf.c_of_mask(sub) == ref.c_of_mask(local), (mask, lines, sub)
     for budget in budgets:
-        assert (_signed_sum(leaf.c_of_mask, leaf.ground, budget, DEFAULT_SUBSET_CAP)
+        assert (_signed_sum(leaf, leaf.ground, budget, DEFAULT_SUBSET_CAP)
                 == ie_decide(points, PLANE3, budget, flats=flats))
 
 
