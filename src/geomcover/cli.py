@@ -105,7 +105,11 @@ def _pick_auto(inst: Instance, oracle_cap: int, ie_cap: int) -> str:
 
 
 def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord:
-    factor = Fraction(args.base_case_factor) if args.base_case_factor else None
+    try:
+        factor = Fraction(args.base_case_factor) if args.base_case_factor else None
+    except ZeroDivisionError:
+        raise ValueError("--base-case-factor %s has a zero denominator"
+                         % args.base_case_factor) from None
     record = ResultRecord(algorithm=algorithm, seed=args.seed, config={
         "k": k,
         "family": inst.family.kind,

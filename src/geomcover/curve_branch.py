@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .geometry import FamilySpec, Point, curve_covers, enumerate_candidates
+from .geometry import FamilySpec, Point, curve_masks
 from .inclusion_exclusion import DEFAULT_SUBSET_CAP, extract_cover, ie_decide
 from .kernel import KernelResult, curve_kernel
 
@@ -140,14 +140,7 @@ class _CurveSearch:
         self.family = family
         self.cfg = config
         self.stats = SearchStats()
-        cands = enumerate_candidates(self.points, family)
-        self.cands = []
-        for c in cands:
-            m = 0
-            for i, p in enumerate(self.points):
-                if curve_covers(c, p):
-                    m |= 1 << i
-            self.cands.append((c, m))
+        self.cands = curve_masks(self.points, family)
         self._ie_cache: dict[tuple[int, int], bool] = {}
 
     def _subset_points(self, mask: int) -> list[Point]:

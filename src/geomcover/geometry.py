@@ -392,17 +392,43 @@ def curves_intersect(c1: Curve, c2: Curve) -> tuple[tuple[Point, ...], int]:
 # candidate enumeration
 
 
+def curve_masks(points: Sequence[Point], family: FamilySpec) -> list[tuple[Curve, int]]:
+    """Each family curve through at least d = s+1 of the given 2D points, with
+    the mask of the points on it (point i is bit i), in discovery order.
+
+    s+1 points fix a curve, so each curve is fitted once, at its s+1 lowest
+    points: a later tuple inside a curve already found is skipped, and a
+    fitted curve's points below its last fitting point are already known."""
+    pts = tuple(points)
+    if len(set(pts)) != len(pts):
+        raise GeometryError("duplicate points")  # a skipped tuple would hide them
+    n, size = len(pts), family.d
+    found: list[tuple[Curve, int]] = []
+    on_found: dict[tuple[int, ...], int] = {}  # tuple head -> points on a found curve through it
+    for combo in itertools.combinations(range(n), size):
+        head, last = combo[:-1], combo[-1]
+        if on_found.get(head, 0) >> last & 1:
+            continue
+        for curve in curve_through(family, [pts[i] for i in combo]):  # none or one
+            mask = sum(1 << i for i in combo)
+            for t in range(last + 1, n):
+                if curve_covers(curve, pts[t]):
+                    mask |= 1 << t
+            found.append((curve, mask))
+            if mask.bit_count() > size:
+                members = [i for i in range(n) if mask >> i & 1]
+                for sub in itertools.combinations(members, size - 1):
+                    on_found[sub] = on_found.get(sub, 0) | mask
+    return found
+
+
 def enumerate_candidates(points: Sequence[Point], family: FamilySpec):
     """All family objects through at least d points of P, deduplicated and in
     canonical order. For plane3 these are planes through affinely independent
     triples."""
     if family.kind == "plane3":
         return [plane for plane, _ in plane_masks3(points)]
-    found = set()
-    for combo in itertools.combinations(tuple(points), family.d):
-        for c in curve_through(family, combo):
-            found.add(c)
-    return sorted(found)
+    return sorted(curve for curve, _ in curve_masks(points, family))
 
 
 # ---------------------------------------------------------------------------

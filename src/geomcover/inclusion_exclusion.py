@@ -32,6 +32,7 @@ from .geometry import (
     candidate_cover_sets,
     covering_curve,
     curve_covers,
+    curve_masks,
     curve_through,
     flat_contains,
 )
@@ -190,31 +191,10 @@ class CoverableCounter:
     def _build_curves(self):
         """A subset of three or more points is coverable exactly when it lies
         inside one of `_curves`, the masks of the curves through >= 3 ground
-        points (s+1 points fix a curve, so that curve is unique). Each curve
-        is fitted once, at its s+1 lowest points; later tuples inside a found
-        curve are skipped. `_pair[e]` holds the partners e can be covered
-        with."""
+        points (s+1 points fix a curve, so that curve is unique). `_pair[e]`
+        holds the partners e can be covered with."""
         pts, fam, n = self.points, self.family, self.n
-        size = fam.s + 1
-        curves = []
-        on_found: dict[tuple, int] = {}  # tuple head -> points on a found curve through it
-        for combo in itertools.combinations(range(n), size):
-            head, last = combo[:-1], combo[-1]
-            if on_found.get(head, 0) >> last & 1:
-                continue
-            fits = curve_through(fam, [pts[i] for i in combo])
-            if not fits:
-                continue
-            mask = sum(1 << i for i in combo)
-            for t in range(last + 1, n):
-                if curve_covers(fits[0], pts[t]):
-                    mask |= 1 << t
-            if mask.bit_count() < 3:
-                continue
-            curves.append(mask)
-            if mask.bit_count() > size:
-                for sub in itertools.combinations(_bits(mask), size - 1):
-                    on_found[sub] = on_found.get(sub, 0) | mask
+        curves = [mask for _, mask in curve_masks(pts, fam) if mask.bit_count() >= 3]
         # q[e][1 << p]: the other points on the >= 3-point curves through e
         # and p; heavy[e]: the curves through e with >= 4 points
         pair = [0] * n
@@ -232,7 +212,7 @@ class CoverableCounter:
         for i, j in itertools.combinations(range(n), 2):
             # any two points lie on a line; a pair off every found curve needs a fit
             if not pair[i] >> j & 1 and (
-                    size == 2 or covering_curve(fam, (pts[i], pts[j])) is not None):
+                    fam.d == 2 or covering_curve(fam, (pts[i], pts[j])) is not None):
                 pair[i] |= 1 << j
                 pair[j] |= 1 << i
         self._pair = pair

@@ -93,6 +93,8 @@ def parse_instance(text: str, dedup: bool = False) -> Instance:
     k = doc["k"]
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise InvalidInstanceError("k must be a nonnegative integer")
+    if not isinstance(doc["points"], list):
+        raise InvalidInstanceError("points must be a list")
     points = []
     seen = set()
     for row in doc["points"]:

@@ -26,12 +26,10 @@ from .geometry import (
     GeometryError,
     Plane3,
     Point,
-    curve_covers,
-    enumerate_candidates,
+    curve_masks,
     flat_contains,
     line_masks3,
     plane_masks3,
-    richness,
 )
 from .inclusion_exclusion import SolverInternalError
 
@@ -50,28 +48,30 @@ class KernelResult:
 
 
 def curve_kernel(points: Sequence[Point], family: FamilySpec, k: int) -> KernelResult:
-    """Force unavoidable curves, then reject oversized instances."""
+    """Force unavoidable curves, then reject oversized instances. The masks are
+    built once: a curve reaching a threshold s*k+1 >= d over the surviving
+    points passes through d of them, so a fresh enumeration would find it."""
     if k < 0:
         raise ValueError("negative budget")
-    pts = list(points)
+    pts = tuple(points)
     s = family.s
     forced: list[Curve] = []
     k_cur = k
-    while k_cur >= 1 and len(pts) >= family.d:
-        threshold = s * k_cur + 1
-        best: Optional[Curve] = None
-        best_rich = 0
-        for cand in enumerate_candidates(pts, family):
-            r = richness(cand, pts)
-            if r > best_rich:
-                best, best_rich = cand, r
-        if best is None or best_rich < threshold:
+    alive = (1 << len(pts)) - 1
+    masks = curve_masks(pts, family) if k >= 1 else []
+    while k_cur >= 1 and alive.bit_count() >= family.d:
+        rich = [((m & alive).bit_count(), c, m) for c, m in masks]
+        best_rich = max((r for r, _, _ in rich), default=0)
+        if best_rich < s * k_cur + 1:
             break
+        # ties go to the canonically smallest curve
+        _, best, best_mask = min(t for t in rich if t[0] == best_rich)
         forced.append(best)
-        pts = [p for p in pts if not curve_covers(best, p)]
+        alive &= ~best_mask
         k_cur -= 1
+    pts = tuple(p for i, p in enumerate(pts) if alive >> i & 1)
     verdict = "rejected" if len(pts) > s * k_cur * k_cur else "reduced"
-    return KernelResult(tuple(pts), k_cur, forced, verdict)
+    return KernelResult(pts, k_cur, forced, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +84,6 @@ def _collinear3(a: Point, b: Point, c: Point) -> bool:
     return (u[1] * v[2] - u[2] * v[1] == 0
             and u[2] * v[0] - u[0] * v[2] == 0
             and u[0] * v[1] - u[1] * v[0] == 0)
-
-
-def _line_counts(pts: Sequence[Point]) -> list[tuple[Flat, int]]:
-    return [(line, mask.bit_count()) for line, mask in line_masks3(pts)]
 
 
 def _replacement_point(line: Flat, pts: Sequence[Point], rng: random.Random) -> Point:
@@ -140,25 +136,21 @@ def _make_one_ready(pts: list[Point], k: int, rng: random.Random,
     """
     limit = k + 1
     while True:
-        counts = _line_counts(pts)
-        over = [(c, line) for line, c in counts if c > limit]
+        lines = line_masks3(pts)
+        over = [(-m.bit_count(), line, m) for line, m in lines if m.bit_count() > limit]
         if not over:
             return pts
-        over.sort(key=lambda t: (-t[0], t[1]))
-        target = over[0][1]
-        heavy_before = [line for line, c in counts if c >= limit and line != target]
-        keep, on_target = [], 0
-        for p in pts:
-            if flat_contains(target, p):
-                on_target += 1
-                if on_target > limit:
-                    continue
-            keep.append(p)
-        pts = keep
+        _, target, drop = min(over)
+        heavy_before = [(line, m) for line, m in lines if m.bit_count() >= limit and line != target]
+        for _ in range(limit):
+            drop &= drop - 1  # the target keeps its first k+1 points
+        pts = [p for i, p in enumerate(pts) if not drop >> i & 1]
         if limit < 3:
             continue
-        for line in heavy_before:
-            have = sum(1 for p in pts if flat_contains(line, p))
+        # a replacement point avoids every line through two current points,
+        # and each heavy line keeps two or more, so it lands on no other
+        for line, mask in heavy_before:
+            have = (mask & ~drop).bit_count()
             while have < limit:
                 newp = _replacement_point(line, pts, rng)
                 pts.append(newp)

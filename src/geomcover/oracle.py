@@ -17,8 +17,8 @@ from .geometry import (
     GeometryError,
     Point,
     candidate_cover_sets,
-    enumerate_candidates,
-    richness,
+    curve_masks,
+    plane_masks3,
 )
 from .inclusion_exclusion import CapExceededError
 
@@ -100,6 +100,6 @@ def count_rich(points: Sequence[Point], family: FamilySpec, gamma: int) -> int:
     gamma or more points."""
     if gamma < family.d:
         raise ValueError("gamma below the family's degrees of freedom")
-    pts = tuple(points)
-    return sum(1 for c in enumerate_candidates(pts, family) if richness(c, pts) >= gamma)
+    masks = plane_masks3(points) if family.kind == "plane3" else curve_masks(points, family)
+    return sum(1 for _, mask in masks if mask.bit_count() >= gamma)
 

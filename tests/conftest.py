@@ -1,6 +1,6 @@
 import random
 
-from geomcover.geometry import Point, pt
+from geomcover.geometry import CIRCLE2, LINE2, VPARABOLA2, Point, pt
 
 
 def random_points_2d(rng: random.Random, n: int, span: int = 4) -> list[Point]:
@@ -19,4 +19,27 @@ def random_points_3d(rng: random.Random, n: int, span: int = 3) -> list[Point]:
         p = pt(rng.randint(0, span), rng.randint(0, span), rng.randint(0, span))
         if p not in out:
             out.append(p)
+    return out
+
+
+def degenerate_curve_instances():
+    """Seeded instances of 9 points, each with a built-in degeneracy: 5
+    collinear points for line2, 5 concyclic points for circle2, and 5
+    points on one parabola plus two shared-x pairs for vparabola2."""
+    clusters = (
+        (LINE2, [pt(t, 2 * t + 1) for t in range(-2, 3)]),
+        (CIRCLE2, [pt(5, 0), pt(3, 4), pt(0, 5), pt(-4, 3), pt(-3, -4)]),
+        (VPARABOLA2, [pt(x, x * x - 1) for x in range(-2, 3)] + [pt(0, 3), pt(1, -4)]),
+    )
+    out = []
+    for seed in range(3):
+        rng = random.Random(600 + seed)
+        for fam, cluster in clusters:
+            points = list(cluster)
+            while len(points) < 9:
+                p = pt(rng.randint(-5, 5), rng.randint(-5, 5))
+                if p not in points:
+                    points.append(p)
+            rng.shuffle(points)
+            out.append((fam, points))
     return out

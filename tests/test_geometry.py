@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_points_2d, random_points_3d
+from conftest import degenerate_curve_instances, random_points_2d, random_points_3d
 from geomcover.geometry import (
     CIRCLE2,
     LINE2,
@@ -16,6 +16,7 @@ from geomcover.geometry import (
     circle2_curve,
     covering_curve,
     curve_covers,
+    curve_masks,
     curve_through,
     curves_intersect,
     enumerate_candidates,
@@ -151,6 +152,23 @@ class TestEnumeration:
             got = enumerate_candidates(pts, fam)
             assert got == sorted(naive)
             assert all(richness(c, pts) >= fam.d for c in got)
+
+    def test_curve_masks_match_brute_force(self):
+        # every d-tuple fitted, every point tested; clusters give curves
+        # through 5 points and vparabola2 pairs that no parabola fits
+        for own, pts in degenerate_curve_instances():
+            for fam in CURVE_FAMILIES:
+                brute = {}
+                for combo in itertools.combinations(pts, fam.d):
+                    for c in curve_through(fam, combo):
+                        brute[c] = sum(1 << i for i, p in enumerate(pts) if curve_covers(c, p))
+                got = curve_masks(pts, fam)
+                assert len({c for c, _ in got}) == len(got), fam.kind
+                assert dict(got) == brute, fam.kind
+                if fam == own:
+                    assert max(m.bit_count() for m in brute.values()) >= 5
+        with pytest.raises(GeometryError):
+            curve_masks([pt(0, 0), pt(1, 1), pt(0, 0)], LINE2)
 
     def test_3d_masks_match_fraction_predicates(self):
         # the masks come from point pairs and triples; every point on a line

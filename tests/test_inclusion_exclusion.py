@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_points_2d, random_points_3d
+from conftest import degenerate_curve_instances, random_points_2d, random_points_3d
 from geomcover.curve_branch import curve_cover
 from geomcover.geometry import (
     CIRCLE2,
@@ -244,29 +244,6 @@ class TestOracleEquivalence:
                 assert ie_decide(pts, PLANE3, k).decision == oracle_decide(pts, PLANE3, k)
 
 
-def _degenerate_curve_instances():
-    """Seeded instances of 9 points, each with a built-in degeneracy: 5
-    collinear points for line2, 5 concyclic points for circle2, and 5
-    points on one parabola plus two shared-x pairs for vparabola2."""
-    clusters = (
-        (LINE2, [pt(t, 2 * t + 1) for t in range(-2, 3)]),
-        (CIRCLE2, [pt(5, 0), pt(3, 4), pt(0, 5), pt(-4, 3), pt(-3, -4)]),
-        (VPARABOLA2, [pt(x, x * x - 1) for x in range(-2, 3)] + [pt(0, 3), pt(1, -4)]),
-    )
-    out = []
-    for seed in range(3):
-        rng = random.Random(600 + seed)
-        for fam, cluster in clusters:
-            points = list(cluster)
-            while len(points) < 9:
-                p = pt(rng.randint(-5, 5), rng.randint(-5, 5))
-                if p not in points:
-                    points.append(p)
-            rng.shuffle(points)
-            out.append((fam, points))
-    return out
-
-
 def _brute_c(points, fam):
     """c(X) for every subset mask X, from a coverability test of every
     subset Z of the points and a sum over the submasks of X."""
@@ -287,12 +264,12 @@ def _brute_c(points, fam):
 
 class TestCurveCounterIdentities:
     def test_c_of_mask_matches_brute_force(self):
-        for fam, points in _degenerate_curve_instances():
+        for fam, points in degenerate_curve_instances():
             counter = CoverableCounter(points, fam)
             assert [counter.c_of_mask(x) for x in range(1 << 9)] == _brute_c(points, fam)
 
     def test_every_gray_step_matches_brute_difference(self):
-        for fam, points in _degenerate_curve_instances():
+        for fam, points in degenerate_curve_instances():
             c = _brute_c(points, fam)
             counter = CoverableCounter(points, fam)
             x = 0
@@ -305,7 +282,7 @@ class TestCurveCounterIdentities:
 
     def test_sums_match_reference_signed_sum(self):
         full = (1 << 9) - 1
-        for fam, points in _degenerate_curve_instances():
+        for fam, points in degenerate_curve_instances():
             c = _brute_c(points, fam)
             ref = dict.fromkeys(range(10), 0)
             sub = full

@@ -50,6 +50,16 @@ class TestInstanceFiles:
             with pytest.raises(InvalidInstanceError):
                 parse_instance(text)
 
+    def test_non_list_points_rejected(self, tmp_path, capsys):
+        for bad in (5, None, {"0": ["0", "0"]}):
+            text = json.dumps({"dimension": 2, "family": "line2", "k": 1, "points": bad})
+            with pytest.raises(InvalidInstanceError):
+                parse_instance(text)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dimension": 2, "family": "line2", "k": 1, "points": 5}))
+        assert main(["solve", "--input", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_family_dimension_mismatch(self):
         text = json.dumps({"dimension": 3, "family": "line2", "k": 1, "points": []})
         with pytest.raises(InvalidInstanceError):
@@ -129,6 +139,16 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["solve", "--input", str(bad), "--k", "1"]) == EXIT_INVALID
+
+    def test_zero_denominator_base_case_factor(self, tmp_path, capsys):
+        path, _ = self.write(tmp_path, "g.json", "grid", {"n": 3}, 0)
+        for algorithm in ("ie", "branch", "oracle", "auto"):
+            assert main(["solve", "--input", str(path), "--algorithm", algorithm,
+                         "--base-case-factor", "1/0"]) == EXIT_INVALID
+            assert capsys.readouterr().err.startswith("error:")
+        assert main(["solve", "--input", str(path), "--algorithm", "branch",
+                     "--base-case-factor", "2/4"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["base_case_factor"] == "2/4"
 
     def test_byte_identical_records(self, tmp_path, capsys):
         path, _ = self.write(tmp_path, "d.json", "degenerate-plane", {"k": 2, "m": 6}, 3)

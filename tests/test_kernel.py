@@ -1,16 +1,19 @@
 import itertools
 import random
 
-from conftest import random_points_2d, random_points_3d
+from conftest import degenerate_curve_instances, random_points_2d, random_points_3d
 from geomcover.geometry import (
     CIRCLE2,
     LINE2,
     PLANE3,
     VPARABOLA2,
+    curve_covers,
+    curve_through,
     enumerate_candidates,
     enumerate_lines3,
     flat_contains,
     line2_curve,
+    line_masks3,
     line_through,
     plane3_curve,
     pt,
@@ -19,12 +22,30 @@ from geomcover.geometry import (
 from geomcover.instances import generate
 from geomcover.kernel import (
     _collinear3,
-    _line_counts,
     _replacement_point,
     curve_kernel,
     plane_kernel_r3,
 )
 from geomcover.oracle import oracle_decide
+
+
+def _reference_curve_kernel(points, fam, k):
+    """The curve kernel with every candidate refitted and every richness
+    recounted in each forcing round, plus the number of rounds in which two
+    or more candidates tied for the richest."""
+    pts, forced, tied = list(points), [], 0
+    while k >= 1 and len(pts) >= fam.d:
+        cands = {c for combo in itertools.combinations(pts, fam.d) for c in curve_through(fam, combo)}
+        ranked = sorted((-sum(1 for p in pts if curve_covers(c, p)), c) for c in cands)
+        if not ranked or -ranked[0][0] < fam.s * k + 1:
+            break
+        tied += len(ranked) > 1 and ranked[1][0] == ranked[0][0]
+        best = ranked[0][1]
+        forced.append(best)
+        pts = [p for p in pts if not curve_covers(best, p)]
+        k -= 1
+    verdict = "rejected" if len(pts) > fam.s * k * k else "reduced"
+    return (forced, tuple(pts), k, verdict), tied
 
 
 class TestCurveKernel:
@@ -61,6 +82,23 @@ class TestCurveKernel:
                     assert richness(c, res.points) <= fam.s * res.k
                 reduced = oracle_decide(res.points, fam, res.k) if res.points else True
                 assert original == reduced
+
+    def test_matches_reference_that_reenumerates_each_round(self):
+        rng = random.Random(97)
+        grid = [pt(i, j) for i in range(3) for j in range(3)]
+        cases = [(LINE2, grid + [pt(5, 1), pt(7, 2)], k) for k in (1, 2, 3)]
+        for fam, pts in degenerate_curve_instances():
+            cases += [(fam, pts, k) for k in (1, 2)]
+        for fam in (LINE2, CIRCLE2, VPARABOLA2):
+            for _ in range(12):
+                cases.append((fam, random_points_2d(rng, rng.randint(5, 10)), rng.randint(1, 3)))
+        ties = 0
+        for fam, pts, k in cases:
+            want, tied = _reference_curve_kernel(pts, fam, k)
+            ties += tied
+            res = curve_kernel(pts, fam, k)
+            assert (res.forced, res.points, res.k, res.verdict) == want, (fam.kind, pts, k)
+        assert ties >= 10
 
     def test_idempotent(self):
         rng = random.Random(73)
@@ -135,7 +173,7 @@ class TestPlaneKernel:
         for pts in sets:
             lines = sorted({line_through(p, q) for p, q in itertools.combinations(pts, 2)})
             want = [(line, sum(1 for p in pts if flat_contains(line, p))) for line in lines]
-            assert _line_counts(pts) == want
+            assert [(line, mask.bit_count()) for line, mask in line_masks3(pts)] == want
             heaviest = max(heaviest, max(count for _, count in want))
         assert heaviest >= 4
 
