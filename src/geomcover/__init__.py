@@ -27,12 +27,10 @@ from .geometry import (
     check_cover,
     curve_covers,
     curve_through,
-    curves_intersect,
     enumerate_candidates,
     family_by_tag,
     flat_contains,
     line_through,
-    max_collinear,
     plane_through,
     plane_through_line_point,
     pt,

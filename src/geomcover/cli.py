@@ -4,8 +4,8 @@ Exit codes: 0 decision computed (yes or no), 2 invalid input, 3 cap
 exceeded, 4 verification mismatch (solver bug).
 
 Result records are emitted as canonical JSON. Wall-clock timing is kept out
-of the record unless --timing is passed, so records from identical seeds in
-single-threaded mode are byte-identical.
+of the record unless --timing is passed, so records from identical seeds are
+byte-identical. Every solve runs sequentially; --threads is only recorded.
 """
 
 from __future__ import annotations
@@ -142,11 +142,10 @@ def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord
             raise InvalidInstanceError("--min needs the ie or oracle algorithm")
         if inst.family.kind == "plane3":
             res = plane_cover(inst.points, k, base_case_factor=factor,
-                              ie_cap=args.ie_cap, threads=args.threads,
-                              rng_seed=args.seed or 0)
+                              ie_cap=args.ie_cap, rng_seed=args.seed or 0)
         else:
             res = curve_cover(inst.points, inst.family, k, base_case_factor=factor,
-                              ie_cap=args.ie_cap, threads=args.threads)
+                              ie_cap=args.ie_cap)
         record.decision = res.decision
         record.stats = res.stats
         if args.witness and res.decision:
@@ -164,6 +163,8 @@ def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord
 def _cmd_solve(args) -> int:
     inst = load_instance(args.input, dedup=args.dedup)
     k = args.k if args.k is not None else inst.k
+    if k < 0:
+        raise ValueError("negative budget --k %d" % k)
     algorithm = args.algorithm
     if algorithm == "auto":
         algorithm = _pick_auto(inst, args.oracle_cap, args.ie_cap)
@@ -265,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--witness", action="store_true", help="extract a concrete cover")
     solve.add_argument("--verify", action="store_true",
                        help="cross-check against the brute-force oracle when within cap")
-    solve.add_argument("--threads", type=int, default=1)
+    solve.add_argument("--threads", type=int, default=1,
+                       help="recorded in config.threads; the search always runs sequentially")
     solve.add_argument("--base-case-factor", default=None,
                        help="fraction multiplying the K_i*log2(k) base-case threshold")
     solve.add_argument("--seed", type=int, default=0)

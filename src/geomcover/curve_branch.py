@@ -4,8 +4,9 @@ The budget k is split over r recursion levels (all compositions are tried).
 Level i only branches on candidates whose richness lies in the halving window
 [gamma_i, gamma_(i-1)] with gamma_i = s*k/2^i; once few enough points remain,
 or at the deepest level, the subset-sweep decider finishes the job exactly.
-`branch_cover`, which runs the search over the budget partitions, is shared
-with the R^3 plane solver.
+`branch_cover` tries the budget partitions one after another with a single
+search object, the one search path that the paper's polynomial-space bound
+assumes; it is shared with the R^3 plane solver.
 
 All thresholds are evaluated in exact rational (or integer-power) arithmetic,
 so accept/reject boundaries cannot drift with platform rounding.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -33,16 +33,6 @@ class SearchStats:
     max_depth: int = 0
     ie_subsets: int = 0
     wall_ms: int = 0
-
-    def merge(self, other: "SearchStats") -> "SearchStats":
-        return SearchStats(
-            self.nodes_expanded + other.nodes_expanded,
-            self.leaves_ie + other.leaves_ie,
-            self.leaves_rejected + other.leaves_rejected,
-            max(self.max_depth, other.max_depth),
-            self.ie_subsets + other.ie_subsets,
-            self.wall_ms + other.wall_ms,
-        )
 
 
 class CoverResult(NamedTuple):
@@ -201,26 +191,14 @@ class _CurveSearch:
         return False, None
 
 
-def _search_partition(job) -> tuple[bool, Optional[list], SearchStats]:
-    search_cls, points, family, config, partition = job
-    search = search_cls(points, family, config)
-    ok, wit = search.run(partition)
-    return ok, wit, search.stats
-
-
 def branch_cover(kern: KernelResult, family: FamilySpec, config: BranchConfig, search_cls,
-                 partitions: Iterable[tuple[int, ...]], threads: int) -> CoverResult:
+                 partitions: Iterable[tuple[int, ...]]) -> CoverResult:
     """Search over the budget partitions, shared by the curve and plane
     solvers and run on their kernel's result. A small reduced instance goes
-    straight to the subset sweep. Otherwise `search_cls(points, family,
-    config)` searches the budget partitions in order, and the first one that
-    accepts gives the witness, after the kernel's forced objects. One search object serves every
-    partition, so its sweep-result cache is shared between them.
-
-    With threads > 1 the partitions run in a process pool, one search object
-    each, but their results are read in partition order: decision and
-    witness equal the single-threaded ones, and the stats count only the
-    partitions read."""
+    straight to the subset sweep. Otherwise one `search_cls(points, family,
+    config)` object searches the budget partitions in order, and the first
+    one that accepts gives the witness, after the kernel's forced objects.
+    The search object's sweep-result cache is shared by all partitions."""
     forced, pts, k2 = kern.forced, kern.points, kern.k
     stats = SearchStats()
     if kern.rejected:
@@ -237,28 +215,17 @@ def branch_cover(kern: KernelResult, family: FamilySpec, config: BranchConfig, s
         return CoverResult(True, list(forced) + extract_cover(pts, family, k2, cap=config.ie_cap),
                            stats)
 
-    if threads <= 1:
-        search = search_cls(pts, family, config)
-        for partition in partitions:
-            ok, wit = search.run(partition)
-            if ok:
-                return CoverResult(True, list(forced) + wit, search.stats)
-        return CoverResult(False, None, search.stats)
-
-    jobs = [(search_cls, pts, family, config, p) for p in partitions]
-    with futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        for ok, wit, st in pool.map(_search_partition, jobs):
-            stats = stats.merge(st)
-            if ok:
-                pool.shutdown(cancel_futures=True)
-                return CoverResult(True, list(forced) + wit, stats)
-    return CoverResult(False, None, stats)
+    search = search_cls(pts, family, config)
+    for partition in partitions:
+        ok, wit = search.run(partition)
+        if ok:
+            return CoverResult(True, list(forced) + wit, search.stats)
+    return CoverResult(False, None, search.stats)
 
 
 def curve_cover(points: Sequence[Point], family: FamilySpec, k: int,
                 base_case_factor: Optional[Fraction] = None,
-                ie_cap: int = DEFAULT_SUBSET_CAP,
-                threads: int = 1) -> CoverResult:
+                ie_cap: int = DEFAULT_SUBSET_CAP) -> CoverResult:
     """Kernelize, then try every budget partition; accept on the first one
     whose recursive search accepts. Forced curves from the kernel lead the
     witness."""
@@ -266,6 +233,6 @@ def curve_cover(points: Sequence[Point], family: FamilySpec, k: int,
     kern = curve_kernel(points, family, k)
     config = make_branch_config(kern.k, family, base_case_factor, ie_cap)
     res = branch_cover(kern, family, config, _CurveSearch,
-                       budget_partitions(config.k, config.r), threads)
+                       budget_partitions(config.k, config.r))
     res.stats.wall_ms = int((time.perf_counter() - t0) * 1000)
     return res

@@ -21,8 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 
 class GeometryError(ValueError):
@@ -60,17 +59,6 @@ def pt(*coords) -> Point:
     if len(coords) not in (2, 3):
         raise GeometryError("points live in dimension 2 or 3, got %d coords" % len(coords))
     return Point(tuple(_frac(c) for c in coords))
-
-
-def dedupe_points(points: Iterable[Point]) -> tuple[Point, ...]:
-    """Drop repeated points, keeping first occurrences in order."""
-    seen = set()
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -303,92 +291,6 @@ def covering_curve(family: FamilySpec, points: Sequence[Point]) -> Optional[Curv
 
 
 # ---------------------------------------------------------------------------
-# curve intersections
-
-
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def _quadratic_roots(a: Fraction, b: Fraction, c: Fraction) -> tuple[list[Fraction], int]:
-    """Rational roots of ax^2+bx+c (a != 0) and the number of real roots."""
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return [], 0
-    if disc == 0:
-        return [-b / (2 * a)], 1
-    sq = _rational_sqrt(disc)
-    if sq is None:
-        return [], 2
-    return [(-b - sq) / (2 * a), (-b + sq) / (2 * a)], 2
-
-
-def curves_intersect(c1: Curve, c2: Curve) -> tuple[tuple[Point, ...], int]:
-    """Rational intersection points of two distinct same-family curves, plus
-    the exact total intersection count (irrational circle intersections are
-    counted but not materialized)."""
-    if c1.kind != c2.kind:
-        raise GeometryError("curves from different families")
-    if c1 == c2:
-        raise GeometryError("identical curves")
-
-    if c1.kind == "line2":
-        a1, b1, d1 = c1.coeffs
-        a2, b2, d2 = c2.coeffs
-        det = a1 * b2 - a2 * b1
-        if det == 0:
-            return (), 0  # parallel
-        x = (b1 * d2 - b2 * d1) / det
-        y = (a2 * d1 - a1 * d2) / det
-        return (pt(x, y),), 1
-
-    if c1.kind == "circle2":
-        cx1, cy1, r21 = c1.coeffs
-        cx2, cy2, r22 = c2.coeffs
-        if cx1 == cx2 and cy1 == cy2:
-            return (), 0  # concentric
-        # radical line: 2(c2-c1).(x,y) = (|c2|^2 - r2^2) - (|c1|^2 - r1^2)
-        a = 2 * (cx2 - cx1)
-        b = 2 * (cy2 - cy1)
-        d = (cx2 * cx2 + cy2 * cy2 - r22) - (cx1 * cx1 + cy1 * cy1 - r21)
-        # intersect with circle 1 by substitution along the dominant axis
-        pts: list[Point] = []
-        if b != 0:
-            # y = (d - a x) / b
-            qa = 1 + (a / b) ** 2
-            qb = -2 * cx1 + 2 * (a / b) * (cy1 - d / b)
-            qc = cx1 * cx1 + (d / b - cy1) ** 2 - r21
-            roots, count = _quadratic_roots(qa, qb, qc)
-            pts = [pt(x, (d - a * x) / b) for x in roots]
-        else:
-            x = d / a
-            qa, qb, qc = Fraction(1), -2 * cy1, cy1 * cy1 + (x - cx1) ** 2 - r21
-            roots, count = _quadratic_roots(qa, qb, qc)
-            pts = [pt(x, y) for y in roots]
-        return tuple(pts), count
-
-    if c1.kind == "vparabola2":
-        a1, b1, d1 = c1.coeffs
-        a2, b2, d2 = c2.coeffs
-        da, db, dc = a1 - a2, b1 - b2, d1 - d2
-        if da == 0:
-            if db == 0:
-                return (), 0  # same a, b, different c: disjoint graphs
-            x = -dc / db
-            return (pt(x, a1 * x * x + b1 * x + d1),), 1
-        roots, count = _quadratic_roots(da, db, dc)
-        return tuple(pt(x, a1 * x * x + b1 * x + d1) for x in roots), count
-
-    raise GeometryError("unknown curve kind %r" % c1.kind)
-
-
-# ---------------------------------------------------------------------------
 # candidate enumeration
 
 
@@ -613,19 +515,6 @@ def plane_masks3(points: Sequence[Point]) -> list[tuple[Plane3, int]]:
 def enumerate_lines3(points: Sequence[Point]) -> list[Flat]:
     """Deduplicated lines through at least two of the given R^3 points."""
     return [line for line, _ in line_masks3(points)]
-
-
-def max_collinear(points: Sequence[Point]) -> tuple[int, Optional[Flat]]:
-    """Largest number of the points on one line, with a witness line when at
-    least two points exist."""
-    pts = tuple(points)
-    if len(pts) <= 1:
-        return len(pts), None
-    best, witness = 0, None
-    for line, mask in line_masks3(pts):
-        if mask.bit_count() > best:
-            best, witness = mask.bit_count(), line
-    return best, witness
 
 
 # ---------------------------------------------------------------------------

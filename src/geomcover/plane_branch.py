@@ -381,7 +381,6 @@ class _PlaneSearch:
 def plane_cover(points: Sequence[Point], k: int,
                 base_case_factor: Optional[Fraction] = None,
                 ie_cap: int = DEFAULT_SUBSET_CAP,
-                threads: int = 1,
                 rng_seed: int = 0) -> CoverResult:
     """Kernelize, then run the recursive search over every budget partition
     <h_1, l_1, ..., h_r, l_r> summing to the reduced budget."""
@@ -389,6 +388,6 @@ def plane_cover(points: Sequence[Point], k: int,
     kern = plane_kernel_r3(points, k, rng_seed)
     config = make_plane_config(kern.k, base_case_factor, ie_cap)
     res = branch_cover(kern, PLANE3, config, _PlaneSearch,
-                       budget_partitions(config.k, 2 * config.r), threads)
+                       budget_partitions(config.k, 2 * config.r))
     res.stats.wall_ms = int((time.perf_counter() - t0) * 1000)
     return res

@@ -153,15 +153,3 @@ class TestCurveCover:
         # at most C(candidates, k_i) choices
         total_cands = 20  # 8 rich lines + 12 pair lines in the grid
         assert res.stats.leaves_ie + res.stats.leaves_rejected <= 4 * total_cands ** 2
-
-    def test_threads_same_decision(self):
-        rng = random.Random(67)
-        pts = random_points_2d(rng, 10)
-        # at k=5 six different witnesses come from the accepting partitions
-        for k in (2, 3, 4, 5):
-            seq = curve_cover(pts, LINE2, k)
-            par = curve_cover(pts, LINE2, k, threads=2)
-            assert seq.decision == par.decision
-            assert seq.witness == par.witness
-            if par.decision:
-                assert check_cover(pts, par.witness, k)

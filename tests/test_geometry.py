@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import degenerate_curve_instances, random_points_2d, random_points_3d
+from curve_intersections import curves_intersect
 from geomcover.geometry import (
     CIRCLE2,
     LINE2,
@@ -18,14 +19,12 @@ from geomcover.geometry import (
     curve_covers,
     curve_masks,
     curve_through,
-    curves_intersect,
     enumerate_candidates,
     flat_contains,
     flat_point,
     line2_curve,
     line_masks3,
     line_through,
-    max_collinear,
     plane3_curve,
     plane_covers,
     plane_masks3,
@@ -241,16 +240,6 @@ class TestFlats:
         l1 = line_through(pt(0, 0, 0), pt(2, 2, 0))
         l2 = line_through(pt(5, 5, 0), pt(-1, -1, 0))
         assert l1 == l2
-
-    def test_max_collinear(self):
-        pts = [pt(0, 0, 0), pt(1, 1, 0), pt(2, 2, 0), pt(5, 0, 1)]
-        count, witness = max_collinear(pts)
-        assert count == 3 and witness is not None
-        assert sum(1 for p in pts if flat_contains(witness, p)) == 3
-        assert max_collinear([]) == (0, None)
-        assert max_collinear([pt(1, 2, 3)]) == (1, None)
-        count, witness = max_collinear(random_points_3d(random.Random(1), 4, span=9))
-        assert count >= 2 and witness is not None
 
 
 class TestCoverSets:

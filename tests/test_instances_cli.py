@@ -4,7 +4,7 @@ import random
 import pytest
 
 from geomcover.cli import EXIT_CAP, EXIT_INVALID, EXIT_OK, main
-from geomcover.geometry import LINE2, PLANE3, max_collinear, pt
+from geomcover.geometry import LINE2, PLANE3, line_masks3, pt
 from geomcover.instances import (
     Instance,
     InvalidInstanceError,
@@ -87,7 +87,7 @@ class TestGenerators:
 
     def test_degenerate_plane_plants_collinear_cluster(self):
         inst = generate("degenerate-plane", {"k": 2, "m": 10}, seed=1)
-        count, witness = max_collinear(inst.points)
+        count = max(mask.bit_count() for _, mask in line_masks3(inst.points))
         assert count >= 9  # at least 90% of one cluster on a line
         assert inst.metadata["planted_cover_size"] == 2
 
@@ -150,15 +150,39 @@ class TestCli:
                      "--base-case-factor", "2/4"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["config"]["base_case_factor"] == "2/4"
 
+    def test_negative_budget_rejected(self, tmp_path, capsys):
+        path, _ = self.write(tmp_path, "g.json", "grid", {"n": 3}, 0)
+        for flags in (["ie"], ["ie", "--min"], ["branch"], ["oracle"], ["auto"]):
+            assert main(["solve", "--input", str(path), "--k", "-1",
+                         "--algorithm"] + flags) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")
+
     def test_byte_identical_records(self, tmp_path, capsys):
+        def record(path, *flags):
+            assert main(["solve", "--input", str(path), "--algorithm", "branch",
+                         "--witness"] + list(flags)) == EXIT_OK
+            return capsys.readouterr().out
+
         path, _ = self.write(tmp_path, "d.json", "degenerate-plane", {"k": 2, "m": 6}, 3)
-        args = ["solve", "--input", str(path), "--algorithm", "branch",
-                "--witness", "--seed", "5"]
-        assert main(args) == EXIT_OK
-        first = capsys.readouterr().out
-        assert main(args) == EXIT_OK
-        second = capsys.readouterr().out
-        assert first == second
+        assert record(path, "--seed", "5") == record(path, "--seed", "5")
+
+        # the benchmark's two anchors with their pinned search counters;
+        # --threads only lands in config.threads
+        anchors = [
+            ("degenerate-plane", {"k": 3, "m": 8}, 1, 2,
+             {"nodes": 508, "leaves_ie": 495, "leaves_rejected": 3, "ie_subsets": 78240}),
+            ("on-curves", {"family": "line2", "k": 4, "m": 3, "noise": 0}, 21, 4,
+             {"nodes": 54240, "leaves_rejected": 54223}),
+        ]
+        for model, params, seed, k, pins in anchors:
+            path, _ = self.write(tmp_path, "a.json", model, params, seed)
+            one = record(path, "--k", str(k), "--threads", "1")
+            two = record(path, "--k", str(k), "--threads", "2")
+            stats = json.loads(one)["stats"]
+            assert {key: stats[key] for key in pins} == pins
+            assert '"threads":2' in two
+            assert two.replace('"threads":2', '"threads":1') == one
 
     def test_kernelize_roundtrip(self, tmp_path, capsys):
         inst = Instance(tuple([pt(i, 0) for i in range(6)] + [pt(0, 5), pt(5, 7)]), LINE2, 2)

@@ -150,15 +150,6 @@ class TestPlaneCover:
         assert res.decision
         assert len(res.witness) <= 2
 
-    def test_threads_same_decision(self):
-        rng = random.Random(107)
-        pts = random_points_3d(rng, 8)
-        for k in (2, 3):
-            seq = plane_cover(pts, k)
-            par = plane_cover(pts, k, threads=2)
-            assert seq.decision == par.decision
-            assert seq.witness == par.witness
-
 
 class _LeafRecorder(_PlaneSearch):
     """The plane search, recording the (mask, line indexes, budget) of every
