@@ -8,6 +8,12 @@ or at the deepest level, the subset-sweep decider finishes the job exactly.
 search object, the one search path that the paper's polynomial-space bound
 assumes; it is shared with the R^3 plane solver.
 
+The curve search reads its candidates off the kernel's result: the kernel has
+fitted every curve once, and cuts the masks to the points it keeps. Almost
+every child of a node is too large for its remaining budget, so the node
+counts those children itself, in bulk where a whole run of combinations must
+fall short, and calls only the children that pass.
+
 All thresholds are evaluated in exact rational (or integer-power) arithmetic,
 so accept/reject boundaries cannot drift with platform rounding.
 """
@@ -15,12 +21,13 @@ so accept/reject boundaries cannot drift with platform rounding.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .geometry import FamilySpec, Point, curve_masks
+from .geometry import FamilySpec, Point
 from .inclusion_exclusion import DEFAULT_SUBSET_CAP, extract_cover, ie_decide
 from .kernel import KernelResult, curve_kernel
 
@@ -121,16 +128,27 @@ def make_branch_config(k: int, family: FamilySpec,
 
 
 class _CurveSearch:
-    """Mask-based search over one kernelized instance. Candidate curves and
-    their covered-point masks are enumerated once; per node only popcounts
-    remain. Subset-sweep results are cached by (mask, budget)."""
+    """Mask-based search over one kernelized instance. Its candidate curves
+    and their point masks come from the kernel, which fitted them once; per
+    node only popcounts remain. Subset-sweep results are cached by
+    (mask, budget).
 
-    def __init__(self, points: Sequence[Point], family: FamilySpec, config: BranchConfig):
-        self.points = tuple(points)
+    A child that is rejected on size is counted at its parent, without a
+    call: the parent knows its point count, so it tests it against the
+    child's integer size cap. When a prefix of picks cannot reach the size
+    cap even with the richest remaining candidates, every completion of it is
+    counted at once. The counters equal those of the plain search, which
+    enters each child, because the children skipped this way come, in its
+    order, before any later accepting child."""
+
+    def __init__(self, kern: KernelResult, family: FamilySpec, config: BranchConfig):
+        self.points = kern.points
         self.family = family
         self.cfg = config
         self.stats = SearchStats()
-        self.cands = curve_masks(self.points, family)
+        # sorted once by curve (one family, so by coefficients), so that a
+        # stable sort by richness orders each window
+        self.cands = sorted(kern.candidates, key=lambda cm: cm[0].coeffs)
         self._ie_cache: dict[tuple[int, int], bool] = {}
 
     def _subset_points(self, mask: int) -> list[Point]:
@@ -146,56 +164,100 @@ class _CurveSearch:
             self._ie_cache[key] = hit
         return hit
 
+    def _size_cap(self, partition: tuple[int, ...], depth: int) -> int:
+        """floor(remaining budget * gamma_(depth-1)): a node at `depth` with
+        more points than this is rejected."""
+        gamma = self.cfg.gammas[depth - 1]
+        return sum(partition[depth - 1:]) * gamma.numerator // gamma.denominator
+
     def window(self, mask: int, depth: int) -> list[tuple]:
-        """(curve, mask, richness) of the candidates whose richness over the
-        points in `mask` lies in [gamma_depth, gamma_(depth-1)], richest
-        first. Richness >= d keeps only curves through d surviving points,
-        matching a fresh enumeration over the current point set."""
+        """(curve, mask, richness) of the kernel's candidates whose richness
+        over the points in `mask` lies in [gamma_depth, gamma_(depth-1)],
+        richest first, ties in curve order. Richness >= d keeps only curves
+        through d surviving points, matching a fresh enumeration over the
+        current point set. The node counts the children of a window that fall
+        short of its size cap, rather than entering them."""
         lo, hi = self.cfg.gammas[depth], self.cfg.gammas[depth - 1]
-        d = self.family.d
+        lo = max(self.family.d, -(-lo.numerator // lo.denominator))
+        hi = hi.numerator // hi.denominator
         window = [(c, m, (m & mask).bit_count()) for c, m in self.cands]
-        window = [(c, m, r) for c, m, r in window if r >= d and lo <= r <= hi]
-        window.sort(key=lambda t: (-t[2], t[0]))
+        window = [t for t in window if lo <= t[2] <= hi]
+        window.sort(key=lambda t: -t[2])
         return window
 
-    def run(self, partition: tuple[int, ...], mask: Optional[int] = None,
-            depth: int = 1, partial: tuple = ()) -> tuple[bool, Optional[list]]:
-        cfg = self.cfg
-        if mask is None:
-            mask = (1 << len(self.points)) - 1
-        self.stats.nodes_expanded += 1
-        self.stats.max_depth = max(self.stats.max_depth, depth)
+    def _reject(self, count: int, depth: int) -> None:
+        """Count `count` nodes at `depth`, each rejected on size."""
+        stats = self.stats
+        stats.nodes_expanded += count
+        stats.leaves_rejected += count
+        stats.max_depth = max(stats.max_depth, depth)
+
+    def run(self, partition: tuple[int, ...]) -> tuple[bool, Optional[list]]:
+        """Search one budget partition from the root."""
+        mask = (1 << len(self.points)) - 1
+        if mask.bit_count() > self._size_cap(partition, 1):
+            self._reject(1, 1)
+            return False, None
+        return self._expand(partition, mask, 1, ())
+
+    def _expand(self, partition: tuple[int, ...], mask: int, depth: int,
+                partial: tuple) -> tuple[bool, Optional[list]]:
+        """A node at `depth` over the points in `mask`, which passed its size
+        test: a sweep leaf, or a branch over the window's combinations."""
+        cfg, stats = self.cfg, self.stats
+        stats.nodes_expanded += 1
+        stats.max_depth = max(stats.max_depth, depth)
         remaining_budget = sum(partition[depth - 1:])
         n_pts = mask.bit_count()
 
-        if n_pts > remaining_budget * cfg.gammas[depth - 1]:
-            self.stats.leaves_rejected += 1
-            return False, None
-
         if depth == cfg.r or below_base_threshold(n_pts, cfg.base_case_factor * remaining_budget, cfg.k):
-            self.stats.leaves_ie += 1
+            stats.leaves_ie += 1
             if self._ie(mask, remaining_budget):
                 ext = extract_cover(self._subset_points(mask), self.family,
                                     remaining_budget, cap=cfg.ie_cap)
                 return True, list(partial) + ext
             return False, None
 
-        for combo in itertools.combinations(self.window(mask, depth), partition[depth - 1]):
-            covered = 0
-            for _, m, _ in combo:
-                covered |= m
-            ok, wit = self.run(partition, mask & ~covered, depth + 1,
-                               partial + tuple(c for c, _, _ in combo))
-            if ok:
-                return True, wit
-        return False, None
+        window = self.window(mask, depth)
+        width = len(window)
+        rich = [r for _, _, r in window]
+        sums = list(itertools.accumulate(rich, initial=0))
+        cap = self._size_cap(partition, depth + 1)
+        need = n_pts - cap  # a child keeps at most `cap` points
+        picked: list[int] = []
+
+        def picks(start: int, left: int, covered: int, rsum: int) -> Optional[list]:
+            """The combinations of `left` more window indexes from `start` on,
+            in lexicographic order; the witness of the first accepting child."""
+            if not left:
+                child = mask & ~covered
+                if child.bit_count() > cap:
+                    self._reject(1, depth + 1)
+                    return None
+                ok, wit = self._expand(partition, child, depth + 1,
+                                       partial + tuple(window[j][0] for j in picked))
+                return wit if ok else None
+            for i in range(start, width - left + 1):
+                if rsum + sums[i + left] - sums[i] < need:
+                    # the richest completions fall short, so all of them do
+                    self._reject(math.comb(width - i, left), depth + 1)
+                    return None
+                picked.append(i)
+                wit = picks(i + 1, left - 1, covered | window[i][1], rsum + rich[i])
+                picked.pop()
+                if wit is not None:
+                    return wit
+            return None
+
+        wit = picks(0, partition[depth - 1], 0, 0)
+        return (True, wit) if wit is not None else (False, None)
 
 
 def branch_cover(kern: KernelResult, family: FamilySpec, config: BranchConfig, search_cls,
                  partitions: Iterable[tuple[int, ...]]) -> CoverResult:
     """Search over the budget partitions, shared by the curve and plane
     solvers and run on their kernel's result. A small reduced instance goes
-    straight to the subset sweep. Otherwise one `search_cls(points, family,
+    straight to the subset sweep. Otherwise one `search_cls(kern, family,
     config)` object searches the budget partitions in order, and the first
     one that accepts gives the witness, after the kernel's forced objects.
     The search object's sweep-result cache is shared by all partitions."""
@@ -215,7 +277,7 @@ def branch_cover(kern: KernelResult, family: FamilySpec, config: BranchConfig, s
         return CoverResult(True, list(forced) + extract_cover(pts, family, k2, cap=config.ie_cap),
                            stats)
 
-    search = search_cls(pts, family, config)
+    search = search_cls(kern, family, config)
     for partition in partitions:
         ok, wit = search.run(partition)
         if ok:

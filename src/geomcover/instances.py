@@ -137,6 +137,8 @@ def generate(model: str, params: dict, seed: int) -> Instance:
 
     rng = random.Random(seed)
     params = dict(params)
+    if int(params.get("k", 0)) < 0:
+        raise InvalidInstanceError("k must be a nonnegative integer")
 
     if model == "grid":
         n = int(params.pop("n", 3))
@@ -154,6 +156,8 @@ def generate(model: str, params: dict, seed: int) -> Instance:
         family = family_by_tag(params.pop("family", "line2" if dim == 2 else "plane3"))
         if family.ambient_dim != dim:
             raise InvalidInstanceError("family/dimension mismatch")
+        if n < 1:
+            raise InvalidInstanceError("uniform-random needs n >= 1")
         k = int(params.pop("k", max(1, -(-n // 2))))
         points = []
         seen = set()
@@ -174,8 +178,8 @@ def generate(model: str, params: dict, seed: int) -> Instance:
         k = int(params.pop("k", 3))
         m = int(params.pop("m", 4))
         noise = int(params.pop("noise", 0))
-        if k < 1 or m < 1:
-            raise InvalidInstanceError("on-curves needs k >= 1 and m >= 1")
+        if k < 1 or m < 1 or noise < 0:
+            raise InvalidInstanceError("on-curves needs k >= 1, m >= 1 and noise >= 0")
         points: list[Point] = []
         seen: set[Point] = set()
 

@@ -16,7 +16,7 @@ re-kernelization.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -41,16 +41,37 @@ class KernelResult:
     forced: list
     verdict: str  # "reduced" | "rejected"
     added_points: tuple[Point, ...] = ()
+    # curve kernel: (curve, mask over `points`) of each curve through at least
+    # d of them, from the masks the kernel built; empty for planes
+    candidates: tuple[tuple[Curve, int], ...] = field(default=(), compare=False)
 
     @property
     def rejected(self) -> bool:
         return self.verdict == "rejected"
 
 
+def _restrict(masks: list[tuple[Curve, int]], alive: int,
+              d: int) -> tuple[tuple[Curve, int], ...]:
+    """The curves through at least d alive points, each mask cut to the alive
+    points and renumbered so that the j-th alive point is bit j."""
+    gone = [i for i in range(alive.bit_length() - 1, -1, -1) if not alive >> i & 1]
+    out = []
+    for curve, m in masks:
+        m &= alive
+        if m.bit_count() < d:
+            continue
+        for i in gone:
+            m = (m & ((1 << i) - 1)) | (m >> (i + 1) << i)
+        out.append((curve, m))
+    return tuple(out)
+
+
 def curve_kernel(points: Sequence[Point], family: FamilySpec, k: int) -> KernelResult:
     """Force unavoidable curves, then reject oversized instances. The masks are
     built once: a curve reaching a threshold s*k+1 >= d over the surviving
-    points passes through d of them, so a fresh enumeration would find it."""
+    points passes through d of them, so a fresh enumeration would find it.
+    For the same reason the masks of a reduced instance, cut to its points,
+    are its candidates: every curve through d of them."""
     if k < 0:
         raise ValueError("negative budget")
     pts = tuple(points)
@@ -69,9 +90,11 @@ def curve_kernel(points: Sequence[Point], family: FamilySpec, k: int) -> KernelR
         forced.append(best)
         alive &= ~best_mask
         k_cur -= 1
-    pts = tuple(p for i, p in enumerate(pts) if alive >> i & 1)
-    verdict = "rejected" if len(pts) > s * k_cur * k_cur else "reduced"
-    return KernelResult(pts, k_cur, forced, verdict)
+    kept = tuple(p for i, p in enumerate(pts) if alive >> i & 1)
+    if len(kept) > s * k_cur * k_cur:
+        return KernelResult(kept, k_cur, forced, "rejected")
+    return KernelResult(kept, k_cur, forced, "reduced",
+                        candidates=_restrict(masks, alive, family.d))
 
 
 # ---------------------------------------------------------------------------

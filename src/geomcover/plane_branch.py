@@ -48,7 +48,7 @@ from .geometry import (
     plane_through_line_point,
 )
 from .inclusion_exclusion import DEFAULT_SUBSET_CAP, _bits, _signed_sum, extract_cover
-from .kernel import plane_kernel_r3
+from .kernel import KernelResult, plane_kernel_r3
 
 
 def make_plane_config(k: int, base_case_factor: Optional[Fraction] = None,
@@ -160,8 +160,8 @@ class _PlaneSearch:
     points, so it lies in a plane exactly when its mask is inside the
     plane's."""
 
-    def __init__(self, points: Sequence[Point], family: FamilySpec, config: BranchConfig):
-        self.points = tuple(points)
+    def __init__(self, kern: KernelResult, family: FamilySpec, config: BranchConfig):
+        self.points = kern.points
         self.family = family
         self.cfg = config
         self.stats = SearchStats()

@@ -1,12 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_points_2d
+from geomcover import curve_branch, geometry, inclusion_exclusion, kernel, oracle
 from geomcover.curve_branch import (
     _CurveSearch,
     below_base_threshold,
+    branch_cover,
     budget_partitions,
     curve_cover,
     make_branch_config,
@@ -22,8 +25,10 @@ from geomcover.geometry import (
     pt,
     richness,
 )
-from geomcover.inclusion_exclusion import ie_decide
-from geomcover.oracle import oracle_decide
+from geomcover.inclusion_exclusion import extract_cover, ie_decide
+from geomcover.instances import generate
+from geomcover.kernel import curve_kernel
+from geomcover.oracle import oracle_decide, oracle_min_cover
 
 TRIPLES = [pt(0, 0), pt(1, 0), pt(2, 0),
            pt(0, 7), pt(1, 9), pt(2, 11),
@@ -41,6 +46,84 @@ def rich_poor_candidates(points, family, lo, hi):
     out = [(r, c) for r, c in out if lo <= r <= hi]
     out.sort(key=lambda rc: (-rc[0], rc[1]))
     return [c for _, c in out]
+
+
+class _PlainSearch(_CurveSearch):
+    """The reference search: it enters every child, each of which tests its
+    own size in rational arithmetic, over the combinations of a window sorted
+    by (-richness, curve). It records the windows shorter than their pick
+    count and the zero picks it meets."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.short_windows = self.zero_picks = 0
+
+    def window(self, mask, depth):
+        lo, hi = self.cfg.gammas[depth], self.cfg.gammas[depth - 1]
+        window = [(c, m, (m & mask).bit_count()) for c, m in self.cands]
+        window = [(c, m, r) for c, m, r in window if r >= self.family.d and lo <= r <= hi]
+        window.sort(key=lambda t: (-t[2], t[0]))
+        return window
+
+    def run(self, partition, mask=None, depth=1, partial=()):
+        cfg = self.cfg
+        if mask is None:
+            mask = (1 << len(self.points)) - 1
+        self.stats.nodes_expanded += 1
+        self.stats.max_depth = max(self.stats.max_depth, depth)
+        remaining_budget = sum(partition[depth - 1:])
+        n_pts = mask.bit_count()
+        if n_pts > remaining_budget * cfg.gammas[depth - 1]:
+            self.stats.leaves_rejected += 1
+            return False, None
+        if depth == cfg.r or below_base_threshold(n_pts, cfg.base_case_factor * remaining_budget, cfg.k):
+            self.stats.leaves_ie += 1
+            if self._ie(mask, remaining_budget):
+                ext = extract_cover(self._subset_points(mask), self.family,
+                                    remaining_budget, cap=cfg.ie_cap)
+                return True, list(partial) + ext
+            return False, None
+        window = self.window(mask, depth)
+        self.short_windows += len(window) < partition[depth - 1]
+        self.zero_picks += partition[depth - 1] == 0
+        for combo in itertools.combinations(window, partition[depth - 1]):
+            covered = 0
+            for _, m, _ in combo:
+                covered |= m
+            ok, wit = self.run(partition, mask & ~covered, depth + 1,
+                               partial + tuple(c for c, _, _ in combo))
+            if ok:
+                return True, wit
+        return False, None
+
+
+def _columns_instance():
+    """17 points on the vertical lines x = 0..3, which a vertical parabola
+    meets once each: no curve holds more than 4 of them, and only three do.
+    At k=4 the first window is [4, 8], shorter than a pick count of 4."""
+    rng = random.Random(1)
+    return [pt(x, y) for x, count in enumerate((5, 4, 4, 4)) for y in rng.sample(range(-9, 10), count)]
+
+
+def _reference_cases():
+    """Seeded planted and random instances of each curve family, each at its
+    optimum and one below, the line2 benchmark anchor, and the column
+    instance at k=4."""
+    yield _columns_instance(), VPARABOLA2, 4
+    cases = [("on-curves", {"family": "line2", "k": 4, "m": 3}, 21, LINE2)]
+    for fam in (LINE2, CIRCLE2, VPARABOLA2):
+        for model, params in (("on-curves", {"k": 3, "m": 3, "noise": 1}),
+                              ("on-curves", {"k": 2, "m": 4, "noise": 2}),
+                              ("uniform-random", {"n": 9, "coord_range": 5}),
+                              ("uniform-random", {"n": 10, "coord_range": 6}),
+                              ("uniform-random", {"n": 6, "coord_range": 5})):
+            for seed in range(3):
+                cases.append((model, dict(params, family=fam.kind), seed, fam))
+    for model, params, seed, fam in cases:
+        points = generate(model, params, seed).points
+        opt = oracle_min_cover(points, fam).opt
+        for k in (opt, opt - 1):
+            yield points, fam, k
 
 
 class TestDepthAndPartitions:
@@ -123,18 +206,22 @@ class TestCurveCover:
                 assert res.decision == want == ie_decide(pts, fam, k).decision
                 if res.decision:
                     assert check_cover(pts, res.witness, k)
-                # the mask-based window equals a fresh enumeration over the
-                # surviving points, at every branching depth
+                # the mask-based window over the kernel's candidates equals a
+                # fresh enumeration over the surviving points, at every
+                # branching depth, for the kernel at k (when it reduces) and
+                # at a budget that forces nothing
                 cfg = make_branch_config(max(k, 2), fam)
-                search = _CurveSearch(pts, fam, cfg)
-                full = (1 << len(pts)) - 1
-                masks = [full] + [mask_rng.getrandbits(len(pts)) for _ in range(4)]
-                for depth in range(1, cfg.r):
-                    for mask in masks:
-                        survivors = [p for i, p in enumerate(pts) if (mask >> i) & 1]
-                        fresh = rich_poor_candidates(survivors, fam, cfg.gammas[depth],
-                                                     cfg.gammas[depth - 1])
-                        assert [c for c, _, _ in search.window(mask, depth)] == fresh
+                kerns = [curve_kernel(pts, fam, k), curve_kernel(pts, fam, len(pts))]
+                for kern in [kern for kern in kerns if not kern.rejected]:
+                    search = _CurveSearch(kern, fam, cfg)
+                    n = len(kern.points)
+                    masks = [(1 << n) - 1] + [mask_rng.getrandbits(n) for _ in range(4)]
+                    for depth in range(1, cfg.r):
+                        for mask in masks:
+                            survivors = [p for i, p in enumerate(kern.points) if (mask >> i) & 1]
+                            fresh = rich_poor_candidates(survivors, fam, cfg.gammas[depth],
+                                                         cfg.gammas[depth - 1])
+                            assert [c for c, _, _ in search.window(mask, depth)] == fresh
 
     def test_base_case_factor_variants_agree(self):
         # both published thresholds (factor (d-1)/2 and factor 1) are exact
@@ -153,3 +240,50 @@ class TestCurveCover:
         # at most C(candidates, k_i) choices
         total_cands = 20  # 8 rich lines + 12 pair lines in the grid
         assert res.stats.leaves_ie + res.stats.leaves_rejected <= 4 * total_cands ** 2
+
+
+class TestCountAtParent:
+    def test_same_result_and_counters_as_plain_enumeration(self):
+        searches = []
+
+        def plain_search(*args):
+            searches.append(_PlainSearch(*args))
+            return searches[-1]
+
+        for points, fam, k in _reference_cases():
+            kern = curve_kernel(points, fam, k)
+            cfg = make_branch_config(kern.k, fam)
+            parts = list(budget_partitions(cfg.k, cfg.r))
+            plain = branch_cover(kern, fam, cfg, plain_search, parts)
+            fast = branch_cover(kern, fam, cfg, _CurveSearch, parts)
+            assert fast == plain, (points, fam.kind, k)
+        short = sum(s.short_windows for s in searches)
+        zero = sum(s.zero_picks for s in searches)
+        assert len(searches) >= 40 and short and zero, (len(searches), short, zero)
+
+
+class TestOneCurveBuild:
+    def test_curve_cover_fits_once(self, monkeypatch):
+        calls = []
+        real = geometry.curve_masks
+
+        def counting(points, family):
+            calls.append(len(points))
+            return real(points, family)
+
+        for module in (geometry, kernel, curve_branch, inclusion_exclusion, oracle):
+            if getattr(module, "curve_masks", None) is real:
+                monkeypatch.setattr(module, "curve_masks", counting)
+        # searched no-instances whose search reaches no sweep leaf, so the
+        # kernel's build is the only one
+        cases = [("uniform-random", {"family": "line2", "n": 10, "coord_range": 6}, 5, LINE2, 4),
+                 ("on-curves", {"family": "circle2", "k": 3, "m": 3, "noise": 1}, 2, CIRCLE2, 3),
+                 ("on-curves", {"family": "vparabola2", "k": 3, "m": 3, "noise": 1}, 1,
+                  VPARABOLA2, 3)]
+        for model, params, seed, fam, k in cases:
+            points = generate(model, params, seed).points
+            calls.clear()
+            res = curve_cover(points, fam, k)
+            assert res.stats.nodes_expanded > 1 and res.stats.leaves_ie == 0
+            assert not res.decision
+            assert calls == [len(points)]

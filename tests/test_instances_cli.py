@@ -99,6 +99,21 @@ class TestGenerators:
         with pytest.raises(InvalidInstanceError):
             generate("nope", {}, seed=0)
 
+    def test_uniform_random_needs_a_point(self):
+        for n in (0, -3):
+            with pytest.raises(InvalidInstanceError):
+                generate("uniform-random", {"n": n}, seed=0)
+
+    def test_negative_k_rejected_in_every_model(self):
+        for model in ("grid", "uniform-random", "on-curves", "degenerate-plane"):
+            with pytest.raises(InvalidInstanceError):
+                generate(model, {"k": -1}, seed=0)
+        assert generate("grid", {"n": 2, "k": 0}, seed=0).k == 0
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(InvalidInstanceError):
+            generate("on-curves", {"family": "line2", "k": 3, "m": 4, "noise": -2}, seed=0)
+
 
 class TestCli:
     def write(self, tmp_path, name, model, params, seed):
@@ -216,6 +231,19 @@ class TestCli:
         assert main(["bench", "--suite", str(suite)]) == EXIT_OK
         out = capsys.readouterr().out.strip()
         assert out == "n,k,algorithm,decision,nodes,leaves,wall_ms"
+
+    def test_gen_rejects_bad_sizes(self, tmp_path, capsys):
+        out = tmp_path / "bad.json"
+        for flags in (["--model", "uniform-random", "--n", "-3"],
+                      ["--model", "grid", "--k", "-1"],
+                      ["--model", "uniform-random", "--k", "-1"],
+                      ["--model", "on-curves", "--k", "-1"],
+                      ["--model", "degenerate-plane", "--k", "-1"],
+                      ["--model", "on-curves", "--noise", "-2"]):
+            assert main(["gen", "--seed", "1", "--out", str(out)] + flags) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")
+            assert not out.exists()
 
     def test_gen_writes_file(self, tmp_path, capsys):
         out = tmp_path / "oc.json"

@@ -8,6 +8,7 @@ from geomcover.geometry import (
     PLANE3,
     VPARABOLA2,
     curve_covers,
+    curve_masks,
     curve_through,
     enumerate_candidates,
     enumerate_lines3,
@@ -27,6 +28,20 @@ from geomcover.kernel import (
     plane_kernel_r3,
 )
 from geomcover.oracle import oracle_decide
+
+
+def _kernel_cases():
+    """(family, points, k): a grid with two extra points, the degenerate
+    curve instances, and seeded random instances of every curve family."""
+    rng = random.Random(97)
+    grid = [pt(i, j) for i in range(3) for j in range(3)]
+    cases = [(LINE2, grid + [pt(5, 1), pt(7, 2)], k) for k in (1, 2, 3)]
+    for fam, pts in degenerate_curve_instances():
+        cases += [(fam, pts, k) for k in (1, 2)]
+    for fam in (LINE2, CIRCLE2, VPARABOLA2):
+        for _ in range(12):
+            cases.append((fam, random_points_2d(rng, rng.randint(5, 10)), rng.randint(1, 3)))
+    return cases
 
 
 def _reference_curve_kernel(points, fam, k):
@@ -84,21 +99,31 @@ class TestCurveKernel:
                 assert original == reduced
 
     def test_matches_reference_that_reenumerates_each_round(self):
-        rng = random.Random(97)
-        grid = [pt(i, j) for i in range(3) for j in range(3)]
-        cases = [(LINE2, grid + [pt(5, 1), pt(7, 2)], k) for k in (1, 2, 3)]
-        for fam, pts in degenerate_curve_instances():
-            cases += [(fam, pts, k) for k in (1, 2)]
-        for fam in (LINE2, CIRCLE2, VPARABOLA2):
-            for _ in range(12):
-                cases.append((fam, random_points_2d(rng, rng.randint(5, 10)), rng.randint(1, 3)))
         ties = 0
-        for fam, pts, k in cases:
+        for fam, pts, k in _kernel_cases():
             want, tied = _reference_curve_kernel(pts, fam, k)
             ties += tied
             res = curve_kernel(pts, fam, k)
             assert (res.forced, res.points, res.k, res.verdict) == want, (fam.kind, pts, k)
         assert ties >= 10
+
+    def test_candidates_are_the_reduced_instances_curves(self):
+        # the kernel's masks, cut to the surviving points, are exactly the
+        # curves a fresh enumeration over them finds; in the planted cases a
+        # cluster of 9 is forced at k=4, so the masks are renumbered
+        planted = [(fam, generate("on-curves", {"family": fam.kind, "k": clusters, "m": 9,
+                                                "noise": 6 - clusters}, seed).points, 4)
+                   for fam in (LINE2, CIRCLE2, VPARABOLA2) for clusters in (1, 2)
+                   for seed in range(2)]
+        renumbered = 0
+        for fam, pts, k in _kernel_cases() + planted:
+            res = curve_kernel(pts, fam, k)
+            if res.rejected:
+                assert res.candidates == ()
+                continue
+            assert sorted(res.candidates) == sorted(curve_masks(res.points, fam)), (fam.kind, pts, k)
+            renumbered += bool(res.forced) and bool(res.candidates)
+        assert renumbered >= 12
 
     def test_idempotent(self):
         rng = random.Random(73)

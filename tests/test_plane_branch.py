@@ -21,7 +21,7 @@ from geomcover.inclusion_exclusion import (
     ie_decide,
 )
 from geomcover.instances import generate
-from geomcover.kernel import plane_kernel_r3
+from geomcover.kernel import KernelResult, plane_kernel_r3
 from geomcover.oracle import oracle_decide
 from geomcover.plane_branch import (
     _is_ripe,
@@ -170,11 +170,16 @@ def _searched(points, k):
     kern = plane_kernel_r3(points, k)
     assert not kern.rejected and kern.k >= 2
     config = make_plane_config(kern.k)
-    search = _LeafRecorder(kern.points, PLANE3, config)
+    search = _LeafRecorder(kern, PLANE3, config)
     for partition in budget_partitions(config.k, 2 * config.r):
         if search.run(partition)[0]:
             break
     return search
+
+
+def _unreduced(points):
+    """The plane search over `points` as they are, without the kernel."""
+    return _PlaneSearch(KernelResult(tuple(points), 3, [], "reduced"), PLANE3, make_plane_config(3))
 
 
 def _assert_leaf_matches_counter(search, mask, lines, budgets):
@@ -219,7 +224,7 @@ class TestLeafCounter:
             pt(1, 2, 0), pt(2, 3, 5), pt(5, 1, 2), pt(0, 0, 3), pt(4, 4, 1)]
 
     def test_hand_built_grounds(self):
-        search = _PlaneSearch(self.HAND, PLANE3, make_plane_config(3))
+        search = _unreduced(self.HAND)
         index = {line: j for j, (line, _) in enumerate(search.lines)}
 
         def line(a, b):
@@ -249,7 +254,7 @@ class TestIncidenceLayer:
         point_sets = _leaf_instances() + [list(anchor.points)]
         assert len(point_sets[-1]) == 24
         for points in point_sets:
-            search = _PlaneSearch(points, PLANE3, make_plane_config(3))
+            search = _unreduced(points)
             for plane, _, contained in search.planes:
                 assert contained == [j for j, (line, _) in enumerate(search.lines)
                                      if flat_contains(plane, line)]
