@@ -23,10 +23,12 @@ from .geometry import Curve, GeometryError, Plane3, check_cover
 from .inclusion_exclusion import (
     DEFAULT_SUBSET_CAP,
     CapExceededError,
+    CoverableCounter,
     SolverInternalError,
-    extract_cover,
-    ie_decide,
-    ie_min_cover,
+    _least_budget,
+    _power_sum,
+    _self_reduce,
+    _signed_histogram,
 )
 from .instances import (
     GENERATOR_MODELS,
@@ -120,17 +122,21 @@ def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord
     })
 
     if algorithm == "ie":
+        # one counter and one sweep decide; extraction reuses both
+        if k < 0 and not args.min_cover:
+            raise ValueError("negative budget")
+        counter = CoverableCounter(inst.points, inst.family)
+        hist = _signed_histogram(counter, (1 << counter.n) - 1, args.ie_cap)
+        record.stats.ie_subsets += 1 << inst.n
         if args.min_cover:
-            record.opt = ie_min_cover(inst.points, inst.family, cap=args.ie_cap)
+            record.opt, total = _least_budget(hist, inst.n)
             record.decision = record.opt <= k
-            record.stats.ie_subsets += 1 << inst.n
         else:
-            res = ie_decide(inst.points, inst.family, k, cap=args.ie_cap)
-            record.decision = res.decision
-            record.stats.ie_subsets += res.subsets
+            total = _power_sum(hist, k)
+            record.decision = total >= 1
         if args.witness and record.decision:
             budget = record.opt if args.min_cover else k
-            record.witness = extract_cover(inst.points, inst.family, budget, cap=args.ie_cap)
+            record.witness = _self_reduce(counter, budget, total, args.ie_cap)
     elif algorithm == "oracle":
         res = oracle_min_cover(inst.points, inst.family, cap=args.oracle_cap)
         record.opt = res.opt
@@ -224,10 +230,28 @@ def _cmd_kernelize(args) -> int:
 BENCH_COLUMNS = ("n", "k", "algorithm", "decision", "nodes", "leaves", "wall_ms")
 
 
+def _suite_entries(suite) -> list:
+    """The entries of a bench suite, each checked for the keys a run reads
+    before any entry runs."""
+    if not isinstance(suite, dict):
+        raise InvalidInstanceError("suite file must hold a JSON object")
+    entries = suite.get("entries", [])
+    if not isinstance(entries, list):
+        raise InvalidInstanceError("suite entries must be a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise InvalidInstanceError("suite entry %d is not an object" % i)
+        for key in ("model", "algorithms"):
+            if key not in entry:
+                raise InvalidInstanceError("suite entry %d has no %r" % (i, key))
+        if not isinstance(entry["algorithms"], list):
+            raise InvalidInstanceError("suite entry %d: algorithms must be a list" % i)
+    return entries
+
+
 def _cmd_bench(args) -> int:
     with open(args.suite, "r", encoding="utf-8") as fh:
-        suite = json.load(fh)
-    entries = suite.get("entries", [])
+        entries = _suite_entries(json.load(fh))
     rows = []
     for entry in entries:
         inst = generate(entry["model"], entry.get("params", {}), entry.get("seed", 0))

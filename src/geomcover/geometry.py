@@ -580,11 +580,17 @@ def candidate_cover_sets(points: Sequence[Point], family: FamilySpec,
             if mask:
                 raw.append((obj, mask))
 
-    # dominance pruning: keep only set-maximal masks, canonical object per mask
-    raw.sort(key=lambda om: (-bin(om[1]).count("1"), _sort_key(om[0])))
+    raw.sort(key=lambda om: (-om[1].bit_count(), _sort_key(om[0])))
+    return _maximal_sets(raw)
+
+
+def _maximal_sets(sets: Sequence[tuple[object, int]]) -> list[tuple[object, int]]:
+    """Dominance pruning of (object, mask) pairs listed largest mask first:
+    the pairs whose mask lies in no earlier kept mask, so each set-maximal
+    mask keeps its first object."""
     kept: list[tuple[object, int]] = []
     seen_masks: list[int] = []
-    for obj, mask in raw:
+    for obj, mask in sets:
         if any(mask | m == m for m in seen_masks):
             continue
         kept.append((obj, mask))

@@ -14,6 +14,15 @@ Plane counters evaluate c per subset through representatives: each
 coverable set is charged to a unique greedy hull-growing prefix of at most
 three elements, which owns a tail mask of optional later elements.
 
+c(X) depends on X alone, so one counter built over the whole ground
+answers the sum over the submasks of any subset of it. Witness extraction
+runs on the counter that made the decision and on that decision's sum: it
+self-reduces by removing one object at a time, each step one sweep over the
+submasks of what is left. The objects to try come from one `CandidateTable`
+per counter, built from the counter's own curve masks or plane hulls, which
+lists for any remaining mask exactly what `candidate_cover_sets` lists for
+the remaining elements.
+
 Counts are exact arbitrary-precision integers throughout.
 """
 
@@ -28,9 +37,12 @@ from .geometry import (
     Flat,
     GeometryError,
     Point,
+    _complete_plane,
+    _maximal_sets,
+    _sort_key,
     affine_hull,
-    candidate_cover_sets,
     covering_curve,
+    covers,
     curve_covers,
     curve_masks,
     curve_through,
@@ -192,9 +204,11 @@ class CoverableCounter:
         """A subset of three or more points is coverable exactly when it lies
         inside one of `_curves`, the masks of the curves through >= 3 ground
         points (s+1 points fix a curve, so that curve is unique). `_pair[e]`
-        holds the partners e can be covered with."""
+        holds the partners e can be covered with. `fitted` keeps every
+        curve through d ground points for the candidate table."""
         pts, fam, n = self.points, self.family, self.n
-        curves = [mask for _, mask in curve_masks(pts, fam) if mask.bit_count() >= 3]
+        self.fitted = curve_masks(pts, fam)
+        curves = [mask for _, mask in self.fitted if mask.bit_count() >= 3]
         # q[e][1 << p]: the other points on the >= 3-point curves through e
         # and p; heavy[e]: the curves through e with >= 4 points
         pair = [0] * n
@@ -237,9 +251,14 @@ class CoverableCounter:
     # -- planes: representatives grow the affine hull strictly, size <= 3
 
     def _build_anyflat(self):
+        """Every representative (i, j, l) with its tail. `hulls` keeps each
+        representative's hull with the mask of its elements for the
+        candidate table: the hulls of all 1-3 ground elements that lie in a
+        plane, since greedy hull growth turns any such tuple into one."""
         self.step = None  # no incremental step: the sweep calls c_of_mask
         ground, n = self.ground, self.n
         hull1 = [affine_hull([e]) for e in ground]
+        hulls = [(h, 1 << i) for i, h in enumerate(hull1)]
         inside1 = [[flat_contains(hull1[i], ground[j]) for j in range(n)] for i in range(n)]
 
         singles = []
@@ -261,6 +280,7 @@ class CoverableCounter:
                 if h.dim > 2:
                     continue
                 pair_hull[i * n + j] = h
+                hulls.append((h, 1 << i | 1 << j))
                 m = 0
                 for t in range(i + 1, n):
                     if t == j:
@@ -280,6 +300,7 @@ class CoverableCounter:
                 h3 = affine_hull([ground[x] for x in (i, j, l)])
                 if h3.dim > 2:
                     continue
+                hulls.append((h3, 1 << i | 1 << j | 1 << l))
                 m = 0
                 for t in range(i + 1, n):
                     if t in (j, l):
@@ -294,6 +315,7 @@ class CoverableCounter:
                         m |= 1 << t
                 triple_tail[key * n + l] = m
         self._triple_tail = triple_tail
+        self.hulls = hulls
 
     # -- evaluation
 
@@ -368,12 +390,24 @@ def _signed_histogram(counter, ground: int, cap: int) -> dict[int, int]:
     return hist
 
 
+def _power_sum(hist: dict[int, int], k: int) -> int:
+    return sum(m * c ** k for c, m in hist.items())
+
+
 def _signed_sum(counter, ground: int, k: int, cap: int) -> IEResult:
     """The sum over the submasks X of `ground` of c(X)^k, negated when
     |ground \\ X| is odd; yes iff it reaches 1."""
-    hist = _signed_histogram(counter, ground, cap)
-    total = sum(m * c ** k for c, m in hist.items())
+    total = _power_sum(_signed_histogram(counter, ground, cap), k)
     return IEResult(total >= 1, total, 1 << ground.bit_count())
+
+
+def _least_budget(hist: dict[int, int], n: int) -> tuple[int, int]:
+    """The least k <= n whose sum in `hist` reaches 1, and that sum."""
+    for k in range(n + 1):
+        total = _power_sum(hist, k)
+        if total >= 1:
+            return k, total
+    raise SolverInternalError("no budget up to n admits a cover")
 
 
 def ie_decide(points: Sequence[Point], family: FamilySpec, k: int,
@@ -394,47 +428,114 @@ def ie_sums(points: Sequence[Point], family: FamilySpec, ks: Sequence[int],
     if any(k < 0 for k in ks):
         raise ValueError("negative budget")
     hist = _signed_histogram(counter, (1 << counter.n) - 1, cap)
-    return {k: sum(m * c ** k for c, m in hist.items()) for k in ks}
+    return {k: _power_sum(hist, k) for k in ks}
 
 
 def ie_min_cover(points: Sequence[Point], family: FamilySpec,
                  flats: Sequence[Flat] = (), cap: int = DEFAULT_SUBSET_CAP) -> int:
-    """Minimum k whose alternating sum reaches 1, from one subset sweep that
-    sums every candidate budget."""
-    n = len(tuple(points)) + len(tuple(flats))
-    totals = ie_sums(points, family, range(n + 1), flats, cap)
-    for k in range(n + 1):
-        if totals[k] >= 1:
-            return k
-    raise SolverInternalError("no budget up to n admits a cover")
+    """Minimum k whose alternating sum reaches 1, from one subset sweep."""
+    counter = CoverableCounter(points, family, flats)
+    return _least_budget(_signed_histogram(counter, (1 << counter.n) - 1, cap), counter.n)[0]
+
+
+# ---------------------------------------------------------------------------
+# witness extraction
+
+
+class CandidateTable:
+    """Every object that `candidate_cover_sets` can list for a subset of one
+    counter's ground, with its mask over the whole ground and its spans:
+    (mask, need) pairs, where the object is spanned by a remaining mask R
+    when some span has |mask & R| >= need.
+
+    Curves: each fitted curve of the counter, spanned by any d of its points,
+    and the curve `covering_curve` gives each tuple of fewer than d points,
+    spanned by that tuple. Planes: the plane `_complete_plane` gives each of
+    the counter's hulls, spanned by that hull's tuple."""
+
+    def __init__(self, counter: CoverableCounter):
+        fam, ground = counter.family, counter.ground
+        masks: dict[object, int] = {}
+        spans: dict[object, list[tuple[int, int]]] = defaultdict(list)
+        if fam.kind == "plane3":
+            planes = {hull: _complete_plane(hull) for hull in {h for h, _ in counter.hulls}}
+            for hull, span in counter.hulls:
+                plane = planes[hull]
+                spans[plane].append((span, span.bit_count()))
+                if hull.dim == 2:
+                    # each element inside a plane that is a hull lies in a
+                    # tuple spanning it, so the tuples make up its mask
+                    masks[plane] = masks.get(plane, 0) | span
+        else:
+            for curve, mask in counter.fitted:
+                masks[curve] = mask
+                spans[curve].append((mask, fam.d))
+            for size in range(1, fam.d):
+                for combo in itertools.combinations(range(counter.n), size):
+                    curve = covering_curve(fam, [ground[i] for i in combo])
+                    if curve is None:
+                        continue
+                    span = sum(1 << i for i in combo)
+                    spans[curve].append((span, size))
+                    if size == fam.d - 1:
+                        masks.setdefault(curve, span)  # not fitted: on fewer than d points
+        for obj in spans:
+            if obj not in masks:
+                masks[obj] = sum(1 << i for i, e in enumerate(ground) if _inside(obj, e))
+        # sorted once by object, so that a stable sort by size orders each list
+        self._rows = sorted(((obj, masks[obj], spans[obj]) for obj in spans),
+                            key=lambda row: _sort_key(row[0]))
+
+    def cover_sets(self, rem: int) -> list[tuple[object, int]]:
+        """`candidate_cover_sets` of the ground elements in `rem`, with masks
+        over the whole ground: the objects spanned by elements of `rem`
+        alone (one spanned only through removed elements can tie on its
+        restricted mask and be canonically smaller), largest first, ties in
+        object order, dominated masks pruned."""
+        live = [(obj, mask & rem) for obj, mask, spans in self._rows
+                if any((span & rem).bit_count() >= need for span, need in spans)]
+        live.sort(key=lambda om: -om[1].bit_count())
+        return _maximal_sets(live)
+
+
+def _inside(obj, element: GroundElement) -> bool:
+    if isinstance(element, Flat):
+        return flat_contains(obj, element)
+    return covers(obj, element)
+
+
+def _self_reduce(counter: CoverableCounter, k: int, total: int, cap: int) -> list:
+    """A cover of the counter's ground by at most k objects, given the
+    ground's alternating sum `total` at budget k. Each step takes the first
+    listed object through the pi-first remaining element whose removal
+    leaves a yes-instance at one budget less, decided over the same counter."""
+    if total < 1:
+        raise SolverInternalError("extract_cover called on a no-instance")
+    table = CandidateTable(counter)
+    rem = (1 << counter.n) - 1
+    chosen = []
+    budget = k
+    while rem:
+        if not budget:
+            raise SolverInternalError("the budget ran out before the ground was covered")
+        first = rem & -rem  # pi-first remaining element
+        for obj, mask in table.cover_sets(rem):
+            if mask & first and _signed_sum(counter, rem & ~mask, budget - 1, cap).decision:
+                chosen.append(obj)
+                rem &= ~mask
+                budget -= 1
+                break
+        else:
+            raise SolverInternalError("no candidate extends the partial cover")
+    return chosen
 
 
 def extract_cover(points: Sequence[Point], family: FamilySpec, k: int,
                   flats: Sequence[Flat] = (), cap: int = DEFAULT_SUBSET_CAP) -> list:
     """Concrete cover of at most k objects, built by self-reduction with the
-    subset-sweep decider as the oracle. Requires a yes-instance."""
-    pts = list(points)
-    fls = list(flats)
-    if not ie_decide(pts, family, k, fls, cap).decision:
-        raise SolverInternalError("extract_cover called on a no-instance")
-    chosen = []
-    budget = k
-    while pts or fls:
-        ground_n = len(pts) + len(fls)
-        cands = candidate_cover_sets(pts, family, fls)
-        first_bit = 1  # pi-first remaining element
-        progressed = False
-        for obj, mask in cands:
-            if not (mask & first_bit):
-                continue
-            keep_pts = [p for i, p in enumerate(pts) if not (mask >> i) & 1]
-            keep_fls = [f for i, f in enumerate(fls) if not (mask >> (len(pts) + i)) & 1]
-            if ie_decide(keep_pts, family, budget - 1, keep_fls, cap).decision:
-                chosen.append(obj)
-                pts, fls = keep_pts, keep_fls
-                budget -= 1
-                progressed = True
-                break
-        if not progressed:
-            raise SolverInternalError("no candidate extends the partial cover")
-    return chosen
+    subset-sweep decider as the oracle. Requires a yes-instance: one sweep
+    decides the ground, then every step reads the same counter."""
+    if k < 0:
+        raise ValueError("negative budget")
+    counter = CoverableCounter(points, family, flats)
+    return _self_reduce(counter, k, _signed_sum(counter, (1 << counter.n) - 1, k, cap).ie_sum, cap)

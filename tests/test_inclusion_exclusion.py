@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import degenerate_curve_instances, random_points_2d, random_points_3d
+from extraction_reference import reference_extract_cover
 from geomcover.curve_branch import curve_cover
 from geomcover.geometry import (
     CIRCLE2,
     LINE2,
     PLANE3,
     VPARABOLA2,
+    candidate_cover_sets,
     check_cover,
     covering_curve,
     line2_curve,
@@ -19,9 +21,12 @@ from geomcover.geometry import (
     pt,
 )
 from geomcover.inclusion_exclusion import (
+    DEFAULT_SUBSET_CAP,
+    CandidateTable,
     CapExceededError,
     CoverableCounter,
     SolverInternalError,
+    _self_reduce,
     c_count,
     extract_cover,
     ie_decide,
@@ -213,6 +218,33 @@ class TestExtract:
         with pytest.raises(SolverInternalError):
             extract_cover([pt(0, 0), pt(1, 0), pt(0, 1)], LINE2, 1)
 
+    def test_sum_below_one_raises(self):
+        # the check tests the sum it is handed, here on a yes-instance
+        counter = CoverableCounter([pt(0, 0), pt(1, 0), pt(2, 0)], LINE2)
+        for total in (0, -3):
+            with pytest.raises(SolverInternalError):
+                _self_reduce(counter, 1, total, DEFAULT_SUBSET_CAP)
+        with pytest.raises(SolverInternalError):  # a wrong sum at budget 0
+            _self_reduce(counter, 0, 1, DEFAULT_SUBSET_CAP)
+        assert _self_reduce(counter, 1, 1, DEFAULT_SUBSET_CAP) == [line2_curve(0, 1, 0)]
+
+    def test_matches_reference_extraction(self):
+        """The witness equals the one of the reference loop, which lists
+        candidate_cover_sets afresh and runs a fresh ie_decide per step."""
+        cases = [(fam, points, ()) for fam, points in degenerate_curve_instances()]
+        for fam, points in _random_curve_grounds(53, 4, 3, 9):
+            cases.append((fam, points, ()))
+        for points, lines in _random_plane_grounds(59, 12, 3, 7):
+            cases.append((PLANE3, points, lines))
+        assert sum(1 for _, _, lines in cases if lines) >= 8
+        for fam, points, lines in cases:
+            k = ie_min_cover(points, fam, flats=lines)
+            for budget in (k, k + 1):
+                w = extract_cover(points, fam, budget, flats=lines)
+                ref = reference_extract_cover(points, fam, budget, flats=lines)
+                assert repr(w) == repr(ref) and w == ref, (fam, points, lines, budget)
+                assert check_cover(points, w, budget, flats=lines)
+
     def test_random_witnesses_check_out(self):
         rng = random.Random(43)
         for fam in (LINE2, CIRCLE2, VPARABOLA2):
@@ -228,6 +260,52 @@ class TestExtract:
         k = ie_min_cover(points, PLANE3, flats=[xaxis])
         w = extract_cover(points, PLANE3, k, flats=[xaxis])
         assert check_cover(points, w, k, flats=[xaxis])
+
+
+def _random_curve_grounds(seed, copies, lo, hi):
+    rng = random.Random(seed)
+    return [(fam, random_points_2d(rng, rng.randint(lo, hi)))
+            for fam in (LINE2, CIRCLE2, VPARABOLA2) for _ in range(copies)]
+
+
+def _random_plane_grounds(seed, count, lo, hi):
+    """Points on a small grid with 0-3 lines, some through two of the points
+    and some through a point and a fresh one."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        points = random_points_3d(rng, rng.randint(lo, hi), span=2)
+        lines = []
+        for _ in range(rng.randint(0, 3)):
+            a = rng.choice(points)
+            b = rng.choice(points) if rng.random() < 0.5 else random_points_3d(rng, 1)[0]
+            if a != b and line_through(a, b) not in lines:
+                lines.append(line_through(a, b))
+        out.append((points, lines))
+    return out
+
+
+class TestCandidateTable:
+    def test_lists_candidate_cover_sets_of_the_remaining_elements(self):
+        """Object for object, mask for mask and in order, the table's list for
+        a remaining mask is candidate_cover_sets of the remaining elements."""
+        rng = random.Random(61)
+        grounds = [(fam, points, ()) for fam, points in _random_curve_grounds(67, 10, 3, 10)]
+        grounds += [(PLANE3, points, lines) for points, lines in _random_plane_grounds(71, 30, 3, 8)]
+        assert sum(1 for _, _, lines in grounds if len(lines) >= 2) >= 5
+        for fam, points, lines in grounds:
+            counter = CoverableCounter(points, fam, lines)
+            table = CandidateTable(counter)
+            full = (1 << counter.n) - 1
+            for rem in [full, 0] + [rng.randint(1, full) for _ in range(8)]:
+                kept = [i for i in range(counter.n) if rem >> i & 1]
+                pts = [counter.ground[i] for i in kept if i < len(points)]
+                fls = [counter.ground[i] for i in kept if i >= len(points)]
+                listed = table.cover_sets(rem)
+                assert all(mask & ~rem == 0 for _, mask in listed)
+                renumbered = [(obj, sum(1 << j for j, i in enumerate(kept) if mask >> i & 1))
+                              for obj, mask in listed]
+                assert renumbered == candidate_cover_sets(pts, fam, fls), (fam, points, lines, rem)
 
 
 class TestOracleEquivalence:

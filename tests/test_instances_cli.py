@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from geomcover import cli, inclusion_exclusion
 from geomcover.cli import EXIT_CAP, EXIT_INVALID, EXIT_OK, main
 from geomcover.geometry import LINE2, PLANE3, line_masks3, pt
 from geomcover.instances import (
@@ -231,6 +232,54 @@ class TestCli:
         assert main(["bench", "--suite", str(suite)]) == EXIT_OK
         out = capsys.readouterr().out.strip()
         assert out == "n,k,algorithm,decision,nodes,leaves,wall_ms"
+
+    def test_bench_rejects_malformed_suites(self, tmp_path, capsys):
+        suite = tmp_path / "suite.json"
+        entry = {"model": "grid", "params": {"n": 2}, "seed": 0, "k": 2, "algorithms": ["ie"]}
+        bad_suites = [
+            [entry],  # a top-level list
+            {"entries": {"0": entry}},
+            {"entries": [entry, "grid"]},
+            {"entries": [entry, {key: v for key, v in entry.items() if key != "algorithms"}]},
+            {"entries": [entry, {key: v for key, v in entry.items() if key != "model"}]},
+            {"entries": [dict(entry, algorithms="ie")]},
+        ]
+        for bad in bad_suites:
+            suite.write_text(json.dumps(bad))
+            assert main(["bench", "--suite", str(suite)]) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")
+            assert captured.err.count("\n") == 1
+
+    def test_ie_solve_builds_one_counter(self, tmp_path, capsys, monkeypatch):
+        """`ie --min --witness` decides and extracts on one counter, with one
+        walk over the whole ground and the rest over smaller grounds."""
+        builds, walks = [], []
+        real_init = inclusion_exclusion.CoverableCounter.__init__
+        real_walk = inclusion_exclusion._signed_histogram
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            real_init(self, *args, **kwargs)
+
+        def counting_walk(counter, ground, cap):
+            walks.append(ground == (1 << counter.n) - 1)
+            return real_walk(counter, ground, cap)
+
+        monkeypatch.setattr(inclusion_exclusion.CoverableCounter, "__init__", counting_init)
+        monkeypatch.setattr(inclusion_exclusion, "_signed_histogram", counting_walk)
+        monkeypatch.setattr(cli, "_signed_histogram", counting_walk)
+        path, _ = self.write(tmp_path, "u.json", "uniform-random",
+                             {"family": "circle2", "n": 9, "coord_range": 6}, 3)
+        for flags in (["--min"], ["--k", "4"]):
+            builds.clear()
+            walks.clear()
+            assert main(["solve", "--input", str(path), "--algorithm", "ie", "--witness"]
+                        + flags) == EXIT_OK
+            rec = json.loads(capsys.readouterr().out)
+            assert rec["decision"] and len(rec["witness"]) >= 2
+            assert builds == [1]
+            assert walks[0] and not any(walks[1:]) and len(walks) >= len(rec["witness"])
 
     def test_gen_rejects_bad_sizes(self, tmp_path, capsys):
         out = tmp_path / "bad.json"
