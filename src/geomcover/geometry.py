@@ -1,9 +1,13 @@
 """Exact rational geometry: points, plane curves, 3D planes and affine flats.
 
-Everything is computed over fractions.Fraction, so incidence predicates are
-decided exactly; there is no floating point and no tolerance tuning anywhere
-in the solver stack. Covering objects carry a canonical coefficient form, so
-two objects are geometrically equal iff their dataclasses compare equal.
+Every incidence is decided exactly; there is no floating point and no
+tolerance tuning anywhere in the solver stack. The candidate builders
+(`curve_masks`, `line_masks3`, `plane_masks3`) scale each point set once to
+integer coordinates, by the lcm of its coordinate denominators, and decide
+each incidence with an integer test; lines, circles, vertical parabolas and
+planes are closed under uniform scaling, so no incidence changes. Covering
+objects keep a canonical fractions.Fraction coefficient form, so two objects
+are geometrically equal iff their dataclasses compare equal.
 
 Supported curve families (kind, degrees of freedom d, multiplicity-type s):
 
@@ -19,6 +23,7 @@ one family member passes through any s+1 distinct points.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -182,42 +187,71 @@ def richness(obj, points: Sequence[Point]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# curve fitting
+# integer incidence
+#
+# Each family is a hyperplane over a lift of the points: a 2D point (x, y)
+# lifts to (x, y, 0) for line2, (x^2 + y^2, x, y) for circle2 and
+# (x^2, x, y) for vparabola2, and an R^3 point is its own lift for plane3.
+# The object through d lifted points has as coefficients (a, b, c, e) the
+# cofactors of their matrix with a column of ones appended, and a point is on
+# it iff a*u + b*v + c*w + e = 0 at its lift (u, v, w). Over coordinates
+# scaled to integers these are integer tests; a Fraction is built only for an
+# object that is returned.
+
+_LIFTS = {
+    "line2": lambda x, y: (x, y, 0),
+    "circle2": lambda x, y: (x * x + y * y, x, y),
+    "vparabola2": lambda x, y: (x * x, x, y),
+}
 
 
-def _line_through_two(p: Point, q: Point) -> Curve:
-    (x1, y1), (x2, y2) = p.coords, q.coords
-    # normal = rotated direction
-    return line2_curve(y2 - y1, x1 - x2, -(y2 - y1) * x1 - (x1 - x2) * y1)
+def _scaled(points: Sequence[Point], dim: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm L of the points' coordinate denominators and the points times L."""
+    points = tuple(points)
+    for p in points:
+        if p.dim != dim:
+            raise GeometryError("expected %dD points, got a %dD point" % (dim, p.dim))
+    scale = math.lcm(*(c.denominator for p in points for c in p.coords))
+    return scale, [tuple(c.numerator * (scale // c.denominator) for c in p.coords) for p in points]
 
 
-def _circle_through_three(p: Point, q: Point, r: Point) -> Optional[Curve]:
-    # circumcenter from the two perpendicular-bisector equations; collinear -> None
-    (x1, y1), (x2, y2), (x3, y3) = p.coords, q.coords, r.coords
-    a11, a12 = 2 * (x2 - x1), 2 * (y2 - y1)
-    a21, a22 = 2 * (x3 - x1), 2 * (y3 - y1)
-    b1 = x2 * x2 + y2 * y2 - x1 * x1 - y1 * y1
-    b2 = x3 * x3 + y3 * y3 - x1 * x1 - y1 * y1
-    det = a11 * a22 - a12 * a21
-    if det == 0:
+def _hyperplane3(p, q, r) -> tuple[int, int, int, int]:
+    """(a, b, c, e) with a*u + b*v + c*w + e = 0 at p, q and r: the normal
+    (q - p) x (r - p) and its offset, all zero when p, q, r are collinear."""
+    u0, u1, u2 = q[0] - p[0], q[1] - p[1], q[2] - p[2]
+    v0, v1, v2 = r[0] - p[0], r[1] - p[1], r[2] - p[2]
+    a, b, c = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+    return a, b, c, -(a * p[0] + b * p[1] + c * p[2])
+
+
+def _fit(kind: str, lifted: Sequence[tuple[int, int, int]],
+         combo: Sequence[int]) -> Optional[tuple[int, int, int, int]]:
+    """The coefficients of the family curve through the lifted points `combo`
+    (d distinct points), or None when no family curve passes through them."""
+    if kind == "line2":
+        (x1, y1, _), (x2, y2, _) = lifted[combo[0]], lifted[combo[1]]
+        a, b = y2 - y1, x1 - x2
+        return a, b, 0, -(a * x1 + b * y1)
+    coef = _hyperplane3(lifted[combo[0]], lifted[combo[1]], lifted[combo[2]])
+    # a collinear triple has no x^2 + y^2 (circle2) or x^2 (vparabola2) term,
+    # and a repeated x has no y term (vparabola2)
+    if coef[0] == 0 or (kind == "vparabola2" and coef[2] == 0):
         return None
-    cx = (b1 * a22 - b2 * a12) / det
-    cy = (a11 * b2 - a21 * b1) / det
-    r2 = (x1 - cx) ** 2 + (y1 - cy) ** 2
-    return circle2_curve(cx, cy, r2)
+    return coef
 
 
-def _vparabola_through_three(p: Point, q: Point, r: Point) -> Optional[Curve]:
-    (x1, y1), (x2, y2), (x3, y3) = p.coords, q.coords, r.coords
-    if x1 == x2 or x1 == x3 or x2 == x3:
-        return None
-    # Lagrange interpolation; reject a == 0 (that would be a line, not a parabola)
-    a = y1 / ((x1 - x2) * (x1 - x3)) + y2 / ((x2 - x1) * (x2 - x3)) + y3 / ((x3 - x1) * (x3 - x2))
-    if a == 0:
-        return None
-    b = (y2 - y1) / (x2 - x1) - a * (x1 + x2)
-    c = y1 - a * x1 * x1 - b * x1
-    return vparabola2_curve(a, b, c)
+def _curve(kind: str, coef: tuple[int, int, int, int], scale: int) -> Curve:
+    """The canonical curve with lifted coefficients `coef` over points scaled
+    by `scale`."""
+    a, b, c, e = coef
+    if kind == "line2":
+        lead = a or b
+        return Curve(kind, (Fraction(a, lead), Fraction(b, lead), Fraction(e, lead * scale)))
+    if kind == "circle2":
+        den = 2 * a * scale  # centre (-b, -c) / den, squared radius over den^2
+        return Curve(kind, (Fraction(-b, den), Fraction(-c, den),
+                            Fraction(b * b + c * c - 4 * a * e, den * den)))
+    return Curve(kind, (Fraction(-a * scale, c), Fraction(-b, c), Fraction(-e, c * scale)))
 
 
 def curve_through(family: FamilySpec, points: Sequence[Point]) -> tuple[Curve, ...]:
@@ -229,6 +263,8 @@ def curve_through(family: FamilySpec, points: Sequence[Point]) -> tuple[Curve, .
     """
     if family.kind == "plane3":
         raise GeometryError("use plane_through for plane3")
+    if family.kind not in _LIFTS:
+        raise GeometryError("unknown family %r" % family.kind)
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise GeometryError("duplicate points")
@@ -237,41 +273,33 @@ def curve_through(family: FamilySpec, points: Sequence[Point]) -> tuple[Curve, .
     if not pts or len(pts) > family.s + 1:
         raise GeometryError("curve_through takes 1..s+1 points, got %d" % len(pts))
 
+    if len(pts) == family.d:
+        return tuple(curve for curve, _ in curve_masks(pts, family))
+
     if family.kind == "line2":
-        if len(pts) == 1:
-            (x, y) = pts[0].coords
-            return (line2_curve(0, 1, -y),)  # horizontal completion
-        return (_line_through_two(pts[0], pts[1]),)
+        (x, y) = pts[0].coords
+        return (line2_curve(0, 1, -y),)  # horizontal completion
 
     if family.kind == "circle2":
         if len(pts) == 1:
             (x, y) = pts[0].coords
             return (circle2_curve(x + 1, y, 1),)
-        if len(pts) == 2:
-            (x1, y1), (x2, y2) = pts[0].coords, pts[1].coords
-            cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
-            r2 = (x1 - cx) ** 2 + (y1 - cy) ** 2
-            return (circle2_curve(cx, cy, r2),)  # diameter circle
-        c = _circle_through_three(*pts)
-        return (c,) if c is not None else ()
+        (x1, y1), (x2, y2) = pts[0].coords, pts[1].coords
+        cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
+        r2 = (x1 - cx) ** 2 + (y1 - cy) ** 2
+        return (circle2_curve(cx, cy, r2),)  # diameter circle
 
-    if family.kind == "vparabola2":
-        xs = [p[0] for p in pts]
-        if len(set(xs)) != len(xs):
-            return ()  # a function graph cannot repeat an x
-        if len(pts) == 1:
-            (x, y) = pts[0].coords
-            return (vparabola2_curve(1, 0, y - x * x),)
-        if len(pts) == 2:
-            (x1, y1), (x2, y2) = pts[0].coords, pts[1].coords
-            # fix a = 1, solve b, c
-            b = (y2 - y1 - (x2 * x2 - x1 * x1)) / (x2 - x1)
-            c = y1 - x1 * x1 - b * x1
-            return (vparabola2_curve(1, b, c),)
-        c = _vparabola_through_three(*pts)
-        return (c,) if c is not None else ()
-
-    raise GeometryError("unknown family %r" % family.kind)
+    # vparabola2
+    if len(pts) == 1:
+        (x, y) = pts[0].coords
+        return (vparabola2_curve(1, 0, y - x * x),)
+    (x1, y1), (x2, y2) = pts[0].coords, pts[1].coords
+    if x1 == x2:
+        return ()  # a function graph cannot repeat an x
+    # fix a = 1, solve b, c
+    b = (y2 - y1 - (x2 * x2 - x1 * x1)) / (x2 - x1)
+    c = y1 - x1 * x1 - b * x1
+    return (vparabola2_curve(1, b, c),)
 
 
 def covering_curve(family: FamilySpec, points: Sequence[Point]) -> Optional[Curve]:
@@ -304,6 +332,11 @@ def curve_masks(points: Sequence[Point], family: FamilySpec) -> list[tuple[Curve
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise GeometryError("duplicate points")  # a skipped tuple would hide them
+    lift = _LIFTS.get(family.kind)
+    if lift is None:
+        raise GeometryError("curve_masks takes a plane curve family, got %r" % family.kind)
+    scale, rows = _scaled(pts, 2)
+    lifted = [lift(x, y) for x, y in rows]
     n, size = len(pts), family.d
     found: list[tuple[Curve, int]] = []
     on_found: dict[tuple[int, ...], int] = {}  # tuple head -> points on a found curve through it
@@ -311,16 +344,20 @@ def curve_masks(points: Sequence[Point], family: FamilySpec) -> list[tuple[Curve
         head, last = combo[:-1], combo[-1]
         if on_found.get(head, 0) >> last & 1:
             continue
-        for curve in curve_through(family, [pts[i] for i in combo]):  # none or one
-            mask = sum(1 << i for i in combo)
-            for t in range(last + 1, n):
-                if curve_covers(curve, pts[t]):
-                    mask |= 1 << t
-            found.append((curve, mask))
-            if mask.bit_count() > size:
-                members = [i for i in range(n) if mask >> i & 1]
-                for sub in itertools.combinations(members, size - 1):
-                    on_found[sub] = on_found.get(sub, 0) | mask
+        coef = _fit(family.kind, lifted, combo)
+        if coef is None:
+            continue
+        a, b, c, e = coef
+        mask = sum(1 << i for i in combo)
+        for t in range(last + 1, n):
+            u, v, w = lifted[t]
+            if a * u + b * v + c * w + e == 0:
+                mask |= 1 << t
+        found.append((_curve(family.kind, coef, scale), mask))
+        if mask.bit_count() > size:
+            members = [i for i in range(n) if mask >> i & 1]
+            for sub in itertools.combinations(members, size - 1):
+                on_found[sub] = on_found.get(sub, 0) | mask
     return found
 
 
@@ -487,29 +524,68 @@ def plane3_from_flat(f: Flat) -> Plane3:
 
 def line_masks3(points: Sequence[Point]) -> list[tuple[Flat, int]]:
     """Each line through at least two of the given R^3 points, in canonical
-    order, with the mask of the points on it (point i is bit i). A point is
-    on a line exactly when it spans the line with another point on it, so the
-    masks come from the point pairs alone."""
-    masks: dict[Flat, int] = {}
-    for (i, p), (j, q) in itertools.combinations(enumerate(points), 2):
-        line = line_through(p, q)
-        masks[line] = masks.get(line, 0) | 1 << i | 1 << j
-    return sorted(masks.items())
+    order, with the mask of the points on it (point i is bit i). Each line is
+    found once, at its two lowest points, and only the points above them are
+    tested: r is on the line through p with direction d iff d x r = d x p."""
+    scale, rows = _scaled(points, 3)
+    n = len(rows)
+    if len(set(rows)) != n:
+        raise GeometryError("duplicate points")
+    found: list[tuple[Flat, int]] = []
+    on_found = [0] * n  # point -> points on a found line through it
+    for i, j in itertools.combinations(range(n), 2):
+        if on_found[i] >> j & 1:
+            continue
+        (x0, y0, z0), (x1, y1, z1) = rows[i], rows[j]
+        d0, d1, d2 = x1 - x0, y1 - y0, z1 - z0
+        m0, m1, m2 = d1 * z0 - d2 * y0, d2 * x0 - d0 * z0, d0 * y0 - d1 * x0
+        mask = 1 << i | 1 << j
+        for t in range(j + 1, n):
+            x, y, z = rows[t]
+            if d1 * z - d2 * y == m0 and d2 * x - d0 * z == m1 and d0 * y - d1 * x == m2:
+                mask |= 1 << t
+        # canonical form: the direction over its first nonzero entry, the base
+        # point moved along it to 0 in that coordinate
+        d = (d0, d1, d2)
+        lead, at = next((dk, pk) for dk, pk in zip(d, rows[i]) if dk)
+        base = tuple(Fraction(pk * lead - at * dk, lead * scale) for pk, dk in zip(rows[i], d))
+        found.append((Flat(base, (tuple(Fraction(dk, lead) for dk in d),)), mask))
+        if mask.bit_count() > 2:
+            for t in range(n):
+                if mask >> t & 1:
+                    on_found[t] |= mask
+    return sorted(found)
 
 
 def plane_masks3(points: Sequence[Point]) -> list[tuple[Plane3, int]]:
     """Each plane through three affinely independent R^3 points, in canonical
-    order, with the mask of the points on it (point i is bit i). Every point
-    on such a plane spans it with two others, so the masks come from the
-    point triples alone."""
-    masks: dict[Plane3, int] = {}
-    for (i, p), (j, q), (l, r) in itertools.combinations(enumerate(points), 3):
-        try:
-            plane = plane_through(p, q, r)
-        except GeometryError:
+    order, with the mask of the points on it (point i is bit i). Each plane is
+    found once, at its lowest affinely independent triple (i, j, l). No point
+    below i lies on it, but a point between j and l does when it is collinear
+    with i and j, so every point above i is tested."""
+    scale, rows = _scaled(points, 3)
+    n = len(rows)
+    found: list[tuple[Plane3, int]] = []
+    on_found: dict[tuple[int, int], int] = {}  # point pair -> points on a found plane through it
+    for i, j, l in itertools.combinations(range(n), 3):
+        if on_found.get((i, j), 0) >> l & 1:
             continue
-        masks[plane] = masks.get(plane, 0) | 1 << i | 1 << j | 1 << l
-    return sorted(masks.items())
+        a, b, c, e = _hyperplane3(rows[i], rows[j], rows[l])
+        if a == b == c == 0:
+            continue  # collinear
+        mask = 1 << i
+        for t in range(i + 1, n):
+            x, y, z = rows[t]
+            if a * x + b * y + c * z + e == 0:
+                mask |= 1 << t
+        lead = a or b or c
+        found.append((Plane3((Fraction(a, lead), Fraction(b, lead), Fraction(c, lead),
+                              Fraction(e, lead * scale))), mask))
+        if mask.bit_count() > 3:
+            members = [t for t in range(n) if mask >> t & 1]
+            for sub in itertools.combinations(members, 2):
+                on_found[sub] = on_found.get(sub, 0) | mask
+    return sorted(found)
 
 
 def enumerate_lines3(points: Sequence[Point]) -> list[Flat]:

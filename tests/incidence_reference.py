@@ -1,0 +1,111 @@
+"""The Fraction incidence builders, the reference the tests hold the integer
+ones in `geomcover.geometry` against: each curve fitted by rational formulas
+and every incidence decided by rational substitution. They must agree with
+`curve_masks`, `line_masks3` and `plane_masks3` object for object, mask for
+mask and in order."""
+
+from __future__ import annotations
+
+import itertools
+from typing import Optional, Sequence
+
+from geomcover.geometry import (
+    Curve,
+    FamilySpec,
+    Flat,
+    GeometryError,
+    Plane3,
+    Point,
+    circle2_curve,
+    curve_covers,
+    line2_curve,
+    line_through,
+    plane_through,
+    vparabola2_curve,
+)
+
+
+def _line_through_two(p: Point, q: Point) -> Curve:
+    (x1, y1), (x2, y2) = p.coords, q.coords
+    # normal = rotated direction
+    return line2_curve(y2 - y1, x1 - x2, -(y2 - y1) * x1 - (x1 - x2) * y1)
+
+
+def _circle_through_three(p: Point, q: Point, r: Point) -> Optional[Curve]:
+    # circumcenter from the two perpendicular-bisector equations; collinear -> None
+    (x1, y1), (x2, y2), (x3, y3) = p.coords, q.coords, r.coords
+    a11, a12 = 2 * (x2 - x1), 2 * (y2 - y1)
+    a21, a22 = 2 * (x3 - x1), 2 * (y3 - y1)
+    b1 = x2 * x2 + y2 * y2 - x1 * x1 - y1 * y1
+    b2 = x3 * x3 + y3 * y3 - x1 * x1 - y1 * y1
+    det = a11 * a22 - a12 * a21
+    if det == 0:
+        return None
+    cx = (b1 * a22 - b2 * a12) / det
+    cy = (a11 * b2 - a21 * b1) / det
+    r2 = (x1 - cx) ** 2 + (y1 - cy) ** 2
+    return circle2_curve(cx, cy, r2)
+
+
+def _vparabola_through_three(p: Point, q: Point, r: Point) -> Optional[Curve]:
+    (x1, y1), (x2, y2), (x3, y3) = p.coords, q.coords, r.coords
+    if x1 == x2 or x1 == x3 or x2 == x3:
+        return None
+    # Lagrange interpolation; reject a == 0 (that would be a line, not a parabola)
+    a = y1 / ((x1 - x2) * (x1 - x3)) + y2 / ((x2 - x1) * (x2 - x3)) + y3 / ((x3 - x1) * (x3 - x2))
+    if a == 0:
+        return None
+    b = (y2 - y1) / (x2 - x1) - a * (x1 + x2)
+    c = y1 - a * x1 * x1 - b * x1
+    return vparabola2_curve(a, b, c)
+
+
+def curve_fit(family: FamilySpec, pts: Sequence[Point]) -> tuple[Curve, ...]:
+    """The family curve through d distinct 2D points, as a 0- or 1-tuple."""
+    if family.kind == "line2":
+        return (_line_through_two(*pts),)
+    c = _circle_through_three(*pts) if family.kind == "circle2" else _vparabola_through_three(*pts)
+    return (c,) if c is not None else ()
+
+
+def curve_masks(points: Sequence[Point], family: FamilySpec) -> list[tuple[Curve, int]]:
+    pts = tuple(points)
+    if len(set(pts)) != len(pts):
+        raise GeometryError("duplicate points")  # a skipped tuple would hide them
+    n, size = len(pts), family.d
+    found: list[tuple[Curve, int]] = []
+    on_found: dict[tuple[int, ...], int] = {}  # tuple head -> points on a found curve through it
+    for combo in itertools.combinations(range(n), size):
+        head, last = combo[:-1], combo[-1]
+        if on_found.get(head, 0) >> last & 1:
+            continue
+        for curve in curve_fit(family, [pts[i] for i in combo]):  # none or one
+            mask = sum(1 << i for i in combo)
+            for t in range(last + 1, n):
+                if curve_covers(curve, pts[t]):
+                    mask |= 1 << t
+            found.append((curve, mask))
+            if mask.bit_count() > size:
+                members = [i for i in range(n) if mask >> i & 1]
+                for sub in itertools.combinations(members, size - 1):
+                    on_found[sub] = on_found.get(sub, 0) | mask
+    return found
+
+
+def line_masks3(points: Sequence[Point]) -> list[tuple[Flat, int]]:
+    masks: dict[Flat, int] = {}
+    for (i, p), (j, q) in itertools.combinations(enumerate(points), 2):
+        line = line_through(p, q)
+        masks[line] = masks.get(line, 0) | 1 << i | 1 << j
+    return sorted(masks.items())
+
+
+def plane_masks3(points: Sequence[Point]) -> list[tuple[Plane3, int]]:
+    masks: dict[Plane3, int] = {}
+    for (i, p), (j, q), (l, r) in itertools.combinations(enumerate(points), 3):
+        try:
+            plane = plane_through(p, q, r)
+        except GeometryError:
+            continue
+        masks[plane] = masks.get(plane, 0) | 1 << i | 1 << j | 1 << l
+    return sorted(masks.items())

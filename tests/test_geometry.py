@@ -1,8 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+import incidence_reference as reference
 from conftest import degenerate_curve_instances, random_points_2d, random_points_3d
 from curve_intersections import curves_intersect
 from geomcover.geometry import (
@@ -34,6 +36,8 @@ from geomcover.geometry import (
     richness,
     vparabola2_curve,
 )
+from geomcover.instances import generate
+from geomcover.kernel import _replacement_point
 
 CURVE_FAMILIES = (LINE2, CIRCLE2, VPARABOLA2)
 
@@ -155,6 +159,8 @@ class TestEnumeration:
     def test_curve_masks_match_brute_force(self):
         # every d-tuple fitted, every point tested; clusters give curves
         # through 5 points and vparabola2 pairs that no parabola fits
+        # (a curve first fitted at a later tuple lands later in `brute`, so
+        # the list comparison checks the discovery order too)
         for own, pts in degenerate_curve_instances():
             for fam in CURVE_FAMILIES:
                 brute = {}
@@ -162,8 +168,7 @@ class TestEnumeration:
                     for c in curve_through(fam, combo):
                         brute[c] = sum(1 << i for i, p in enumerate(pts) if curve_covers(c, p))
                 got = curve_masks(pts, fam)
-                assert len({c for c, _ in got}) == len(got), fam.kind
-                assert dict(got) == brute, fam.kind
+                assert got == list(brute.items()), fam.kind
                 if fam == own:
                     assert max(m.bit_count() for m in brute.values()) >= 5
         with pytest.raises(GeometryError):
@@ -194,6 +199,132 @@ class TestEnumeration:
             for c in enumerate_candidates(pts, fam):
                 rebuilt = type(c)(c.kind, c.coeffs)
                 assert rebuilt == c
+
+
+def _affine(points, scale, shift):
+    """Each point times `scale`, plus `shift` in every coordinate."""
+    return [pt(*(scale * c + shift for c in p.coords)) for p in points]
+
+
+def _rational_points(rng, n, dim):
+    """Distinct points on a coarse grid of mixed, coprime and negative
+    denominators, so that collinear, concyclic and coplanar sets occur."""
+    out = []
+    while len(out) < n:
+        p = pt(*(Fraction(rng.randint(-3, 3), rng.choice((1, 2, -3, 4, -5, 7))) for _ in range(dim)))
+        if p not in out:
+            out.append(p)
+    return out
+
+
+def _paraboloid(points):
+    """2D points lifted onto z = x^2 + y^2, where the concyclic and collinear
+    ones become coplanar."""
+    return [pt(x, y, x * x + y * y) for x, y in points]
+
+
+class TestIntegerIncidence:
+    """The integer builders against the Fraction reference builders: equal
+    objects, masks and order."""
+
+    def assert_curves_match(self, pts):
+        for fam in CURVE_FAMILIES:
+            assert curve_masks(pts, fam) == reference.curve_masks(pts, fam), (fam.kind, pts)
+
+    def assert_flats_match(self, pts):
+        assert line_masks3(pts) == reference.line_masks3(pts), pts
+        assert plane_masks3(pts) == reference.plane_masks3(pts), pts
+
+    def test_degenerate_curve_instances(self):
+        for _, pts in degenerate_curve_instances():
+            self.assert_curves_match(pts)
+            self.assert_flats_match(_paraboloid(pts))
+
+    def test_rational_coordinates(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            pts = _rational_points(rng, 9, 2)
+            self.assert_curves_match(pts)
+            for fam in CURVE_FAMILIES:
+                for combo in itertools.combinations(pts[:6], fam.d):
+                    assert curve_through(fam, combo) == reference.curve_fit(fam, combo)
+            self.assert_flats_match(_rational_points(rng, 9, 3))
+
+    def test_translated_and_dilated_copies(self):
+        # the maps keep every incidence, so the discovery-order curve masks
+        # are unchanged; the objects move, so the sorted 3D lists may reorder
+        big = 10 ** 12
+        maps = ((Fraction(-2, 3), Fraction(5, 7)), (big, big + 1), (Fraction(1, big), -big),
+                (Fraction(7, 3), Fraction(-1, 6)))
+        rng = random.Random(37)
+        sets2 = [pts for _, pts in degenerate_curve_instances()[::2]] + [_rational_points(rng, 8, 2)]
+        for pts in sets2:
+            for scale, shift in maps:
+                moved = _affine(pts, scale, shift)
+                self.assert_curves_match(moved)
+                for fam in CURVE_FAMILIES:
+                    assert [m for _, m in curve_masks(moved, fam)] == [m for _, m in curve_masks(pts, fam)]
+        sets3 = [list(generate("degenerate-plane", {"k": 2, "m": 4}, seed=5).points),
+                 _rational_points(rng, 8, 3)]
+        for pts in sets3:
+            for scale, shift in maps:
+                moved = _affine(pts, scale, shift)
+                self.assert_flats_match(moved)
+                assert sorted(m for _, m in plane_masks3(moved)) == sorted(m for _, m in plane_masks3(pts))
+
+    def test_coordinates_near_10_to_the_12(self):
+        rng = random.Random(41)
+        big = 10 ** 12
+        pts = [pt(big + rng.randint(-3, 3), big + rng.randint(-3, 3)) for _ in range(12)]
+        self.assert_curves_match(list(dict.fromkeys(pts)))
+        pts = [pt(*(big * rng.randint(-2, 2) + rng.randint(-2, 2) for _ in range(3))) for _ in range(12)]
+        self.assert_flats_match(list(dict.fromkeys(pts)))
+
+    def test_degenerate_plane_instances(self):
+        for seed in range(4):
+            self.assert_flats_match(list(generate("degenerate-plane", {"k": 2, "m": 5}, seed=seed).points))
+
+    def test_plane_found_after_a_collinear_triple(self):
+        # points 0, 1, 2 are collinear, so the plane z = 0 is first fitted at
+        # (0, 1, 3): point 2 lies below the last fitting point but on the plane
+        pts = [pt(0, 0, 0), pt(1, 0, 0), pt(2, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 0)]
+        self.assert_flats_match(pts)
+        assert dict(plane_masks3(pts))[plane3_curve(0, 0, 1, 0)] == 0b101111
+
+    def test_replacement_points(self):
+        # replacement points lie on lines in canonical form, whose base and
+        # direction are rational
+        rng = random.Random(43)
+        pts = list(generate("degenerate-plane", {"k": 2, "m": 5}, seed=2).points)
+        for line, _ in line_masks3(pts)[:6]:
+            for _ in range(2):
+                pts.append(_replacement_point(line, pts, rng))
+        assert any(c.denominator > 1 for p in pts for c in p.coords)
+        self.assert_flats_match(pts)
+        self.assert_curves_match(list(dict.fromkeys(pt(x, y) for x, y, _ in pts)))
+
+
+class TestDimensionChecks:
+    def test_curve_masks_rejects_3d_points(self):
+        for fam in CURVE_FAMILIES:
+            for n in (1, fam.d - 1, fam.d, 5):
+                with pytest.raises(GeometryError):
+                    curve_masks([pt(i, i * i, 1) for i in range(n)], fam)
+        with pytest.raises(GeometryError):
+            curve_masks([pt(0, 0), pt(1, 0), pt(0, 1, 2)], CIRCLE2)
+
+    def test_line_masks3_rejects_2d_points(self):
+        for n in (1, 4):
+            with pytest.raises(GeometryError):
+                line_masks3([pt(i, 2 * i) for i in range(n)])
+        with pytest.raises(GeometryError):
+            line_masks3([pt(0, 0, 0), pt(1, 0)])
+
+    def test_plane_masks3_rejects_2d_points(self):
+        with pytest.raises(GeometryError):
+            plane_masks3([pt(0, 0), pt(1, 0), pt(0, 1), pt(2, 3)])
+        with pytest.raises(GeometryError):
+            plane_masks3([pt(0, 0, 0), pt(1, 0, 0), pt(0, 1)])
 
 
 class TestFlats:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_points_2d
-from geomcover.geometry import CIRCLE2, LINE2, PLANE3, VPARABOLA2, check_cover, pt
+from geomcover.geometry import CIRCLE2, LINE2, PLANE3, VPARABOLA2, GeometryError, check_cover, pt
 from geomcover.inclusion_exclusion import CapExceededError
 from geomcover.oracle import count_rich, oracle_decide, oracle_min_cover
 
@@ -74,3 +74,9 @@ class TestCountRich:
         counts = [count_rich(pts, LINE2, g) for g in range(2, 10)]
         assert counts == sorted(counts, reverse=True)
 
+
+    def test_rejects_points_of_the_wrong_dimension(self):
+        with pytest.raises(GeometryError):
+            count_rich([pt(0, 0), pt(1, 0), pt(0, 1), pt(2, 3)], PLANE3, 3)
+        with pytest.raises(GeometryError):
+            count_rich([pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0)], LINE2, 2)
