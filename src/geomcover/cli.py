@@ -126,7 +126,7 @@ def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord
         if k < 0 and not args.min_cover:
             raise ValueError("negative budget")
         counter = CoverableCounter(inst.points, inst.family)
-        hist = _signed_histogram(counter, (1 << counter.n) - 1, args.ie_cap)
+        hist = _signed_histogram(counter, counter.mask, args.ie_cap)
         record.stats.ie_subsets += 1 << inst.n
         if args.min_cover:
             record.opt, total = _least_budget(hist, inst.n)
@@ -166,7 +166,14 @@ def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord
     return record
 
 
+def _check_caps(args):
+    for flag, cap in (("--ie-cap", args.ie_cap), ("--oracle-cap", args.oracle_cap)):
+        if cap < 0:
+            raise ValueError("negative %s %d" % (flag, cap))
+
+
 def _cmd_solve(args) -> int:
+    _check_caps(args)
     inst = load_instance(args.input, dedup=args.dedup)
     k = args.k if args.k is not None else inst.k
     if k < 0:
@@ -250,6 +257,7 @@ def _suite_entries(suite) -> list:
 
 
 def _cmd_bench(args) -> int:
+    _check_caps(args)
     with open(args.suite, "r", encoding="utf-8") as fh:
         entries = _suite_entries(json.load(fh))
     rows = []

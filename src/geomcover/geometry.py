@@ -215,6 +215,16 @@ def _scaled(points: Sequence[Point], dim: int) -> tuple[int, list[tuple[int, ...
     return scale, [tuple(c.numerator * (scale // c.denominator) for c in p.coords) for p in points]
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of `mask`, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _hyperplane3(p, q, r) -> tuple[int, int, int, int]:
     """(a, b, c, e) with a*u + b*v + c*w + e = 0 at p, q and r: the normal
     (q - p) x (r - p) and its offset, all zero when p, q, r are collinear."""
@@ -586,6 +596,46 @@ def plane_masks3(points: Sequence[Point]) -> list[tuple[Plane3, int]]:
             for sub in itertools.combinations(members, 2):
                 on_found[sub] = on_found.get(sub, 0) | mask
     return sorted(found)
+
+
+class PlaneLayer:
+    """The incidence layer of a point set in R^3: every line through two of
+    the points and every plane through three non-collinear ones, as point
+    masks (point i is bit i), with the tables that name a line or plane by
+    the points that fix it. `planes` holds (plane, mask, indexes of the lines
+    inside it); `pair_line[i*n + j]` is the line through points i < j, and
+    `line_point_plane[l*n + x]` the plane through line l and point x off it.
+
+    Every line holds at least two of the points, so it lies in a plane
+    exactly when its mask is inside the plane's."""
+
+    def __init__(self, points: Sequence[Point]):
+        self.points = tuple(points)
+        n = len(self.points)
+        self.lines: list[tuple[Flat, int]] = []
+        self.planes: list[tuple[Plane3, int, list[int]]] = []
+        self.pair_line = [0] * (n * n)
+        for line, m in line_masks3(self.points):
+            on = _bits(m)
+            for a, i in enumerate(on):
+                for j in on[a + 1:]:
+                    self.pair_line[i * n + j] = len(self.lines)
+            self.lines.append((line, m))
+        self.line_point_plane: list[Optional[int]] = [None] * (len(self.lines) * n)
+        for plane, m in plane_masks3(self.points):
+            contained = [j for j, (_, lm) in enumerate(self.lines) if not lm & ~m]
+            for j in contained:
+                for x in _bits(m & ~self.lines[j][1]):
+                    self.line_point_plane[j * n + x] = len(self.planes)
+            self.planes.append((plane, m, contained))
+
+    def lines_plane(self, f: int, g: int) -> Optional[int]:
+        """The plane through two distinct lines, or None when they are skew.
+        A point x of g off f spans plane(f, x), the only candidate."""
+        gm = self.lines[g][1]
+        off = gm & ~self.lines[f][1]
+        p = self.line_point_plane[f * len(self.points) + (off & -off).bit_length() - 1]
+        return p if not gm & ~self.planes[p][1] else None
 
 
 def enumerate_lines3(points: Sequence[Point]) -> list[Flat]:

@@ -5,23 +5,27 @@ over all subsets X of the ground set of c(P \\ X)^k, where c(Y) counts the
 subsets of Y coverable by a single object (the empty set included). The sum
 is at least 1 exactly on yes-instances. No table over subsets is ever
 stored: one Gray-code walk visits the subsets, flipping one element per
-step, and keeps a signed histogram of the c values, so each budget's sum
-takes one power per distinct c.
+step, moves c by the difference the flip makes, and keeps a signed
+histogram of the c values, so each budget's sum takes one power per
+distinct c.
 
 Curve counters keep one point mask per curve through three or more ground
 points and step c by the coverable subsets that hold the flipped element.
-Plane counters evaluate c per subset through representatives: each
-coverable set is charged to a unique greedy hull-growing prefix of at most
-three elements, which owns a tail mask of optional later elements.
+Plane counters read the integer incidence layer (`PlaneLayer`) and charge
+each coverable set to a unique greedy hull-growing prefix of at most three
+elements, which owns a tail mask of optional later elements; a flip steps c
+by the prefixes that hold the element and those whose tail holds it. The
+plane search's leaves, over points and lines of its layer, use the same
+counter.
 
 c(X) depends on X alone, so one counter built over the whole ground
 answers the sum over the submasks of any subset of it. Witness extraction
 runs on the counter that made the decision and on that decision's sum: it
 self-reduces by removing one object at a time, each step one sweep over the
 submasks of what is left. The objects to try come from one `CandidateTable`
-per counter, built from the counter's own curve masks or plane hulls, which
-lists for any remaining mask exactly what `candidate_cover_sets` lists for
-the remaining elements.
+per counter, built from the counter's own curve masks or plane
+representatives, which lists for any remaining mask exactly what
+`candidate_cover_sets` lists for the remaining elements.
 
 Counts are exact arbitrary-precision integers throughout.
 """
@@ -30,23 +34,26 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .geometry import (
+    PLANE3,
     FamilySpec,
     Flat,
     GeometryError,
+    PlaneLayer,
     Point,
-    _complete_plane,
+    _bits,
     _maximal_sets,
     _sort_key,
     affine_hull,
+    canonical_plane_through_line,
     covering_curve,
-    covers,
     curve_covers,
     curve_masks,
     curve_through,
     flat_contains,
+    plane3_curve,
 )
 
 DEFAULT_SUBSET_CAP = 26
@@ -145,24 +152,15 @@ def q_count(elements: Sequence[GroundElement], family: FamilySpec,
     return 1 << tail
 
 
-def c_count(elements: Sequence[GroundElement], family: FamilySpec) -> int:
-    """Number of single-object-coverable subsets of `elements`, the empty set
-    included. Independent of the element order."""
-    counter = CoverableCounter.for_ground(elements, family)
-    return counter.c_of_mask((1 << len(tuple(elements))) - 1)
+def c_count(points: Sequence[Point], family: FamilySpec) -> int:
+    """Number of single-object-coverable subsets of `points`, the empty set
+    included. Independent of the point order."""
+    counter = CoverableCounter(points, family)
+    return counter.c_of_mask(counter.mask)
 
 
 # ---------------------------------------------------------------------------
 # fast per-subset counting
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _w(m: int) -> int:
@@ -170,33 +168,39 @@ def _w(m: int) -> int:
     return (1 << m) - 1 - m - m * (m - 1) // 2
 
 
+def _above(bits: int, b: int) -> int:
+    """The bits of `bits` above bit b."""
+    return bits >> (b + 1) << (b + 1)
+
+
 class CoverableCounter:
     """Precomputes, for one fixed ground set, what c(X) reads for any subset
-    mask X: the curve masks of a curve family, or every representative of
-    the plane family with its optional-tail mask. `step(e, Y)` gives
-    c(Y + e) - c(Y) for curves and is None for planes."""
+    mask X of it: the curve masks of a curve family, or every representative
+    of the plane family with its optional-tail mask. `step(e, Y)` gives
+    c(Y + e) - c(Y) for e not in Y. `mask` is the ground's mask and `n` its
+    size.
 
-    def __init__(self, points: Sequence[Point], family: FamilySpec,
-                 flats: Sequence[Flat] = ()):
+    Built from points, the ground is those points (point i is bit i). A plane
+    counter over some points and lines of a `PlaneLayer`, such as a plane
+    search leaf's, comes from `on_layer`."""
+
+    def __init__(self, points: Sequence[Point], family: FamilySpec):
         self.points = tuple(points)
-        self.flats = tuple(flats)
         self.family = family
-        if flats and family.kind != "plane3":
-            raise GeometryError("flats in the ground set need the plane3 family")
-        self.ground: tuple[GroundElement, ...] = self.points + self.flats
-        self.n = len(self.ground)
         if family.kind == "plane3":
-            self._build_anyflat()
+            self._build_planes(PlaneLayer(self.points), (1 << len(self.points)) - 1, ())
         else:
             self._build_curves()
 
     @classmethod
-    def for_ground(cls, elements: Sequence[GroundElement], family: FamilySpec):
-        pts = tuple(e for e in elements if isinstance(e, Point))
-        fls = tuple(e for e in elements if isinstance(e, Flat))
-        if pts + fls != tuple(elements):
-            raise GeometryError("ground order must list points before flats")
-        return cls(pts, family, fls)
+    def on_layer(cls, layer: PlaneLayer, mask: int, lines: Sequence[int]) -> "CoverableCounter":
+        """The plane counter whose ground is the layer points in `mask` (point
+        i is bit i) and the distinct layer `lines` (the q-th is bit n + q, for
+        n layer points), in that order."""
+        counter = cls.__new__(cls)
+        counter.family = PLANE3
+        counter._build_planes(layer, mask, lines)
+        return counter
 
     # -- curves: one point mask per curve through >= 3 ground points
 
@@ -206,7 +210,9 @@ class CoverableCounter:
         points (s+1 points fix a curve, so that curve is unique). `_pair[e]`
         holds the partners e can be covered with. `fitted` keeps every
         curve through d ground points for the candidate table."""
-        pts, fam, n = self.points, self.family, self.n
+        pts, fam = self.points, self.family
+        self.n = n = len(pts)
+        self.mask = (1 << n) - 1
         self.fitted = curve_masks(pts, fam)
         curves = [mask for _, mask in self.fitted if mask.bit_count() >= 3]
         # q[e][1 << p]: the other points on the >= 3-point curves through e
@@ -250,100 +256,127 @@ class CoverableCounter:
 
     # -- planes: representatives grow the affine hull strictly, size <= 3
 
-    def _build_anyflat(self):
-        """Every representative (i, j, l) with its tail. `hulls` keeps each
-        representative's hull with the mask of its elements for the
-        candidate table: the hulls of all 1-3 ground elements that lie in a
-        plane, since greedy hull growth turns any such tuple into one."""
-        self.step = None  # no incremental step: the sweep calls c_of_mask
-        ground, n = self.ground, self.n
-        hull1 = [affine_hull([e]) for e in ground]
-        hulls = [(h, 1 << i) for i, h in enumerate(hull1)]
-        inside1 = [[flat_contains(hull1[i], ground[j]) for j in range(n)] for i in range(n)]
+    def _build_planes(self, layer: PlaneLayer, mask: int, lines: Sequence[int]):
+        """Every representative over the ground of `on_layer`, read off the
+        layer alone. A representative is a prefix of a coverable set, in bit
+        order, whose affine hull grows with each element until it spans the
+        set (so at most three elements), and its tail is the later ground
+        elements inside the hull reached by then: each coverable set is one
+        representative plus a subset of its tail, so c(X) is 1 plus the sum of
+        2^|tail & X| over the representatives inside X.
 
-        singles = []
-        for i in range(n):
-            m = 0
-            for j in range(i + 1, n):
-                if inside1[i][j]:
-                    m |= 1 << j
-            singles.append(m)
-        self._singles = singles
+        Two elements span a line l (a point pair, or a point on a line of the
+        ground) or a plane (a point off a line, or two coplanar lines); their
+        tail is the bits of that span above the second. A third element x off
+        l that spans a plane with it adds a triple, whose tail is the bits of
+        l strictly between the second element and x and those of the plane
+        above x. A single element has no tail, as points come before lines.
 
-        pair_tail: dict[int, int] = {}
-        pair_hull: dict[int, Flat] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                if inside1[i][j]:
-                    continue  # hull must grow
-                h = affine_hull([ground[i], ground[j]])
-                if h.dim > 2:
-                    continue
-                pair_hull[i * n + j] = h
-                hulls.append((h, 1 << i | 1 << j))
-                m = 0
-                for t in range(i + 1, n):
-                    if t == j:
-                        continue
-                    ok = inside1[i][t] if t < j else flat_contains(h, ground[t])
-                    if ok:
-                        m |= 1 << t
-                pair_tail[i * n + j] = m
-        self._pair_tail = pair_tail
+        `reps` keeps (bits, tail, span) for the candidate table, where span
+        names the hull: ("point", i), ("line", l) or ("plane", p). The step
+        reads, per element e, (R - e, tail) for each representative R that
+        holds e and (R, tail - e) for each R whose tail holds e."""
+        n = len(layer.points)
+        self.layer = layer
+        self._points_mask = mask
+        self._stamped = list(enumerate(lines, n))   # (bit, line index)
+        self.mask = ground = mask | ((1 << len(lines)) - 1) << n
+        self.n = ground.bit_count()
+        line_at = dict(self._stamped)
+        pair_line, line_point_plane = layer.pair_line, layer.line_point_plane
+        plane_bits: dict[int, int] = {}
 
-        triple_tail: dict[int, int] = {}
-        for key, h2 in pair_hull.items():
-            i, j = divmod(key, n)
-            for l in range(j + 1, n):
-                if flat_contains(h2, ground[l]):
+        def inside_plane(p: int) -> int:
+            bits = plane_bits.get(p)
+            if bits is None:
+                bits = plane_bits[p] = self._inside(layer.planes[p][1])
+            return bits
+
+        def plane_with(l: int, x: int) -> Optional[int]:
+            """The plane through line l and the ground element x off it; None
+            when x is a line skew to l."""
+            if x < n:
+                return line_point_plane[l * n + x]
+            return layer.lines_plane(l, line_at[x])
+
+        reps = []
+        for i in _bits(mask):
+            reps.append((1 << i, 0, ("point", i)))
+            for j in _bits(_above(ground, i)):
+                pair = 1 << i | 1 << j
+                if j < n:
+                    l = pair_line[i * n + j]
+                elif layer.lines[line_at[j]][1] >> i & 1:
+                    l = line_at[j]
+                else:
+                    p = plane_with(line_at[j], i)
+                    reps.append((pair, _above(inside_plane(p), j), ("plane", p)))
                     continue
-                h3 = affine_hull([ground[x] for x in (i, j, l)])
-                if h3.dim > 2:
-                    continue
-                hulls.append((h3, 1 << i | 1 << j | 1 << l))
-                m = 0
-                for t in range(i + 1, n):
-                    if t in (j, l):
-                        continue
-                    if t < j:
-                        ok = inside1[i][t]
-                    elif t < l:
-                        ok = flat_contains(h2, ground[t])
-                    else:
-                        ok = flat_contains(h3, ground[t])
-                    if ok:
-                        m |= 1 << t
-                triple_tail[key * n + l] = m
-        self._triple_tail = triple_tail
-        self.hulls = hulls
+                lb = self._inside(layer.lines[l][1])
+                tail = _above(lb, j)
+                reps.append((pair, tail, ("line", l)))
+                for x in _bits(_above(ground & ~lb, j)):
+                    p = plane_with(l, x)
+                    if p is not None:
+                        reps.append((pair | 1 << x,
+                                     tail & ((1 << x) - 1) | _above(inside_plane(p), x),
+                                     ("plane", p)))
+        for f_bit, f in self._stamped:
+            reps.append((1 << f_bit, 0, ("line", f)))
+            for g_bit in _bits(_above(ground, f_bit)):
+                p = plane_with(f, g_bit)
+                if p is not None:
+                    reps.append((1 << f_bit | 1 << g_bit, _above(inside_plane(p), g_bit),
+                                 ("plane", p)))
+        self.reps = reps
+
+        adds: list[list[tuple[int, int]]] = [[] for _ in range(ground.bit_length())]
+        for bits, tail, _ in reps:
+            if not bits & (bits - 1):
+                continue  # a single, the 1 that every step adds
+            rest = bits
+            while rest:
+                low = rest & -rest
+                adds[low.bit_length() - 1].append((bits ^ low, tail))
+                rest ^= low
+            rest = tail
+            while rest:
+                low = rest & -rest
+                adds[low.bit_length() - 1].append((bits, tail ^ low))
+                rest ^= low
+
+        def step(e: int, y: int) -> int:
+            """c(Y + e) - c(Y) for e not in Y: 1 for {e}, and 2^|tail & Y|
+            for each other representative inside Y + e that holds e (it is
+            new) or whose tail holds e (its term doubles)."""
+            total = 1
+            for rest, tail in adds[e]:
+                if y & rest == rest:
+                    total += 1 << (tail & y).bit_count()
+            return total
+
+        self.step = step
+
+    def _inside(self, points: int) -> int:
+        """The ground bits of a flat whose layer points are `points`: those
+        points that are in the ground, and each ground line whose layer points
+        are all among them (two points fix a line)."""
+        bits = points & self._points_mask
+        for bit, l in self._stamped:
+            if not self.layer.lines[l][1] & ~points:
+                bits |= 1 << bit
+        return bits
 
     # -- evaluation
 
     def c_of_mask(self, mask: int) -> int:
         bits = _bits(mask)
-        if self.family.kind != "plane3":
-            pairs = sum((self._pair[i] & mask).bit_count() for i in bits) >> 1
-            return (1 + len(bits) + pairs
-                    + sum(_w((c & mask).bit_count()) for c in self._curves))
-
-        total = 1  # the empty set
-        n = self.n
-        singles, pair_tail, triple_tail = self._singles, self._pair_tail, self._triple_tail
-        for a in range(len(bits)):
-            i = bits[a]
-            total += 1 << (singles[i] & mask).bit_count()
-            for b in range(a + 1, len(bits)):
-                j = bits[b]
-                key = i * n + j
-                t = pair_tail.get(key)
-                if t is not None:
-                    total += 1 << (t & mask).bit_count()
-                base = key * n
-                for c in range(b + 1, len(bits)):
-                    t3 = triple_tail.get(base + bits[c])
-                    if t3 is not None:
-                        total += 1 << (t3 & mask).bit_count()
-        return total
+        if self.family.kind == "plane3":
+            # c(empty) = 1, then add the elements of X one at a time
+            return 1 + sum(self.step(e, mask & ((1 << e) - 1)) for e in bits)
+        pairs = sum((self._pair[i] & mask).bit_count() for i in bits) >> 1
+        return (1 + len(bits) + pairs
+                + sum(_w((c & mask).bit_count()) for c in self._curves))
 
 
 # ---------------------------------------------------------------------------
@@ -361,27 +394,25 @@ def _check_cap(n: int, cap: int):
         raise CapExceededError("ground set of %d exceeds the subset-sweep cap %d" % (n, cap))
 
 
-def _signed_histogram(counter, ground: int, cap: int) -> dict[int, int]:
+def _signed_histogram(counter: CoverableCounter, ground: int, cap: int) -> dict[int, int]:
     """{c(X): signed multiplicity} over the submasks X of the `ground` mask,
     each X counted with sign (-1)^|ground \\ X|. One Gray-code walk from the
-    empty set flips one ground bit per step; c moves by `counter.step` when
-    the counter has one, else `counter.c_of_mask` evaluates it afresh."""
+    empty set flips one ground bit per step, and `counter.step` moves c by
+    the difference the flip makes."""
     # the walk's i-th step flips the element at i's lowest set bit
     flips = {1 << j: 1 << e for j, e in enumerate(_bits(ground))}
     n = len(flips)
     _check_cap(n, cap)
-    step, c_of_mask = counter.step, counter.c_of_mask
+    step = counter.step
     x = 0
-    c = c_of_mask(0)
+    c = 1  # the empty set is its own only coverable subset
     sign = -1 if n & 1 else 1
     hist: dict[int, int] = defaultdict(int)
     hist[c] = sign
     for i in range(1, 1 << n):
         bit = flips[i & -i]
         x ^= bit
-        if step is None:
-            c = c_of_mask(x)
-        elif x & bit:
+        if x & bit:
             c += step(bit.bit_length() - 1, x ^ bit)
         else:
             c -= step(bit.bit_length() - 1, x)
@@ -394,7 +425,7 @@ def _power_sum(hist: dict[int, int], k: int) -> int:
     return sum(m * c ** k for c, m in hist.items())
 
 
-def _signed_sum(counter, ground: int, k: int, cap: int) -> IEResult:
+def _signed_sum(counter: CoverableCounter, ground: int, k: int, cap: int) -> IEResult:
     """The sum over the submasks X of `ground` of c(X)^k, negated when
     |ground \\ X| is odd; yes iff it reaches 1."""
     total = _power_sum(_signed_histogram(counter, ground, cap), k)
@@ -410,32 +441,32 @@ def _least_budget(hist: dict[int, int], n: int) -> tuple[int, int]:
     raise SolverInternalError("no budget up to n admits a cover")
 
 
-def ie_decide(points: Sequence[Point], family: FamilySpec, k: int,
-              flats: Sequence[Flat] = (), cap: int = DEFAULT_SUBSET_CAP) -> IEResult:
+def ie_decide(points: Sequence[Point], family: FamilySpec, k: int, *,
+              cap: int = DEFAULT_SUBSET_CAP) -> IEResult:
     """Signed subset sweep; yes iff the alternating sum reaches 1."""
     if k < 0:
         raise ValueError("negative budget")
-    counter = CoverableCounter(points, family, flats)
-    return _signed_sum(counter, (1 << counter.n) - 1, k, cap)
+    counter = CoverableCounter(points, family)
+    return _signed_sum(counter, counter.mask, k, cap)
 
 
-def ie_sums(points: Sequence[Point], family: FamilySpec, ks: Sequence[int],
-            flats: Sequence[Flat] = (), cap: int = DEFAULT_SUBSET_CAP) -> dict[int, int]:
+def ie_sums(points: Sequence[Point], family: FamilySpec, ks: Sequence[int], *,
+            cap: int = DEFAULT_SUBSET_CAP) -> dict[int, int]:
     """Alternating sums for several budgets from one sweep: each distinct c
     is powered once per budget."""
-    counter = CoverableCounter(points, family, flats)
+    counter = CoverableCounter(points, family)
     ks = sorted(set(ks))
     if any(k < 0 for k in ks):
         raise ValueError("negative budget")
-    hist = _signed_histogram(counter, (1 << counter.n) - 1, cap)
+    hist = _signed_histogram(counter, counter.mask, cap)
     return {k: _power_sum(hist, k) for k in ks}
 
 
-def ie_min_cover(points: Sequence[Point], family: FamilySpec,
-                 flats: Sequence[Flat] = (), cap: int = DEFAULT_SUBSET_CAP) -> int:
+def ie_min_cover(points: Sequence[Point], family: FamilySpec, *,
+                 cap: int = DEFAULT_SUBSET_CAP) -> int:
     """Minimum k whose alternating sum reaches 1, from one subset sweep."""
-    counter = CoverableCounter(points, family, flats)
-    return _least_budget(_signed_histogram(counter, (1 << counter.n) - 1, cap), counter.n)[0]
+    counter = CoverableCounter(points, family)
+    return _least_budget(_signed_histogram(counter, counter.mask, cap), counter.n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -450,23 +481,41 @@ class CandidateTable:
 
     Curves: each fitted curve of the counter, spanned by any d of its points,
     and the curve `covering_curve` gives each tuple of fewer than d points,
-    spanned by that tuple. Planes: the plane `_complete_plane` gives each of
-    the counter's hulls, spanned by that hull's tuple."""
+    spanned by that tuple. Planes: the plane that `_complete_plane` makes of
+    each representative's hull, spanned by the representative: the layer
+    plane it spans, the canonical plane through the layer line it spans, or
+    the horizontal plane through its single point."""
 
     def __init__(self, counter: CoverableCounter):
-        fam, ground = counter.family, counter.ground
+        fam = counter.family
         masks: dict[object, int] = {}
         spans: dict[object, list[tuple[int, int]]] = defaultdict(list)
         if fam.kind == "plane3":
-            planes = {hull: _complete_plane(hull) for hull in {h for h, _ in counter.hulls}}
-            for hull, span in counter.hulls:
-                plane = planes[hull]
-                spans[plane].append((span, span.bit_count()))
-                if hull.dim == 2:
-                    # each element inside a plane that is a hull lies in a
-                    # tuple spanning it, so the tuples make up its mask
-                    masks[plane] = masks.get(plane, 0) | span
+            layer = counter.layer
+            on_plane: Optional[dict] = None  # layer plane -> its layer points
+            hulls: dict[tuple, list] = {}  # a representative's hull -> its plane's spans
+            for bits, _, hull in counter.reps:
+                plane_spans = hulls.get(hull)
+                if plane_spans is None:
+                    kind, at = hull
+                    if kind == "plane":
+                        plane, points = layer.planes[at][:2]
+                    elif kind == "line":
+                        line, points = layer.lines[at]
+                        plane = canonical_plane_through_line(line)
+                        if on_plane is None:
+                            on_plane = {h: m for h, m, _ in layer.planes}
+                        # it holds a layer point off the line only as a layer plane
+                        points = on_plane.get(plane, points)
+                    else:
+                        z = layer.points[at][2]
+                        plane = plane3_curve(0, 0, 1, -z)
+                        points = sum(1 << i for i, p in enumerate(layer.points) if p[2] == z)
+                    masks[plane] = counter._inside(points)
+                    plane_spans = hulls[hull] = spans[plane]
+                plane_spans.append((bits, bits.bit_count()))
         else:
+            ground = counter.points
             for curve, mask in counter.fitted:
                 masks[curve] = mask
                 spans[curve].append((mask, fam.d))
@@ -479,9 +528,9 @@ class CandidateTable:
                     spans[curve].append((span, size))
                     if size == fam.d - 1:
                         masks.setdefault(curve, span)  # not fitted: on fewer than d points
-        for obj in spans:
-            if obj not in masks:
-                masks[obj] = sum(1 << i for i, e in enumerate(ground) if _inside(obj, e))
+            for obj in spans:
+                if obj not in masks:
+                    masks[obj] = sum(1 << i for i, p in enumerate(ground) if curve_covers(obj, p))
         # sorted once by object, so that a stable sort by size orders each list
         self._rows = sorted(((obj, masks[obj], spans[obj]) for obj in spans),
                             key=lambda row: _sort_key(row[0]))
@@ -498,12 +547,6 @@ class CandidateTable:
         return _maximal_sets(live)
 
 
-def _inside(obj, element: GroundElement) -> bool:
-    if isinstance(element, Flat):
-        return flat_contains(obj, element)
-    return covers(obj, element)
-
-
 def _self_reduce(counter: CoverableCounter, k: int, total: int, cap: int) -> list:
     """A cover of the counter's ground by at most k objects, given the
     ground's alternating sum `total` at budget k. Each step takes the first
@@ -512,7 +555,7 @@ def _self_reduce(counter: CoverableCounter, k: int, total: int, cap: int) -> lis
     if total < 1:
         raise SolverInternalError("extract_cover called on a no-instance")
     table = CandidateTable(counter)
-    rem = (1 << counter.n) - 1
+    rem = counter.mask
     chosen = []
     budget = k
     while rem:
@@ -530,12 +573,12 @@ def _self_reduce(counter: CoverableCounter, k: int, total: int, cap: int) -> lis
     return chosen
 
 
-def extract_cover(points: Sequence[Point], family: FamilySpec, k: int,
-                  flats: Sequence[Flat] = (), cap: int = DEFAULT_SUBSET_CAP) -> list:
+def extract_cover(points: Sequence[Point], family: FamilySpec, k: int, *,
+                  cap: int = DEFAULT_SUBSET_CAP) -> list:
     """Concrete cover of at most k objects, built by self-reduction with the
     subset-sweep decider as the oracle. Requires a yes-instance: one sweep
     decides the ground, then every step reads the same counter."""
     if k < 0:
         raise ValueError("negative budget")
-    counter = CoverableCounter(points, family, flats)
-    return _self_reduce(counter, k, _signed_sum(counter, (1 << counter.n) - 1, k, cap).ie_sum, cap)
+    counter = CoverableCounter(points, family)
+    return _self_reduce(counter, k, _signed_sum(counter, counter.mask, k, cap).ie_sum, cap)

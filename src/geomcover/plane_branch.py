@@ -14,8 +14,8 @@ approximated.
 The deepest level hands the remaining points plus all pending lines to the
 mixed points-and-lines subset sweep, which is exact. Its counter is read off
 the search's incidence layer (lines and candidate planes as point masks,
-built once per search), so deciding a leaf takes no rational arithmetic;
-only the witness extraction of an accepting leaf runs the general sweep.
+built once per search), so deciding a leaf takes no rational arithmetic,
+and an accepting leaf extracts its witness on the same counter and sum.
 """
 
 from __future__ import annotations
@@ -39,15 +39,19 @@ from .geometry import (
     FamilySpec,
     Flat,
     Plane3,
+    PlaneLayer,
     Point,
     canonical_plane_through_line,
     flat_contains,
-    line_masks3,
     plane_covers,
-    plane_masks3,
     plane_through_line_point,
 )
-from .inclusion_exclusion import DEFAULT_SUBSET_CAP, _bits, _signed_sum, extract_cover
+from .inclusion_exclusion import (
+    DEFAULT_SUBSET_CAP,
+    CoverableCounter,
+    _self_reduce,
+    _signed_sum,
+)
 from .kernel import KernelResult, plane_kernel_r3
 
 
@@ -123,67 +127,21 @@ def extend_lines(lines: Sequence[Flat], points: Sequence[Point],
 # the recursive search
 
 
-class _LeafCounter:
-    """CoverableCounter's c(X) for one sweep leaf, over its ground mask: the
-    empty set, every single element, and one term 2^|tail & X| per
-    representative pair or triple inside X. `rows` holds, per first element,
-    (second bit, pair tail, [(third bit, triple tail), ...]). It has no
-    incremental step, so the sweep evaluates c at every subset."""
-
-    __slots__ = ("ground", "rows")
-    step = None
-
-    def __init__(self, ground: int, rows: list):
-        self.ground = ground
-        self.rows = rows
-
-    def c_of_mask(self, mask: int) -> int:
-        total = 1 + mask.bit_count()
-        for first, row in self.rows:
-            if not mask & first:
-                continue
-            for second, tail, thirds in row:
-                if mask & second:
-                    total += 1 << (tail & mask).bit_count()
-                    for third, tail3 in thirds:
-                        if mask & third:
-                            total += 1 << (tail3 & mask).bit_count()
-        return total
-
-
 class _PlaneSearch:
     """Mask-based search over one kernelized instance. A stamped line is a
     pair (index into self.lines, depth at which it was guessed).
 
-    Lines and candidate planes are point masks, and the incidences between
-    them come from the masks alone: every line holds at least two instance
-    points, so it lies in a plane exactly when its mask is inside the
-    plane's."""
+    Lines and candidate planes are the point masks of the instance's
+    `PlaneLayer`, which the sweep leaves' counters read as well."""
 
     def __init__(self, kern: KernelResult, family: FamilySpec, config: BranchConfig):
         self.points = kern.points
-        self.family = family
         self.cfg = config
         self.stats = SearchStats()
-        n = len(self.points)
-
-        self.planes: list[tuple[Plane3, int, list[int]]] = []       # (plane, mask, line indexes)
-        self.lines: list[tuple[Flat, int]] = []                     # (line, mask)
-        self._pair_line = [0] * (n * n)     # i*n+j -> the line through points i < j
-        for line, m in line_masks3(self.points):
-            on = _bits(m)
-            for a, i in enumerate(on):
-                for j in on[a + 1:]:
-                    self._pair_line[i * n + j] = len(self.lines)
-            self.lines.append((line, m))
-        self._line_point_plane: list[Optional[int]] = [None] * (len(self.lines) * n)
-        for plane, m in plane_masks3(self.points):
-            contained = [j for j, (_, lm) in enumerate(self.lines) if not lm & ~m]
-            for j in contained:
-                for x in _bits(m & ~self.lines[j][1]):
-                    self._line_point_plane[j * n + x] = len(self.planes)
-            self.planes.append((plane, m, contained))
-        self._ie_cache: dict = {}
+        self.layer = PlaneLayer(self.points)
+        self.planes = self.layer.planes     # (plane, mask, line indexes)
+        self.lines = self.layer.lines       # (line, mask)
+        self._no_leaves: set = set()
         self._ext_mask_cache: dict[Plane3, int] = {}
 
     def _subset_points(self, mask: int) -> list[Point]:
@@ -199,96 +157,21 @@ class _PlaneSearch:
             self._ext_mask_cache[plane] = m
         return m
 
-    def _lines_plane(self, f: int, g: int) -> Optional[int]:
-        """The plane through two distinct lines, or None when they are skew.
-        A point x of g off f spans plane(f, x), the only candidate."""
-        gm = self.lines[g][1]
-        off = gm & ~self.lines[f][1]
-        p = self._line_point_plane[f * len(self.points) + (off & -off).bit_length() - 1]
-        return p if not gm & ~self.planes[p][1] else None
-
-    def _leaf_counter(self, mask: int, lines: Sequence[int]) -> _LeafCounter:
-        """The counter of a sweep leaf whose ground is the points in `mask`
-        (point i is bit i) and the distinct `lines` (the q-th is bit n+q),
-        read off the incidence layer alone. The representatives are those of
-        CoverableCounter._build_anyflat in this bit order, where an object's
-        bits are the ground elements inside it. Two elements span a line l (a
-        point pair, or a point on a line of the ground) or a plane (a point
-        off a line, or two coplanar lines); their tail is the bits of that
-        span above the second. A third element x off l that spans a plane with
-        it adds a triple, whose tail is the bits of l strictly between the
-        second element and x and those of the plane above x."""
-        n = len(self.points)
-        ground = mask | (((1 << len(lines)) - 1) << n)
-        stamped = list(enumerate(lines, n))             # (bit, line index)
-        line_at = dict(stamped)
-        stamp = {l: 1 << b for b, l in stamped}
-        planes_bits: dict[int, int] = {}
-
-        def above(bits: int, b: int) -> int:
-            return bits >> (b + 1) << (b + 1)
-
-        def line_bits(l: int) -> int:
-            return (self.lines[l][1] & mask) | stamp.get(l, 0)
-
-        def plane_bits(p: int) -> int:
-            bits = planes_bits.get(p)
-            if bits is None:
-                pm = self.planes[p][1]
-                bits = pm & mask
-                for l, bit in stamp.items():
-                    if not self.lines[l][1] & ~pm:
-                        bits |= bit
-                planes_bits[p] = bits
-            return bits
-
-        def plane_with(l: int, x: int) -> Optional[int]:
-            """The plane through line l and the ground element x off it; None
-            when x is a line skew to l."""
-            if x < n:
-                return self._line_point_plane[l * n + x]
-            return self._lines_plane(l, line_at[x])
-
-        rows = []
-        for i in _bits(mask):
-            row = []
-            for j in _bits(above(ground, i)):
-                if j < n:
-                    l = self._pair_line[i * n + j]
-                elif (self.lines[line_at[j]][1] >> i) & 1:
-                    l = line_at[j]
-                else:
-                    p = plane_with(line_at[j], i)
-                    row.append((1 << j, above(plane_bits(p), j), []))
-                    continue
-                lb = line_bits(l)
-                tail = above(lb, j)
-                thirds = []
-                for x in _bits(above(ground & ~lb, j)):
-                    p = plane_with(l, x)
-                    if p is not None:
-                        thirds.append((1 << x, (tail & ((1 << x) - 1)) | above(plane_bits(p), x)))
-                row.append((1 << j, tail, thirds))
-            rows.append((1 << i, row))
-        for f_bit, f in stamped:
-            row = []
-            for g_bit in _bits(above(ground, f_bit)):
-                p = plane_with(f, g_bit)
-                if p is not None:
-                    row.append((1 << g_bit, above(plane_bits(p), g_bit), []))
-            rows.append((1 << f_bit, row))
-        return _LeafCounter(ground, rows)
-
-    def _ie(self, mask: int, stamped: tuple, budget: int) -> bool:
+    def _ie(self, mask: int, stamped: tuple, budget: int) -> Optional[list]:
+        """The sweep leaf over the points in `mask` and the stamped lines: a
+        cover of them by at most `budget` planes, or None when there is none.
+        The counter is read off the layer, and an accepting leaf self-reduces
+        on it. No-leaves are remembered; a yes-leaf ends the search."""
         key = (mask, tuple(e[0] for e in stamped), budget)
-        hit = self._ie_cache.get(key)
-        if hit is None:
-            counter = self._leaf_counter(mask, key[1])
-            res = _signed_sum(counter, counter.ground, budget, self.cfg.ie_cap)
-            self.stats.ie_subsets += res.subsets
-            hit = res.decision
-            self._ie_cache[key] = hit
-        return hit
+        if key in self._no_leaves:
+            return None
+        counter = CoverableCounter.on_layer(self.layer, mask, key[1])
+        res = _signed_sum(counter, counter.mask, budget, self.cfg.ie_cap)
+        self.stats.ie_subsets += res.subsets
+        if not res.decision:
+            self._no_leaves.add(key)
+            return None
+        return _self_reduce(counter, budget, res.ie_sum, self.cfg.ie_cap)
 
     def _max_collinear_on(self, plane_entry, mask: int) -> int:
         plane, pmask, contained = plane_entry
@@ -321,13 +204,10 @@ class _PlaneSearch:
 
         if depth == cfg.r or below_base_threshold(n_pts, cfg.base_case_factor * remaining_budget, cfg.k):
             self.stats.leaves_ie += 1
-            if self._ie(mask, stamped, remaining_budget + len(stamped)):
-                flats = [self.lines[j][0] for j, _ in stamped]
-                ext = extract_cover(self._subset_points(mask), self.family,
-                                    remaining_budget + len(stamped), flats=flats,
-                                    cap=cfg.ie_cap)
-                return True, list(partial) + ext
-            return False, None
+            ext = self._ie(mask, stamped, remaining_budget + len(stamped))
+            if ext is None:
+                return False, None
+            return True, list(partial) + ext
 
         if ripe:
             keep = tuple(e for e in stamped if e not in ripe)

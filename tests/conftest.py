@@ -1,6 +1,7 @@
 import random
 
-from geomcover.geometry import CIRCLE2, LINE2, VPARABOLA2, Point, pt
+from geomcover.geometry import CIRCLE2, LINE2, VPARABOLA2, PlaneLayer, Point, pt
+from geomcover.inclusion_exclusion import CoverableCounter
 
 
 def random_points_2d(rng: random.Random, n: int, span: int = 4) -> list[Point]:
@@ -43,3 +44,17 @@ def degenerate_curve_instances():
             rng.shuffle(points)
             out.append((fam, points))
     return out
+
+
+def layer_counter(points, lines) -> CoverableCounter:
+    """The plane counter over the distinct `points` and then the distinct
+    `lines`, read off the `PlaneLayer` of the points and two points of each
+    line. Points that only fix a line stay out of the ground, as the covered
+    points of a plane search leaf do."""
+    extra = []
+    for line in lines:
+        ends = (line.base, tuple(b + d for b, d in zip(line.base, line.basis[0])))
+        extra += [Point(p) for p in ends if Point(p) not in points and Point(p) not in extra]
+    layer = PlaneLayer(list(points) + extra)
+    index = {line: j for j, (line, _) in enumerate(layer.lines)}
+    return CoverableCounter.on_layer(layer, (1 << len(points)) - 1, [index[line] for line in lines])

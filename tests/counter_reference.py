@@ -1,0 +1,197 @@
+"""The Fraction plane counter, the reference the tests hold the layer-based
+plane counter of `geomcover.inclusion_exclusion` against: every
+representative fitted with `affine_hull` and every tail tested with
+`flat_contains`, over any ground of R^3 points followed by lines, and c(X)
+evaluated afresh for each subset. Also the signed sums and the decider that
+read it, and the checks that compare a counter and its candidate table with
+the references."""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from geomcover.geometry import (
+    PLANE3,
+    Flat,
+    Point,
+    affine_hull,
+    candidate_cover_sets,
+    flat_contains,
+)
+from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, ie_decide
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class FractionPlaneCounter:
+    """c(X) of the plane family over the ground `points + flats`, for any
+    subset mask X, through representatives: each coverable set is charged to
+    its unique greedy hull-growing prefix (i, j, l), which owns the later
+    elements inside its hull as an optional tail."""
+
+    def __init__(self, points: Sequence[Point], flats: Sequence[Flat] = ()):
+        self.points = tuple(points)
+        self.flats = tuple(flats)
+        self.family = PLANE3
+        self.ground = self.points + self.flats
+        self.n = len(self.ground)
+        self._build_anyflat()
+
+    def _build_anyflat(self):
+        """Every representative (i, j, l) with its tail. `hulls` keeps each
+        representative's hull with the mask of its elements: the hulls of all
+        1-3 ground elements that lie in a plane, since greedy hull growth
+        turns any such tuple into one."""
+        ground, n = self.ground, self.n
+        hull1 = [affine_hull([e]) for e in ground]
+        hulls = [(h, 1 << i) for i, h in enumerate(hull1)]
+        inside1 = [[flat_contains(hull1[i], ground[j]) for j in range(n)] for i in range(n)]
+
+        singles = []
+        for i in range(n):
+            m = 0
+            for j in range(i + 1, n):
+                if inside1[i][j]:
+                    m |= 1 << j
+            singles.append(m)
+        self._singles = singles
+
+        pair_tail: dict[int, int] = {}
+        pair_hull: dict[int, Flat] = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if inside1[i][j]:
+                    continue  # hull must grow
+                h = affine_hull([ground[i], ground[j]])
+                if h.dim > 2:
+                    continue
+                pair_hull[i * n + j] = h
+                hulls.append((h, 1 << i | 1 << j))
+                m = 0
+                for t in range(i + 1, n):
+                    if t == j:
+                        continue
+                    ok = inside1[i][t] if t < j else flat_contains(h, ground[t])
+                    if ok:
+                        m |= 1 << t
+                pair_tail[i * n + j] = m
+        self._pair_tail = pair_tail
+
+        triple_tail: dict[int, int] = {}
+        for key, h2 in pair_hull.items():
+            i, j = divmod(key, n)
+            for l in range(j + 1, n):
+                if flat_contains(h2, ground[l]):
+                    continue
+                h3 = affine_hull([ground[x] for x in (i, j, l)])
+                if h3.dim > 2:
+                    continue
+                hulls.append((h3, 1 << i | 1 << j | 1 << l))
+                m = 0
+                for t in range(i + 1, n):
+                    if t in (j, l):
+                        continue
+                    if t < j:
+                        ok = inside1[i][t]
+                    elif t < l:
+                        ok = flat_contains(h2, ground[t])
+                    else:
+                        ok = flat_contains(h3, ground[t])
+                    if ok:
+                        m |= 1 << t
+                triple_tail[key * n + l] = m
+        self._triple_tail = triple_tail
+        self.hulls = hulls
+
+    def c_of_mask(self, mask: int) -> int:
+        bits = _bits(mask)
+        total = 1  # the empty set
+        n = self.n
+        singles, pair_tail, triple_tail = self._singles, self._pair_tail, self._triple_tail
+        for a in range(len(bits)):
+            i = bits[a]
+            total += 1 << (singles[i] & mask).bit_count()
+            for b in range(a + 1, len(bits)):
+                j = bits[b]
+                key = i * n + j
+                t = pair_tail.get(key)
+                if t is not None:
+                    total += 1 << (t & mask).bit_count()
+                base = key * n
+                for c in range(b + 1, len(bits)):
+                    t3 = triple_tail.get(base + bits[c])
+                    if t3 is not None:
+                        total += 1 << (t3 & mask).bit_count()
+        return total
+
+
+def reference_sums(counter: FractionPlaneCounter, ground: int, ks) -> dict[int, int]:
+    """The alternating sum over the submasks X of `ground` of c(X)^k, for
+    each budget k, by plain submask enumeration."""
+    sums = dict.fromkeys(ks, 0)
+    n = ground.bit_count()
+    sub = ground
+    while True:
+        c = counter.c_of_mask(sub)
+        sign = -1 if (n - sub.bit_count()) & 1 else 1
+        for k in sums:
+            sums[k] += sign * c ** k
+        if not sub:
+            return sums
+        sub = (sub - 1) & ground
+
+
+def reference_decide(points, family, k, flats=(), cap=DEFAULT_SUBSET_CAP) -> bool:
+    """The subset-sweep decision over points and flats: the Fraction counter
+    for planes, `ie_decide` for curves."""
+    if family.kind != "plane3":
+        return ie_decide(points, family, k, cap=cap).decision
+    counter = FractionPlaneCounter(points, flats)
+    return reference_sums(counter, (1 << counter.n) - 1, [k])[k] >= 1
+
+
+def gray_walk(counter) -> dict[int, int]:
+    """{X: c(X)} over the submasks X of the counter's ground, visited by the
+    Gray walk of `_signed_histogram` and moved by `counter.step` at each flip."""
+    order = _bits(counter.mask)
+    x, c = 0, 1
+    seen = {0: 1}
+    for i in range(1, 1 << len(order)):
+        e = order[(i & -i).bit_length() - 1]
+        x ^= 1 << e
+        c = c + counter.step(e, x ^ 1 << e) if x >> e & 1 else c - counter.step(e, x)
+        seen[x] = c
+    return seen
+
+
+def assert_counter_matches_reference(counter, ref: FractionPlaneCounter):
+    """c from the step walk and from `c_of_mask` equals the reference's on
+    every subset, where the reference's element i is the counter's i-th
+    ground bit."""
+    order = _bits(counter.mask)
+    assert len(order) == ref.n == counter.n
+    walk = gray_walk(counter)
+    assert len(walk) == 1 << ref.n
+    for local in range(1 << ref.n):
+        x = sum(1 << g for b, g in enumerate(order) if local >> b & 1)
+        assert walk[x] == counter.c_of_mask(x) == ref.c_of_mask(local), (x, local)
+
+
+def assert_table_lists_candidate_cover_sets(table, counter, points, lines, family, locals_):
+    """For each subset (a mask over the elements of `points + lines`), the
+    table's list is `candidate_cover_sets` of those elements: object for
+    object, mask for mask and in order."""
+    ground = list(points) + list(lines)
+    order = _bits(counter.mask)  # the ground bit of each element
+    for local in locals_:
+        kept = [i for i in range(len(ground)) if local >> i & 1]
+        rem = sum(1 << order[i] for i in kept)
+        pts = [ground[i] for i in kept if i < len(points)]
+        fls = [ground[i] for i in kept if i >= len(points)]
+        listed = table.cover_sets(rem)
+        assert all(mask & ~rem == 0 for _, mask in listed)
+        renumbered = [(obj, sum(1 << j for j, i in enumerate(kept) if mask >> order[i] & 1))
+                      for obj, mask in listed]
+        assert renumbered == candidate_cover_sets(pts, family, fls), (family, points, lines, rem)

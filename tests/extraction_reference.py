@@ -1,18 +1,19 @@
 """Witness extraction by plain self-reduction, the reference the tests hold
 `extract_cover` against: at each step, list `candidate_cover_sets` of the
 remaining elements afresh and decide each candidate's removal with a fresh
-`ie_decide` over the elements it leaves."""
+subset sweep over the elements it leaves (the Fraction counter for planes)."""
 
 from __future__ import annotations
 
+from counter_reference import reference_decide
 from geomcover.geometry import candidate_cover_sets
-from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, SolverInternalError, ie_decide
+from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, SolverInternalError
 
 
 def reference_extract_cover(points, family, k, flats=(), cap=DEFAULT_SUBSET_CAP) -> list:
     pts = list(points)
     fls = list(flats)
-    if not ie_decide(pts, family, k, fls, cap).decision:
+    if not reference_decide(pts, family, k, fls, cap):
         raise SolverInternalError("extract_cover called on a no-instance")
     chosen = []
     budget = k
@@ -23,7 +24,7 @@ def reference_extract_cover(points, family, k, flats=(), cap=DEFAULT_SUBSET_CAP)
                 continue
             keep_pts = [p for i, p in enumerate(pts) if not (mask >> i) & 1]
             keep_fls = [f for i, f in enumerate(fls) if not (mask >> (len(pts) + i)) & 1]
-            if ie_decide(keep_pts, family, budget - 1, keep_fls, cap).decision:
+            if reference_decide(keep_pts, family, budget - 1, keep_fls, cap):
                 chosen.append(obj)
                 pts, fls = keep_pts, keep_fls
                 budget -= 1

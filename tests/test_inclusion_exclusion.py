@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import degenerate_curve_instances, random_points_2d, random_points_3d
+from conftest import degenerate_curve_instances, layer_counter, random_points_2d, random_points_3d
+from counter_reference import (
+    FractionPlaneCounter,
+    assert_counter_matches_reference,
+    assert_table_lists_candidate_cover_sets,
+    reference_sums,
+)
 from extraction_reference import reference_extract_cover
 from geomcover.curve_branch import curve_cover
 from geomcover.geometry import (
@@ -13,7 +19,7 @@ from geomcover.geometry import (
     LINE2,
     PLANE3,
     VPARABOLA2,
-    candidate_cover_sets,
+    _bits,
     check_cover,
     covering_curve,
     line2_curve,
@@ -26,7 +32,10 @@ from geomcover.inclusion_exclusion import (
     CapExceededError,
     CoverableCounter,
     SolverInternalError,
+    _least_budget,
     _self_reduce,
+    _signed_histogram,
+    _signed_sum,
     c_count,
     extract_cover,
     ie_decide,
@@ -35,6 +44,7 @@ from geomcover.inclusion_exclusion import (
     q_count,
     representative,
 )
+from geomcover.instances import generate
 from geomcover.oracle import oracle_decide, oracle_min_cover
 
 
@@ -156,8 +166,13 @@ class TestDecide:
 
     def test_anyflat_coplanarity(self):
         xaxis = line_through(pt(0, 0, 0), pt(1, 0, 0))
-        assert ie_decide([pt(0, 1, 0), pt(1, 2, 0)], PLANE3, 1, flats=[xaxis]).decision
-        assert not ie_decide([pt(0, 1, 0), pt(0, 0, 1)], PLANE3, 1, flats=[xaxis]).decision
+
+        def decide(points):
+            counter = layer_counter(points, [xaxis])
+            return _signed_sum(counter, counter.mask, 1, DEFAULT_SUBSET_CAP).decision
+
+        assert decide([pt(0, 1, 0), pt(1, 2, 0)])
+        assert not decide([pt(0, 1, 0), pt(0, 0, 1)])
 
     def test_budget_zero_and_empty(self):
         assert ie_decide([], LINE2, 0).decision
@@ -230,7 +245,7 @@ class TestExtract:
 
     def test_matches_reference_extraction(self):
         """The witness equals the one of the reference loop, which lists
-        candidate_cover_sets afresh and runs a fresh ie_decide per step."""
+        candidate_cover_sets afresh and runs a fresh subset sweep per step."""
         cases = [(fam, points, ()) for fam, points in degenerate_curve_instances()]
         for fam, points in _random_curve_grounds(53, 4, 3, 9):
             cases.append((fam, points, ()))
@@ -238,9 +253,9 @@ class TestExtract:
             cases.append((PLANE3, points, lines))
         assert sum(1 for _, _, lines in cases if lines) >= 8
         for fam, points, lines in cases:
-            k = ie_min_cover(points, fam, flats=lines)
+            k = _min_cover(fam, points, lines)
             for budget in (k, k + 1):
-                w = extract_cover(points, fam, budget, flats=lines)
+                w = _extract(fam, points, budget, lines)
                 ref = reference_extract_cover(points, fam, budget, flats=lines)
                 assert repr(w) == repr(ref) and w == ref, (fam, points, lines, budget)
                 assert check_cover(points, w, budget, flats=lines)
@@ -257,9 +272,26 @@ class TestExtract:
     def test_anyflat_witness(self):
         xaxis = line_through(pt(0, 0, 0), pt(1, 0, 0))
         points = [pt(0, 1, 0), pt(1, 2, 0), pt(0, 0, 5)]
-        k = ie_min_cover(points, PLANE3, flats=[xaxis])
-        w = extract_cover(points, PLANE3, k, flats=[xaxis])
+        k = _min_cover(PLANE3, points, [xaxis])
+        w = _extract(PLANE3, points, k, [xaxis])
         assert check_cover(points, w, k, flats=[xaxis])
+
+
+def _min_cover(fam, points, lines):
+    """ie_min_cover over the points, then the lines on a layer counter."""
+    if not lines:
+        return ie_min_cover(points, fam)
+    counter = layer_counter(points, lines)
+    return _least_budget(_signed_histogram(counter, counter.mask, DEFAULT_SUBSET_CAP), counter.n)[0]
+
+
+def _extract(fam, points, budget, lines):
+    """extract_cover over the points, then the lines on a layer counter."""
+    if not lines:
+        return extract_cover(points, fam, budget)
+    counter = layer_counter(points, lines)
+    total = _signed_sum(counter, counter.mask, budget, DEFAULT_SUBSET_CAP).ie_sum
+    return _self_reduce(counter, budget, total, DEFAULT_SUBSET_CAP)
 
 
 def _random_curve_grounds(seed, copies, lo, hi):
@@ -294,18 +326,55 @@ class TestCandidateTable:
         grounds += [(PLANE3, points, lines) for points, lines in _random_plane_grounds(71, 30, 3, 8)]
         assert sum(1 for _, _, lines in grounds if len(lines) >= 2) >= 5
         for fam, points, lines in grounds:
-            counter = CoverableCounter(points, fam, lines)
+            counter = layer_counter(points, lines) if lines else CoverableCounter(points, fam)
             table = CandidateTable(counter)
             full = (1 << counter.n) - 1
-            for rem in [full, 0] + [rng.randint(1, full) for _ in range(8)]:
-                kept = [i for i in range(counter.n) if rem >> i & 1]
-                pts = [counter.ground[i] for i in kept if i < len(points)]
-                fls = [counter.ground[i] for i in kept if i >= len(points)]
-                listed = table.cover_sets(rem)
-                assert all(mask & ~rem == 0 for _, mask in listed)
-                renumbered = [(obj, sum(1 << j for j, i in enumerate(kept) if mask >> i & 1))
-                              for obj, mask in listed]
-                assert renumbered == candidate_cover_sets(pts, fam, fls), (fam, points, lines, rem)
+            assert_table_lists_candidate_cover_sets(
+                table, counter, points, lines, fam,
+                [full, 0] + [rng.randint(1, full) for _ in range(8)])
+
+
+def _plane_grounds():
+    """Small plane grounds: 3-grid point sets, degenerate-plane instances,
+    and points with 1-3 lines."""
+    rng = random.Random(73)
+    grounds = [(random_points_3d(rng, rng.randint(4, 10), span=2), []) for _ in range(8)]
+    grounds += [(list(generate("degenerate-plane", {"k": k, "m": m}, seed=s).points), [])
+                for k, m, s in ((2, 5, 0), (2, 5, 1), (1, 8, 2))]
+    grounds += [(points, lines) for points, lines in _random_plane_grounds(79, 12, 3, 7) if lines]
+    return grounds
+
+
+class TestPlaneCounterIdentities:
+    def test_walk_and_c_of_mask_match_fraction_reference(self):
+        grounds = _plane_grounds()
+        assert sum(1 for _, lines in grounds if len(lines) >= 2) >= 3
+        for points, lines in grounds:
+            counter = layer_counter(points, lines) if lines else CoverableCounter(points, PLANE3)
+            assert_counter_matches_reference(counter, FractionPlaneCounter(points, lines))
+
+    def test_every_step_is_the_difference_of_c(self):
+        for points, lines in _plane_grounds():
+            if len(points) + len(lines) > 8:
+                continue
+            counter = layer_counter(points, lines)
+            ref = FractionPlaneCounter(points, lines)
+            order = _bits(counter.mask)  # the counter's bit of the reference's element b
+            for local in range(1 << ref.n):
+                y = sum(1 << e for b, e in enumerate(order) if local >> b & 1)
+                for b, e in enumerate(order):
+                    if not local >> b & 1:
+                        assert (counter.step(e, y) == ref.c_of_mask(local | 1 << b)
+                                - ref.c_of_mask(local)), (points, lines, e, y)
+
+    def test_sums_match_reference(self):
+        for points, lines in _plane_grounds():
+            counter = layer_counter(points, lines)
+            ref = reference_sums(FractionPlaneCounter(points, lines), (1 << counter.n) - 1, range(5))
+            for k, total in ref.items():
+                assert _signed_sum(counter, counter.mask, k, DEFAULT_SUBSET_CAP).ie_sum == total
+            if not lines:
+                assert ie_sums(points, PLANE3, range(5)) == ref
 
 
 class TestOracleEquivalence:

@@ -210,6 +210,17 @@ class TestCli:
         assert kern.metadata["kernel"]["verdict"] == "reduced"
         assert kern.n == 0 and kern.k == 0
 
+    def test_negative_caps_rejected(self, tmp_path, capsys):
+        path, _ = self.write(tmp_path, "g.json", "grid", {"n": 3}, 0)
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"entries": [
+            {"model": "grid", "params": {"n": 2}, "k": 2, "algorithms": ["ie"]}]}))
+        for flag in ("--ie-cap", "--oracle-cap"):
+            for argv in (["solve", "--input", str(path)], ["bench", "--suite", str(suite)]):
+                assert main(argv + [flag, "-1"]) == EXIT_INVALID
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err == "error: negative %s -1\n" % flag
+
     def test_bench_csv(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({"entries": [

@@ -5,6 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_points_3d
+from counter_reference import (
+    FractionPlaneCounter,
+    assert_counter_matches_reference,
+    assert_table_lists_candidate_cover_sets,
+    reference_sums,
+)
 from geomcover.curve_branch import budget_partitions
 from geomcover.geometry import (
     PLANE3,
@@ -16,9 +22,9 @@ from geomcover.geometry import (
 )
 from geomcover.inclusion_exclusion import (
     DEFAULT_SUBSET_CAP,
+    CandidateTable,
     CoverableCounter,
     _signed_sum,
-    ie_decide,
 )
 from geomcover.instances import generate
 from geomcover.kernel import KernelResult, plane_kernel_r3
@@ -183,21 +189,21 @@ def _unreduced(points):
 
 
 def _assert_leaf_matches_counter(search, mask, lines, budgets):
-    """Every c(X) of the leaf counter equals CoverableCounter's over the same
-    ground (the points in mask, then the lines), and so does every signed sum."""
+    """Every c(X) of the leaf's counter, from its step walk and from
+    c_of_mask, equals the Fraction reference's over the same ground (the
+    points in mask, then the lines), and so does every signed sum."""
     n = len(search.points)
     points = search._subset_points(mask)
     flats = [search.lines[j][0] for j in lines]
-    leaf = search._leaf_counter(mask, lines)
-    ref = CoverableCounter(points, PLANE3, flats)
+    leaf = CoverableCounter.on_layer(search.layer, mask, lines)
+    ref = FractionPlaneCounter(points, flats)
     order = [i for i in range(n) if (mask >> i) & 1] + [n + q for q in range(len(lines))]
-    assert leaf.ground == sum(1 << g for g in order)
-    for local in range(1 << len(order)):
-        sub = sum(1 << g for b, g in enumerate(order) if (local >> b) & 1)
-        assert leaf.c_of_mask(sub) == ref.c_of_mask(local), (mask, lines, sub)
+    assert leaf.mask == sum(1 << g for g in order)
+    assert_counter_matches_reference(leaf, ref)
+    sums = reference_sums(ref, (1 << ref.n) - 1, budgets)
     for budget in budgets:
-        assert (_signed_sum(leaf, leaf.ground, budget, DEFAULT_SUBSET_CAP)
-                == ie_decide(points, PLANE3, budget, flats=flats))
+        assert (_signed_sum(leaf, leaf.mask, budget, DEFAULT_SUBSET_CAP)
+                == (sums[budget] >= 1, sums[budget], 1 << ref.n))
 
 
 def _leaf_instances():
@@ -217,6 +223,21 @@ class TestLeafCounter:
                 by_lines[len(lines)] = by_lines.get(len(lines), 0) + 1
         assert by_lines.get(1) and by_lines.get(2), by_lines
 
+    def test_leaf_tables_list_candidate_cover_sets(self):
+        rng = random.Random(223)
+        with_lines = 0
+        for points in _leaf_instances():
+            search = _searched(points, 2)
+            for mask, lines, _ in sorted(search.leaves)[::8]:
+                counter = CoverableCounter.on_layer(search.layer, mask, lines)
+                full = (1 << counter.n) - 1
+                assert_table_lists_candidate_cover_sets(
+                    CandidateTable(counter), counter, search._subset_points(mask),
+                    [search.lines[j][0] for j in lines], PLANE3,
+                    [full] + [rng.randint(1, full) for _ in range(2)])
+                with_lines += bool(lines)
+        assert with_lines >= 10, with_lines
+
     # lines A (three points) and B are parallel, C crosses both away from
     # the points, D is skew to A and B and parallel to C
     HAND = [pt(0, 0, 0), pt(1, 0, 0), pt(2, 0, 0), pt(0, 1, 0), pt(1, 1, 0),
@@ -231,8 +252,8 @@ class TestLeafCounter:
             return index[line_through(self.HAND[a], self.HAND[b])]
 
         A, B, C, D = line(0, 1), line(3, 4), line(5, 6), line(7, 8)
-        assert all(search._lines_plane(f, g) is not None for f, g in ((A, B), (A, C), (C, D)))
-        assert all(search._lines_plane(f, g) is None for f, g in ((A, D), (B, D)))
+        assert all(search.layer.lines_plane(f, g) is not None for f, g in ((A, B), (A, C), (C, D)))
+        assert all(search.layer.lines_plane(f, g) is None for f, g in ((A, D), (B, D)))
         off = sum(1 << i for i in range(9, 14))
         cases = [
             (off, (A, B)),                     # parallel
