@@ -146,9 +146,12 @@ class _CurveSearch:
         self.family = family
         self.cfg = config
         self.stats = SearchStats()
-        # sorted once by curve (one family, so by coefficients), so that a
-        # stable sort by richness orders each window
-        self.cands = sorted(kern.candidates, key=lambda cm: cm[0].coeffs)
+        # (index into `fits`, mask), sorted once by curve, so that a stable
+        # sort by richness orders each window; a curve is built only for a
+        # witness
+        self.fits = kern.fits
+        keys = self.fits.keys() if self.fits is not None else ()
+        self.cands = sorted(kern.candidates, key=lambda cm: keys[cm[0]])
         self._ie_cache: dict[tuple[int, int], bool] = {}
 
     def _subset_points(self, mask: int) -> list[Point]:
@@ -171,7 +174,7 @@ class _CurveSearch:
         return sum(partition[depth - 1:]) * gamma.numerator // gamma.denominator
 
     def window(self, mask: int, depth: int) -> list[tuple]:
-        """(curve, mask, richness) of the kernel's candidates whose richness
+        """(index, mask, richness) of the kernel's candidates whose richness
         over the points in `mask` lies in [gamma_depth, gamma_(depth-1)],
         richest first, ties in curve order. Richness >= d keeps only curves
         through d surviving points, matching a fresh enumeration over the
@@ -215,7 +218,7 @@ class _CurveSearch:
             if self._ie(mask, remaining_budget):
                 ext = extract_cover(self._subset_points(mask), self.family,
                                     remaining_budget, cap=cfg.ie_cap)
-                return True, list(partial) + ext
+                return True, [self.fits.obj(c) for c in partial] + ext
             return False, None
 
         window = self.window(mask, depth)

@@ -2,11 +2,13 @@
 
 Every incidence is decided exactly; there is no floating point and no
 tolerance tuning anywhere in the solver stack. The candidate builders
-(`curve_masks`, `line_masks3`, `plane_masks3`) scale each point set once to
+(`curve_fits`, `line_fits3`, `plane_fits3`) scale each point set once to
 integer coordinates, by the lcm of its coordinate denominators, and decide
 each incidence with an integer test; lines, circles, vertical parabolas and
-planes are closed under uniform scaling, so no incidence changes. Covering
-objects keep a canonical fractions.Fraction coefficient form, so two objects
+planes are closed under uniform scaling, so no incidence changes. They keep
+each object as the integer row it was fitted from (`Fits`) and order the
+objects by exact integer keys. Only an object that leaves the solver is built
+in its canonical fractions.Fraction coefficient form, in which two objects
 are geometrically equal iff their dataclasses compare equal.
 
 Supported curve families (kind, degrees of freedom d, multiplicity-type s):
@@ -196,7 +198,8 @@ def richness(obj, points: Sequence[Point]) -> int:
 # cofactors of their matrix with a column of ones appended, and a point is on
 # it iff a*u + b*v + c*w + e = 0 at its lift (u, v, w). Over coordinates
 # scaled to integers these are integer tests; a Fraction is built only for an
-# object that is returned.
+# object that is returned. A 3D line is kept as one of its points and its
+# direction.
 
 _LIFTS = {
     "line2": lambda x, y: (x, y, 0),
@@ -250,18 +253,102 @@ def _fit(kind: str, lifted: Sequence[tuple[int, int, int]],
     return coef
 
 
-def _curve(kind: str, coef: tuple[int, int, int, int], scale: int) -> Curve:
-    """The canonical curve with lifted coefficients `coef` over points scaled
-    by `scale`."""
-    a, b, c, e = coef
+def _quotients(kind: str, row, scale: int) -> tuple[tuple[int, int], ...]:
+    """The canonical coefficients of the object of `kind` with integer row
+    `row` over points scaled by `scale`, each as a quotient (p, q) of
+    integers: a curve's or plane's lifted coefficients (a, b, c, e), or a 3D
+    line's point and direction ("line3", a `Flat`'s base, then basis)."""
+    if kind == "line3":
+        p, d = row
+        # the direction over its first nonzero entry, the point moved along
+        # it to 0 in that coordinate
+        lead, at = next((dk, pk) for dk, pk in zip(d, p) if dk)
+        return (tuple((pk * lead - at * dk, lead * scale) for pk, dk in zip(p, d))
+                + tuple((dk, lead) for dk in d))
+    a, b, c, e = row
     if kind == "line2":
         lead = a or b
-        return Curve(kind, (Fraction(a, lead), Fraction(b, lead), Fraction(e, lead * scale)))
+        return (a, lead), (b, lead), (e, lead * scale)
     if kind == "circle2":
         den = 2 * a * scale  # centre (-b, -c) / den, squared radius over den^2
-        return Curve(kind, (Fraction(-b, den), Fraction(-c, den),
-                            Fraction(b * b + c * c - 4 * a * e, den * den)))
-    return Curve(kind, (Fraction(-a * scale, c), Fraction(-b, c), Fraction(-e, c * scale)))
+        return (-b, den), (-c, den), (b * b + c * c - 4 * a * e, den * den)
+    if kind == "vparabola2":
+        return (-a * scale, c), (-b, c), (-e, c * scale)
+    lead = a or b or c  # plane3
+    return (a, lead), (b, lead), (c, lead), (e, lead * scale)
+
+
+class Fits:
+    """Objects of one kind fitted over one point set, each as the integer row
+    it was fitted from (`rows[i]`) and the mask of the points on it
+    (`masks[i]`, point i is bit i). `obj(i)` builds the i-th object.
+
+    `keys()` orders the objects exactly as their dataclasses compare, without
+    building them. Each canonical coefficient is a quotient p/q from the row
+    (`_quotients`). Two distinct quotients of the list differ by at least
+    1/Q^2, for Q the largest |q| in it, so with M = Q^2, floor(p*M/q) is
+    order-preserving and equal only for equal quotients. (Python's // floors
+    the exact quotient whatever the sign of q, as if q were made positive.)"""
+
+    def __init__(self, kind: str, scale: int, rows: list, masks: list[int]):
+        self.kind, self.scale, self.rows, self.masks = kind, scale, rows, masks
+        self._keys: Optional[list[tuple[int, ...]]] = None
+
+    def obj(self, i: int):
+        coeffs = tuple(Fraction(p, q) for p, q in _quotients(self.kind, self.rows[i], self.scale))
+        if self.kind == "plane3":
+            return Plane3(coeffs)
+        if self.kind == "line3":
+            return Flat(coeffs[:3], (coeffs[3:],))
+        return Curve(self.kind, coeffs)
+
+    def pairs(self) -> list[tuple[object, int]]:
+        """(object, mask) of every object, each built."""
+        return [(self.obj(i), m) for i, m in enumerate(self.masks)]
+
+    def keys(self) -> list[tuple[int, ...]]:
+        if self._keys is None:
+            kind, scale = self.kind, self.scale
+            quots = [_quotients(kind, row, scale) for row in self.rows]
+            big = max((abs(q) for qs in quots for _, q in qs), default=1) ** 2
+            self._keys = [tuple([p * big // q for p, q in qs]) for qs in quots]
+        return self._keys
+
+    def order(self) -> list[int]:
+        """The indexes of the objects in canonical order."""
+        keys = self.keys()
+        return sorted(range(len(keys)), key=keys.__getitem__)
+
+    def in_order(self) -> "Fits":
+        """The same objects, listed in canonical order."""
+        order = self.order()
+        out = Fits(self.kind, self.scale, [self.rows[i] for i in order],
+                   [self.masks[i] for i in order])
+        out._keys = [self._keys[i] for i in order]
+        return out
+
+
+def _completion(kind: str, scale: int, pts: Sequence[tuple[int, int]]):
+    """The integer row, over points scaled by `scale`, of the canonical
+    completion through fewer than d scaled points `pts`: the horizontal line
+    through a point; the unit circle centred one to the right of a point, or
+    the circle on two points as diameter; y = x^2 + bx + c through one or
+    two points, None when the two share an x."""
+    if len(pts) == 1:
+        (x, y), = pts
+        if kind == "line2":
+            return 0, 1, 0, -y  # the horizontal line
+        if kind == "circle2":  # the unit circle centred at (x + 1, y)
+            return 1, -2 * (x + scale), -2 * y, (x + scale) ** 2 + y * y - scale * scale
+        return 1, 0, -scale, scale * y - x * x  # y = x^2 + c
+    (x1, y1), (x2, y2) = pts
+    if kind == "circle2":  # the circle on the diameter
+        return 1, -(x1 + x2), -(y1 + y2), x1 * x2 + y1 * y2
+    d = x2 - x1  # vparabola2: y = x^2 + bx + c
+    if not d:
+        return None
+    b = scale * (y2 - y1) - (x2 * x2 - x1 * x1)
+    return d, b, -scale * d, d * (scale * y1 - x1 * x1) - x1 * b
 
 
 def curve_through(family: FamilySpec, points: Sequence[Point]) -> tuple[Curve, ...]:
@@ -286,30 +373,9 @@ def curve_through(family: FamilySpec, points: Sequence[Point]) -> tuple[Curve, .
     if len(pts) == family.d:
         return tuple(curve for curve, _ in curve_masks(pts, family))
 
-    if family.kind == "line2":
-        (x, y) = pts[0].coords
-        return (line2_curve(0, 1, -y),)  # horizontal completion
-
-    if family.kind == "circle2":
-        if len(pts) == 1:
-            (x, y) = pts[0].coords
-            return (circle2_curve(x + 1, y, 1),)
-        (x1, y1), (x2, y2) = pts[0].coords, pts[1].coords
-        cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
-        r2 = (x1 - cx) ** 2 + (y1 - cy) ** 2
-        return (circle2_curve(cx, cy, r2),)  # diameter circle
-
-    # vparabola2
-    if len(pts) == 1:
-        (x, y) = pts[0].coords
-        return (vparabola2_curve(1, 0, y - x * x),)
-    (x1, y1), (x2, y2) = pts[0].coords, pts[1].coords
-    if x1 == x2:
-        return ()  # a function graph cannot repeat an x
-    # fix a = 1, solve b, c
-    b = (y2 - y1 - (x2 * x2 - x1 * x1)) / (x2 - x1)
-    c = y1 - x1 * x1 - b * x1
-    return (vparabola2_curve(1, b, c),)
+    scale, rows = _scaled(pts, 2)
+    row = _completion(family.kind, scale, rows)
+    return () if row is None else (Fits(family.kind, scale, [row], [0]).obj(0),)
 
 
 def covering_curve(family: FamilySpec, points: Sequence[Point]) -> Optional[Curve]:
@@ -332,7 +398,7 @@ def covering_curve(family: FamilySpec, points: Sequence[Point]) -> Optional[Curv
 # candidate enumeration
 
 
-def curve_masks(points: Sequence[Point], family: FamilySpec) -> list[tuple[Curve, int]]:
+def curve_fits(points: Sequence[Point], family: FamilySpec) -> Fits:
     """Each family curve through at least d = s+1 of the given 2D points, with
     the mask of the points on it (point i is bit i), in discovery order.
 
@@ -344,11 +410,12 @@ def curve_masks(points: Sequence[Point], family: FamilySpec) -> list[tuple[Curve
         raise GeometryError("duplicate points")  # a skipped tuple would hide them
     lift = _LIFTS.get(family.kind)
     if lift is None:
-        raise GeometryError("curve_masks takes a plane curve family, got %r" % family.kind)
+        raise GeometryError("curve_fits takes a plane curve family, got %r" % family.kind)
     scale, rows = _scaled(pts, 2)
     lifted = [lift(x, y) for x, y in rows]
     n, size = len(pts), family.d
-    found: list[tuple[Curve, int]] = []
+    coefs: list[tuple[int, int, int, int]] = []
+    masks: list[int] = []
     on_found: dict[tuple[int, ...], int] = {}  # tuple head -> points on a found curve through it
     for combo in itertools.combinations(range(n), size):
         head, last = combo[:-1], combo[-1]
@@ -363,21 +430,26 @@ def curve_masks(points: Sequence[Point], family: FamilySpec) -> list[tuple[Curve
             u, v, w = lifted[t]
             if a * u + b * v + c * w + e == 0:
                 mask |= 1 << t
-        found.append((_curve(family.kind, coef, scale), mask))
+        coefs.append(coef)
+        masks.append(mask)
         if mask.bit_count() > size:
             members = [i for i in range(n) if mask >> i & 1]
             for sub in itertools.combinations(members, size - 1):
                 on_found[sub] = on_found.get(sub, 0) | mask
-    return found
+    return Fits(family.kind, scale, coefs, masks)
+
+
+def curve_masks(points: Sequence[Point], family: FamilySpec) -> list[tuple[Curve, int]]:
+    """`curve_fits` as (curve, mask) pairs, each curve built."""
+    return curve_fits(points, family).pairs()
 
 
 def enumerate_candidates(points: Sequence[Point], family: FamilySpec):
     """All family objects through at least d points of P, deduplicated and in
     canonical order. For plane3 these are planes through affinely independent
     triples."""
-    if family.kind == "plane3":
-        return [plane for plane, _ in plane_masks3(points)]
-    return sorted(curve for curve, _ in curve_masks(points, family))
+    fits = plane_fits3(points) if family.kind == "plane3" else curve_fits(points, family)
+    return [fits.obj(i) for i in fits.order()]
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +604,7 @@ def plane3_from_flat(f: Flat) -> Plane3:
     return plane3_curve(n[0], n[1], n[2], e)
 
 
-def line_masks3(points: Sequence[Point]) -> list[tuple[Flat, int]]:
+def line_fits3(points: Sequence[Point]) -> Fits:
     """Each line through at least two of the given R^3 points, in canonical
     order, with the mask of the points on it (point i is bit i). Each line is
     found once, at its two lowest points, and only the points above them are
@@ -541,7 +613,8 @@ def line_masks3(points: Sequence[Point]) -> list[tuple[Flat, int]]:
     n = len(rows)
     if len(set(rows)) != n:
         raise GeometryError("duplicate points")
-    found: list[tuple[Flat, int]] = []
+    found: list[tuple[tuple[int, ...], tuple[int, int, int]]] = []
+    masks: list[int] = []
     on_found = [0] * n  # point -> points on a found line through it
     for i, j in itertools.combinations(range(n), 2):
         if on_found[i] >> j & 1:
@@ -554,20 +627,16 @@ def line_masks3(points: Sequence[Point]) -> list[tuple[Flat, int]]:
             x, y, z = rows[t]
             if d1 * z - d2 * y == m0 and d2 * x - d0 * z == m1 and d0 * y - d1 * x == m2:
                 mask |= 1 << t
-        # canonical form: the direction over its first nonzero entry, the base
-        # point moved along it to 0 in that coordinate
-        d = (d0, d1, d2)
-        lead, at = next((dk, pk) for dk, pk in zip(d, rows[i]) if dk)
-        base = tuple(Fraction(pk * lead - at * dk, lead * scale) for pk, dk in zip(rows[i], d))
-        found.append((Flat(base, (tuple(Fraction(dk, lead) for dk in d),)), mask))
+        found.append((rows[i], (d0, d1, d2)))
+        masks.append(mask)
         if mask.bit_count() > 2:
             for t in range(n):
                 if mask >> t & 1:
                     on_found[t] |= mask
-    return sorted(found)
+    return Fits("line3", scale, found, masks).in_order()
 
 
-def plane_masks3(points: Sequence[Point]) -> list[tuple[Plane3, int]]:
+def plane_fits3(points: Sequence[Point]) -> Fits:
     """Each plane through three affinely independent R^3 points, in canonical
     order, with the mask of the points on it (point i is bit i). Each plane is
     found once, at its lowest affinely independent triple (i, j, l). No point
@@ -575,12 +644,13 @@ def plane_masks3(points: Sequence[Point]) -> list[tuple[Plane3, int]]:
     with i and j, so every point above i is tested."""
     scale, rows = _scaled(points, 3)
     n = len(rows)
-    found: list[tuple[Plane3, int]] = []
+    found: list[tuple[int, int, int, int]] = []
+    masks: list[int] = []
     on_found: dict[tuple[int, int], int] = {}  # point pair -> points on a found plane through it
     for i, j, l in itertools.combinations(range(n), 3):
         if on_found.get((i, j), 0) >> l & 1:
             continue
-        a, b, c, e = _hyperplane3(rows[i], rows[j], rows[l])
+        a, b, c, e = coef = _hyperplane3(rows[i], rows[j], rows[l])
         if a == b == c == 0:
             continue  # collinear
         mask = 1 << i
@@ -588,23 +658,34 @@ def plane_masks3(points: Sequence[Point]) -> list[tuple[Plane3, int]]:
             x, y, z = rows[t]
             if a * x + b * y + c * z + e == 0:
                 mask |= 1 << t
-        lead = a or b or c
-        found.append((Plane3((Fraction(a, lead), Fraction(b, lead), Fraction(c, lead),
-                              Fraction(e, lead * scale))), mask))
+        found.append(coef)
+        masks.append(mask)
         if mask.bit_count() > 3:
             members = [t for t in range(n) if mask >> t & 1]
             for sub in itertools.combinations(members, 2):
                 on_found[sub] = on_found.get(sub, 0) | mask
-    return sorted(found)
+    return Fits("plane3", scale, found, masks).in_order()
+
+
+def line_masks3(points: Sequence[Point]) -> list[tuple[Flat, int]]:
+    """`line_fits3` as (line, mask) pairs, each line built."""
+    return line_fits3(points).pairs()
+
+
+def plane_masks3(points: Sequence[Point]) -> list[tuple[Plane3, int]]:
+    """`plane_fits3` as (plane, mask) pairs, each plane built."""
+    return plane_fits3(points).pairs()
 
 
 class PlaneLayer:
     """The incidence layer of a point set in R^3: every line through two of
     the points and every plane through three non-collinear ones, as point
-    masks (point i is bit i), with the tables that name a line or plane by
-    the points that fix it. `planes` holds (plane, mask, indexes of the lines
-    inside it); `pair_line[i*n + j]` is the line through points i < j, and
+    masks (point i is bit i) in canonical object order, with the tables that
+    name a line or plane by the points that fix it. `lines` holds the line
+    masks and `planes` (mask, indexes of the lines inside it);
+    `pair_line[i*n + j]` is the line through points i < j, and
     `line_point_plane[l*n + x]` the plane through line l and point x off it.
+    `line(l)` and `plane(p)` build the objects.
 
     Every line holds at least two of the points, so it lies in a plane
     exactly when its mask is inside the plane's."""
@@ -612,30 +693,59 @@ class PlaneLayer:
     def __init__(self, points: Sequence[Point]):
         self.points = tuple(points)
         n = len(self.points)
-        self.lines: list[tuple[Flat, int]] = []
-        self.planes: list[tuple[Plane3, int, list[int]]] = []
+        self._lines = line_fits3(self.points)
+        self._planes = plane_fits3(self.points)
+        self.scale, self._rows = _scaled(self.points, 3)
+        self.lines: list[int] = self._lines.masks
+        self.planes: list[tuple[int, list[int]]] = []
         self.pair_line = [0] * (n * n)
-        for line, m in line_masks3(self.points):
+        for l, m in enumerate(self.lines):
             on = _bits(m)
             for a, i in enumerate(on):
                 for j in on[a + 1:]:
-                    self.pair_line[i * n + j] = len(self.lines)
-            self.lines.append((line, m))
+                    self.pair_line[i * n + j] = l
         self.line_point_plane: list[Optional[int]] = [None] * (len(self.lines) * n)
-        for plane, m in plane_masks3(self.points):
-            contained = [j for j, (_, lm) in enumerate(self.lines) if not lm & ~m]
+        for m in self._planes.masks:
+            contained = [j for j, lm in enumerate(self.lines) if not lm & ~m]
             for j in contained:
-                for x in _bits(m & ~self.lines[j][1]):
+                for x in _bits(m & ~self.lines[j]):
                     self.line_point_plane[j * n + x] = len(self.planes)
-            self.planes.append((plane, m, contained))
+            self.planes.append((m, contained))
+
+    def line(self, l: int) -> Flat:
+        return self._lines.obj(l)
+
+    def plane(self, p: int) -> Plane3:
+        return self._planes.obj(p)
 
     def lines_plane(self, f: int, g: int) -> Optional[int]:
         """The plane through two distinct lines, or None when they are skew.
         A point x of g off f spans plane(f, x), the only candidate."""
-        gm = self.lines[g][1]
-        off = gm & ~self.lines[f][1]
+        gm = self.lines[g]
+        off = gm & ~self.lines[f]
         p = self.line_point_plane[f * len(self.points) + (off & -off).bit_length() - 1]
-        return p if not gm & ~self.planes[p][1] else None
+        return p if not gm & ~self.planes[p][0] else None
+
+    def hull_plane(self, kind: str, at: int) -> tuple[tuple[int, int, int, int], int]:
+        """The integer plane row (over `scale`) of the plane `_complete_plane`
+        makes of the hull ("plane", p), ("line", l) or ("point", i), and the
+        layer points on that plane."""
+        if kind == "plane":
+            return self._planes.rows[at], self.planes[at][0]
+        if kind == "line":
+            p, d = self._lines.rows[at]
+            # canonical_plane_through_line's normal: the first nonzero d x e_k
+            normal = next(v for v in ((0, d[2], -d[1]), (-d[2], 0, d[0]), (d[1], -d[0], 0))
+                          if any(v))
+        else:
+            p, normal = self._rows[at], (0, 0, 1)  # the horizontal plane
+        a, b, c = normal
+        off = a * p[0] + b * p[1] + c * p[2]
+        points = 0
+        for t, (x, y, z) in enumerate(self._rows):
+            if a * x + b * y + c * z == off:
+                points |= 1 << t
+        return (a, b, c, -off), points
 
 
 def enumerate_lines3(points: Sequence[Point]) -> list[Flat]:
@@ -746,16 +856,17 @@ def canonical_plane_through_line(line: Flat, avoid: Sequence[Flat] = ()) -> Plan
              u[0] * _frac(e[1]) - u[1] * _frac(e[0]))
         if any(x != 0 for x in n):
             cands.append(n)
-    n1 = cands[0]
-    n2 = next(n for n in cands[1:] if _rref([n1, n])[0].__len__() == 2)
+    n = n1 = cands[0]
     t = 0
     while True:
-        n = tuple(a + t * b for a, b in zip(n1, n2))
         e = -(n[0] * line.base[0] + n[1] * line.base[1] + n[2] * line.base[2])
         plane = plane3_curve(n[0], n[1], n[2], e)
         if all(not flat_contains(plane, other) for other in avoid):
             return plane
+        if t == 0:  # the second normal is needed only once n1's plane fails
+            n2 = next(n for n in cands[1:] if len(_rref([n1, n])[0]) == 2)
         t += 1
+        n = tuple(a + t * b for a, b in zip(n1, n2))
 
 
 # ---------------------------------------------------------------------------

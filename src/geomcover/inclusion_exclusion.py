@@ -39,21 +39,22 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .geometry import (
     PLANE3,
     FamilySpec,
+    Fits,
     Flat,
     GeometryError,
     PlaneLayer,
     Point,
+    _LIFTS,
     _bits,
+    _completion,
     _maximal_sets,
-    _sort_key,
+    _scaled,
     affine_hull,
-    canonical_plane_through_line,
     covering_curve,
     curve_covers,
-    curve_masks,
+    curve_fits,
     curve_through,
     flat_contains,
-    plane3_curve,
 )
 
 DEFAULT_SUBSET_CAP = 26
@@ -213,8 +214,8 @@ class CoverableCounter:
         pts, fam = self.points, self.family
         self.n = n = len(pts)
         self.mask = (1 << n) - 1
-        self.fitted = curve_masks(pts, fam)
-        curves = [mask for _, mask in self.fitted if mask.bit_count() >= 3]
+        self.fitted = curve_fits(pts, fam)
+        curves = [mask for mask in self.fitted.masks if mask.bit_count() >= 3]
         # q[e][1 << p]: the other points on the >= 3-point curves through e
         # and p; heavy[e]: the curves through e with >= 4 points
         pair = [0] * n
@@ -289,7 +290,7 @@ class CoverableCounter:
         def inside_plane(p: int) -> int:
             bits = plane_bits.get(p)
             if bits is None:
-                bits = plane_bits[p] = self._inside(layer.planes[p][1])
+                bits = plane_bits[p] = self._inside(layer.planes[p][0])
             return bits
 
         def plane_with(l: int, x: int) -> Optional[int]:
@@ -306,13 +307,13 @@ class CoverableCounter:
                 pair = 1 << i | 1 << j
                 if j < n:
                     l = pair_line[i * n + j]
-                elif layer.lines[line_at[j]][1] >> i & 1:
+                elif layer.lines[line_at[j]] >> i & 1:
                     l = line_at[j]
                 else:
                     p = plane_with(line_at[j], i)
                     reps.append((pair, _above(inside_plane(p), j), ("plane", p)))
                     continue
-                lb = self._inside(layer.lines[l][1])
+                lb = self._inside(layer.lines[l])
                 tail = _above(lb, j)
                 reps.append((pair, tail, ("line", l)))
                 for x in _bits(_above(ground & ~lb, j)):
@@ -363,7 +364,7 @@ class CoverableCounter:
         are all among them (two points fix a line)."""
         bits = points & self._points_mask
         for bit, l in self._stamped:
-            if not self.layer.lines[l][1] & ~points:
+            if not self.layer.lines[l] & ~points:
                 bits |= 1 << bit
         return bits
 
@@ -484,56 +485,61 @@ class CandidateTable:
     spanned by that tuple. Planes: the plane that `_complete_plane` makes of
     each representative's hull, spanned by the representative: the layer
     plane it spans, the canonical plane through the layer line it spans, or
-    the horizontal plane through its single point."""
+    the horizontal plane through its single point. Each is first an integer
+    row; the rows are merged and ordered by their exact keys (`Fits.keys`),
+    and each object is built once."""
 
     def __init__(self, counter: CoverableCounter):
-        fam = counter.family
-        masks: dict[object, int] = {}
-        spans: dict[object, list[tuple[int, int]]] = defaultdict(list)
-        if fam.kind == "plane3":
-            layer = counter.layer
-            on_plane: Optional[dict] = None  # layer plane -> its layer points
-            hulls: dict[tuple, list] = {}  # a representative's hull -> its plane's spans
-            for bits, _, hull in counter.reps:
-                plane_spans = hulls.get(hull)
-                if plane_spans is None:
-                    kind, at = hull
-                    if kind == "plane":
-                        plane, points = layer.planes[at][:2]
-                    elif kind == "line":
-                        line, points = layer.lines[at]
-                        plane = canonical_plane_through_line(line)
-                        if on_plane is None:
-                            on_plane = {h: m for h, m, _ in layer.planes}
-                        # it holds a layer point off the line only as a layer plane
-                        points = on_plane.get(plane, points)
-                    else:
-                        z = layer.points[at][2]
-                        plane = plane3_curve(0, 0, 1, -z)
-                        points = sum(1 << i for i, p in enumerate(layer.points) if p[2] == z)
-                    masks[plane] = counter._inside(points)
-                    plane_spans = hulls[hull] = spans[plane]
-                plane_spans.append((bits, bits.bit_count()))
-        else:
-            ground = counter.points
-            for curve, mask in counter.fitted:
-                masks[curve] = mask
-                spans[curve].append((mask, fam.d))
-            for size in range(1, fam.d):
-                for combo in itertools.combinations(range(counter.n), size):
-                    curve = covering_curve(fam, [ground[i] for i in combo])
-                    if curve is None:
-                        continue
-                    span = sum(1 << i for i in combo)
-                    spans[curve].append((span, size))
-                    if size == fam.d - 1:
-                        masks.setdefault(curve, span)  # not fitted: on fewer than d points
-            for obj in spans:
-                if obj not in masks:
-                    masks[obj] = sum(1 << i for i, p in enumerate(ground) if curve_covers(obj, p))
-        # sorted once by object, so that a stable sort by size orders each list
-        self._rows = sorted(((obj, masks[obj], spans[obj]) for obj in spans),
-                            key=lambda row: _sort_key(row[0]))
+        fits, spans = (self._plane_entries(counter) if counter.family.kind == "plane3"
+                       else self._curve_entries(counter))
+        # one row per object, in object order, so that a stable sort by size
+        # orders each list; entries of one object share its row and spans
+        first: dict[tuple, int] = {}  # order key -> the object's first entry
+        for h, key in enumerate(fits.keys()):
+            f = first.setdefault(key, h)
+            if f != h:
+                spans[f] += spans[h]
+        self._rows = [(fits.obj(h), fits.masks[h], spans[h]) for _, h in sorted(first.items())]
+
+    @staticmethod
+    def _plane_entries(counter: CoverableCounter) -> tuple[Fits, list]:
+        """The plane of each representative's hull, as an integer row of the
+        layer, with its mask and the representatives spanning it."""
+        layer = counter.layer
+        hulls: dict[tuple, int] = {}  # a representative's hull -> its entry
+        rows, masks, spans = [], [], []
+        for bits, _, hull in counter.reps:
+            h = hulls.get(hull)
+            if h is None:
+                h = hulls[hull] = len(rows)
+                row, points = layer.hull_plane(*hull)
+                rows.append(row)
+                masks.append(counter._inside(points))
+                spans.append([])
+            spans[h].append((bits, bits.bit_count()))
+        return Fits("plane3", layer.scale, rows, masks), spans
+
+    @staticmethod
+    def _curve_entries(counter: CoverableCounter) -> tuple[Fits, list]:
+        """Each fitted curve, spanned by d of its points, then the completion
+        of each tuple of fewer than d points, spanned by the tuple, each as an
+        integer row with its mask."""
+        fits, kind, d = counter.fitted, counter.family.kind, counter.family.d
+        scale, pts = _scaled(counter.points, 2)
+        lifted = [_LIFTS[kind](x, y) for x, y in pts]
+        rows, masks = list(fits.rows), list(fits.masks)
+        spans = [[(mask, d)] for mask in masks]
+        for size in range(1, d):
+            for combo in itertools.combinations(range(counter.n), size):
+                row = _completion(kind, scale, [pts[i] for i in combo])
+                if row is None:
+                    continue
+                a, b, c, e = row
+                rows.append(row)
+                masks.append(sum(1 << t for t, (u, v, w) in enumerate(lifted)
+                                 if a * u + b * v + c * w + e == 0))
+                spans.append([(sum(1 << i for i in combo), size)])
+        return Fits(kind, scale, rows, masks), spans
 
     def cover_sets(self, rem: int) -> list[tuple[object, int]]:
         """`candidate_cover_sets` of the ground elements in `rem`, with masks

@@ -20,16 +20,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .geometry import (
-    Curve,
     FamilySpec,
+    Fits,
     Flat,
     GeometryError,
     Plane3,
     Point,
-    curve_masks,
+    curve_fits,
     flat_contains,
-    line_masks3,
-    plane_masks3,
+    line_fits3,
+    plane_fits3,
 )
 from .inclusion_exclusion import SolverInternalError
 
@@ -41,28 +41,30 @@ class KernelResult:
     forced: list
     verdict: str  # "reduced" | "rejected"
     added_points: tuple[Point, ...] = ()
-    # curve kernel: (curve, mask over `points`) of each curve through at least
-    # d of them, from the masks the kernel built; empty for planes
-    candidates: tuple[tuple[Curve, int], ...] = field(default=(), compare=False)
+    # curve kernel: (index into `fits`, mask over `points`) of each curve
+    # through at least d of them, from the masks the kernel built, and the
+    # kernel's fits, which build a curve on demand; empty for planes
+    candidates: tuple[tuple[int, int], ...] = field(default=(), compare=False)
+    fits: Optional[Fits] = field(default=None, compare=False)
 
     @property
     def rejected(self) -> bool:
         return self.verdict == "rejected"
 
 
-def _restrict(masks: list[tuple[Curve, int]], alive: int,
-              d: int) -> tuple[tuple[Curve, int], ...]:
-    """The curves through at least d alive points, each mask cut to the alive
-    points and renumbered so that the j-th alive point is bit j."""
+def _restrict(masks: list[int], alive: int, d: int) -> tuple[tuple[int, int], ...]:
+    """(index, mask) of the curves through at least d alive points, each mask
+    cut to the alive points and renumbered so that the j-th alive point is
+    bit j."""
     gone = [i for i in range(alive.bit_length() - 1, -1, -1) if not alive >> i & 1]
     out = []
-    for curve, m in masks:
+    for c, m in enumerate(masks):
         m &= alive
         if m.bit_count() < d:
             continue
         for i in gone:
             m = (m & ((1 << i) - 1)) | (m >> (i + 1) << i)
-        out.append((curve, m))
+        out.append((c, m))
     return tuple(out)
 
 
@@ -76,25 +78,26 @@ def curve_kernel(points: Sequence[Point], family: FamilySpec, k: int) -> KernelR
         raise ValueError("negative budget")
     pts = tuple(points)
     s = family.s
-    forced: list[Curve] = []
+    forced = []
     k_cur = k
     alive = (1 << len(pts)) - 1
-    masks = curve_masks(pts, family) if k >= 1 else []
+    fits = curve_fits(pts, family) if k >= 1 else None
+    masks = fits.masks if fits is not None else []
     while k_cur >= 1 and alive.bit_count() >= family.d:
-        rich = [((m & alive).bit_count(), c, m) for c, m in masks]
-        best_rich = max((r for r, _, _ in rich), default=0)
+        rich = [(m & alive).bit_count() for m in masks]
+        best_rich = max(rich, default=0)
         if best_rich < s * k_cur + 1:
             break
         # ties go to the canonically smallest curve
-        _, best, best_mask = min(t for t in rich if t[0] == best_rich)
-        forced.append(best)
-        alive &= ~best_mask
+        best = min((c for c, r in enumerate(rich) if r == best_rich), key=fits.keys().__getitem__)
+        forced.append(fits.obj(best))
+        alive &= ~masks[best]
         k_cur -= 1
     kept = tuple(p for i, p in enumerate(pts) if alive >> i & 1)
     if len(kept) > s * k_cur * k_cur:
         return KernelResult(kept, k_cur, forced, "rejected")
     return KernelResult(kept, k_cur, forced, "reduced",
-                        candidates=_restrict(masks, alive, family.d))
+                        candidates=_restrict(masks, alive, family.d), fits=fits)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +162,15 @@ def _make_one_ready(pts: list[Point], k: int, rng: random.Random,
     """
     limit = k + 1
     while True:
-        lines = line_masks3(pts)
-        over = [(-m.bit_count(), line, m) for line, m in lines if m.bit_count() > limit]
-        if not over:
+        lines = line_fits3(pts)
+        sizes = [m.bit_count() for m in lines.masks]
+        if max(sizes, default=0) <= limit:
             return pts
-        _, target, drop = min(over)
-        heavy_before = [(line, m) for line, m in lines if m.bit_count() >= limit and line != target]
+        # the richest line, ties to the canonically smallest (the first)
+        target = sizes.index(max(sizes))
+        drop = lines.masks[target]
+        heavy_before = [(j, m) for j, m in enumerate(lines.masks)
+                        if sizes[j] >= limit and j != target]
         for _ in range(limit):
             drop &= drop - 1  # the target keeps its first k+1 points
         pts = [p for i, p in enumerate(pts) if not drop >> i & 1]
@@ -172,10 +178,10 @@ def _make_one_ready(pts: list[Point], k: int, rng: random.Random,
             continue
         # a replacement point avoids every line through two current points,
         # and each heavy line keeps two or more, so it lands on no other
-        for line, mask in heavy_before:
+        for j, mask in heavy_before:
             have = (mask & ~drop).bit_count()
             while have < limit:
-                newp = _replacement_point(line, pts, rng)
+                newp = _replacement_point(lines.obj(j), pts, rng)
                 pts.append(newp)
                 added.append(newp)
                 have += 1
@@ -197,14 +203,13 @@ def plane_kernel_r3(points: Sequence[Point], k: int, rng_seed: int = 0) -> Kerne
     while k_cur >= 1:
         pts = _make_one_ready(pts, k_cur, rng, added)
         threshold = k_cur * (k_cur + 1) + 1
-        best: Optional[Plane3] = None
-        best_mask = 0
-        for cand, mask in plane_masks3(pts):
-            if mask.bit_count() > best_mask.bit_count():
-                best, best_mask = cand, mask
-        if best is None or best_mask.bit_count() < threshold:
+        planes = plane_fits3(pts)
+        sizes = [m.bit_count() for m in planes.masks]
+        if max(sizes, default=0) < threshold:
             break
-        forced.append(best)
+        best = sizes.index(max(sizes))  # the first of the richest
+        best_mask = planes.masks[best]
+        forced.append(planes.obj(best))
         pts = [p for i, p in enumerate(pts) if not (best_mask >> i) & 1]
         k_cur -= 1
     bound = k_cur * k_cur * (k_cur + 1)

@@ -17,8 +17,8 @@ from .geometry import (
     GeometryError,
     Point,
     candidate_cover_sets,
-    curve_masks,
-    plane_masks3,
+    curve_fits,
+    plane_fits3,
 )
 from .inclusion_exclusion import CapExceededError
 
@@ -100,6 +100,6 @@ def count_rich(points: Sequence[Point], family: FamilySpec, gamma: int) -> int:
     gamma or more points."""
     if gamma < family.d:
         raise ValueError("gamma below the family's degrees of freedom")
-    masks = plane_masks3(points) if family.kind == "plane3" else curve_masks(points, family)
-    return sum(1 for _, mask in masks if mask.bit_count() >= gamma)
+    fits = plane_fits3(points) if family.kind == "plane3" else curve_fits(points, family)
+    return sum(1 for mask in fits.masks if mask.bit_count() >= gamma)
 

@@ -76,22 +76,27 @@ def make_plane_config(k: int, base_case_factor: Optional[Fraction] = None,
 def _too_degenerate_counts(t: int, m: int, gamma: Fraction) -> bool:
     """A window plane with t points, m of them on one line, is too degenerate
     when more than a delta fraction of its points sit on that line; with
-    delta = 1 - gamma^(-1/5) this is exactly (t-m)^5 * gamma < t^5."""
-    return (t - m) ** 5 * gamma < t ** 5
+    delta = 1 - gamma^(-1/5) this is exactly (t-m)^5 * gamma < t^5, here
+    cleared of gamma's denominator."""
+    return (t - m) ** 5 * gamma.numerator < t ** 5 * gamma.denominator
 
 
 def _line_rich_enough(m: int, gamma: Fraction) -> bool:
-    """m >= gamma - gamma^(4/5), via fifth powers on the rational difference."""
-    if m >= gamma:
+    """m >= gamma - gamma^(4/5), via fifth powers on the rational difference:
+    with gamma = p/q, (gamma - m)^5 <= gamma^4 iff (p - m*q)^5 <= p^4 * q."""
+    p, q = gamma.numerator, gamma.denominator
+    if m * q >= p:
         return True
-    return (gamma - m) ** 5 <= gamma ** 4
+    return (p - m * q) ** 5 <= p ** 4 * q
 
 
 def _is_ripe(stamp_depth: int, depth: int, gammas: Sequence[Fraction]) -> bool:
     """A line stamped at depth j must be extended at depth i as soon as the
     ghost allowance one level down would no longer cover it:
-    ripe <=> not (gamma_i^5 >= 32 * gamma_j^4)."""
-    return not (gammas[depth] ** 5 >= 32 * gammas[stamp_depth] ** 4)
+    ripe <=> not (gamma_i^5 >= 32 * gamma_j^4), cross-multiplied."""
+    gi, gj = gammas[depth], gammas[stamp_depth]
+    return not (gi.numerator ** 5 * gj.denominator ** 4
+                >= 32 * gj.numerator ** 4 * gi.denominator ** 5)
 
 
 def extend_lines(lines: Sequence[Flat], points: Sequence[Point],
@@ -132,15 +137,18 @@ class _PlaneSearch:
     pair (index into self.lines, depth at which it was guessed).
 
     Lines and candidate planes are the point masks of the instance's
-    `PlaneLayer`, which the sweep leaves' counters read as well."""
+    `PlaneLayer`, which the sweep leaves' counters read as well. The layer
+    lists them in canonical object order, so a window sorted stably by
+    richness breaks its ties by object, and a partial cover names a window
+    plane by its layer index: its object is built only for a witness."""
 
     def __init__(self, kern: KernelResult, family: FamilySpec, config: BranchConfig):
         self.points = kern.points
         self.cfg = config
         self.stats = SearchStats()
         self.layer = PlaneLayer(self.points)
-        self.planes = self.layer.planes     # (plane, mask, line indexes)
-        self.lines = self.layer.lines       # (line, mask)
+        self.planes = self.layer.planes     # (mask, line indexes)
+        self.lines = self.layer.lines       # masks
         self._no_leaves: set = set()
         self._ext_mask_cache: dict[Plane3, int] = {}
 
@@ -174,12 +182,12 @@ class _PlaneSearch:
         return _self_reduce(counter, budget, res.ie_sum, self.cfg.ie_cap)
 
     def _max_collinear_on(self, plane_entry, mask: int) -> int:
-        plane, pmask, contained = plane_entry
+        pmask, contained = plane_entry
         cur = pmask & mask
         t = cur.bit_count()
         if t <= 1:
             return t
-        return max((self.lines[j][1] & cur).bit_count() for j in contained)
+        return max((self.lines[j] & cur).bit_count() for j in contained)
 
     def run(self, partition: tuple[int, ...], mask: Optional[int] = None,
             stamped: tuple = (), depth: int = 1,
@@ -207,12 +215,14 @@ class _PlaneSearch:
             ext = self._ie(mask, stamped, remaining_budget + len(stamped))
             if ext is None:
                 return False, None
-            return True, list(partial) + ext
+            # a window plane is its layer index; an extension plane is built
+            return True, [self.layer.plane(h) if isinstance(h, int) else h
+                          for h in partial] + ext
 
         if ripe:
             keep = tuple(e for e in stamped if e not in ripe)
-            keep_lines = [self.lines[j][0] for j, _ in keep]
-            ripe_flats = [self.lines[j][0] for j, _ in ripe]
+            keep_lines = [self.layer.line(j) for j, _ in keep]
+            ripe_flats = [self.layer.line(j) for j, _ in ripe]
             for combo in extend_lines(ripe_flats, self._subset_points(mask), avoid=keep_lines):
                 covered = 0
                 for h in combo:
@@ -224,22 +234,25 @@ class _PlaneSearch:
             return False, None
 
         lo, hi = gammas[depth], gammas[depth - 1]
+        # richness is an integer, so the window is [ceil(lo), floor(hi)]
+        least, most = -(-lo.numerator // lo.denominator), hi.numerator // hi.denominator
+        # both windows list in layer order, so ties stay in object order
         not_too_degenerate = []
-        for entry in self.planes:
-            t = (entry[1] & mask).bit_count()
-            if t < 3 or not (lo <= t <= hi):
+        for p, entry in enumerate(self.planes):
+            t = (entry[0] & mask).bit_count()
+            if t < 3 or not (least <= t <= most):
                 continue
             m = self._max_collinear_on(entry, mask)
             if not _too_degenerate_counts(t, m, lo):
-                not_too_degenerate.append((entry[0], entry[1], t))
-        not_too_degenerate.sort(key=lambda e: (-e[2], e[0]))
+                not_too_degenerate.append((p, entry[0], t))
+        not_too_degenerate.sort(key=lambda e: -e[2])
 
         window_lines = []
-        for j, (line, lmask) in enumerate(self.lines):
+        for j, lmask in enumerate(self.lines):
             m = (lmask & mask).bit_count()
-            if m >= 2 and m <= hi and _line_rich_enough(m, lo):
+            if 2 <= m <= most and _line_rich_enough(m, lo):
                 window_lines.append((j, lmask, m))
-        window_lines.sort(key=lambda e: (-e[2], self.lines[e[0]][0]))
+        window_lines.sort(key=lambda e: -e[2])
 
         h_i = partition[2 * (depth - 1)]
         l_i = partition[2 * (depth - 1) + 1]

@@ -56,5 +56,5 @@ def layer_counter(points, lines) -> CoverableCounter:
         ends = (line.base, tuple(b + d for b, d in zip(line.base, line.basis[0])))
         extra += [Point(p) for p in ends if Point(p) not in points and Point(p) not in extra]
     layer = PlaneLayer(list(points) + extra)
-    index = {line: j for j, (line, _) in enumerate(layer.lines)}
+    index = {layer.line(j): j for j in range(len(layer.lines))}
     return CoverableCounter.on_layer(layer, (1 << len(points)) - 1, [index[line] for line in lines])

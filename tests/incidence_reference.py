@@ -2,7 +2,8 @@
 ones in `geomcover.geometry` against: each curve fitted by rational formulas
 and every incidence decided by rational substitution. They must agree with
 `curve_masks`, `line_masks3` and `plane_masks3` object for object, mask for
-mask and in order."""
+mask and in order, and `curve_completion` with `curve_through` on fewer than
+d points."""
 
 from __future__ import annotations
 
@@ -66,6 +67,33 @@ def curve_fit(family: FamilySpec, pts: Sequence[Point]) -> tuple[Curve, ...]:
         return (_line_through_two(*pts),)
     c = _circle_through_three(*pts) if family.kind == "circle2" else _vparabola_through_three(*pts)
     return (c,) if c is not None else ()
+
+
+def curve_completion(family: FamilySpec, pts: Sequence[Point]) -> tuple[Curve, ...]:
+    """The canonical completion through fewer than d distinct 2D points, as a
+    0- or 1-tuple: `curve_through` on fewer than d points."""
+    if family.kind == "line2":
+        (x, y) = pts[0].coords
+        return (line2_curve(0, 1, -y),)  # horizontal completion
+    if family.kind == "circle2":
+        if len(pts) == 1:
+            (x, y) = pts[0].coords
+            return (circle2_curve(x + 1, y, 1),)
+        (x1, y1), (x2, y2) = pts[0].coords, pts[1].coords
+        cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
+        r2 = (x1 - cx) ** 2 + (y1 - cy) ** 2
+        return (circle2_curve(cx, cy, r2),)  # diameter circle
+    # vparabola2
+    if len(pts) == 1:
+        (x, y) = pts[0].coords
+        return (vparabola2_curve(1, 0, y - x * x),)
+    (x1, y1), (x2, y2) = pts[0].coords, pts[1].coords
+    if x1 == x2:
+        return ()  # a function graph cannot repeat an x
+    # fix a = 1, solve b, c
+    b = (y2 - y1 - (x2 * x2 - x1 * x1)) / (x2 - x1)
+    c = y1 - x1 * x1 - b * x1
+    return (vparabola2_curve(1, b, c),)
 
 
 def curve_masks(points: Sequence[Point], family: FamilySpec) -> list[tuple[Curve, int]]:

@@ -60,7 +60,7 @@ class _PlainSearch(_CurveSearch):
 
     def window(self, mask, depth):
         lo, hi = self.cfg.gammas[depth], self.cfg.gammas[depth - 1]
-        window = [(c, m, (m & mask).bit_count()) for c, m in self.cands]
+        window = [(self.fits.obj(c), m, (m & mask).bit_count()) for c, m in self.cands]
         window = [(c, m, r) for c, m, r in window if r >= self.family.d and lo <= r <= hi]
         window.sort(key=lambda t: (-t[2], t[0]))
         return window
@@ -221,7 +221,8 @@ class TestCurveCover:
                             survivors = [p for i, p in enumerate(kern.points) if (mask >> i) & 1]
                             fresh = rich_poor_candidates(survivors, fam, cfg.gammas[depth],
                                                          cfg.gammas[depth - 1])
-                            assert [c for c, _, _ in search.window(mask, depth)] == fresh
+                            assert [search.fits.obj(c)
+                                    for c, _, _ in search.window(mask, depth)] == fresh
 
     def test_base_case_factor_variants_agree(self):
         # both published thresholds (factor (d-1)/2 and factor 1) are exact
@@ -265,15 +266,15 @@ class TestCountAtParent:
 class TestOneCurveBuild:
     def test_curve_cover_fits_once(self, monkeypatch):
         calls = []
-        real = geometry.curve_masks
+        real = geometry.curve_fits
 
         def counting(points, family):
             calls.append(len(points))
             return real(points, family)
 
         for module in (geometry, kernel, curve_branch, inclusion_exclusion, oracle):
-            if getattr(module, "curve_masks", None) is real:
-                monkeypatch.setattr(module, "curve_masks", counting)
+            if getattr(module, "curve_fits", None) is real:
+                monkeypatch.setattr(module, "curve_fits", counting)
         # searched no-instances whose search reaches no sweep leaf, so the
         # kernel's build is the only one
         cases = [("uniform-random", {"family": "line2", "n": 10, "coord_range": 6}, 5, LINE2, 4),

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import incidence_reference as reference
 from conftest import degenerate_curve_instances, random_points_2d, random_points_3d
@@ -12,6 +14,7 @@ from geomcover.geometry import (
     LINE2,
     PLANE3,
     VPARABOLA2,
+    Fits,
     GeometryError,
     affine_hull,
     candidate_cover_sets,
@@ -19,16 +22,19 @@ from geomcover.geometry import (
     circle2_curve,
     covering_curve,
     curve_covers,
+    curve_fits,
     curve_masks,
     curve_through,
     enumerate_candidates,
     flat_contains,
     flat_point,
     line2_curve,
+    line_fits3,
     line_masks3,
     line_through,
     plane3_curve,
     plane_covers,
+    plane_fits3,
     plane_masks3,
     plane_through,
     plane_through_line_point,
@@ -230,6 +236,10 @@ class TestIntegerIncidence:
     def assert_curves_match(self, pts):
         for fam in CURVE_FAMILIES:
             assert curve_masks(pts, fam) == reference.curve_masks(pts, fam), (fam.kind, pts)
+            for combo in itertools.chain(*(itertools.combinations(pts, size)
+                                           for size in range(1, fam.d))):
+                assert curve_through(fam, combo) == reference.curve_completion(fam, combo), (
+                    fam.kind, combo)
 
     def assert_flats_match(self, pts):
         assert line_masks3(pts) == reference.line_masks3(pts), pts
@@ -302,6 +312,78 @@ class TestIntegerIncidence:
         assert any(c.denominator > 1 for p in pts for c in p.coords)
         self.assert_flats_match(pts)
         self.assert_curves_match(list(dict.fromkeys(pt(x, y) for x, y, _ in pts)))
+
+
+def _with_equal_rows(fits):
+    """`fits` with more integer rows of its objects: a curve's or plane's row
+    times -3, 2 and -1, and a 3D line's point moved along it with its
+    direction times -2 or 3. The negative multiples give negative
+    denominators."""
+    if fits.kind == "line3":
+        more = [((tuple(pk + t * dk for pk, dk in zip(p, d)), tuple(f * dk for dk in d)), m)
+                for (p, d), m in zip(fits.rows, fits.masks) for t, f in ((1, -2), (-2, 3))]
+    else:
+        more = [(tuple(f * x for x in row), m)
+                for row, m in zip(fits.rows, fits.masks) for f in (-3, 2, -1)]
+    return Fits(fits.kind, fits.scale, fits.rows + [row for row, _ in more],
+                fits.masks + [m for _, m in more])
+
+
+def _near_10_to_the_12(rng, n, dim):
+    """Distinct points with coordinates 10^12 * [-2, 2] plus a small fraction."""
+    return list(dict.fromkeys(
+        pt(*(10 ** 12 * rng.randint(-2, 2) + Fraction(rng.randint(-9, 9), rng.choice((1, -2, 3)))
+             for _ in range(dim))) for _ in range(n)))
+
+
+class TestOrderKeys:
+    """`Fits.keys()` compare, for every pair of rows of each builder, as the
+    built objects do: less exactly when the objects are less, equal exactly
+    when they are equal (rows of one object, among them rows with negative
+    denominators, get one key)."""
+
+    def assert_keys_order_objects(self, fits):
+        """Every pair, checked on the neighbours in key order: where the keys
+        are sorted, the objects step up exactly where the keys do, and then
+        by transitivity every pair compares alike."""
+        keys = fits.keys()
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        objs = [fits.obj(i) for i in order]
+        for (a, b), (x, y) in zip(itertools.pairwise(order), itertools.pairwise(objs)):
+            assert (keys[a] < keys[b]) == (x < y) and (keys[a] == keys[b]) == (x == y), (x, y)
+
+    def assert_all(self, pts):
+        builders = ([lambda p, fam=fam: curve_fits(p, fam) for fam in CURVE_FAMILIES]
+                    if pts[0].dim == 2 else [line_fits3, plane_fits3])
+        for build in builders:
+            fits = build(pts)
+            self.assert_keys_order_objects(fits)
+            self.assert_keys_order_objects(_with_equal_rows(fits))
+            if fits.kind in ("line3", "plane3"):
+                assert fits.keys() == sorted(fits.keys())  # the lists are in canonical order
+
+    def test_seeded_point_sets(self):
+        rng = random.Random(47)
+        sets = [pts for _, pts in degenerate_curve_instances()]
+        sets += [_paraboloid(pts) for pts in sets[::3]]
+        sets += [list(generate("degenerate-plane", {"k": 2, "m": 5}, seed=s).points) for s in range(3)]
+        sets += [_rational_points(rng, 8, dim) for dim in (2, 3) for _ in range(3)]
+        sets += [_near_10_to_the_12(rng, 9, dim) for dim in (2, 3)]
+        sets += [_affine(pts, Fraction(1, 10 ** 12), 10 ** 12 + 1) for pts in sets[:2]]
+        for pts in sets:
+            self.assert_all(pts)
+
+    _coord = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, -3, 5, -7)))
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.integers(2, 3), st.sampled_from((0, 10 ** 12)),
+           st.lists(st.tuples(_coord, _coord, _coord), min_size=3, max_size=7))
+    def test_rational_points(self, dim, offset, coords):
+        """Rational coordinates over mixed and negative denominators, all
+        shifted by 0 or by 10^12."""
+        pts = list(dict.fromkeys(pt(*(offset + c for c in p[:dim])) for p in coords))
+        if len(pts) >= 3:
+            self.assert_all(pts)
 
 
 class TestDimensionChecks:

@@ -121,7 +121,8 @@ class TestCurveKernel:
             if res.rejected:
                 assert res.candidates == ()
                 continue
-            assert sorted(res.candidates) == sorted(curve_masks(res.points, fam)), (fam.kind, pts, k)
+            assert (sorted((res.fits.obj(c), m) for c, m in res.candidates)
+                    == sorted(curve_masks(res.points, fam))), (fam.kind, pts, k)
             renumbered += bool(res.forced) and bool(res.candidates)
         assert renumbered >= 12
 

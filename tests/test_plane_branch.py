@@ -194,7 +194,7 @@ def _assert_leaf_matches_counter(search, mask, lines, budgets):
     points in mask, then the lines), and so does every signed sum."""
     n = len(search.points)
     points = search._subset_points(mask)
-    flats = [search.lines[j][0] for j in lines]
+    flats = [search.layer.line(j) for j in lines]
     leaf = CoverableCounter.on_layer(search.layer, mask, lines)
     ref = FractionPlaneCounter(points, flats)
     order = [i for i in range(n) if (mask >> i) & 1] + [n + q for q in range(len(lines))]
@@ -233,7 +233,7 @@ class TestLeafCounter:
                 full = (1 << counter.n) - 1
                 assert_table_lists_candidate_cover_sets(
                     CandidateTable(counter), counter, search._subset_points(mask),
-                    [search.lines[j][0] for j in lines], PLANE3,
+                    [search.layer.line(j) for j in lines], PLANE3,
                     [full] + [rng.randint(1, full) for _ in range(2)])
                 with_lines += bool(lines)
         assert with_lines >= 10, with_lines
@@ -246,7 +246,7 @@ class TestLeafCounter:
 
     def test_hand_built_grounds(self):
         search = _unreduced(self.HAND)
-        index = {line: j for j, (line, _) in enumerate(search.lines)}
+        index = {search.layer.line(j): j for j in range(len(search.lines))}
 
         def line(a, b):
             return index[line_through(self.HAND[a], self.HAND[b])]
@@ -276,9 +276,9 @@ class TestIncidenceLayer:
         assert len(point_sets[-1]) == 24
         for points in point_sets:
             search = _unreduced(points)
-            for plane, _, contained in search.planes:
-                assert contained == [j for j, (line, _) in enumerate(search.lines)
-                                     if flat_contains(plane, line)]
+            for p, (_, contained) in enumerate(search.planes):
+                assert contained == [j for j in range(len(search.lines))
+                                     if flat_contains(search.layer.plane(p), search.layer.line(j))]
 
 
 @st.composite
