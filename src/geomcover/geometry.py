@@ -351,6 +351,21 @@ def _completion(kind: str, scale: int, pts: Sequence[tuple[int, int]]):
     return d, b, -scale * d, d * (scale * y1 - x1 * x1) - x1 * b
 
 
+def _completions(kind: str, d: int, scale: int, pts: Sequence[tuple[int, int]]):
+    """(tuple mask, tuple size, row, mask of the points on it) of the
+    canonical completion of each tuple of fewer than d of the scaled points
+    `pts` that has one, by size and then lexicographically."""
+    lifted = [_LIFTS[kind](x, y) for x, y in pts]
+    for size in range(1, d):
+        for combo in itertools.combinations(range(len(pts)), size):
+            row = _completion(kind, scale, [pts[i] for i in combo])
+            if row is None:
+                continue
+            a, b, c, e = row
+            yield (sum(1 << i for i in combo), size, row,
+                   sum(1 << t for t, (u, v, w) in enumerate(lifted) if a * u + b * v + c * w + e == 0))
+
+
 def curve_through(family: FamilySpec, points: Sequence[Point]) -> tuple[Curve, ...]:
     """All family curves through the given points; a canonical completion when
     fewer than d points are given (then only existence is meaningful).
@@ -595,15 +610,6 @@ def plane_through_line_point(line: Flat, p: Point) -> Plane3:
     return plane3_curve(n[0], n[1], n[2], e)
 
 
-def plane3_from_flat(f: Flat) -> Plane3:
-    if f.dim != 2:
-        raise GeometryError("expected a 2-flat")
-    u, v = f.basis
-    n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-    e = -(n[0] * f.base[0] + n[1] * f.base[1] + n[2] * f.base[2])
-    return plane3_curve(n[0], n[1], n[2], e)
-
-
 def line_fits3(points: Sequence[Point]) -> Fits:
     """Each line through at least two of the given R^3 points, in canonical
     order, with the mask of the points on it (point i is bit i). Each line is
@@ -727,25 +733,32 @@ class PlaneLayer:
         return p if not gm & ~self.planes[p][0] else None
 
     def hull_plane(self, kind: str, at: int) -> tuple[tuple[int, int, int, int], int]:
-        """The integer plane row (over `scale`) of the plane `_complete_plane`
-        makes of the hull ("plane", p), ("line", l) or ("point", i), and the
-        layer points on that plane."""
+        """The integer plane row (over `scale`) of the candidate plane of the
+        hull ("plane", p), ("line", l) or ("point", i), and the layer points
+        on that plane (see `_completed_plane`)."""
         if kind == "plane":
             return self._planes.rows[at], self.planes[at][0]
         if kind == "line":
-            p, d = self._lines.rows[at]
-            # canonical_plane_through_line's normal: the first nonzero d x e_k
-            normal = next(v for v in ((0, d[2], -d[1]), (-d[2], 0, d[0]), (d[1], -d[0], 0))
-                          if any(v))
-        else:
-            p, normal = self._rows[at], (0, 0, 1)  # the horizontal plane
-        a, b, c = normal
-        off = a * p[0] + b * p[1] + c * p[2]
-        points = 0
-        for t, (x, y, z) in enumerate(self._rows):
-            if a * x + b * y + c * z == off:
-                points |= 1 << t
-        return (a, b, c, -off), points
+            return _completed_plane(self._rows, *self._lines.rows[at])
+        return _completed_plane(self._rows, self._rows[at])
+
+
+def _completed_plane(rows: Sequence[tuple[int, int, int]], p: tuple[int, int, int],
+                     d: Optional[tuple[int, int, int]] = None) -> tuple[tuple[int, int, int, int], int]:
+    """The integer row of the canonical plane through the scaled point p:
+    along direction d, the plane `canonical_plane_through_line` gives the
+    line through p with direction d; without d, the horizontal plane through
+    p. Also the mask of the scaled points `rows` on it."""
+    if d is None:
+        a, b, c = 0, 0, 1
+    else:  # canonical_plane_through_line's normal: the first nonzero d x e_k
+        a, b, c = next(v for v in ((0, d[2], -d[1]), (-d[2], 0, d[0]), (d[1], -d[0], 0)) if any(v))
+    off = a * p[0] + b * p[1] + c * p[2]
+    points = 0
+    for t, (x, y, z) in enumerate(rows):
+        if a * x + b * y + c * z == off:
+            points |= 1 << t
+    return (a, b, c, -off), points
 
 
 def enumerate_lines3(points: Sequence[Point]) -> list[Flat]:
@@ -754,70 +767,49 @@ def enumerate_lines3(points: Sequence[Point]) -> list[Flat]:
 
 
 # ---------------------------------------------------------------------------
-# maximal cover sets (shared by the brute-force solver and witness extraction)
+# maximal cover sets (the brute-force solver's candidate list)
 
 
-def _sort_key(obj) -> tuple:
-    if isinstance(obj, Curve):
-        return (0, obj.kind, obj.coeffs)
-    if isinstance(obj, Plane3):
-        return (1, "plane3", obj.coeffs)
-    return (2, "flat%d" % obj.dim, obj.base, obj.basis)
+def cover_set_rows(points: Sequence[Point], family: FamilySpec) -> tuple[Fits, list[tuple[int, int]]]:
+    """The candidates of `candidate_cover_sets` as integer rows: the `Fits`
+    of every candidate object over the points, and the (row index, mask)
+    pairs of the kept ones, in the list's order.
 
-
-def candidate_cover_sets(points: Sequence[Point], family: FamilySpec,
-                         flats: Sequence[Flat] = ()) -> list[tuple[object, int]]:
-    """(object, covered-mask) pairs such that every single-object-coverable
-    subset of the ground set is contained in some listed mask.
-
-    The ground set is points followed by flats (flats only for plane3).
-    Dominated masks are pruned; ties keep the canonically smallest object.
-    """
+    Curves: each curve through d of the points (`curve_fits`) and the
+    canonical completion of each tuple of fewer than d. Planes: each plane
+    through three non-collinear points (`plane_fits3`), the canonical plane
+    through each line of two or more points (`line_fits3`), and the
+    horizontal plane through each point. The rows of one object share its
+    exact key (`Fits.keys`) and its mask, so the first stands for all."""
     pts = tuple(points)
-    flats = tuple(flats)
-    if flats and family.kind != "plane3":
-        raise GeometryError("flats in the ground set need the plane3 family")
-    objs: dict[object, None] = {}
-
     if family.kind == "plane3":
-        ground: list = list(pts) + list(flats)
-        for size in (1, 2, 3):
-            for combo in itertools.combinations(ground, size):
-                hull = affine_hull(combo)
-                if hull.dim > 2:
-                    continue
-                objs[_complete_plane(hull)] = None
-        n = len(ground)
-        raw = []
-        for obj in objs:
-            mask = 0
-            for i, el in enumerate(ground):
-                inside = plane_covers(obj, el) if isinstance(el, Point) else flat_contains(obj, el)
-                if inside:
-                    mask |= 1 << i
-            if mask:
-                raw.append((obj, mask))
+        fitted = plane_fits3(pts)
+        scale, scaled = _scaled(pts, 3)
+        completed = [_completed_plane(scaled, p, d) for p, d in line_fits3(pts).rows]
+        completed += [_completed_plane(scaled, p) for p in scaled]
     else:
-        for size in range(1, family.d + 1):
-            for combo in itertools.combinations(pts, size):
-                if size == family.d:
-                    for c in curve_through(family, combo):
-                        objs[c] = None
-                else:
-                    c = covering_curve(family, combo)
-                    if c is not None:
-                        objs[c] = None
-        raw = []
-        for obj in objs:
-            mask = 0
-            for i, p in enumerate(pts):
-                if curve_covers(obj, p):
-                    mask |= 1 << i
-            if mask:
-                raw.append((obj, mask))
+        fitted = curve_fits(pts, family)
+        scale, scaled = _scaled(pts, 2)
+        completed = [(row, mask) for _, _, row, mask in
+                     _completions(family.kind, family.d, scale, scaled)]
+    masks = fitted.masks + [mask for _, mask in completed]
+    fits = Fits(family.kind, scale, fitted.rows + [row for row, _ in completed], masks)
+    keys = fits.keys()
+    first: dict[tuple, int] = {}  # order key -> the object's first row
+    for h, key in enumerate(keys):
+        first.setdefault(key, h)
+    order = sorted(first.values(), key=lambda h: (-masks[h].bit_count(), keys[h]))
+    return fits, _maximal_sets([(h, masks[h]) for h in order])
 
-    raw.sort(key=lambda om: (-om[1].bit_count(), _sort_key(om[0])))
-    return _maximal_sets(raw)
+
+def candidate_cover_sets(points: Sequence[Point], family: FamilySpec) -> list[tuple[object, int]]:
+    """(object, covered-mask) pairs such that every single-object-coverable
+    subset of the points is contained in some listed mask (point i is bit
+    i). Listed largest mask first, ties in canonical object order, with
+    dominated masks pruned, so each set-maximal mask keeps its canonically
+    smallest object."""
+    fits, kept = cover_set_rows(points, family)
+    return [(fits.obj(h), mask) for h, mask in kept]
 
 
 def _maximal_sets(sets: Sequence[tuple[object, int]]) -> list[tuple[object, int]]:
@@ -832,17 +824,6 @@ def _maximal_sets(sets: Sequence[tuple[object, int]]) -> list[tuple[object, int]
         kept.append((obj, mask))
         seen_masks.append(mask)
     return kept
-
-
-def _complete_plane(hull: Flat) -> Plane3:
-    """The plane equal to a 2-flat, or a canonical plane containing a smaller
-    flat."""
-    if hull.dim == 2:
-        return plane3_from_flat(hull)
-    if hull.dim == 1:
-        return canonical_plane_through_line(hull)
-    # a single point: horizontal plane through it
-    return plane3_curve(0, 0, 1, -hull.base[2])
 
 
 def canonical_plane_through_line(line: Flat, avoid: Sequence[Flat] = ()) -> Plane3:

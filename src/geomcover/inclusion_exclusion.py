@@ -44,9 +44,8 @@ from .geometry import (
     GeometryError,
     PlaneLayer,
     Point,
-    _LIFTS,
     _bits,
-    _completion,
+    _completions,
     _maximal_sets,
     _scaled,
     affine_hull,
@@ -481,11 +480,11 @@ class CandidateTable:
     when some span has |mask & R| >= need.
 
     Curves: each fitted curve of the counter, spanned by any d of its points,
-    and the curve `covering_curve` gives each tuple of fewer than d points,
-    spanned by that tuple. Planes: the plane that `_complete_plane` makes of
-    each representative's hull, spanned by the representative: the layer
-    plane it spans, the canonical plane through the layer line it spans, or
-    the horizontal plane through its single point. Each is first an integer
+    and the canonical completion of each tuple of fewer than d points,
+    spanned by that tuple. Planes: the candidate plane of each
+    representative's hull, spanned by the representative: the layer plane it
+    spans, the canonical plane through the layer line it spans, or the
+    horizontal plane through its single point. Each is first an integer
     row; the rows are merged and ordered by their exact keys (`Fits.keys`),
     and each object is built once."""
 
@@ -526,19 +525,12 @@ class CandidateTable:
         integer row with its mask."""
         fits, kind, d = counter.fitted, counter.family.kind, counter.family.d
         scale, pts = _scaled(counter.points, 2)
-        lifted = [_LIFTS[kind](x, y) for x, y in pts]
         rows, masks = list(fits.rows), list(fits.masks)
         spans = [[(mask, d)] for mask in masks]
-        for size in range(1, d):
-            for combo in itertools.combinations(range(counter.n), size):
-                row = _completion(kind, scale, [pts[i] for i in combo])
-                if row is None:
-                    continue
-                a, b, c, e = row
-                rows.append(row)
-                masks.append(sum(1 << t for t, (u, v, w) in enumerate(lifted)
-                                 if a * u + b * v + c * w + e == 0))
-                spans.append([(sum(1 << i for i in combo), size)])
+        for combo, size, row, mask in _completions(kind, d, scale, pts):
+            rows.append(row)
+            masks.append(mask)
+            spans.append([(combo, size)])
         return Fits(kind, scale, rows, masks), spans
 
     def cover_sets(self, rem: int) -> list[tuple[object, int]]:

@@ -2,9 +2,11 @@
 counting.
 
 `oracle_min_cover` is a plain branch-and-bound over maximal candidate cover
-sets. It shares only the exact-geometry primitives with the production
-solvers; the decision logic is deliberately separate so the two routes can
-cross-check each other.
+sets. It reads the candidates off the same tested integer incidence layer
+as the production solvers (`cover_set_rows`: the fitted curve, line and
+plane rows), but neither their counters nor their candidate tables, and its
+decision logic is deliberately separate, so the two routes can cross-check
+each other. Objects are built only for the reported witness.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from .geometry import (
     FamilySpec,
-    Flat,
     GeometryError,
     Point,
-    candidate_cover_sets,
+    cover_set_rows,
     curve_fits,
     plane_fits3,
 )
@@ -31,50 +32,49 @@ class OracleResult(NamedTuple):
 
 
 def oracle_min_cover(points: Sequence[Point], family: FamilySpec,
-                     flats: Sequence[Flat] = (), cap: int = DEFAULT_ORACLE_CAP,
+                     cap: int = DEFAULT_ORACLE_CAP,
                      stop_at: Optional[int] = None) -> OracleResult:
     """Exact minimum cover size with a witness. Branches on the lowest-index
-    uncovered element over all candidate sets containing it, best-first by
+    uncovered point over all candidate sets containing it, best-first by
     covered count. With stop_at, returns early once a cover of that size or
     better is found (the reported opt is then only an upper bound)."""
     pts = tuple(points)
-    fls = tuple(flats)
-    n = len(pts) + len(fls)
+    n = len(pts)
     if n > cap:
         raise CapExceededError("instance of %d elements exceeds the oracle cap %d" % (n, cap))
     if n == 0:
         return OracleResult(0, [])
 
-    cands = candidate_cover_sets(pts, family, fls)
+    fits, cands = cover_set_rows(pts, family)
     full = (1 << n) - 1
-    # candidates covering each element, best-first
+    # candidates (row index, mask) covering each point, best-first
     by_element = [[] for _ in range(n)]
-    for obj, mask in cands:
+    for row, mask in cands:
         m = mask
         while m:
             low = m & -m
-            by_element[low.bit_length() - 1].append((obj, mask))
+            by_element[low.bit_length() - 1].append((row, mask))
             m ^= low
     max_size = max((mask.bit_count() for _, mask in cands), default=1)
 
     best = n + 1  # no cover found yet
-    best_witness: list = []
+    best_rows: list = []
     # a found cover (of at most n objects) at or below stop_at ends the search
     good_enough = min(n, stop_at) if stop_at is not None else -1
 
     def search(uncovered: int, chosen: list):
-        nonlocal best, best_witness
+        nonlocal best, best_rows
         if not uncovered:
             if len(chosen) < best:
                 best = len(chosen)
-                best_witness = list(chosen)
+                best_rows = list(chosen)
             return
         lower = len(chosen) + -(-uncovered.bit_count() // max_size)
         if lower >= best or best <= good_enough:
             return
         e = (uncovered & -uncovered).bit_length() - 1
-        for obj, mask in by_element[e]:
-            chosen.append(obj)
+        for row, mask in by_element[e]:
+            chosen.append(row)
             search(uncovered & ~mask, chosen)
             chosen.pop()
             if best <= good_enough:
@@ -83,15 +83,15 @@ def oracle_min_cover(points: Sequence[Point], family: FamilySpec,
     search(full, [])
     if best > n:
         raise GeometryError("no cover found; candidate sets are incomplete")
-    return OracleResult(best, best_witness)
+    return OracleResult(best, [fits.obj(row) for row in best_rows])
 
 
 def oracle_decide(points: Sequence[Point], family: FamilySpec, k: int,
-                  flats: Sequence[Flat] = (), cap: int = DEFAULT_ORACLE_CAP) -> bool:
+                  cap: int = DEFAULT_ORACLE_CAP) -> bool:
     """True iff a cover of at most k objects exists."""
     if k < 0:
         raise ValueError("negative budget")
-    res = oracle_min_cover(points, family, flats, cap, stop_at=k)
+    res = oracle_min_cover(points, family, cap, stop_at=k)
     return res.opt <= k
 
 

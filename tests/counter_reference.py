@@ -15,10 +15,10 @@ from geomcover.geometry import (
     Flat,
     Point,
     affine_hull,
-    candidate_cover_sets,
     flat_contains,
 )
 from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, ie_decide
+from incidence_reference import candidate_cover_sets
 
 
 def _bits(mask: int) -> list[int]:

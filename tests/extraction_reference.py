@@ -6,7 +6,7 @@ subset sweep over the elements it leaves (the Fraction counter for planes)."""
 from __future__ import annotations
 
 from counter_reference import reference_decide
-from geomcover.geometry import candidate_cover_sets
+from incidence_reference import candidate_cover_sets
 from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, SolverInternalError
 
 

@@ -3,7 +3,14 @@ ones in `geomcover.geometry` against: each curve fitted by rational formulas
 and every incidence decided by rational substitution. They must agree with
 `curve_masks`, `line_masks3` and `plane_masks3` object for object, mask for
 mask and in order, and `curve_completion` with `curve_through` on fewer than
-d points."""
+d points.
+
+`candidate_cover_sets` is the Fraction enumerator of the oracle's candidate
+list: every 1- to 3-tuple of the ground (points, then R^3 flats for plane3)
+completed to an object through its affine hull or `curve_through`, and every
+ground element tested against every object. `geomcover.geometry`'s
+`candidate_cover_sets` must agree with it on grounds of points, and the
+candidate tables and extraction reference read it for mixed grounds."""
 
 from __future__ import annotations
 
@@ -17,10 +24,18 @@ from geomcover.geometry import (
     GeometryError,
     Plane3,
     Point,
+    _maximal_sets,
+    affine_hull,
+    canonical_plane_through_line,
     circle2_curve,
+    covering_curve,
     curve_covers,
+    curve_through,
+    flat_contains,
     line2_curve,
     line_through,
+    plane3_curve,
+    plane_covers,
     plane_through,
     vparabola2_curve,
 )
@@ -137,3 +152,86 @@ def plane_masks3(points: Sequence[Point]) -> list[tuple[Plane3, int]]:
             continue
         masks[plane] = masks.get(plane, 0) | 1 << i | 1 << j | 1 << l
     return sorted(masks.items())
+
+
+def plane3_from_flat(f: Flat) -> Plane3:
+    if f.dim != 2:
+        raise GeometryError("expected a 2-flat")
+    u, v = f.basis
+    n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    e = -(n[0] * f.base[0] + n[1] * f.base[1] + n[2] * f.base[2])
+    return plane3_curve(n[0], n[1], n[2], e)
+
+
+def _sort_key(obj) -> tuple:
+    if isinstance(obj, Curve):
+        return (0, obj.kind, obj.coeffs)
+    if isinstance(obj, Plane3):
+        return (1, "plane3", obj.coeffs)
+    return (2, "flat%d" % obj.dim, obj.base, obj.basis)
+
+
+def candidate_cover_sets(points: Sequence[Point], family: FamilySpec,
+                         flats: Sequence[Flat] = ()) -> list[tuple[object, int]]:
+    """(object, covered-mask) pairs such that every single-object-coverable
+    subset of the ground set is contained in some listed mask.
+
+    The ground set is points followed by flats (flats only for plane3).
+    Dominated masks are pruned; ties keep the canonically smallest object.
+    """
+    pts = tuple(points)
+    flats = tuple(flats)
+    if flats and family.kind != "plane3":
+        raise GeometryError("flats in the ground set need the plane3 family")
+    objs: dict[object, None] = {}
+
+    if family.kind == "plane3":
+        ground: list = list(pts) + list(flats)
+        for size in (1, 2, 3):
+            for combo in itertools.combinations(ground, size):
+                hull = affine_hull(combo)
+                if hull.dim > 2:
+                    continue
+                objs[_complete_plane(hull)] = None
+        n = len(ground)
+        raw = []
+        for obj in objs:
+            mask = 0
+            for i, el in enumerate(ground):
+                inside = plane_covers(obj, el) if isinstance(el, Point) else flat_contains(obj, el)
+                if inside:
+                    mask |= 1 << i
+            if mask:
+                raw.append((obj, mask))
+    else:
+        for size in range(1, family.d + 1):
+            for combo in itertools.combinations(pts, size):
+                if size == family.d:
+                    for c in curve_through(family, combo):
+                        objs[c] = None
+                else:
+                    c = covering_curve(family, combo)
+                    if c is not None:
+                        objs[c] = None
+        raw = []
+        for obj in objs:
+            mask = 0
+            for i, p in enumerate(pts):
+                if curve_covers(obj, p):
+                    mask |= 1 << i
+            if mask:
+                raw.append((obj, mask))
+
+    raw.sort(key=lambda om: (-om[1].bit_count(), _sort_key(om[0])))
+    return _maximal_sets(raw)
+
+
+def _complete_plane(hull: Flat) -> Plane3:
+    """The plane equal to a 2-flat, or a canonical plane containing a smaller
+    flat."""
+    if hull.dim == 2:
+        return plane3_from_flat(hull)
+    if hull.dim == 1:
+        return canonical_plane_through_line(hull)
+    # a single point: horizontal plane through it
+    return plane3_curve(0, 0, 1, -hull.base[2])

@@ -479,3 +479,69 @@ class TestCoverSets:
         assert check_cover(grid, rows, 2)
         assert not check_cover(grid, rows, 1)
         assert not check_cover(grid, rows[:1], 2)
+
+
+class TestCandidateCoverSets:
+    """`candidate_cover_sets`, built from the integer rows, against the
+    Fraction enumerator (`incidence_reference.candidate_cover_sets`): equal
+    objects, masks and order."""
+
+    def assert_matches(self, pts, families=None):
+        if families is None:
+            families = (PLANE3,) if pts and pts[0].dim == 3 else CURVE_FAMILIES
+        for fam in families:
+            assert candidate_cover_sets(pts, fam) == reference.candidate_cover_sets(pts, fam), (
+                fam.kind, pts)
+
+    def test_empty_and_single_point_inputs(self):
+        for fam in CURVE_FAMILIES + (PLANE3,):
+            assert candidate_cover_sets([], fam) == [] == reference.candidate_cover_sets([], fam)
+        for pts in ([pt(2, -3)], [pt(Fraction(1, -3), 5)], [pt(0, 0), pt(1, 0)], [pt(0, 0), pt(0, 1)]):
+            self.assert_matches(pts)
+        for pts in ([pt(1, 2, 3)], [pt(Fraction(-1, 2), 0, 7)], [pt(0, 0, 0), pt(0, 0, 1)]):
+            self.assert_matches(pts)
+
+    def test_collinear_and_coplanar_clusters(self):
+        rng = random.Random(53)
+        for _, pts in degenerate_curve_instances():
+            self.assert_matches(pts)
+            self.assert_matches(_paraboloid(pts))  # its circles and lines become coplanar
+        line = [pt(t, 2 * t, 1 - t) for t in range(-2, 3)]
+        for extra in ([], [pt(0, 0, 5)], [pt(0, 0, 5), pt(1, 0, 0), pt(3, 3, 3)]):
+            self.assert_matches(line + extra)
+        for _ in range(6):
+            self.assert_matches(random_points_3d(rng, 9, span=2))
+            self.assert_matches(random_points_2d(rng, 9, span=3))
+
+    def test_degenerate_plane_instances(self):
+        for seed in range(3):
+            self.assert_matches(list(generate("degenerate-plane", {"k": 2, "m": 4}, seed=seed).points))
+
+    def test_rational_points_with_mixed_and_negative_denominators(self):
+        rng = random.Random(59)
+        for _ in range(6):
+            self.assert_matches(_rational_points(rng, 8, 2))
+            self.assert_matches(_rational_points(rng, 8, 3))
+
+    def test_coordinates_near_10_to_the_12(self):
+        rng = random.Random(61)
+        for dim in (2, 3):
+            self.assert_matches(_near_10_to_the_12(rng, 9, dim))
+        big = 10 ** 12
+        self.assert_matches([pt(big + rng.randint(-3, 3), big + rng.randint(-3, 3)) for _ in range(4)]
+                            + [pt(big, big + 7), pt(-big, Fraction(big, 3))])
+
+    def test_repeated_x_for_vertical_parabolas(self):
+        # columns of points sharing an x: no parabola through two of them
+        self.assert_matches([pt(x, y) for x in (-1, 0, 2) for y in (0, 1, 4)], (VPARABOLA2,))
+        self.assert_matches([pt(0, 0), pt(0, 1), pt(0, -1), pt(Fraction(1, 2), 3)], (VPARABOLA2,))
+        self.assert_matches([pt(x, x * x) for x in range(-2, 3)] + [pt(1, 0), pt(-2, 0)], (VPARABOLA2,))
+
+    _coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, -3, 4)))
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(st.sampled_from(CURVE_FAMILIES + (PLANE3,)), st.sampled_from((0, 10 ** 12)),
+           st.lists(st.tuples(_coord, _coord, _coord), max_size=8))
+    def test_random_grounds(self, fam, offset, coords):
+        pts = list(dict.fromkeys(pt(*(offset + c for c in p[:fam.ambient_dim])) for p in coords))
+        self.assert_matches(pts, (fam,))

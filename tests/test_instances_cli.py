@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import geomcover
 from geomcover import cli, inclusion_exclusion
 from geomcover.cli import EXIT_CAP, EXIT_INVALID, EXIT_OK, main
 from geomcover.geometry import LINE2, PLANE3, line_masks3, pt
@@ -291,6 +295,49 @@ class TestCli:
             assert rec["decision"] and len(rec["witness"]) >= 2
             assert builds == [1]
             assert walks[0] and not any(walks[1:]) and len(walks) >= len(rec["witness"])
+
+    def test_in_process_calls_print_the_records_of_fresh_processes(self, tmp_path, capsys):
+        """main builds its parser once per process; each later call with
+        other flags prints what a fresh process prints."""
+        path, inst = self.write(tmp_path, "oc.json", "on-curves",
+                                {"family": "circle2", "k": 3, "m": 3}, 11)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(geomcover.__file__)))
+        for flags in (["--witness"], [], ["--k", "1"], ["--k", str(inst.k)],
+                      ["--algorithm", "ie", "--min", "--witness", "--verify"], ["--seed", "4"], []):
+            argv = ["solve", "--input", str(path)] + flags
+            assert main(argv) == EXIT_OK
+            here = capsys.readouterr().out
+            fresh = subprocess.run([sys.executable, "-m", "geomcover.cli"] + argv, env=env,
+                                   capture_output=True, text=True, check=True)
+            assert here == fresh.stdout, flags
+
+    def test_verify_runs_the_oracle_once(self, tmp_path, capsys, monkeypatch):
+        """An oracle-routed solve is its own verification: --verify runs the
+        oracle once on every route and only adds "verified": true."""
+        calls = []
+        real = cli.oracle_min_cover
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "oracle_min_cover", counting)
+        path, _ = self.write(tmp_path, "oc.json", "on-curves",
+                             {"family": "vparabola2", "k": 2, "m": 4}, 3)
+        for algorithm, runs in (("oracle", 1), ("auto", 1), ("ie", 0), ("branch", 0)):
+            for flags in ([], ["--min"], ["--k", "1"]):
+                if algorithm == "branch" and flags == ["--min"]:
+                    continue
+                argv = ["solve", "--input", str(path), "--algorithm", algorithm, "--witness"] + flags
+                calls.clear()
+                assert main(argv) == EXIT_OK
+                plain = capsys.readouterr().out
+                assert len(calls) == runs
+                calls.clear()
+                assert main(argv + ["--verify"]) == EXIT_OK
+                assert len(calls) == 1, (algorithm, flags)
+                verified = capsys.readouterr().out
+                assert verified == plain.replace('"verified":null', '"verified":true')
 
     def test_gen_rejects_bad_sizes(self, tmp_path, capsys):
         out = tmp_path / "bad.json"

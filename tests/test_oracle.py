@@ -2,12 +2,51 @@ import random
 
 import pytest
 
-from conftest import random_points_2d
-from geomcover.geometry import CIRCLE2, LINE2, PLANE3, VPARABOLA2, GeometryError, check_cover, pt
+import incidence_reference as reference
+from conftest import random_points_2d, random_points_3d
+from geomcover.geometry import (
+    CIRCLE2,
+    LINE2,
+    PLANE3,
+    VPARABOLA2,
+    GeometryError,
+    check_cover,
+    cover_set_rows,
+    pt,
+)
 from geomcover.inclusion_exclusion import CapExceededError
+from geomcover.instances import generate
 from geomcover.oracle import count_rich, oracle_decide, oracle_min_cover
 
 GRID3 = [pt(i, j) for i in range(3) for j in range(3)]
+
+
+def reference_min_cover(points, family, stop_at=None):
+    """(opt, witness) of the oracle's branch-and-bound run over the Fraction
+    reference's candidate list, branching on its (object, mask) pairs."""
+    n = len(points)
+    cands = reference.candidate_cover_sets(points, family)
+    by_element = [[(obj, mask) for obj, mask in cands if mask >> e & 1] for e in range(n)]
+    max_size = max((mask.bit_count() for _, mask in cands), default=1)
+    best, best_witness = n + 1, []
+    good_enough = min(n, stop_at) if stop_at is not None else -1
+
+    def search(uncovered, chosen):
+        nonlocal best, best_witness
+        if not uncovered:
+            if len(chosen) < best:
+                best, best_witness = len(chosen), list(chosen)
+            return
+        if len(chosen) + -(-uncovered.bit_count() // max_size) >= best or best <= good_enough:
+            return
+        e = (uncovered & -uncovered).bit_length() - 1
+        for obj, mask in by_element[e]:
+            search(uncovered & ~mask, chosen + [obj])
+            if best <= good_enough:
+                return
+
+    search((1 << n) - 1, [])
+    return best, best_witness
 
 
 class TestMinCover:
@@ -56,6 +95,31 @@ class TestMinCover:
         assert oracle_decide([pt(0, 0, 0)], PLANE3, 2)
         pts = [pt(0, 0), pt(1, 2), pt(3, 1)]
         assert [oracle_decide(pts, LINE2, k) for k in range(6)] == [False, False, True, True, True, True]
+
+
+class TestWitnessRows:
+    def test_witness_objects_are_the_built_objects_of_kept_rows(self):
+        """The oracle branches on row indexes and builds only the witness's
+        objects: they are objects of kept candidate rows whose masks cover
+        every point, and opt and witness are those of the same search over
+        the Fraction reference's objects, with and without stop_at."""
+        rng = random.Random(29)
+        cases = [(fam, random_points_2d(rng, rng.randint(1, 9)))
+                 for fam in (LINE2, CIRCLE2, VPARABOLA2) for _ in range(5)]
+        cases += [(PLANE3, random_points_3d(rng, rng.randint(1, 9), span=2)) for _ in range(5)]
+        cases += [(PLANE3, list(generate("degenerate-plane", {"k": 2, "m": 4}, seed=s).points))
+                  for s in range(2)]
+        for fam, pts in cases:
+            fits, kept = cover_set_rows(pts, fam)
+            built = {fits.obj(h): mask for h, mask in kept}
+            res = oracle_min_cover(pts, fam)
+            covered = 0
+            for obj in res.witness:
+                covered |= built[obj]
+            assert covered == (1 << len(pts)) - 1
+            assert tuple(res) == reference_min_cover(pts, fam), (fam.kind, pts)
+            for k in range(res.opt + 1):
+                assert tuple(oracle_min_cover(pts, fam, stop_at=k)) == reference_min_cover(pts, fam, k)
 
 
 class TestCountRich:
