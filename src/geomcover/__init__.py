@@ -32,7 +32,6 @@ from .geometry import (
     flat_contains,
     line_through,
     plane_through,
-    plane_through_line_point,
     pt,
     richness,
 )

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .geometry import FamilySpec, Point
-from .inclusion_exclusion import DEFAULT_SUBSET_CAP, extract_cover, ie_decide
+from .inclusion_exclusion import DEFAULT_SUBSET_CAP, CoverableCounter, _self_reduce, _signed_sum
 from .kernel import KernelResult, curve_kernel
 
 
@@ -98,6 +98,15 @@ def below_base_threshold(n_pts: int, budget_factor: Fraction, k: int) -> bool:
     return 2 ** (n_pts * q) < k ** p
 
 
+def sweep_leaf(counter: CoverableCounter, k: int, cap: int, stats: SearchStats) -> Optional[list]:
+    """A cover of the counter's ground by at most k objects, or None when
+    there is none. One subset sweep decides, its subsets are added to
+    `stats.ie_subsets`, and a yes self-reduces on the same counter and sum."""
+    res = _signed_sum(counter, counter.mask, k, cap)
+    stats.ie_subsets += res.subsets
+    return _self_reduce(counter, k, res.ie_sum, cap) if res.decision else None
+
+
 @dataclass(frozen=True)
 class BranchConfig:
     """Search parameters of one kernelized instance: depth r, and the richness
@@ -130,7 +139,7 @@ def make_branch_config(k: int, family: FamilySpec,
 class _CurveSearch:
     """Mask-based search over one kernelized instance. Its candidate curves
     and their point masks come from the kernel, which fitted them once; per
-    node only popcounts remain. Subset-sweep results are cached by
+    node only popcounts remain. Sweep leaves that reject are remembered by
     (mask, budget).
 
     A child that is rejected on size is counted at its parent, without a
@@ -152,20 +161,24 @@ class _CurveSearch:
         self.fits = kern.fits
         keys = self.fits.keys() if self.fits is not None else ()
         self.cands = sorted(kern.candidates, key=lambda cm: keys[cm[0]])
-        self._ie_cache: dict[tuple[int, int], bool] = {}
+        self._no_leaves: set[tuple[int, int]] = set()
 
     def _subset_points(self, mask: int) -> list[Point]:
         return [p for i, p in enumerate(self.points) if (mask >> i) & 1]
 
-    def _ie(self, mask: int, budget: int) -> bool:
+    def _ie(self, mask: int, budget: int) -> Optional[list]:
+        """The sweep leaf over the points in `mask`: a cover of them by at
+        most `budget` curves, or None when there is none, decided and
+        extracted on one counter. No-leaves are remembered; a yes-leaf ends
+        the search."""
         key = (mask, budget)
-        hit = self._ie_cache.get(key)
-        if hit is None:
-            res = ie_decide(self._subset_points(mask), self.family, budget, cap=self.cfg.ie_cap)
-            self.stats.ie_subsets += res.subsets
-            hit = res.decision
-            self._ie_cache[key] = hit
-        return hit
+        if key in self._no_leaves:
+            return None
+        counter = CoverableCounter(self._subset_points(mask), self.family)
+        ext = sweep_leaf(counter, budget, self.cfg.ie_cap, self.stats)
+        if ext is None:
+            self._no_leaves.add(key)
+        return ext
 
     def _size_cap(self, partition: tuple[int, ...], depth: int) -> int:
         """floor(remaining budget * gamma_(depth-1)): a node at `depth` with
@@ -215,11 +228,10 @@ class _CurveSearch:
 
         if depth == cfg.r or below_base_threshold(n_pts, cfg.base_case_factor * remaining_budget, cfg.k):
             stats.leaves_ie += 1
-            if self._ie(mask, remaining_budget):
-                ext = extract_cover(self._subset_points(mask), self.family,
-                                    remaining_budget, cap=cfg.ie_cap)
-                return True, [self.fits.obj(c) for c in partial] + ext
-            return False, None
+            ext = self._ie(mask, remaining_budget)
+            if ext is None:
+                return False, None
+            return True, [self.fits.obj(c) for c in partial] + ext
 
         window = self.window(mask, depth)
         width = len(window)
@@ -263,7 +275,8 @@ def branch_cover(kern: KernelResult, family: FamilySpec, config: BranchConfig, s
     straight to the subset sweep. Otherwise one `search_cls(kern, family,
     config)` object searches the budget partitions in order, and the first
     one that accepts gives the witness, after the kernel's forced objects.
-    The search object's sweep-result cache is shared by all partitions."""
+    The search object's cache of rejecting sweep leaves is shared by all
+    partitions."""
     forced, pts, k2 = kern.forced, kern.points, kern.k
     stats = SearchStats()
     if kern.rejected:
@@ -272,13 +285,11 @@ def branch_cover(kern: KernelResult, family: FamilySpec, config: BranchConfig, s
         return CoverResult(True, list(forced), stats)
 
     if k2 < 2 or below_base_threshold(len(pts), config.base_case_factor * k2, k2):
-        res = ie_decide(pts, family, k2, cap=config.ie_cap)
-        stats.ie_subsets += res.subsets
         stats.leaves_ie += 1
-        if not res.decision:
+        ext = sweep_leaf(CoverableCounter(pts, family), k2, config.ie_cap, stats)
+        if ext is None:
             return CoverResult(False, None, stats)
-        return CoverResult(True, list(forced) + extract_cover(pts, family, k2, cap=config.ie_cap),
-                           stats)
+        return CoverResult(True, list(forced) + ext, stats)
 
     search = search_cls(kern, family, config)
     for partition in partitions:

@@ -537,9 +537,6 @@ def line_through(p: Point, q: Point) -> Flat:
     return make_flat(p.coords, [[b - a for a, b in zip(p.coords, q.coords)]])
 
 
-FULL_SPACE = make_flat((0, 0, 0), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-
-
 def _reduce_by_basis(v: list[Fraction], basis) -> list[Fraction]:
     for row in basis:
         col = next(i for i, x in enumerate(row) if x != 0)
@@ -595,18 +592,6 @@ def plane_through(p: Point, q: Point, r: Point) -> Plane3:
     if all(x == 0 for x in n):
         raise GeometryError("collinear points do not determine a plane")
     e = -(n[0] * p[0] + n[1] * p[1] + n[2] * p[2])
-    return plane3_curve(n[0], n[1], n[2], e)
-
-
-def plane_through_line_point(line: Flat, p: Point) -> Plane3:
-    if line.dim != 1:
-        raise GeometryError("expected a 1-flat")
-    if flat_contains(line, p):
-        raise GeometryError("point lies on the line")
-    u = line.basis[0]
-    v = [b - a for a, b in zip(line.base, p.coords)]
-    n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-    e = -(n[0] * line.base[0] + n[1] * line.base[1] + n[2] * line.base[2])
     return plane3_curve(n[0], n[1], n[2], e)
 
 
@@ -732,33 +717,50 @@ class PlaneLayer:
         p = self.line_point_plane[f * len(self.points) + (off & -off).bit_length() - 1]
         return p if not gm & ~self.planes[p][0] else None
 
-    def hull_plane(self, kind: str, at: int) -> tuple[tuple[int, int, int, int], int]:
+    def hull_plane(self, kind: str, at: int,
+                   avoid: Sequence[int] = ()) -> tuple[tuple[int, int, int, int], int]:
         """The integer plane row (over `scale`) of the candidate plane of the
         hull ("plane", p), ("line", l) or ("point", i), and the layer points
-        on that plane (see `_completed_plane`)."""
+        on that plane (see `_completed_plane`). For a line, the first plane
+        of its pencil that contains none of the line masks `avoid`."""
         if kind == "plane":
             return self._planes.rows[at], self.planes[at][0]
         if kind == "line":
-            return _completed_plane(self._rows, *self._lines.rows[at])
+            return _completed_plane(self._rows, *self._lines.rows[at], avoid=avoid)
         return _completed_plane(self._rows, self._rows[at])
 
 
 def _completed_plane(rows: Sequence[tuple[int, int, int]], p: tuple[int, int, int],
-                     d: Optional[tuple[int, int, int]] = None) -> tuple[tuple[int, int, int, int], int]:
-    """The integer row of the canonical plane through the scaled point p:
-    along direction d, the plane `canonical_plane_through_line` gives the
-    line through p with direction d; without d, the horizontal plane through
-    p. Also the mask of the scaled points `rows` on it."""
+                     d: Optional[tuple[int, int, int]] = None,
+                     avoid: Sequence[int] = ()) -> tuple[tuple[int, int, int, int], int]:
+    """The integer row of the canonical plane through the scaled point p, and
+    the mask of the scaled points `rows` on it. Without d, the horizontal
+    plane through p. Along direction d, a plane of the pencil about the line
+    through p with direction d: for n1 the first nonzero d x e_k and n2 the
+    next one independent of it, the plane with normal n1 + t*n2 for the least
+    t >= 0 that contains none of the masks `avoid`. Each of those masks holds
+    two or more points of a line other than this one, so it lies in at most
+    one plane of the pencil and the walk ends."""
     if d is None:
-        a, b, c = 0, 0, 1
-    else:  # canonical_plane_through_line's normal: the first nonzero d x e_k
-        a, b, c = next(v for v in ((0, d[2], -d[1]), (-d[2], 0, d[0]), (d[1], -d[0], 0)) if any(v))
-    off = a * p[0] + b * p[1] + c * p[2]
-    points = 0
-    for t, (x, y, z) in enumerate(rows):
-        if a * x + b * y + c * z == off:
-            points |= 1 << t
-    return (a, b, c, -off), points
+        n1 = (0, 0, 1)
+    else:
+        crosses = ((0, d[2], -d[1]), (-d[2], 0, d[0]), (d[1], -d[0], 0))
+        n1 = next(v for v in crosses if any(v))
+    a, b, c = n1
+    t = 0
+    while True:
+        off = a * p[0] + b * p[1] + c * p[2]
+        points = 0
+        for i, (x, y, z) in enumerate(rows):
+            if a * x + b * y + c * z == off:
+                points |= 1 << i
+        if not avoid or all(m & ~points for m in avoid):
+            return (a, b, c, -off), points
+        if not t:  # n2 is needed only once n1's plane fails
+            n2 = next(v for v in crosses
+                      if any(n1[i] * v[j] - n1[j] * v[i] for i, j in ((1, 2), (2, 0), (0, 1))))
+        t += 1
+        a, b, c = (u + t * v for u, v in zip(n1, n2))
 
 
 def enumerate_lines3(points: Sequence[Point]) -> list[Flat]:
@@ -824,30 +826,6 @@ def _maximal_sets(sets: Sequence[tuple[object, int]]) -> list[tuple[object, int]
         kept.append((obj, mask))
         seen_masks.append(mask)
     return kept
-
-
-def canonical_plane_through_line(line: Flat, avoid: Sequence[Flat] = ()) -> Plane3:
-    """A deterministic plane containing `line` and none of the `avoid` lines."""
-    u = line.basis[0]
-    # two independent normals orthogonal to u
-    cands = []
-    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        n = (u[1] * _frac(e[2]) - u[2] * _frac(e[1]),
-             u[2] * _frac(e[0]) - u[0] * _frac(e[2]),
-             u[0] * _frac(e[1]) - u[1] * _frac(e[0]))
-        if any(x != 0 for x in n):
-            cands.append(n)
-    n = n1 = cands[0]
-    t = 0
-    while True:
-        e = -(n[0] * line.base[0] + n[1] * line.base[1] + n[2] * line.base[2])
-        plane = plane3_curve(n[0], n[1], n[2], e)
-        if all(not flat_contains(plane, other) for other in avoid):
-            return plane
-        if t == 0:  # the second normal is needed only once n1's plane fails
-            n2 = next(n for n in cands[1:] if len(_rref([n1, n])[0]) == 2)
-        t += 1
-        n = tuple(a + t * b for a, b in zip(n1, n2))
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,24 @@
 Follows the curve-cover skeleton with one extra mechanism: a plane in the
 current richness window whose points are almost all on one line (too
 degenerate) is not branched on directly. Instead its heavy line is guessed
-and stamped into a side structure with the current depth; the few leftover
-points of such a plane (its ghost points) ride along until the line is
-"ripe", at which point the line is extended into a full plane. Ripeness is
-the last depth at which the ghost allowance gamma_i still dominates the
-line's possible ghost count; the test is evaluated through exact fifth
-powers, as are the degeneracy thresholds, so no irrational quantity is ever
-approximated.
+and stamped into a side structure with the current depth, and its points
+leave the instance. Once the line is "ripe", it is extended into a plane
+through it and a remaining point. Ripeness compares the thresholds of the
+stamp depth and the current depth; the test is evaluated through exact
+fifth powers, as are the degeneracy thresholds, so no irrational quantity is
+ever approximated. The paper bounds the points that such a plane leaves
+behind (its ghost points) by an allowance; no code here checks that bound.
 
-The deepest level hands the remaining points plus all pending lines to the
-mixed points-and-lines subset sweep, which is exact. Its counter is read off
-the search's incidence layer (lines and candidate planes as point masks,
-built once per search), so deciding a leaf takes no rational arithmetic,
-and an accepting leaf extracts its witness on the same counter and sum.
+Every step reads the search's incidence layer (`PlaneLayer`: lines and
+candidate planes as point masks, built once per search). A window plane is
+a layer index, and so is an extension: the plane through a ripe line and a
+point is a `line_point_plane` entry, and which lines a plane holds is a mask
+test. Only when no such plane is admissible does the extension take a
+canonical plane through the line, kept as its integer row and mask. The
+deepest level hands the remaining points plus all pending lines to the
+mixed points-and-lines subset sweep, which is exact; its counter is read off
+the same layer, and an accepting leaf extracts its witness on the same
+counter and sum. A `Plane3` is built only for a witness.
 """
 
 from __future__ import annotations
@@ -33,25 +38,10 @@ from .curve_branch import (
     branch_cover,
     budget_partitions,
     recursion_depth,
+    sweep_leaf,
 )
-from .geometry import (
-    PLANE3,
-    FamilySpec,
-    Flat,
-    Plane3,
-    PlaneLayer,
-    Point,
-    canonical_plane_through_line,
-    flat_contains,
-    plane_covers,
-    plane_through_line_point,
-)
-from .inclusion_exclusion import (
-    DEFAULT_SUBSET_CAP,
-    CoverableCounter,
-    _self_reduce,
-    _signed_sum,
-)
+from .geometry import PLANE3, FamilySpec, Fits, Plane3, PlaneLayer, Point, _bits
+from .inclusion_exclusion import DEFAULT_SUBSET_CAP, CoverableCounter
 from .kernel import KernelResult, plane_kernel_r3
 
 
@@ -99,33 +89,43 @@ def _is_ripe(stamp_depth: int, depth: int, gammas: Sequence[Fraction]) -> bool:
                 >= 32 * gj.numerator ** 4 * gi.denominator ** 5)
 
 
-def extend_lines(lines: Sequence[Flat], points: Sequence[Point],
-                 avoid: Sequence[Flat] = ()) -> Iterator[tuple[Plane3, ...]]:
-    """All ways of extending each line into a plane through it and a current
-    point (deduplicated); a canonical fallback plane through the line stands
-    in when no admissible extension through a point exists. Planes covering a
-    line from `avoid` (or another input line) are filtered out."""
+def extend_lines(layer: PlaneLayer, lines: Sequence[int], mask: int,
+                 avoid: Sequence[int] = ()) -> Iterator[tuple]:
+    """All ways of extending each of the layer `lines` into a plane through
+    it and a point of `mask` off it. A line's options are the layer planes
+    `line_point_plane` names for those points, in point order and each once,
+    without the planes that contain another input line or an `avoid` line.
+    When none is left, the canonical plane through the line that contains
+    none of them stands in, as its integer row and point mask
+    (`PlaneLayer.hull_plane`); every other option is a layer plane index.
+    Each option holds its own line and no other input line, so the planes of
+    a combination are distinct."""
     if not lines:
         raise ValueError("no lines to extend")
+    n, masks, planes = len(layer.points), layer.lines, layer.planes
     option_lists = []
     for i, line in enumerate(lines):
-        others = [l for j, l in enumerate(lines) if j != i] + list(avoid)
-        opts: list[Plane3] = []
-        for p in points:
-            if flat_contains(line, p):
-                continue
-            h = plane_through_line_point(line, p)
+        others = [masks[o] for j, o in enumerate(lines) if j != i] + [masks[o] for o in avoid]
+        opts: list = []
+        for x in _bits(mask & ~masks[line]):
+            h = layer.line_point_plane[line * n + x]
             if h in opts:
                 continue
-            if any(flat_contains(h, other) for other in others):
+            if any(not m & ~planes[h][0] for m in others):
                 continue
             opts.append(h)
         if not opts:
-            opts = [canonical_plane_through_line(line, avoid=others)]
+            opts = [layer.hull_plane("line", line, avoid=others)]
         option_lists.append(opts)
-    for combo in itertools.product(*option_lists):
-        if len(set(combo)) == len(combo):
-            yield combo
+    yield from itertools.product(*option_lists)
+
+
+def plane_object(layer: PlaneLayer, h) -> Plane3:
+    """The plane a search names by `h`: a layer plane index, or the
+    (row, mask) of a canonical plane through an extended line."""
+    if isinstance(h, int):
+        return layer.plane(h)
+    return Fits("plane3", layer.scale, [h[0]], [h[1]]).obj(0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +139,9 @@ class _PlaneSearch:
     Lines and candidate planes are the point masks of the instance's
     `PlaneLayer`, which the sweep leaves' counters read as well. The layer
     lists them in canonical object order, so a window sorted stably by
-    richness breaks its ties by object, and a partial cover names a window
-    plane by its layer index: its object is built only for a witness."""
+    richness breaks its ties by object. A partial cover names each plane as
+    `extend_lines` does, mostly by its layer index, and its object is built
+    only for a witness (`plane_object`)."""
 
     def __init__(self, kern: KernelResult, family: FamilySpec, config: BranchConfig):
         self.points = kern.points
@@ -150,20 +151,6 @@ class _PlaneSearch:
         self.planes = self.layer.planes     # (mask, line indexes)
         self.lines = self.layer.lines       # masks
         self._no_leaves: set = set()
-        self._ext_mask_cache: dict[Plane3, int] = {}
-
-    def _subset_points(self, mask: int) -> list[Point]:
-        return [p for i, p in enumerate(self.points) if (mask >> i) & 1]
-
-    def _plane_mask(self, plane: Plane3) -> int:
-        m = self._ext_mask_cache.get(plane)
-        if m is None:
-            m = 0
-            for i, p in enumerate(self.points):
-                if plane_covers(plane, p):
-                    m |= 1 << i
-            self._ext_mask_cache[plane] = m
-        return m
 
     def _ie(self, mask: int, stamped: tuple, budget: int) -> Optional[list]:
         """The sweep leaf over the points in `mask` and the stamped lines: a
@@ -174,12 +161,10 @@ class _PlaneSearch:
         if key in self._no_leaves:
             return None
         counter = CoverableCounter.on_layer(self.layer, mask, key[1])
-        res = _signed_sum(counter, counter.mask, budget, self.cfg.ie_cap)
-        self.stats.ie_subsets += res.subsets
-        if not res.decision:
+        ext = sweep_leaf(counter, budget, self.cfg.ie_cap, self.stats)
+        if ext is None:
             self._no_leaves.add(key)
-            return None
-        return _self_reduce(counter, budget, res.ie_sum, self.cfg.ie_cap)
+        return ext
 
     def _max_collinear_on(self, plane_entry, mask: int) -> int:
         pmask, contained = plane_entry
@@ -215,18 +200,15 @@ class _PlaneSearch:
             ext = self._ie(mask, stamped, remaining_budget + len(stamped))
             if ext is None:
                 return False, None
-            # a window plane is its layer index; an extension plane is built
-            return True, [self.layer.plane(h) if isinstance(h, int) else h
-                          for h in partial] + ext
+            return True, [plane_object(self.layer, h) for h in partial] + ext
 
         if ripe:
             keep = tuple(e for e in stamped if e not in ripe)
-            keep_lines = [self.layer.line(j) for j, _ in keep]
-            ripe_flats = [self.layer.line(j) for j, _ in ripe]
-            for combo in extend_lines(ripe_flats, self._subset_points(mask), avoid=keep_lines):
+            for combo in extend_lines(self.layer, [j for j, _ in ripe], mask,
+                                      avoid=[j for j, _ in keep]):
                 covered = 0
                 for h in combo:
-                    covered |= self._plane_mask(h)
+                    covered |= self.planes[h][0] if isinstance(h, int) else h[1]
                 ok, wit = self.run(partition, mask & ~covered, keep, depth,
                                    partial + tuple(combo))
                 if ok:

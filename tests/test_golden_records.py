@@ -77,6 +77,10 @@ CASES = [
     _random("circle2", 8, 6) + (16, AUTO, "opt-1"),
     _random("plane3", 9, 3) + (17, AUTO, "opt"),
     _random("vparabola2", 13, 6) + (18, AUTO, "opt"),
+    # plane searches that extend ripe stamped lines into planes
+    ("degenerate-plane", {"k": 4, "m": 4}, 0, BRANCH, 3),
+    ("degenerate-plane", {"k": 4, "m": 4}, 1, BRANCH, 3),
+    _random("plane3", 14, 3) + (1, BRANCH, 3),
 ]
 
 

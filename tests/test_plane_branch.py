@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import incidence_reference
 from conftest import random_points_3d
 from counter_reference import (
     FractionPlaneCounter,
@@ -11,13 +12,17 @@ from counter_reference import (
     assert_table_lists_candidate_cover_sets,
     reference_sums,
 )
+from geomcover import plane_branch
 from geomcover.curve_branch import budget_partitions
 from geomcover.geometry import (
     PLANE3,
+    PlaneLayer,
+    _bits,
     check_cover,
     flat_contains,
     line_through,
     plane3_curve,
+    plane_covers,
     pt,
 )
 from geomcover.inclusion_exclusion import (
@@ -37,9 +42,30 @@ from geomcover.plane_branch import (
     extend_lines,
     make_plane_config,
     plane_cover,
+    plane_object,
 )
 
-XAXIS = line_through(pt(0, 0, 0), pt(1, 0, 0))
+
+def _points_in(search, mask):
+    """The points of the search's instance in `mask` (point i is bit i)."""
+    return [p for i, p in enumerate(search.points) if (mask >> i) & 1]
+
+
+def _line_index(layer, p, q):
+    """The layer index of the line through the layer points p and q."""
+    n = len(layer.points)
+    i, j = sorted((layer.points.index(p), layer.points.index(q)))
+    return layer.pair_line[i * n + j]
+
+
+def _mask_of(layer, points):
+    """The mask of the layer points `points`."""
+    return sum(1 << layer.points.index(p) for p in points)
+
+
+def _extension_objects(layer, combo):
+    """The planes of one `extend_lines` combination, built."""
+    return tuple(plane_object(layer, h) for h in combo)
 
 
 class TestDegeneracy:
@@ -84,27 +110,87 @@ class TestRipeness:
 
 class TestExtendLines:
     def test_single_line_single_point(self):
-        assert list(extend_lines([XAXIS], [pt(0, 0, 1)])) == [(plane3_curve(0, 1, 0, 0),)]
+        o, x, top = pt(0, 0, 0), pt(1, 0, 0), pt(0, 0, 1)
+        layer = PlaneLayer([o, x, top])
+        combos = list(extend_lines(layer, [_line_index(layer, o, x)], _mask_of(layer, [top])))
+        assert [_extension_objects(layer, c) for c in combos] == [(plane3_curve(0, 1, 0, 0),)]
+        assert all(isinstance(h, int) for h in combos[0])
 
     def test_fallback_without_points(self):
-        combos = list(extend_lines([XAXIS], []))
-        assert len(combos) == 1 and flat_contains(combos[0][0], XAXIS)
+        o, x = pt(0, 0, 0), pt(1, 0, 0)
+        layer = PlaneLayer([o, x])
+        combos = list(extend_lines(layer, [_line_index(layer, o, x)], 0))
+        assert len(combos) == 1
+        assert flat_contains(_extension_objects(layer, combos[0])[0], line_through(o, x))
 
     def test_two_skew_lines(self):
-        other = line_through(pt(0, 5, 1), pt(1, 5, 2))
-        combos = list(extend_lines([XAXIS, other], [pt(0, 0, 3), pt(2, 7, 1)]))
+        a0, a1, b0, b1 = pt(0, 0, 0), pt(1, 0, 0), pt(0, 5, 1), pt(1, 5, 2)
+        extra = [pt(0, 0, 3), pt(2, 7, 1)]
+        layer = PlaneLayer([a0, a1, b0, b1] + extra)
+        lines = [_line_index(layer, a0, a1), _line_index(layer, b0, b1)]
+        combos = [_extension_objects(layer, c)
+                  for c in extend_lines(layer, lines, _mask_of(layer, extra))]
         assert 1 <= len(combos) <= 4
         for combo in combos:
             assert len(set(combo)) == 2
-            assert flat_contains(combo[0], XAXIS) and flat_contains(combo[1], other)
+            assert flat_contains(combo[0], line_through(a0, a1))
+            assert flat_contains(combo[1], line_through(b0, b1))
 
     def test_avoid_filter(self):
         # planes through the x-axis and a point of the parallel line would
         # cover that line; they must be filtered and the fallback used
-        parallel = line_through(pt(0, 1, 0), pt(1, 1, 0))
-        combos = list(extend_lines([XAXIS], [pt(3, 1, 0)], avoid=[parallel]))
+        o, x, p0, p1, p3 = pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 0), pt(3, 1, 0)
+        layer = PlaneLayer([o, x, p0, p1, p3])
+        combos = list(extend_lines(layer, [_line_index(layer, o, x)], _mask_of(layer, [p3]),
+                                   avoid=[_line_index(layer, p0, p1)]))
         assert len(combos) == 1
-        assert not flat_contains(combos[0][0], parallel)
+        assert not flat_contains(_extension_objects(layer, combos[0])[0], line_through(p0, p1))
+
+    def test_matches_fraction_reference(self):
+        """Seeded layers, line picks, avoid lines and masks: the same planes,
+        in the same order, as the Fraction extension over the lines' `Flat`s
+        and the points in the mask, including masks with no point off the
+        lines, lines whose every option is filtered, repeated options and
+        fallbacks past the first plane of the pencil. A fallback's mask holds
+        exactly the layer points on its plane."""
+        rng = random.Random(131)
+        seen = dict(fallbacks=0, walked=0, all_filtered=0, repeats=0, empty=0, calls=0)
+        point_sets = [random_points_3d(rng, rng.randint(5, 10), span=2) for _ in range(40)]
+        point_sets += [list(generate("degenerate-plane", {"k": 2, "m": 5}, seed=s).points)
+                       for s in range(3)]
+        for points in point_sets:
+            layer = PlaneLayer(points)
+            n, nl = len(points), len(layer.lines)
+            for _ in range(12):
+                picked = rng.sample(range(nl), min(nl, rng.randint(1, 4)))
+                cut = rng.randint(1, min(3, len(picked)))
+                lines, avoid = picked[:cut], picked[cut:]
+                near = 0
+                for j in picked:
+                    near |= layer.lines[j]
+                mask = rng.choice([rng.getrandbits(n), near & rng.getrandbits(n), near, 0])
+                got = [_extension_objects(layer, c) for c in extend_lines(layer, lines, mask, avoid)]
+                want = list(incidence_reference.extend_lines(
+                    [layer.line(j) for j in lines], _points_in(layer, mask),
+                    avoid=[layer.line(j) for j in avoid]))
+                assert got == want, (points, lines, avoid, mask)
+                seen["calls"] += 1
+                for i, line in enumerate(lines):
+                    off = _bits(mask & ~layer.lines[line])
+                    seen["empty"] += not off
+                    through = [layer.line_point_plane[line * n + x] for x in off]
+                    seen["repeats"] += len(set(through)) < len(through)
+                    fallback = next(c[i] for c in extend_lines(layer, lines, mask, avoid))
+                    if isinstance(fallback, int):
+                        continue
+                    seen["fallbacks"] += 1
+                    seen["all_filtered"] += bool(off)
+                    plane = _extension_objects(layer, [fallback])[0]
+                    seen["walked"] += plane != incidence_reference.canonical_plane_through_line(
+                        layer.line(line))
+                    assert fallback[1] == sum(1 << t for t, p in enumerate(points)
+                                              if plane_covers(plane, p))
+        assert all(seen.values()), seen
 
 
 class TestPlaneCover:
@@ -138,7 +224,10 @@ class TestPlaneCover:
 
     def test_degenerate_instances_agree_with_oracle(self):
         # planted clusters with 90% of each cluster on one line force the
-        # too-degenerate path, where heavy lines are stamped and extended
+        # too-degenerate path, where heavy lines are stamped; at k = 2 the
+        # search is two levels deep, so a stamped line ripens only at a leaf,
+        # which takes it as a ground element (test_searches_extend_ripe_lines
+        # reaches the extension)
         for seed in range(4):
             inst = generate("degenerate-plane", {"k": 2, "m": 5}, seed=seed)
             pts = list(inst.points)
@@ -149,6 +238,22 @@ class TestPlaneCover:
             assert res.decision == want
             if res.decision:
                 assert check_cover(pts, res.witness, inst.k)
+
+    def test_searches_extend_ripe_lines(self, monkeypatch):
+        calls = []
+        real = plane_branch.extend_lines
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(plane_branch, "extend_lines", counting)
+        for seed in (0, 1):
+            inst = generate("degenerate-plane", {"k": 4, "m": 4}, seed=seed)
+            calls.clear()
+            res = plane_cover(list(inst.points), 3)
+            assert len(calls) > 100
+            assert res.decision and check_cover(inst.points, res.witness, 3)
 
     def test_stamped_lines_stay_within_budget(self):
         inst = generate("degenerate-plane", {"k": 2, "m": 6}, seed=9)
@@ -193,7 +298,7 @@ def _assert_leaf_matches_counter(search, mask, lines, budgets):
     c_of_mask, equals the Fraction reference's over the same ground (the
     points in mask, then the lines), and so does every signed sum."""
     n = len(search.points)
-    points = search._subset_points(mask)
+    points = _points_in(search, mask)
     flats = [search.layer.line(j) for j in lines]
     leaf = CoverableCounter.on_layer(search.layer, mask, lines)
     ref = FractionPlaneCounter(points, flats)
@@ -232,7 +337,7 @@ class TestLeafCounter:
                 counter = CoverableCounter.on_layer(search.layer, mask, lines)
                 full = (1 << counter.n) - 1
                 assert_table_lists_candidate_cover_sets(
-                    CandidateTable(counter), counter, search._subset_points(mask),
+                    CandidateTable(counter), counter, _points_in(search, mask),
                     [search.layer.line(j) for j in lines], PLANE3,
                     [full] + [rng.randint(1, full) for _ in range(2)])
                 with_lines += bool(lines)
