@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .curve_branch import SearchStats, curve_cover
@@ -107,18 +106,15 @@ def _pick_auto(inst: Instance, oracle_cap: int, ie_cap: int) -> str:
 
 
 def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord:
-    try:
-        factor = Fraction(args.base_case_factor) if args.base_case_factor else None
-    except ZeroDivisionError:
-        raise ValueError("--base-case-factor %s has a zero denominator"
-                         % args.base_case_factor) from None
+    """Solve `inst` at budget k with `algorithm`, timed into
+    `record.stats.wall_ms`, and check any witness the solver returns."""
+    t0 = time.perf_counter()
     record = ResultRecord(algorithm=algorithm, seed=args.seed, config={
         "k": k,
         "family": inst.family.kind,
         "n": inst.n,
         "threads": args.threads,
         "ie_cap": args.ie_cap,
-        "base_case_factor": args.base_case_factor,
     })
 
     if algorithm == "ie":
@@ -147,17 +143,16 @@ def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord
         if args.min_cover:
             raise InvalidInstanceError("--min needs the ie or oracle algorithm")
         if inst.family.kind == "plane3":
-            res = plane_cover(inst.points, k, base_case_factor=factor,
-                              ie_cap=args.ie_cap, rng_seed=args.seed or 0)
+            res = plane_cover(inst.points, k, ie_cap=args.ie_cap, rng_seed=args.seed or 0)
         else:
-            res = curve_cover(inst.points, inst.family, k, base_case_factor=factor,
-                              ie_cap=args.ie_cap)
+            res = curve_cover(inst.points, inst.family, k, ie_cap=args.ie_cap)
         record.decision = res.decision
         record.stats = res.stats
         if args.witness and res.decision:
             record.witness = res.witness
     else:
         raise InvalidInstanceError("unknown algorithm %r" % algorithm)
+    record.stats.wall_ms = int((time.perf_counter() - t0) * 1000)
 
     if record.witness is not None:
         budget = record.opt if record.opt is not None else k
@@ -267,16 +262,13 @@ def _cmd_bench(args) -> int:
         reps = entry.get("repetitions", 1)
         for algorithm in entry["algorithms"]:
             for _ in range(reps):
-                t0 = time.perf_counter()
                 ns = argparse.Namespace(
-                    base_case_factor=None, seed=entry.get("seed", 0), threads=1,
-                    ie_cap=args.ie_cap, oracle_cap=args.oracle_cap,
-                    min_cover=False, witness=False)
+                    seed=entry.get("seed", 0), threads=1, ie_cap=args.ie_cap,
+                    oracle_cap=args.oracle_cap, min_cover=False, witness=False)
                 record = _run_algorithm(inst, algorithm, k, ns)
-                wall = int((time.perf_counter() - t0) * 1000)
                 leaves = record.stats.leaves_ie + record.stats.leaves_rejected
                 rows.append((inst.n, k, algorithm, "yes" if record.decision else "no",
-                             record.stats.nodes_expanded, leaves, wall))
+                             record.stats.nodes_expanded, leaves, record.stats.wall_ms))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[4], r[5]))
     print(",".join(BENCH_COLUMNS))
     for row in rows:
@@ -300,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-check against the brute-force oracle when within cap")
     solve.add_argument("--threads", type=int, default=1,
                        help="recorded in config.threads; the search always runs sequentially")
-    solve.add_argument("--base-case-factor", default=None,
-                       help="fraction multiplying the K_i*log2(k) base-case threshold")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--ie-cap", type=int, default=DEFAULT_SUBSET_CAP)
     solve.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)

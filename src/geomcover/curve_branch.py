@@ -6,7 +6,8 @@ Level i only branches on candidates whose richness lies in the halving window
 or at the deepest level, the subset-sweep decider finishes the job exactly.
 `branch_cover` tries the budget partitions one after another with a single
 search object, the one search path that the paper's polynomial-space bound
-assumes; it is shared with the R^3 plane solver.
+assumes; it is shared with the R^3 plane solver, and so is the node skeleton
+`_Search` (node counting, sweep leaves and their cache).
 
 The curve search reads its candidates off the kernel's result: the kernel has
 fitted every curve once, and cuts the masks to the points it keeps. Almost
@@ -14,15 +15,16 @@ every child of a node is too large for its remaining budget, so the node
 counts those children itself, in bulk where a whole run of combinations must
 fall short, and calls only the children that pass.
 
-All thresholds are evaluated in exact rational (or integer-power) arithmetic,
-so accept/reject boundaries cannot drift with platform rounding.
+Every threshold is derived once per solve, in exact rational and
+integer-power arithmetic, into the integer tables of `BranchConfig`, so
+accept/reject boundaries cannot drift with platform rounding and a node
+compares integers only.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -55,21 +57,14 @@ def ceil_log2_int(k: int) -> int:
     return (k - 1).bit_length()
 
 
-def ceil_log2_fraction(x: Fraction) -> int:
-    """Smallest nonnegative r with 2^r >= x (x > 0)."""
-    r = 0
-    while (1 << r) < x:
-        r += 1
-    return r
-
-
 def recursion_depth(k: int, d: int, s: int) -> int:
     """Number of recursion levels: r = max(1, ceil(log2(4sk / ((d-1) log2 k)))),
     with the inner log taken as the conservative integer ceiling."""
     if k < 2:
         raise ValueError("branching needs k >= 2; fall through to the subset sweep")
     denom = (d - 1) * ceil_log2_int(k)
-    return max(1, ceil_log2_fraction(Fraction(4 * s * k, denom)))
+    # 2^r >= 4sk/denom iff 2^r >= ceil(4sk/denom)
+    return max(1, ceil_log2_int(-(-4 * s * k // denom)))
 
 
 def budget_partitions(k: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -87,17 +82,6 @@ def budget_partitions(k: int, r: int) -> Iterator[tuple[int, ...]]:
     yield from rec((), k, r)
 
 
-def below_base_threshold(n_pts: int, budget_factor: Fraction, k: int) -> bool:
-    """Exact test for n_pts < budget_factor * log2(k); for k not a power of
-    two the comparison is lifted to integer powers: 2^(n*q) < k^p."""
-    if k <= 1:
-        return False
-    if budget_factor <= 0:
-        return False
-    p, q = budget_factor.numerator, budget_factor.denominator
-    return 2 ** (n_pts * q) < k ** p
-
-
 def sweep_leaf(counter: CoverableCounter, k: int, cap: int, stats: SearchStats) -> Optional[list]:
     """A cover of the counter's ground by at most k objects, or None when
     there is none. One subset sweep decides, its subsets are added to
@@ -109,38 +93,120 @@ def sweep_leaf(counter: CoverableCounter, k: int, cap: int, stats: SearchStats) 
 
 @dataclass(frozen=True)
 class BranchConfig:
-    """Search parameters of one kernelized instance: depth r, and the richness
-    thresholds gamma_0 > ... > gamma_r bounding each level's window."""
+    """Search parameters of one kernelized instance, fixed per solve: depth r,
+    the richness thresholds gamma_0 > ... > gamma_r bounding each level's
+    window, and the integer tables the searches test in their place.
+
+    caps[i][b] = floor(b * gamma_i) for b <= 2k: a node at depth i+1 whose
+    b objects (budget plus pending lines) face more points is rejected.
+    lows[i] = ceil(gamma_i): depth i's window is [lows[i], caps[i-1][1]].
+    base[b], for a budget b <= k: a node with fewer points than this is a
+    sweep leaf, as n < factor * b * log2(k) holds exactly for those n."""
     k: int
     r: int
-    base_case_factor: Fraction
     ie_cap: int
     gammas: tuple[Fraction, ...]
+    caps: tuple[tuple[int, ...], ...]
+    lows: tuple[int, ...]
+    base: tuple[int, ...]
+
+
+def _config(k: int, r: int, factor: tuple[int, int], ie_cap: int,
+            gammas: tuple[Fraction, ...]) -> BranchConfig:
+    """The config of depth r and thresholds `gammas`, with the base-case
+    factor p/q = `factor`: a node with budget b and n points is a sweep leaf
+    when n < (p*b/q) * log2(k), that is when 2^(n*q) < k^(p*b)."""
+    p, q = factor
+    caps = tuple(tuple(b * g.numerator // g.denominator for b in range(2 * k + 1))
+                 for g in gammas)
+    lows = tuple(-(-g.numerator // g.denominator) for g in gammas)
+    # the least n with 2^(n*q) >= k^(p*b) is ceil(ceil(log2(k^(p*b))) / q)
+    base = tuple(-(-(k ** (p * b) - 1).bit_length() // q) for b in range(k + 1))
+    return BranchConfig(k, r, ie_cap, gammas, caps, lows, base)
 
 
 def make_branch_config(k: int, family: FamilySpec,
-                       base_case_factor: Optional[Fraction] = None,
                        ie_cap: int = DEFAULT_SUBSET_CAP) -> BranchConfig:
-    """Depth and thresholds gamma_i = s*k/2^i for a kernelized budget k. The
-    depth formula is capped so every branching level's window can still catch
-    candidates through at least d points (gamma_i >= d-1 for i < r). Below
-    k=2 the search never runs and the depth is 1."""
+    """Depth and thresholds gamma_i = s*k/2^i for a kernelized budget k, with
+    the base-case factor (d-1)/2. The depth formula is capped so every
+    branching level's window can still catch candidates through at least d
+    points (gamma_i >= d-1 for i < r). Below k=2 the search never runs and
+    the depth is 1."""
     d, s = family.d, family.s
     r = recursion_depth(k, d, s) if k >= 2 else 1
     deepest = 0
-    while Fraction(s * k, 1 << (deepest + 1)) >= d - 1:
+    while s * k >= (d - 1) << (deepest + 1):
         deepest += 1
     r = max(1, min(r, deepest + 1))
-    factor = base_case_factor if base_case_factor is not None else Fraction(d - 1, 2)
     gammas = tuple(Fraction(s * k, 1 << i) for i in range(r + 1))
-    return BranchConfig(k, r, factor, ie_cap, gammas)
+    return _config(k, r, (d - 1, 2), ie_cap, gammas)
 
 
-class _CurveSearch:
+class _Search:
+    """The node skeleton that the curve and plane searches share over one
+    kernelized instance: counting entered and size-rejected nodes, telling
+    sweep leaves apart by the config's base-case point counts, and the sweep
+    leaf itself, whose no-answers are remembered by (mask, pending lines,
+    budget). A subclass supplies its branching, `_counter(mask, lines)`, the
+    leaf's counter over the points in `mask` and the pending `lines`, and
+    `_object(h)`, the object that a partial cover names by `h`."""
+
+    def __init__(self, kern: KernelResult, family: FamilySpec, config: BranchConfig):
+        self.points = kern.points
+        self.family = family
+        self.cfg = config
+        self.stats = SearchStats()
+        self._no_leaves: set[tuple[int, tuple, int]] = set()
+
+    def _ie(self, mask: int, lines: tuple, budget: int) -> Optional[list]:
+        """The sweep leaf over the points in `mask` and the pending `lines`: a
+        cover of them by at most `budget` objects, or None when there is
+        none, decided and extracted on one counter. No-leaves are remembered;
+        a yes-leaf ends the search."""
+        key = (mask, lines, budget)
+        if key in self._no_leaves:
+            return None
+        ext = sweep_leaf(self._counter(mask, lines), budget, self.cfg.ie_cap, self.stats)
+        if ext is None:
+            self._no_leaves.add(key)
+        return ext
+
+    def _reject(self, count: int, depth: int) -> None:
+        """Count `count` nodes at `depth`, each rejected on size."""
+        stats = self.stats
+        stats.nodes_expanded += count
+        stats.leaves_rejected += count
+        stats.max_depth = max(stats.max_depth, depth)
+
+    def _leaf(self, mask: int, depth: int, budget: int, stamped: tuple,
+              partial: tuple) -> Optional[tuple[bool, Optional[list]]]:
+        """Enter a node at `depth` over the points in `mask` and the pending
+        lines `stamped` ((line index, stamp depth) pairs), which passed its
+        size test, with `budget` objects for its points. At the deepest level,
+        or below the base-case point count of `budget`, it is a sweep leaf
+        and its answer is returned, the partial cover leading the witness;
+        otherwise None, and the caller branches."""
+        stats = self.stats
+        stats.nodes_expanded += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        if depth < self.cfg.r and mask.bit_count() >= self.cfg.base[budget]:
+            return None
+        stats.leaves_ie += 1
+        ext = self._ie(mask, tuple(j for j, _ in stamped), budget + len(stamped))
+        if ext is None:
+            return False, None
+        return True, [self._object(h) for h in partial] + ext
+
+    def _size_cap(self, budget: int, depth: int) -> int:
+        """floor(budget * gamma_(depth-1)): a node at `depth` with more points
+        than this is rejected."""
+        return self.cfg.caps[depth - 1][budget]
+
+
+class _CurveSearch(_Search):
     """Mask-based search over one kernelized instance. Its candidate curves
     and their point masks come from the kernel, which fitted them once; per
-    node only popcounts remain. Sweep leaves that reject are remembered by
-    (mask, budget).
+    node only popcounts remain.
 
     A child that is rejected on size is counted at its parent, without a
     call: the parent knows its point count, so it tests it against the
@@ -151,40 +217,20 @@ class _CurveSearch:
     order, before any later accepting child."""
 
     def __init__(self, kern: KernelResult, family: FamilySpec, config: BranchConfig):
-        self.points = kern.points
-        self.family = family
-        self.cfg = config
-        self.stats = SearchStats()
+        super().__init__(kern, family, config)
         # (index into `fits`, mask), sorted once by curve, so that a stable
         # sort by richness orders each window; a curve is built only for a
         # witness
         self.fits = kern.fits
         keys = self.fits.keys() if self.fits is not None else ()
         self.cands = sorted(kern.candidates, key=lambda cm: keys[cm[0]])
-        self._no_leaves: set[tuple[int, int]] = set()
 
-    def _subset_points(self, mask: int) -> list[Point]:
-        return [p for i, p in enumerate(self.points) if (mask >> i) & 1]
+    def _counter(self, mask: int, lines: tuple) -> CoverableCounter:
+        return CoverableCounter([p for i, p in enumerate(self.points) if (mask >> i) & 1],
+                                self.family)
 
-    def _ie(self, mask: int, budget: int) -> Optional[list]:
-        """The sweep leaf over the points in `mask`: a cover of them by at
-        most `budget` curves, or None when there is none, decided and
-        extracted on one counter. No-leaves are remembered; a yes-leaf ends
-        the search."""
-        key = (mask, budget)
-        if key in self._no_leaves:
-            return None
-        counter = CoverableCounter(self._subset_points(mask), self.family)
-        ext = sweep_leaf(counter, budget, self.cfg.ie_cap, self.stats)
-        if ext is None:
-            self._no_leaves.add(key)
-        return ext
-
-    def _size_cap(self, partition: tuple[int, ...], depth: int) -> int:
-        """floor(remaining budget * gamma_(depth-1)): a node at `depth` with
-        more points than this is rejected."""
-        gamma = self.cfg.gammas[depth - 1]
-        return sum(partition[depth - 1:]) * gamma.numerator // gamma.denominator
+    def _object(self, h):
+        return self.fits.obj(h)
 
     def window(self, mask: int, depth: int) -> list[tuple]:
         """(index, mask, richness) of the kernel's candidates whose richness
@@ -193,25 +239,16 @@ class _CurveSearch:
         through d surviving points, matching a fresh enumeration over the
         current point set. The node counts the children of a window that fall
         short of its size cap, rather than entering them."""
-        lo, hi = self.cfg.gammas[depth], self.cfg.gammas[depth - 1]
-        lo = max(self.family.d, -(-lo.numerator // lo.denominator))
-        hi = hi.numerator // hi.denominator
+        lo, hi = max(self.family.d, self.cfg.lows[depth]), self.cfg.caps[depth - 1][1]
         window = [(c, m, (m & mask).bit_count()) for c, m in self.cands]
         window = [t for t in window if lo <= t[2] <= hi]
         window.sort(key=lambda t: -t[2])
         return window
 
-    def _reject(self, count: int, depth: int) -> None:
-        """Count `count` nodes at `depth`, each rejected on size."""
-        stats = self.stats
-        stats.nodes_expanded += count
-        stats.leaves_rejected += count
-        stats.max_depth = max(stats.max_depth, depth)
-
     def run(self, partition: tuple[int, ...]) -> tuple[bool, Optional[list]]:
         """Search one budget partition from the root."""
         mask = (1 << len(self.points)) - 1
-        if mask.bit_count() > self._size_cap(partition, 1):
+        if mask.bit_count() > self._size_cap(sum(partition), 1):
             self._reject(1, 1)
             return False, None
         return self._expand(partition, mask, 1, ())
@@ -220,25 +257,16 @@ class _CurveSearch:
                 partial: tuple) -> tuple[bool, Optional[list]]:
         """A node at `depth` over the points in `mask`, which passed its size
         test: a sweep leaf, or a branch over the window's combinations."""
-        cfg, stats = self.cfg, self.stats
-        stats.nodes_expanded += 1
-        stats.max_depth = max(stats.max_depth, depth)
-        remaining_budget = sum(partition[depth - 1:])
-        n_pts = mask.bit_count()
-
-        if depth == cfg.r or below_base_threshold(n_pts, cfg.base_case_factor * remaining_budget, cfg.k):
-            stats.leaves_ie += 1
-            ext = self._ie(mask, remaining_budget)
-            if ext is None:
-                return False, None
-            return True, [self.fits.obj(c) for c in partial] + ext
+        leaf = self._leaf(mask, depth, sum(partition[depth - 1:]), (), partial)
+        if leaf is not None:
+            return leaf
 
         window = self.window(mask, depth)
         width = len(window)
         rich = [r for _, _, r in window]
         sums = list(itertools.accumulate(rich, initial=0))
-        cap = self._size_cap(partition, depth + 1)
-        need = n_pts - cap  # a child keeps at most `cap` points
+        cap = self._size_cap(sum(partition[depth:]), depth + 1)
+        need = mask.bit_count() - cap  # a child keeps at most `cap` points
         picked: list[int] = []
 
         def picks(start: int, left: int, covered: int, rsum: int) -> Optional[list]:
@@ -284,7 +312,7 @@ def branch_cover(kern: KernelResult, family: FamilySpec, config: BranchConfig, s
     if not pts:
         return CoverResult(True, list(forced), stats)
 
-    if k2 < 2 or below_base_threshold(len(pts), config.base_case_factor * k2, k2):
+    if k2 < 2 or len(pts) < config.base[k2]:
         stats.leaves_ie += 1
         ext = sweep_leaf(CoverableCounter(pts, family), k2, config.ie_cap, stats)
         if ext is None:
@@ -300,15 +328,11 @@ def branch_cover(kern: KernelResult, family: FamilySpec, config: BranchConfig, s
 
 
 def curve_cover(points: Sequence[Point], family: FamilySpec, k: int,
-                base_case_factor: Optional[Fraction] = None,
                 ie_cap: int = DEFAULT_SUBSET_CAP) -> CoverResult:
     """Kernelize, then try every budget partition; accept on the first one
     whose recursive search accepts. Forced curves from the kernel lead the
     witness."""
-    t0 = time.perf_counter()
     kern = curve_kernel(points, family, k)
-    config = make_branch_config(kern.k, family, base_case_factor, ie_cap)
-    res = branch_cover(kern, family, config, _CurveSearch,
-                       budget_partitions(config.k, config.r))
-    res.stats.wall_ms = int((time.perf_counter() - t0) * 1000)
-    return res
+    config = make_branch_config(kern.k, family, ie_cap)
+    return branch_cover(kern, family, config, _CurveSearch,
+                        budget_partitions(config.k, config.r))

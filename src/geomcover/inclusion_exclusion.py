@@ -32,7 +32,6 @@ Counts are exact arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -206,37 +205,35 @@ class CoverableCounter:
 
     def _build_curves(self):
         """A subset of three or more points is coverable exactly when it lies
-        inside one of `_curves`, the masks of the curves through >= 3 ground
-        points (s+1 points fix a curve, so that curve is unique). `_pair[e]`
-        holds the partners e can be covered with. `fitted` keeps every
-        curve through d ground points for the candidate table."""
+        inside the mask of one curve through >= 3 ground points (s+1 points
+        fix a curve, so that curve is unique). `_pair[e]` holds the partners
+        e can be covered with: two distinct points lie on a line and on a
+        circle, and on a vertical parabola exactly when their x coordinates
+        differ. `fitted` keeps every curve through d ground points for the
+        candidate table."""
         pts, fam = self.points, self.family
         self.n = n = len(pts)
         self.mask = (1 << n) - 1
         self.fitted = curve_fits(pts, fam)
-        curves = [mask for mask in self.fitted.masks if mask.bit_count() >= 3]
         # q[e][1 << p]: the other points on the >= 3-point curves through e
         # and p; heavy[e]: the curves through e with >= 4 points
-        pair = [0] * n
         q: list[dict[int, int]] = [{} for _ in range(n)]
         heavy: list[list[int]] = [[] for _ in range(n)]
-        for mask in curves:
+        for mask in self.fitted.masks:
             members = _bits(mask)
+            if len(members) < 3:
+                continue
             for a in members:
-                pair[a] |= mask & ~(1 << a)
                 if len(members) >= 4:
                     heavy[a].append(mask)
                 for b in members:
                     if a != b:
                         q[a][1 << b] = q[a].get(1 << b, 0) | (mask & ~(1 << a | 1 << b))
-        for i, j in itertools.combinations(range(n), 2):
-            # any two points lie on a line; a pair off every found curve needs a fit
-            if not pair[i] >> j & 1 and (
-                    fam.d == 2 or covering_curve(fam, (pts[i], pts[j])) is not None):
-                pair[i] |= 1 << j
-                pair[j] |= 1 << i
-        self._pair = pair
-        self._curves = curves
+        if fam.kind == "vparabola2":
+            self._pair = [sum(1 << j for j in range(n) if pts[j][0] != pts[i][0])
+                          for i in range(n)]
+        else:
+            self._pair = [self.mask & ~(1 << i) for i in range(n)]
         self._q = [list(row.items()) for row in q]
         self._heavy = heavy
 
@@ -370,13 +367,9 @@ class CoverableCounter:
     # -- evaluation
 
     def c_of_mask(self, mask: int) -> int:
-        bits = _bits(mask)
-        if self.family.kind == "plane3":
-            # c(empty) = 1, then add the elements of X one at a time
-            return 1 + sum(self.step(e, mask & ((1 << e) - 1)) for e in bits)
-        pairs = sum((self._pair[i] & mask).bit_count() for i in bits) >> 1
-        return (1 + len(bits) + pairs
-                + sum(_w((c & mask).bit_count()) for c in self._curves))
+        """c(X) for the subset mask X: 1 for the empty set, plus the step of
+        each element of X over the elements before it in bit order."""
+        return 1 + sum(self.step(e, mask & ((1 << e) - 1)) for e in _bits(mask))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Branching solver for plane cover in R^3.
 
-Follows the curve-cover skeleton with one extra mechanism: a plane in the
-current richness window whose points are almost all on one line (too
-degenerate) is not branched on directly. Instead its heavy line is guessed
+Runs on the curve search's node skeleton (`curve_branch._Search`: node
+counting, integer size caps and windows, sweep leaves and their cache) with
+one extra mechanism: a plane in the current richness window whose points are
+almost all on one line (too degenerate) is not branched on directly. Instead its heavy line is guessed
 and stamped into a side structure with the current depth, and its points
 leave the instance. Once the line is "ripe", it is extended into a plane
 through it and a remaining point. Ripeness compares the thresholds of the
@@ -26,37 +27,33 @@ counter and sum. A `Plane3` is built only for a witness.
 from __future__ import annotations
 
 import itertools
-import time
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .curve_branch import (
     BranchConfig,
     CoverResult,
-    SearchStats,
-    below_base_threshold,
+    _config,
+    _Search,
     branch_cover,
     budget_partitions,
     recursion_depth,
-    sweep_leaf,
 )
 from .geometry import PLANE3, FamilySpec, Fits, Plane3, PlaneLayer, Point, _bits
 from .inclusion_exclusion import DEFAULT_SUBSET_CAP, CoverableCounter
 from .kernel import KernelResult, plane_kernel_r3
 
 
-def make_plane_config(k: int, base_case_factor: Optional[Fraction] = None,
-                      ie_cap: int = DEFAULT_SUBSET_CAP) -> BranchConfig:
+def make_plane_config(k: int, ie_cap: int = DEFAULT_SUBSET_CAP) -> BranchConfig:
     """Depth from the generic formula with s frozen at the kernel's plane
     intersection bound k+1, capped so gamma_r >= 1; thresholds
-    gamma_0 = k^2+k and gamma_i = k^2/2^i. Below k=2 the search never runs
-    and the depth is 1."""
+    gamma_0 = k^2+k and gamma_i = k^2/2^i, and the base-case factor 1.
+    Below k=2 the search never runs and the depth is 1."""
     r = recursion_depth(k, 3, k + 1) if k >= 2 else 1
-    while r > 1 and Fraction(k * k, 1 << r) < 1:
+    while r > 1 and k * k < 1 << r:
         r -= 1
-    factor = base_case_factor if base_case_factor is not None else Fraction(1)
     gammas = (Fraction(k * k + k),) + tuple(Fraction(k * k, 1 << i) for i in range(1, r + 1))
-    return BranchConfig(k, r, factor, ie_cap, gammas)
+    return _config(k, r, (1, 1), ie_cap, gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +129,7 @@ def plane_object(layer: PlaneLayer, h) -> Plane3:
 # the recursive search
 
 
-class _PlaneSearch:
+class _PlaneSearch(_Search):
     """Mask-based search over one kernelized instance. A stamped line is a
     pair (index into self.lines, depth at which it was guessed).
 
@@ -144,27 +141,16 @@ class _PlaneSearch:
     only for a witness (`plane_object`)."""
 
     def __init__(self, kern: KernelResult, family: FamilySpec, config: BranchConfig):
-        self.points = kern.points
-        self.cfg = config
-        self.stats = SearchStats()
+        super().__init__(kern, family, config)
         self.layer = PlaneLayer(self.points)
         self.planes = self.layer.planes     # (mask, line indexes)
         self.lines = self.layer.lines       # masks
-        self._no_leaves: set = set()
 
-    def _ie(self, mask: int, stamped: tuple, budget: int) -> Optional[list]:
-        """The sweep leaf over the points in `mask` and the stamped lines: a
-        cover of them by at most `budget` planes, or None when there is none.
-        The counter is read off the layer, and an accepting leaf self-reduces
-        on it. No-leaves are remembered; a yes-leaf ends the search."""
-        key = (mask, tuple(e[0] for e in stamped), budget)
-        if key in self._no_leaves:
-            return None
-        counter = CoverableCounter.on_layer(self.layer, mask, key[1])
-        ext = sweep_leaf(counter, budget, self.cfg.ie_cap, self.stats)
-        if ext is None:
-            self._no_leaves.add(key)
-        return ext
+    def _counter(self, mask: int, lines: tuple) -> CoverableCounter:
+        return CoverableCounter.on_layer(self.layer, mask, lines)
+
+    def _object(self, h) -> Plane3:
+        return plane_object(self.layer, h)
 
     def _max_collinear_on(self, plane_entry, mask: int) -> int:
         pmask, contained = plane_entry
@@ -180,10 +166,7 @@ class _PlaneSearch:
         cfg = self.cfg
         if mask is None:
             mask = (1 << len(self.points)) - 1
-        self.stats.nodes_expanded += 1
-        self.stats.max_depth = max(self.stats.max_depth, depth)
         remaining_budget = sum(partition[2 * (depth - 1):])
-        n_pts = mask.bit_count()
         gammas = cfg.gammas
         assert len(stamped) <= cfg.k, "pending lines exceed the budget"
 
@@ -191,16 +174,13 @@ class _PlaneSearch:
 
         # the size reject presumes every pending line already passed a
         # ripeness check at this depth; skip it while extensions are due
-        if not ripe and n_pts > (remaining_budget + len(stamped)) * gammas[depth - 1]:
-            self.stats.leaves_rejected += 1
+        if not ripe and mask.bit_count() > self._size_cap(remaining_budget + len(stamped), depth):
+            self._reject(1, depth)
             return False, None
 
-        if depth == cfg.r or below_base_threshold(n_pts, cfg.base_case_factor * remaining_budget, cfg.k):
-            self.stats.leaves_ie += 1
-            ext = self._ie(mask, stamped, remaining_budget + len(stamped))
-            if ext is None:
-                return False, None
-            return True, [plane_object(self.layer, h) for h in partial] + ext
+        leaf = self._leaf(mask, depth, remaining_budget, stamped, partial)
+        if leaf is not None:
+            return leaf
 
         if ripe:
             keep = tuple(e for e in stamped if e not in ripe)
@@ -215,9 +195,9 @@ class _PlaneSearch:
                     return True, wit
             return False, None
 
-        lo, hi = gammas[depth], gammas[depth - 1]
         # richness is an integer, so the window is [ceil(lo), floor(hi)]
-        least, most = -(-lo.numerator // lo.denominator), hi.numerator // hi.denominator
+        lo = gammas[depth]
+        least, most = cfg.lows[depth], cfg.caps[depth - 1][1]
         # both windows list in layer order, so ties stay in object order
         not_too_degenerate = []
         for p, entry in enumerate(self.planes):
@@ -253,16 +233,11 @@ class _PlaneSearch:
         return False, None
 
 
-def plane_cover(points: Sequence[Point], k: int,
-                base_case_factor: Optional[Fraction] = None,
-                ie_cap: int = DEFAULT_SUBSET_CAP,
+def plane_cover(points: Sequence[Point], k: int, ie_cap: int = DEFAULT_SUBSET_CAP,
                 rng_seed: int = 0) -> CoverResult:
     """Kernelize, then run the recursive search over every budget partition
     <h_1, l_1, ..., h_r, l_r> summing to the reduced budget."""
-    t0 = time.perf_counter()
     kern = plane_kernel_r3(points, k, rng_seed)
-    config = make_plane_config(kern.k, base_case_factor, ie_cap)
-    res = branch_cover(kern, PLANE3, config, _PlaneSearch,
-                       budget_partitions(config.k, 2 * config.r))
-    res.stats.wall_ms = int((time.perf_counter() - t0) * 1000)
-    return res
+    config = make_plane_config(kern.k, ie_cap)
+    return branch_cover(kern, PLANE3, config, _PlaneSearch,
+                        budget_partitions(config.k, 2 * config.r))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from conftest import random_points_2d
 from geomcover import curve_branch, geometry, inclusion_exclusion, kernel, oracle
 from geomcover.curve_branch import (
     _CurveSearch,
-    below_base_threshold,
     branch_cover,
     budget_partitions,
     curve_cover,
@@ -29,11 +29,24 @@ from geomcover.inclusion_exclusion import extract_cover, ie_decide
 from geomcover.instances import generate
 from geomcover.kernel import curve_kernel
 from geomcover.oracle import oracle_decide, oracle_min_cover
+from geomcover.plane_branch import make_plane_config
 
 TRIPLES = [pt(0, 0), pt(1, 0), pt(2, 0),
            pt(0, 7), pt(1, 9), pt(2, 11),
            pt(10, 1), pt(10, 2), pt(10, 3)]
 GRID3 = [pt(i, j) for i in range(3) for j in range(3)]
+
+
+def below_base_threshold(n_pts: int, budget_factor: Fraction, k: int) -> bool:
+    """Reference base-case test: n_pts < budget_factor * log2(k), exactly; for
+    k not a power of two the comparison is lifted to integer powers:
+    2^(n*q) < k^p."""
+    if k <= 1:
+        return False
+    if budget_factor <= 0:
+        return False
+    p, q = budget_factor.numerator, budget_factor.denominator
+    return 2 ** (n_pts * q) < k ** p
 
 
 def rich_poor_candidates(points, family, lo, hi):
@@ -76,11 +89,12 @@ class _PlainSearch(_CurveSearch):
         if n_pts > remaining_budget * cfg.gammas[depth - 1]:
             self.stats.leaves_rejected += 1
             return False, None
-        if depth == cfg.r or below_base_threshold(n_pts, cfg.base_case_factor * remaining_budget, cfg.k):
+        factor = Fraction(self.family.d - 1, 2)
+        if depth == cfg.r or below_base_threshold(n_pts, factor * remaining_budget, cfg.k):
             self.stats.leaves_ie += 1
-            if self._ie(mask, remaining_budget) is not None:
-                ext = extract_cover(self._subset_points(mask), self.family,
-                                    remaining_budget, cap=cfg.ie_cap)
+            if self._ie(mask, (), remaining_budget) is not None:
+                points = [p for i, p in enumerate(self.points) if (mask >> i) & 1]
+                ext = extract_cover(points, self.family, remaining_budget, cap=cfg.ie_cap)
                 return True, list(partial) + ext
             return False, None
         window = self.window(mask, depth)
@@ -146,12 +160,27 @@ class TestDepthAndPartitions:
         assert len(list(budget_partitions(4, 3))) == 15
 
     def test_base_threshold_exact(self):
-        # n < 1.5 * log2(8) = 4.5
-        assert below_base_threshold(4, Fraction(3, 2), 8)
-        assert not below_base_threshold(5, Fraction(3, 2), 8)
-        # non-power-of-two k: n < 2*log2(3) ~ 3.17
-        assert below_base_threshold(3, Fraction(2), 3)
-        assert not below_base_threshold(4, Fraction(2), 3)
+        # line2 at k=8, budget 3: n < (1/2) * 3 * log2(8) = 4.5
+        assert make_branch_config(8, LINE2).base[3] == 5
+        # non-power-of-two k, circle2 at k=3, budget 2: n < 2*log2(3) ~ 3.17
+        assert make_branch_config(3, CIRCLE2).base[2] == 4
+
+    def test_integer_tables_match_fraction_definitions(self):
+        # the base-case reference is monotone in the point count, so the
+        # counts up to one past each table entry cover its whole truth table
+        configs = [(fam, Fraction(fam.d - 1, 2), make_branch_config)
+                   for fam in (LINE2, CIRCLE2, VPARABOLA2)]
+        configs.append((None, Fraction(1), lambda k, _: make_plane_config(k)))
+        for fam, factor, make in configs:
+            for k in range(1, 41):
+                cfg = make(k, fam)
+                assert len(cfg.base) == k + 1 and len(cfg.caps) == len(cfg.gammas) == cfg.r + 1
+                for b, base in enumerate(cfg.base):
+                    for n in range(base + 2):
+                        assert (n < base) == below_base_threshold(n, factor * b, k), (fam, k, b, n)
+                for caps, low, gamma in zip(cfg.caps, cfg.lows, cfg.gammas):
+                    assert low == math.ceil(gamma)
+                    assert caps == tuple(math.floor(b * gamma) for b in range(2 * k + 1))
 
 
 class TestWindow:
@@ -223,17 +252,6 @@ class TestCurveCover:
                                                          cfg.gammas[depth - 1])
                             assert [search.fits.obj(c)
                                     for c, _, _ in search.window(mask, depth)] == fresh
-
-    def test_base_case_factor_variants_agree(self):
-        # both published thresholds (factor (d-1)/2 and factor 1) are exact
-        # solvers; only the work split between branching and sweeping moves
-        rng = random.Random(71)
-        for _ in range(8):
-            pts = random_points_2d(rng, rng.randint(5, 10))
-            k = rng.randint(1, 3)
-            default = curve_cover(pts, LINE2, k)
-            wide = curve_cover(pts, LINE2, k, base_case_factor=Fraction(1))
-            assert default.decision == wide.decision == oracle_decide(pts, LINE2, k)
 
     def test_leaf_count_bounded_by_branch_product(self):
         res = curve_cover(GRID3, LINE2, 2)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -160,15 +161,18 @@ class TestCli:
         bad.write_text("{not json")
         assert main(["solve", "--input", str(bad), "--k", "1"]) == EXIT_INVALID
 
-    def test_zero_denominator_base_case_factor(self, tmp_path, capsys):
-        path, _ = self.write(tmp_path, "g.json", "grid", {"n": 3}, 0)
-        for algorithm in ("ie", "branch", "oracle", "auto"):
-            assert main(["solve", "--input", str(path), "--algorithm", algorithm,
-                         "--base-case-factor", "1/0"]) == EXIT_INVALID
-            assert capsys.readouterr().err.startswith("error:")
-        assert main(["solve", "--input", str(path), "--algorithm", "branch",
-                     "--base-case-factor", "2/4"]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["config"]["base_case_factor"] == "2/4"
+    def test_timing_times_every_algorithm(self, tmp_path, capsys, monkeypatch):
+        # each reading of the patched clock is a quarter second after the
+        # last, so one timed span around the solve reads 250 ms
+        path, _ = self.write(tmp_path, "v.json", "uniform-random",
+                             {"family": "vparabola2", "n": 13, "coord_range": 6}, 18)
+        for algorithm in ("ie", "oracle", "branch", "auto"):
+            monkeypatch.setattr(cli.time, "perf_counter", itertools.count(0, 0.25).__next__)
+            argv = ["solve", "--input", str(path), "--algorithm", algorithm, "--k", "5"]
+            assert main(argv + ["--timing"]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["stats"]["wall_ms"] == 250, algorithm
+            assert main(argv) == EXIT_OK
+            assert "wall_ms" not in json.loads(capsys.readouterr().out)["stats"]
 
     def test_negative_budget_rejected(self, tmp_path, capsys):
         path, _ = self.write(tmp_path, "g.json", "grid", {"n": 3}, 0)

@@ -1,12 +1,17 @@
 import itertools
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import degenerate_curve_instances, random_points_2d, random_points_3d
 from geomcover.geometry import (
     CIRCLE2,
     LINE2,
     PLANE3,
     VPARABOLA2,
+    check_cover,
     curve_covers,
     curve_masks,
     curve_through,
@@ -27,7 +32,7 @@ from geomcover.kernel import (
     curve_kernel,
     plane_kernel_r3,
 )
-from geomcover.oracle import oracle_decide
+from geomcover.oracle import oracle_decide, oracle_min_cover
 
 
 def _kernel_cases():
@@ -243,3 +248,83 @@ class TestReplacementPoint:
         for a, b in itertools.combinations(P, 2):
             if not (flat_contains(xaxis, a) and flat_contains(xaxis, b)):
                 assert not _collinear3(got, a, b)
+
+
+# the lattice points at distance 5 from the origin
+_RADIUS5 = ((5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3),
+            (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3))
+
+
+@st.composite
+def _clustered_curves(draw, fam):
+    """At most 12 distinct integer points (one to three clusters of 3 to 7
+    points on curves of `fam`, then up to 6 noise points) and a budget of 1
+    to 4."""
+    coord = st.integers(-4, 4)
+    steps = st.lists(st.integers(-3, 3), min_size=3, max_size=7, unique=True)
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        if fam is LINE2:
+            (bx, by), (dx, dy) = draw(st.tuples(coord, coord)), draw(st.tuples(coord, coord).filter(any))
+            points += [(bx + t * dx, by + t * dy) for t in draw(steps)]
+        elif fam is CIRCLE2:
+            cx, cy = draw(coord), draw(coord)
+            offsets = draw(st.lists(st.sampled_from(_RADIUS5), min_size=3, max_size=7, unique=True))
+            points += [(cx + a, cy + b) for a, b in offsets]
+        else:
+            a, b, c = draw(st.integers(-2, 2).filter(bool)), draw(coord), draw(coord)
+            points += [(x, a * x * x + b * x + c) for x in draw(steps)]
+    points += draw(st.lists(st.tuples(coord, coord), max_size=6))
+    return [pt(*p) for p in list(dict.fromkeys(points))[:12]], draw(st.integers(1, 4))
+
+
+@st.composite
+def _clustered_planes(draw):
+    """At most 12 distinct integer points in R^3 (a collinear cluster, one or
+    two coplanar clusters of 3 to 8 points and up to 4 noise points) and a
+    budget of 1 to 3."""
+    coord = st.integers(-3, 3)
+    vec = st.tuples(coord, coord, coord)
+    step = st.integers(-2, 2)
+    base, d = draw(vec), draw(vec.filter(any))
+    points = [tuple(b + t * x for b, x in zip(base, d))
+              for t in draw(st.lists(step, min_size=3, max_size=5, unique=True))]
+    for _ in range(draw(st.integers(1, 2))):
+        base, u, v = draw(vec), draw(vec.filter(any)), draw(vec.filter(any))
+        points += [tuple(b + s * x + t * y for b, x, y in zip(base, u, v))
+                   for s, t in draw(st.lists(st.tuples(step, step), min_size=3, max_size=8,
+                                             unique=True))]
+    points += draw(st.lists(vec, max_size=4))
+    return [pt(*p) for p in list(dict.fromkeys(points))[:12]], draw(st.integers(1, 3))
+
+
+def _assert_kernel_properties(points, fam, k, kern, bound):
+    """The kernel's instance is equisolvable with the input, has at most
+    `bound` points, and its forced objects plus an oracle cover of its points
+    cover the input within k."""
+    truth = oracle_decide(points, fam, k)
+    if kern.rejected:
+        assert not truth
+        return
+    assert len(kern.points) <= bound
+    rest = oracle_min_cover(kern.points, fam)
+    assert truth == (rest.opt <= kern.k)
+    if truth:
+        assert check_cover(points, list(kern.forced) + rest.witness, k)
+
+
+class TestKernelProperties:
+    @pytest.mark.parametrize("fam", (LINE2, CIRCLE2, VPARABOLA2), ids=lambda f: f.kind)
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_curve_kernel(self, fam, data):
+        points, k = data.draw(_clustered_curves(fam))
+        kern = curve_kernel(points, fam, k)
+        _assert_kernel_properties(points, fam, k, kern, fam.s * kern.k ** 2)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(_clustered_planes())
+    def test_plane_kernel(self, instance):
+        points, k = instance
+        kern = plane_kernel_r3(points, k)
+        _assert_kernel_properties(points, PLANE3, k, kern, kern.k ** 3 + kern.k ** 2)

@@ -270,9 +270,9 @@ class _LeafRecorder(_PlaneSearch):
         super().__init__(*args)
         self.leaves = set()
 
-    def _ie(self, mask, stamped, budget):
-        self.leaves.add((mask, tuple(j for j, _ in stamped), budget))
-        return super()._ie(mask, stamped, budget)
+    def _ie(self, mask, lines, budget):
+        self.leaves.add((mask, lines, budget))
+        return super()._ie(mask, lines, budget)
 
 
 def _searched(points, k):
