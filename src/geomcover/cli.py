@@ -165,6 +165,9 @@ def _check_caps(args):
     for flag, cap in (("--ie-cap", args.ie_cap), ("--oracle-cap", args.oracle_cap)):
         if cap < 0:
             raise ValueError("negative %s %d" % (flag, cap))
+    # bench has no --threads: its solves run on one thread
+    if getattr(args, "threads", 1) < 1:
+        raise ValueError("--threads %d is below 1" % args.threads)
 
 
 def _cmd_solve(args) -> int:
@@ -248,6 +251,15 @@ def _suite_entries(suite) -> list:
                 raise InvalidInstanceError("suite entry %d has no %r" % (i, key))
         if not isinstance(entry["algorithms"], list):
             raise InvalidInstanceError("suite entry %d: algorithms must be a list" % i)
+        if not isinstance(entry.get("params", {}), dict):
+            raise InvalidInstanceError("suite entry %d: params must be an object" % i)
+        for key in ("k", "repetitions", "seed"):
+            value = entry.get(key, 0)
+            # JSON true and false load as bools, which are ints to isinstance
+            if type(value) is not int:
+                raise InvalidInstanceError("suite entry %d: %s must be an integer" % (i, key))
+            if value < 0 and key != "seed":
+                raise InvalidInstanceError("suite entry %d: negative %s %d" % (i, key, value))
     return entries
 
 

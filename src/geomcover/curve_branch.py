@@ -7,13 +7,13 @@ or at the deepest level, the subset-sweep decider finishes the job exactly.
 `branch_cover` tries the budget partitions one after another with a single
 search object, the one search path that the paper's polynomial-space bound
 assumes; it is shared with the R^3 plane solver, and so is the node skeleton
-`_Search` (node counting, sweep leaves and their cache).
+`_Search` (node counting, the child walk, sweep leaves and their cache).
 
 The curve search reads its candidates off the kernel's result: the kernel has
 fitted every curve once, and cuts the masks to the points it keeps. Almost
-every child of a node is too large for its remaining budget, so the node
-counts those children itself, in bulk where a whole run of combinations must
-fall short, and calls only the children that pass.
+every child of a node is too large for its remaining budget, so both searches
+count those children at the parent, in bulk where a whole run of picks must
+fall short (`_Search._walk`), and call only the children that pass.
 
 Every threshold is derived once per solve, in exact rational and
 integer-power arithmetic, into the integer tables of `BranchConfig`, so
@@ -23,7 +23,6 @@ compares integers only.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,12 +143,14 @@ def make_branch_config(k: int, family: FamilySpec,
 
 class _Search:
     """The node skeleton that the curve and plane searches share over one
-    kernelized instance: counting entered and size-rejected nodes, telling
-    sweep leaves apart by the config's base-case point counts, and the sweep
-    leaf itself, whose no-answers are remembered by (mask, pending lines,
-    budget). A subclass supplies its branching, `_counter(mask, lines)`, the
-    leaf's counter over the points in `mask` and the pending `lines`, and
-    `_object(h)`, the object that a partial cover names by `h`."""
+    kernelized instance: the root, counting entered and size-rejected nodes,
+    the walk over a node's children, telling sweep leaves apart by the
+    config's base-case point counts, and the sweep leaf itself, whose
+    no-answers are remembered by (mask, pending lines, budget). A subclass
+    supplies its node `_expand`, which gives the walk its slots, and
+    `_counter(mask, lines)`, the leaf's counter over the points in `mask` and
+    the pending `lines`, and `_object(h)`, the object a partial cover names
+    by `h`."""
 
     def __init__(self, kern: KernelResult, family: FamilySpec, config: BranchConfig):
         self.points = kern.points
@@ -197,24 +198,80 @@ class _Search:
             return False, None
         return True, [self._object(h) for h in partial] + ext
 
-    def _size_cap(self, budget: int, depth: int) -> int:
-        """floor(budget * gamma_(depth-1)): a node at `depth` with more points
-        than this is rejected."""
-        return self.cfg.caps[depth - 1][budget]
+    def run(self, partition: tuple[int, ...]) -> tuple[bool, Optional[list]]:
+        """Search one budget partition from the root, which passes its size
+        test or is rejected like any other node."""
+        mask = (1 << len(self.points)) - 1
+        if mask.bit_count() > self.cfg.caps[0][sum(partition)]:
+            self._reject(1, 1)
+            return False, None
+        return self._expand(partition, mask, 1, ())
+
+    def _walk(self, slots: Sequence[tuple[list, int]], mask: int, cap: int, depth: int,
+              enter) -> tuple[bool, Optional[list]]:
+        """The children of a node over the points in `mask`. Each slot is a
+        list of (name, mask, size) entries, size being the points of `mask`
+        an entry covers, and a pick count; a child picks that many entries of
+        each slot, in lexicographic order slot after slot, and keeps the
+        points none of them covers. A child with more than `cap` points is
+        counted as rejected at `depth`; the others are entered by
+        `enter(names, child mask)`, which returns (ok, witness), until one
+        accepts. A run of completions is counted at once when the picks so
+        far plus the sizes' suffix maxima, summed pick by pick, fall short of
+        the cap. The counters equal those of a search that enters every
+        child, as the children counted here come before any accepting one."""
+        need = mask.bit_count() - cap  # a child keeps at most `cap` points
+        tables, best, rest = [], 0, 1
+        for entries, picks in reversed(slots):
+            if not picks:
+                continue
+            if len(entries) < picks:
+                return False, None
+            # suf[i] - suf[i + left] bounds what `left` picks from entry i on cover
+            suf, top, total = [0], 0, 0
+            for _, _, size in reversed(entries):
+                if size > top:
+                    top = size
+                total += top
+                suf.append(total)
+            suf.reverse()
+            # the later slots' picks cover at most `best` points, in `rest` ways
+            tables.insert(0, (entries, picks, suf, need - best, rest))
+            best += suf[0] - suf[picks]
+            rest *= math.comb(len(entries), picks)
+
+        def pick(s: int, start: int, left: int, covered: int, rsum: int, names: tuple):
+            if not left:
+                s += 1
+                if s == len(tables):
+                    child = mask & ~covered
+                    if child.bit_count() > cap:
+                        self._reject(1, depth)
+                        return False, None
+                    return enter(names, child)
+                start, left = 0, tables[s][1]
+            entries, _, suf, short, rest = tables[s]
+            width = len(entries)
+            for i in range(start, width - left + 1):
+                if rsum + suf[i] - suf[i + left] < short:
+                    # the richest completions fall short, so all of them do
+                    self._reject(math.comb(width - i, left) * rest, depth)
+                    return False, None
+                name, m, size = entries[i]
+                res = pick(s, i + 1, left - 1, covered | m, rsum + size, names + (name,))
+                if res[0]:
+                    return res
+            return False, None
+
+        # slot -1 has no picks left, so the walk starts at slot 0
+        return pick(-1, 0, 0, 0, 0, ())
 
 
 class _CurveSearch(_Search):
     """Mask-based search over one kernelized instance. Its candidate curves
     and their point masks come from the kernel, which fitted them once; per
-    node only popcounts remain.
-
-    A child that is rejected on size is counted at its parent, without a
-    call: the parent knows its point count, so it tests it against the
-    child's integer size cap. When a prefix of picks cannot reach the size
-    cap even with the richest remaining candidates, every completion of it is
-    counted at once. The counters equal those of the plain search, which
-    enters each child, because the children skipped this way come, in its
-    order, before any later accepting child."""
+    node only popcounts remain. A node's children pick from its window, in
+    one slot of the skeleton's child walk (`_Search._walk`)."""
 
     def __init__(self, kern: KernelResult, family: FamilySpec, config: BranchConfig):
         super().__init__(kern, family, config)
@@ -237,21 +294,12 @@ class _CurveSearch(_Search):
         over the points in `mask` lies in [gamma_depth, gamma_(depth-1)],
         richest first, ties in curve order. Richness >= d keeps only curves
         through d surviving points, matching a fresh enumeration over the
-        current point set. The node counts the children of a window that fall
-        short of its size cap, rather than entering them."""
+        current point set."""
         lo, hi = max(self.family.d, self.cfg.lows[depth]), self.cfg.caps[depth - 1][1]
         window = [(c, m, (m & mask).bit_count()) for c, m in self.cands]
         window = [t for t in window if lo <= t[2] <= hi]
         window.sort(key=lambda t: -t[2])
         return window
-
-    def run(self, partition: tuple[int, ...]) -> tuple[bool, Optional[list]]:
-        """Search one budget partition from the root."""
-        mask = (1 << len(self.points)) - 1
-        if mask.bit_count() > self._size_cap(sum(partition), 1):
-            self._reject(1, 1)
-            return False, None
-        return self._expand(partition, mask, 1, ())
 
     def _expand(self, partition: tuple[int, ...], mask: int, depth: int,
                 partial: tuple) -> tuple[bool, Optional[list]]:
@@ -261,39 +309,10 @@ class _CurveSearch(_Search):
         if leaf is not None:
             return leaf
 
-        window = self.window(mask, depth)
-        width = len(window)
-        rich = [r for _, _, r in window]
-        sums = list(itertools.accumulate(rich, initial=0))
-        cap = self._size_cap(sum(partition[depth:]), depth + 1)
-        need = mask.bit_count() - cap  # a child keeps at most `cap` points
-        picked: list[int] = []
-
-        def picks(start: int, left: int, covered: int, rsum: int) -> Optional[list]:
-            """The combinations of `left` more window indexes from `start` on,
-            in lexicographic order; the witness of the first accepting child."""
-            if not left:
-                child = mask & ~covered
-                if child.bit_count() > cap:
-                    self._reject(1, depth + 1)
-                    return None
-                ok, wit = self._expand(partition, child, depth + 1,
-                                       partial + tuple(window[j][0] for j in picked))
-                return wit if ok else None
-            for i in range(start, width - left + 1):
-                if rsum + sums[i + left] - sums[i] < need:
-                    # the richest completions fall short, so all of them do
-                    self._reject(math.comb(width - i, left), depth + 1)
-                    return None
-                picked.append(i)
-                wit = picks(i + 1, left - 1, covered | window[i][1], rsum + rich[i])
-                picked.pop()
-                if wit is not None:
-                    return wit
-            return None
-
-        wit = picks(0, partition[depth - 1], 0, 0)
-        return (True, wit) if wit is not None else (False, None)
+        cap = self.cfg.caps[depth][sum(partition[depth:])]
+        return self._walk([(self.window(mask, depth), partition[depth - 1])], mask, cap, depth + 1,
+                          lambda names, child: self._expand(partition, child, depth + 1,
+                                                            partial + names))
 
 
 def branch_cover(kern: KernelResult, family: FamilySpec, config: BranchConfig, search_cls,

@@ -1,16 +1,19 @@
 """Branching solver for plane cover in R^3.
 
 Runs on the curve search's node skeleton (`curve_branch._Search`: node
-counting, integer size caps and windows, sweep leaves and their cache) with
-one extra mechanism: a plane in the current richness window whose points are
-almost all on one line (too degenerate) is not branched on directly. Instead its heavy line is guessed
-and stamped into a side structure with the current depth, and its points
-leave the instance. Once the line is "ripe", it is extended into a plane
-through it and a remaining point. Ripeness compares the thresholds of the
-stamp depth and the current depth; the test is evaluated through exact
-fifth powers, as are the degeneracy thresholds, so no irrational quantity is
-ever approximated. The paper bounds the points that such a plane leaves
-behind (its ghost points) by an allowance; no code here checks that bound.
+counting, integer size caps, the child walk that counts size-rejected
+children at the parent, sweep leaves and their cache) with one extra
+mechanism: a plane in the current richness window whose points are almost
+all on one line (too degenerate) is not branched on directly. Instead its
+heavy line is guessed and stamped into a side structure with the current
+depth, and its points leave the instance. Once the line is "ripe", it is
+extended into a plane through it and a remaining point; the walk picks one
+such plane per ripe line, as it picks a node's planes and lines from its
+windows. Ripeness compares the thresholds of the stamp depth and the
+current depth; the test is evaluated through exact fifth powers, as are the
+degeneracy thresholds, so no irrational quantity is ever approximated. The
+paper bounds the points that such a plane leaves behind (its ghost points)
+by an allowance; no code here checks that bound.
 
 Every step reads the search's incidence layer (`PlaneLayer`: lines and
 candidate planes as point masks, built once per search). A window plane is
@@ -26,9 +29,8 @@ counter and sum. A `Plane3` is built only for a witness.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .curve_branch import (
     BranchConfig,
@@ -87,34 +89,31 @@ def _is_ripe(stamp_depth: int, depth: int, gammas: Sequence[Fraction]) -> bool:
 
 
 def extend_lines(layer: PlaneLayer, lines: Sequence[int], mask: int,
-                 avoid: Sequence[int] = ()) -> Iterator[tuple]:
-    """All ways of extending each of the layer `lines` into a plane through
-    it and a point of `mask` off it. A line's options are the layer planes
-    `line_point_plane` names for those points, in point order and each once,
-    without the planes that contain another input line or an `avoid` line.
-    When none is left, the canonical plane through the line that contains
-    none of them stands in, as its integer row and point mask
-    (`PlaneLayer.hull_plane`); every other option is a layer plane index.
-    Each option holds its own line and no other input line, so the planes of
-    a combination are distinct."""
+                 avoid: Sequence[int] = ()) -> list[list[tuple]]:
+    """The ways of extending each of the layer `lines` into a plane through
+    it and a point of `mask` off it, as one child-walk slot per line, in the
+    order of `lines`: a list of (plane, point mask, points of `mask` on it).
+    A line's options are the layer planes `line_point_plane` names for those
+    points, in point order and each once, without the planes that contain
+    another input line or an `avoid` line. When none is left, the canonical
+    plane through the line that contains none of them stands in, as its
+    integer row and point mask (`PlaneLayer.hull_plane`); every other option
+    is a layer plane index. Each option holds its own line and no other input
+    line, so the planes of one option per line are distinct."""
     if not lines:
         raise ValueError("no lines to extend")
     n, masks, planes = len(layer.points), layer.lines, layer.planes
     option_lists = []
     for i, line in enumerate(lines):
         others = [masks[o] for j, o in enumerate(lines) if j != i] + [masks[o] for o in avoid]
-        opts: list = []
-        for x in _bits(mask & ~masks[line]):
-            h = layer.line_point_plane[line * n + x]
-            if h in opts:
-                continue
-            if any(not m & ~planes[h][0] for m in others):
-                continue
-            opts.append(h)
+        through = dict.fromkeys(layer.line_point_plane[line * n + x]
+                                for x in _bits(mask & ~masks[line]))
+        opts = [(h, planes[h][0]) for h in through if all(m & ~planes[h][0] for m in others)]
         if not opts:
-            opts = [layer.hull_plane("line", line, avoid=others)]
-        option_lists.append(opts)
-    yield from itertools.product(*option_lists)
+            hull = layer.hull_plane("line", line, avoid=others)
+            opts = [(hull, hull[1])]
+        option_lists.append([(h, on, (on & mask).bit_count()) for h, on in opts])
+    return option_lists
 
 
 def plane_object(layer: PlaneLayer, h) -> Plane3:
@@ -152,85 +151,67 @@ class _PlaneSearch(_Search):
     def _object(self, h) -> Plane3:
         return plane_object(self.layer, h)
 
-    def _max_collinear_on(self, plane_entry, mask: int) -> int:
-        pmask, contained = plane_entry
-        cur = pmask & mask
-        t = cur.bit_count()
-        if t <= 1:
-            return t
-        return max((self.lines[j] & cur).bit_count() for j in contained)
-
-    def run(self, partition: tuple[int, ...], mask: Optional[int] = None,
-            stamped: tuple = (), depth: int = 1,
-            partial: tuple = ()) -> tuple[bool, Optional[list]]:
+    def _expand(self, partition: tuple[int, ...], mask: int, depth: int, partial: tuple,
+                stamped: tuple = ()) -> tuple[bool, Optional[list]]:
+        """A node at `depth` over the points in `mask` and the pending lines
+        `stamped`, which passed its size test, or holds a ripe line and has
+        none: a sweep leaf, the extension of its ripe lines, or a branch over
+        the windows' picks."""
         cfg = self.cfg
-        if mask is None:
-            mask = (1 << len(self.points)) - 1
         remaining_budget = sum(partition[2 * (depth - 1):])
         gammas = cfg.gammas
         assert len(stamped) <= cfg.k, "pending lines exceed the budget"
-
-        ripe = [e for e in stamped if _is_ripe(e[1], depth, gammas)]
-
-        # the size reject presumes every pending line already passed a
-        # ripeness check at this depth; skip it while extensions are due
-        if not ripe and mask.bit_count() > self._size_cap(remaining_budget + len(stamped), depth):
-            self._reject(1, depth)
-            return False, None
 
         leaf = self._leaf(mask, depth, remaining_budget, stamped, partial)
         if leaf is not None:
             return leaf
 
+        ripe = [e for e in stamped if _is_ripe(e[1], depth, gammas)]
         if ripe:
+            # a child keeps the lines that are not ripe, and none of them
+            # ripens at this depth, so each child tests its size
             keep = tuple(e for e in stamped if e not in ripe)
-            for combo in extend_lines(self.layer, [j for j, _ in ripe], mask,
-                                      avoid=[j for j, _ in keep]):
-                covered = 0
-                for h in combo:
-                    covered |= self.planes[h][0] if isinstance(h, int) else h[1]
-                ok, wit = self.run(partition, mask & ~covered, keep, depth,
-                                   partial + tuple(combo))
-                if ok:
-                    return True, wit
-            return False, None
+            slots = [(options, 1) for options in extend_lines(
+                self.layer, [j for j, _ in ripe], mask, avoid=[j for j, _ in keep])]
+            return self._walk(slots, mask, cfg.caps[depth - 1][remaining_budget + len(keep)],
+                              depth, lambda names, child: self._expand(
+                                  partition, child, depth, partial + names, keep))
 
+        h_i, l_i = partition[2 * (depth - 1):2 * depth]
         # richness is an integer, so the window is [ceil(lo), floor(hi)]
         lo = gammas[depth]
         least, most = cfg.lows[depth], cfg.caps[depth - 1][1]
         # both windows list in layer order, so ties stay in object order
         not_too_degenerate = []
-        for p, entry in enumerate(self.planes):
-            t = (entry[0] & mask).bit_count()
+        for p, (pmask, contained) in enumerate(self.planes if h_i else ()):
+            on = pmask & mask
+            t = on.bit_count()
             if t < 3 or not (least <= t <= most):
                 continue
-            m = self._max_collinear_on(entry, mask)
+            m = max((self.lines[j] & on).bit_count() for j in contained)
             if not _too_degenerate_counts(t, m, lo):
-                not_too_degenerate.append((p, entry[0], t))
+                not_too_degenerate.append((p, pmask, t))
         not_too_degenerate.sort(key=lambda e: -e[2])
 
         window_lines = []
-        for j, lmask in enumerate(self.lines):
+        for j, lmask in enumerate(self.lines if l_i else ()):
             m = (lmask & mask).bit_count()
             if 2 <= m <= most and _line_rich_enough(m, lo):
                 window_lines.append((j, lmask, m))
         window_lines.sort(key=lambda e: -e[2])
 
-        h_i = partition[2 * (depth - 1)]
-        l_i = partition[2 * (depth - 1) + 1]
-        for planes_pick in itertools.combinations(not_too_degenerate, h_i):
-            for lines_pick in itertools.combinations(window_lines, l_i):
-                covered = 0
-                for _, pmask, _ in planes_pick:
-                    covered |= pmask
-                for _, lmask, _ in lines_pick:
-                    covered |= lmask
-                new_stamped = stamped + tuple((j, depth) for j, _, _ in lines_pick)
-                ok, wit = self.run(partition, mask & ~covered, new_stamped, depth + 1,
-                                   partial + tuple(h for h, _, _ in planes_pick))
-                if ok:
-                    return True, wit
-        return False, None
+        # a child that holds a line ripe at depth + 1 skips its size test,
+        # which presumes that every pending line is past its ripeness check
+        depths = [j for _, j in stamped] + ([depth] if l_i else [])
+        if any(_is_ripe(j, depth + 1, gammas) for j in depths):
+            cap = mask.bit_count()
+        else:
+            cap = cfg.caps[depth][sum(partition[2 * depth:]) + len(stamped) + l_i]
+
+        return self._walk([(not_too_degenerate, h_i), (window_lines, l_i)], mask, cap, depth + 1,
+                          lambda names, child: self._expand(
+                              partition, child, depth + 1, partial + names[:h_i],
+                              stamped + tuple((j, depth) for j in names[h_i:])))
 
 
 def plane_cover(points: Sequence[Point], k: int, ie_cap: int = DEFAULT_SUBSET_CAP,

@@ -228,6 +228,10 @@ class TestCli:
                 assert main(argv + [flag, "-1"]) == EXIT_INVALID
                 captured = capsys.readouterr()
                 assert captured.out == "" and captured.err == "error: negative %s -1\n" % flag
+        for threads in ("0", "-2"):
+            assert main(["solve", "--input", str(path), "--threads", threads]) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == "error: --threads %s is below 1\n" % threads
 
     def test_bench_csv(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"
@@ -263,12 +267,17 @@ class TestCli:
             {"entries": [entry, {key: v for key, v in entry.items() if key != "model"}]},
             {"entries": [dict(entry, algorithms="ie")]},
         ]
-        for bad in bad_suites:
+        # entries whose fields have the wrong type or sign, named by index
+        bad_fields = [{"k": "3"}, {"k": -1}, {"k": 2.5}, {"k": True}, {"repetitions": "2"},
+                      {"repetitions": -1}, {"seed": "0"}, {"seed": 1.5}, {"params": [3]}]
+        field_suites = [{"entries": [entry, dict(entry, **field)]} for field in bad_fields]
+        for bad in bad_suites + field_suites:
             suite.write_text(json.dumps(bad))
             assert main(["bench", "--suite", str(suite)]) == EXIT_INVALID
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error:")
             assert captured.err.count("\n") == 1
+            assert bad not in field_suites or captured.err.startswith("error: suite entry 1: ")
 
     def test_ie_solve_builds_one_counter(self, tmp_path, capsys, monkeypatch):
         """`ie --min --witness` decides and extracts on one counter, with one

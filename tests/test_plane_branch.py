@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from counter_reference import (
     reference_sums,
 )
 from geomcover import plane_branch
-from geomcover.curve_branch import budget_partitions
+from geomcover.curve_branch import branch_cover, budget_partitions
 from geomcover.geometry import (
     PLANE3,
     PlaneLayer,
@@ -61,6 +62,13 @@ def _line_index(layer, p, q):
 def _mask_of(layer, points):
     """The mask of the layer points `points`."""
     return sum(1 << layer.points.index(p) for p in points)
+
+
+def _combos(layer, lines, mask, avoid=()):
+    """The plane names of each combination of one `extend_lines` option per
+    line, in product order."""
+    return [tuple(option[0] for option in combo)
+            for combo in itertools.product(*extend_lines(layer, lines, mask, avoid))]
 
 
 def _extension_objects(layer, combo):
@@ -112,14 +120,14 @@ class TestExtendLines:
     def test_single_line_single_point(self):
         o, x, top = pt(0, 0, 0), pt(1, 0, 0), pt(0, 0, 1)
         layer = PlaneLayer([o, x, top])
-        combos = list(extend_lines(layer, [_line_index(layer, o, x)], _mask_of(layer, [top])))
+        combos = _combos(layer, [_line_index(layer, o, x)], _mask_of(layer, [top]))
         assert [_extension_objects(layer, c) for c in combos] == [(plane3_curve(0, 1, 0, 0),)]
         assert all(isinstance(h, int) for h in combos[0])
 
     def test_fallback_without_points(self):
         o, x = pt(0, 0, 0), pt(1, 0, 0)
         layer = PlaneLayer([o, x])
-        combos = list(extend_lines(layer, [_line_index(layer, o, x)], 0))
+        combos = _combos(layer, [_line_index(layer, o, x)], 0)
         assert len(combos) == 1
         assert flat_contains(_extension_objects(layer, combos[0])[0], line_through(o, x))
 
@@ -129,7 +137,7 @@ class TestExtendLines:
         layer = PlaneLayer([a0, a1, b0, b1] + extra)
         lines = [_line_index(layer, a0, a1), _line_index(layer, b0, b1)]
         combos = [_extension_objects(layer, c)
-                  for c in extend_lines(layer, lines, _mask_of(layer, extra))]
+                  for c in _combos(layer, lines, _mask_of(layer, extra))]
         assert 1 <= len(combos) <= 4
         for combo in combos:
             assert len(set(combo)) == 2
@@ -141,8 +149,8 @@ class TestExtendLines:
         # cover that line; they must be filtered and the fallback used
         o, x, p0, p1, p3 = pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 0), pt(3, 1, 0)
         layer = PlaneLayer([o, x, p0, p1, p3])
-        combos = list(extend_lines(layer, [_line_index(layer, o, x)], _mask_of(layer, [p3]),
-                                   avoid=[_line_index(layer, p0, p1)]))
+        combos = _combos(layer, [_line_index(layer, o, x)], _mask_of(layer, [p3]),
+                         avoid=[_line_index(layer, p0, p1)])
         assert len(combos) == 1
         assert not flat_contains(_extension_objects(layer, combos[0])[0], line_through(p0, p1))
 
@@ -151,8 +159,9 @@ class TestExtendLines:
         in the same order, as the Fraction extension over the lines' `Flat`s
         and the points in the mask, including masks with no point off the
         lines, lines whose every option is filtered, repeated options and
-        fallbacks past the first plane of the pencil. A fallback's mask holds
-        exactly the layer points on its plane."""
+        fallbacks past the first plane of the pencil. Every option's mask
+        holds exactly the layer points on its plane, and its size counts
+        those in the mask."""
         rng = random.Random(131)
         seen = dict(fallbacks=0, walked=0, all_filtered=0, repeats=0, empty=0, calls=0)
         point_sets = [random_points_3d(rng, rng.randint(5, 10), span=2) for _ in range(40)]
@@ -169,18 +178,24 @@ class TestExtendLines:
                 for j in picked:
                     near |= layer.lines[j]
                 mask = rng.choice([rng.getrandbits(n), near & rng.getrandbits(n), near, 0])
-                got = [_extension_objects(layer, c) for c in extend_lines(layer, lines, mask, avoid)]
+                got = [_extension_objects(layer, c) for c in _combos(layer, lines, mask, avoid)]
                 want = list(incidence_reference.extend_lines(
                     [layer.line(j) for j in lines], _points_in(layer, mask),
                     avoid=[layer.line(j) for j in avoid]))
                 assert got == want, (points, lines, avoid, mask)
                 seen["calls"] += 1
+                options = extend_lines(layer, lines, mask, avoid)
                 for i, line in enumerate(lines):
                     off = _bits(mask & ~layer.lines[line])
                     seen["empty"] += not off
                     through = [layer.line_point_plane[line * n + x] for x in off]
                     seen["repeats"] += len(set(through)) < len(through)
-                    fallback = next(c[i] for c in extend_lines(layer, lines, mask, avoid))
+                    for h, on, size in options[i]:
+                        plane = _extension_objects(layer, [h])[0]
+                        assert on == sum(1 << t for t, p in enumerate(points)
+                                         if plane_covers(plane, p))
+                        assert size == (on & mask).bit_count()
+                    fallback = options[i][0][0]
                     if isinstance(fallback, int):
                         continue
                     seen["fallbacks"] += 1
@@ -188,8 +203,6 @@ class TestExtendLines:
                     plane = _extension_objects(layer, [fallback])[0]
                     seen["walked"] += plane != incidence_reference.canonical_plane_through_line(
                         layer.line(line))
-                    assert fallback[1] == sum(1 << t for t, p in enumerate(points)
-                                              if plane_covers(plane, p))
         assert all(seen.values()), seen
 
 
@@ -291,6 +304,146 @@ def _searched(points, k):
 def _unreduced(points):
     """The plane search over `points` as they are, without the kernel."""
     return _PlaneSearch(KernelResult(tuple(points), 3, [], "reduced"), PLANE3, make_plane_config(3))
+
+
+class _PlainSearch(_PlaneSearch):
+    """The reference search: it enters every child, each of which tests its
+    own size, over the product of the ripe lines' options and the
+    combinations of the plane and line windows. It counts the extension
+    nodes and the line windows shorter than their pick count it meets."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.extensions = self.short_windows = 0
+
+    def run(self, partition, mask=None, stamped=(), depth=1, partial=()):
+        cfg = self.cfg
+        if mask is None:
+            mask = (1 << len(self.points)) - 1
+        remaining_budget = sum(partition[2 * (depth - 1):])
+        gammas = cfg.gammas
+        assert len(stamped) <= cfg.k, "pending lines exceed the budget"
+
+        ripe = [e for e in stamped if _is_ripe(e[1], depth, gammas)]
+
+        # the size reject presumes every pending line already passed a
+        # ripeness check at this depth; skip it while extensions are due
+        if not ripe and mask.bit_count() > cfg.caps[depth - 1][remaining_budget + len(stamped)]:
+            self._reject(1, depth)
+            return False, None
+
+        leaf = self._leaf(mask, depth, remaining_budget, stamped, partial)
+        if leaf is not None:
+            return leaf
+
+        if ripe:
+            self.extensions += 1
+            keep = tuple(e for e in stamped if e not in ripe)
+            for combo in itertools.product(*extend_lines(self.layer, [j for j, _ in ripe], mask,
+                                                         avoid=[j for j, _ in keep])):
+                covered = 0
+                for _, m, _ in combo:
+                    covered |= m
+                ok, wit = self.run(partition, mask & ~covered, keep, depth,
+                                   partial + tuple(h for h, _, _ in combo))
+                if ok:
+                    return True, wit
+            return False, None
+
+        lo = gammas[depth]
+        least, most = cfg.lows[depth], cfg.caps[depth - 1][1]
+        not_too_degenerate = []
+        for p, (pmask, contained) in enumerate(self.planes):
+            on = pmask & mask
+            t = on.bit_count()
+            if t < 3 or not (least <= t <= most):
+                continue
+            m = max((self.lines[j] & on).bit_count() for j in contained)
+            if not _too_degenerate_counts(t, m, lo):
+                not_too_degenerate.append((p, pmask, t))
+        not_too_degenerate.sort(key=lambda e: -e[2])
+
+        window_lines = []
+        for j, lmask in enumerate(self.lines):
+            m = (lmask & mask).bit_count()
+            if 2 <= m <= most and _line_rich_enough(m, lo):
+                window_lines.append((j, lmask, m))
+        window_lines.sort(key=lambda e: -e[2])
+
+        h_i = partition[2 * (depth - 1)]
+        l_i = partition[2 * (depth - 1) + 1]
+        self.short_windows += len(window_lines) < l_i
+        for planes_pick in itertools.combinations(not_too_degenerate, h_i):
+            for lines_pick in itertools.combinations(window_lines, l_i):
+                covered = 0
+                for _, pmask, _ in planes_pick:
+                    covered |= pmask
+                for _, lmask, _ in lines_pick:
+                    covered |= lmask
+                new_stamped = stamped + tuple((j, depth) for j, _, _ in lines_pick)
+                ok, wit = self.run(partition, mask & ~covered, new_stamped, depth + 1,
+                                   partial + tuple(h for h, _, _ in planes_pick))
+                if ok:
+                    return True, wit
+        return False, None
+
+
+class TestChildWalk:
+    def test_counters_match_plain_search(self):
+        """Decision, witness and every counter equal the plain search's, on
+        instances whose search extends ripe lines, and on the plane anchor."""
+        cases = [(generate("degenerate-plane", {"k": 4, "m": 4}, seed=s).points, 3)
+                 for s in range(4)]
+        cases.append((generate("degenerate-plane", {"k": 3, "m": 8}, seed=1).points, 2))
+        extensions = []
+
+        def plain_search(*args):
+            extensions.append(_PlainSearch(*args))
+            return extensions[-1]
+
+        for points, k in cases:
+            kern = plane_kernel_r3(list(points), k)
+            config = make_plane_config(kern.k)
+            parts = list(budget_partitions(config.k, 2 * config.r))
+            plain = branch_cover(kern, PLANE3, config, plain_search, parts)
+            fast = branch_cover(kern, PLANE3, config, _PlaneSearch, parts)
+            assert fast == plain, (k, len(points))
+        assert all(s.extensions for s in extensions[:4])
+
+    def test_extension_nodes(self):
+        """Nodes that extend three ripe two-point lines, as the partition
+        <0, 3, 0, ...> of a degenerate-plane no-instance stamps them at depth
+        1: most of their children are counted in bulk, over the options of
+        the lines after the first."""
+        inst = generate("degenerate-plane", {"k": 4, "m": 4}, seed=5)
+        kern = plane_kernel_r3(list(inst.points), 3)
+        config = make_plane_config(kern.k)
+        partition = (0, 3) + (0,) * (2 * config.r - 2)
+        layer = PlaneLayer(kern.points)
+        pairs = [j for j, m in enumerate(layer.lines) if m.bit_count() == 2][::12]
+        full = (1 << len(kern.points)) - 1
+        for trio in itertools.combinations(pairs, 3):
+            mask = full & ~(layer.lines[trio[0]] | layer.lines[trio[1]] | layer.lines[trio[2]])
+            stamped = tuple((j, 1) for j in trio)
+            plain = _PlainSearch(kern, PLANE3, config)
+            fast = _PlaneSearch(kern, PLANE3, config)
+            assert (fast._expand(partition, mask, 2, (), stamped)
+                    == plain.run(partition, mask, stamped, 2))
+            assert fast.stats == plain.stats and plain.extensions == 1, trio
+
+    def test_short_line_window(self):
+        """A node whose line window is shorter than its line pick count has
+        no child: it counts itself, and its depth stays the deepest."""
+        points = [pt(i, 0, 0) for i in range(5)] + [pt(0, 1, 0), pt(0, 0, 1)]
+        kern = KernelResult(tuple(points), 3, [], "reduced")
+        config = make_plane_config(3)
+        mask = 0b11111  # the five points of one line
+        for partition in ((0, 2, 1, 0, 0, 0), (1, 2, 0, 0, 0, 0), (0, 3, 0, 0, 0, 0)):
+            plain = _PlainSearch(kern, PLANE3, config)
+            fast = _PlaneSearch(kern, PLANE3, config)
+            assert fast._expand(partition, mask, 1, ()) == plain.run(partition, mask)
+            assert fast.stats == plain.stats
+            assert plain.short_windows == 1 and plain.stats.max_depth == 1
 
 
 def _assert_leaf_matches_counter(search, mask, lines, budgets):
