@@ -46,6 +46,8 @@ EXIT_INVALID = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
 
+ALGORITHMS = ("ie", "branch", "oracle", "auto")
+
 
 class VerificationMismatch(RuntimeError):
     pass
@@ -103,6 +105,11 @@ def _pick_auto(inst: Instance, oracle_cap: int, ie_cap: int) -> str:
     if inst.n <= ie_cap:
         return "ie"
     return "branch"
+
+
+def _route(inst: Instance, algorithm: str, args) -> str:
+    """The algorithm that runs: `auto`'s pick for the instance, else `algorithm`."""
+    return _pick_auto(inst, args.oracle_cap, args.ie_cap) if algorithm == "auto" else algorithm
 
 
 def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord:
@@ -176,9 +183,7 @@ def _cmd_solve(args) -> int:
     k = args.k if args.k is not None else inst.k
     if k < 0:
         raise ValueError("negative budget --k %d" % k)
-    algorithm = args.algorithm
-    if algorithm == "auto":
-        algorithm = _pick_auto(inst, args.oracle_cap, args.ie_cap)
+    algorithm = _route(inst, args.algorithm, args)
     record = _run_algorithm(inst, algorithm, k, args)
 
     if args.verify:
@@ -251,6 +256,9 @@ def _suite_entries(suite) -> list:
                 raise InvalidInstanceError("suite entry %d has no %r" % (i, key))
         if not isinstance(entry["algorithms"], list):
             raise InvalidInstanceError("suite entry %d: algorithms must be a list" % i)
+        for name in entry["algorithms"]:
+            if name not in ALGORITHMS:
+                raise InvalidInstanceError("suite entry %d: unknown algorithm %r" % (i, name))
         if not isinstance(entry.get("params", {}), dict):
             raise InvalidInstanceError("suite entry %d: params must be an object" % i)
         for key in ("k", "repetitions", "seed"):
@@ -273,13 +281,16 @@ def _cmd_bench(args) -> int:
         k = entry.get("k", inst.k)
         reps = entry.get("repetitions", 1)
         for algorithm in entry["algorithms"]:
+            route = _route(inst, algorithm, args)
+            # auto's rows name the route it took, as in auto:oracle
+            name = algorithm if route == algorithm else "%s:%s" % (algorithm, route)
             for _ in range(reps):
                 ns = argparse.Namespace(
                     seed=entry.get("seed", 0), threads=1, ie_cap=args.ie_cap,
                     oracle_cap=args.oracle_cap, min_cover=False, witness=False)
-                record = _run_algorithm(inst, algorithm, k, ns)
+                record = _run_algorithm(inst, route, k, ns)
                 leaves = record.stats.leaves_ie + record.stats.leaves_rejected
-                rows.append((inst.n, k, algorithm, "yes" if record.decision else "no",
+                rows.append((inst.n, k, name, "yes" if record.decision else "no",
                              record.stats.nodes_expanded, leaves, record.stats.wall_ms))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[4], r[5]))
     print(",".join(BENCH_COLUMNS))
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="decide or minimize a cover for an instance file")
     solve.add_argument("--input", required=True)
-    solve.add_argument("--algorithm", default="auto", choices=["ie", "branch", "oracle", "auto"])
+    solve.add_argument("--algorithm", default="auto", choices=ALGORITHMS)
     solve.add_argument("--k", type=int, default=None, help="budget (defaults to the instance's k)")
     solve.add_argument("--min", dest="min_cover", action="store_true",
                        help="compute the minimum cover size")

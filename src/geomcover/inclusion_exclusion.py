@@ -9,14 +9,21 @@ step, moves c by the difference the flip makes, and keeps a signed
 histogram of the c values, so each budget's sum takes one power per
 distinct c.
 
-Curve counters keep one point mask per curve through three or more ground
-points and step c by the coverable subsets that hold the flipped element.
-Plane counters read the integer incidence layer (`PlaneLayer`) and charge
-each coverable set to a unique greedy hull-growing prefix of at most three
-elements, which owns a tail mask of optional later elements; a flip steps c
-by the prefixes that hold the element and those whose tail holds it. The
-plane search's leaves, over points and lines of its layer, use the same
-counter.
+Beside the subset, the walk keeps its pair mask: bit p*w + q for each
+ordered pair p, q of its elements, at the counter's width w, moved by two
+XORs and one AND per flip. Curve counters keep, per point e, a triple mask
+of the ordered pairs of other points that lie with e on one curve through
+three or more ground points, so one AND with the walk's pair mask and a
+popcount count the coverable triples that a flip of e adds or removes; the
+pairs and, per curve through e with four or more points, the larger
+subsets are popcounts of the subset itself.
+
+Plane counters have width 0 and read no pair mask. They read the integer
+incidence layer (`PlaneLayer`) and charge each coverable set to a unique
+greedy hull-growing prefix of at most three elements, which owns a tail
+mask of optional later elements; a flip steps c by the prefixes that hold
+the element and those whose tail holds it. The plane search's leaves, over
+points and lines of its layer, use the same counter.
 
 c(X) depends on X alone, so one counter built over the whole ground
 answers the sum over the submasks of any subset of it. Witness extraction
@@ -162,22 +169,38 @@ def c_count(points: Sequence[Point], family: FamilySpec) -> int:
 # fast per-subset counting
 
 
-def _w(m: int) -> int:
-    """The subsets of three or more among m points."""
-    return (1 << m) - 1 - m - m * (m - 1) // 2
-
-
 def _above(bits: int, b: int) -> int:
     """The bits of `bits` above bit b."""
     return bits >> (b + 1) << (b + 1)
 
 
+def _row_col(w: int) -> tuple[int, int]:
+    """Element 0's row (bits 0 .. w - 1) and column (bit p*w for each p < w)
+    in a pair mask of width w; element e's are these shifted left by e*w and
+    by e. Both are 0 at width 0."""
+    return (1 << w) - 1, sum(1 << p * w for p in range(w))
+
+
+def _pairs(y: int, w: int) -> int:
+    """The pair mask of the subset mask y at width w: bit p*w + q for each p
+    and q in y, built directly. It is the rows of y's elements AND their
+    columns, which the sweep keeps up to date by XOR at each flip."""
+    row, col = _row_col(w)
+    rows = cols = 0
+    for e in _bits(y):
+        rows |= row << e * w
+        cols |= col << e
+    return rows & cols
+
+
 class CoverableCounter:
     """Precomputes, for one fixed ground set, what c(X) reads for any subset
     mask X of it: the curve masks of a curve family, or every representative
-    of the plane family with its optional-tail mask. `step(e, Y)` gives
-    c(Y + e) - c(Y) for e not in Y. `mask` is the ground's mask and `n` its
-    size.
+    of the plane family with its optional-tail mask. `step(e, Y, pairs)`
+    gives c(Y + e) - c(Y) for e not in Y, where `pairs` is Y's pair mask at
+    width `pair_width` (`_pairs`): n for curves, whose step reads ordered
+    point pairs, and 0 for planes, whose step reads none. `mask` is the
+    ground's mask and `n` its size.
 
     Built from points, the ground is those points (point i is bit i). A plane
     counter over some points and lines of a `PlaneLayer`, such as a plane
@@ -215,9 +238,11 @@ class CoverableCounter:
         self.n = n = len(pts)
         self.mask = (1 << n) - 1
         self.fitted = curve_fits(pts, fam)
-        # q[e][1 << p]: the other points on the >= 3-point curves through e
-        # and p; heavy[e]: the curves through e with >= 4 points
-        q: list[dict[int, int]] = [{} for _ in range(n)]
+        self.pair_width = n
+        # tri[e]: bit p*n + q for each ordered pair of distinct other points
+        # p, q on a >= 3-point curve through e; heavy[e]: the curves through
+        # e with >= 4 points
+        tri = [0] * n
         heavy: list[list[int]] = [[] for _ in range(n)]
         for mask in self.fitted.masks:
             members = _bits(mask)
@@ -226,29 +251,32 @@ class CoverableCounter:
             for a in members:
                 if len(members) >= 4:
                     heavy[a].append(mask)
-                for b in members:
-                    if a != b:
-                        q[a][1 << b] = q[a].get(1 << b, 0) | (mask & ~(1 << a | 1 << b))
+                others = mask & ~(1 << a)
+                for p in _bits(others):
+                    tri[a] |= (others ^ 1 << p) << p * n
         if fam.kind == "vparabola2":
             self._pair = [sum(1 << j for j in range(n) if pts[j][0] != pts[i][0])
                           for i in range(n)]
         else:
             self._pair = [self.mask & ~(1 << i) for i in range(n)]
-        self._q = [list(row.items()) for row in q]
+        self._tri = tri
         self._heavy = heavy
+        # _W[m]: the subsets of three or more among m points
+        self._W = [(1 << m) - 1 - m - m * (m - 1) // 2 for m in range(n + 1)]
 
-    def step(self, e: int, y: int) -> int:
-        """c(Y + e) - c(Y) for e not in Y: the coverable subsets that hold e.
-        They are {e}, the coverable pairs, the triples {e, p, q} (counted
-        once from p and once from q: three points fix the curve) and, on
-        each curve with >= 4 points, the larger subsets."""
-        twice = 0
-        for p_bit, others in self._q[e]:
-            if y & p_bit:
-                twice += (others & y).bit_count()
-        total = 1 + (self._pair[e] & y).bit_count() + (twice >> 1)
+    def step(self, e: int, y: int, pairs: int) -> int:
+        """c(Y + e) - c(Y) for e not in Y: the coverable subsets that hold
+        e. `pairs` is Y's pair mask, `_pairs(Y, n)`, as the sweep keeps it
+        (that of Y + e reads the same: e's triple mask holds no pair with
+        e). The subsets are {e}, the coverable pairs, the triples {e, p, q}
+        (one AND with e's triple mask finds each as the ordered pairs (p, q)
+        and (q, p): three points fix the curve) and, on each curve with >= 4
+        points, the larger subsets (`_W`, by how many of its points are in
+        Y)."""
+        total = 1 + (self._pair[e] & y).bit_count() + ((self._tri[e] & pairs).bit_count() >> 1)
+        W = self._W
         for mask in self._heavy[e]:
-            total += _w((mask & y).bit_count())
+            total += W[(mask & y).bit_count()]
         return total
 
     # -- planes: representatives grow the affine hull strictly, size <= 3
@@ -277,6 +305,7 @@ class CoverableCounter:
         self.layer = layer
         self._points_mask = mask
         self._stamped = list(enumerate(lines, n))   # (bit, line index)
+        self.pair_width = 0  # the step reads no pair mask
         self.mask = ground = mask | ((1 << len(lines)) - 1) << n
         self.n = ground.bit_count()
         line_at = dict(self._stamped)
@@ -342,10 +371,11 @@ class CoverableCounter:
                 adds[low.bit_length() - 1].append((bits, tail ^ low))
                 rest ^= low
 
-        def step(e: int, y: int) -> int:
+        def step(e: int, y: int, pairs: int) -> int:
             """c(Y + e) - c(Y) for e not in Y: 1 for {e}, and 2^|tail & Y|
             for each other representative inside Y + e that holds e (it is
-            new) or whose tail holds e (its term doubles)."""
+            new) or whose tail holds e (its term doubles). `pairs` is 0, the
+            pair mask at width 0."""
             total = 1
             for rest, tail in adds[e]:
                 if y & rest == rest:
@@ -368,8 +398,18 @@ class CoverableCounter:
 
     def c_of_mask(self, mask: int) -> int:
         """c(X) for the subset mask X: 1 for the empty set, plus the step of
-        each element of X over the elements before it in bit order."""
-        return 1 + sum(self.step(e, mask & ((1 << e) - 1)) for e in _bits(mask))
+        each element of X over the elements before it in bit order, with
+        that prefix's pair mask."""
+        w = self.pair_width
+        row, col = _row_col(w)
+        total = 1
+        y = rows = cols = 0
+        for e in _bits(mask):
+            total += self.step(e, y, rows & cols)
+            y |= 1 << e
+            rows |= row << e * w
+            cols |= col << e
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -391,24 +431,35 @@ def _signed_histogram(counter: CoverableCounter, ground: int, cap: int) -> dict[
     """{c(X): signed multiplicity} over the submasks X of the `ground` mask,
     each X counted with sign (-1)^|ground \\ X|. One Gray-code walk from the
     empty set flips one ground bit per step, and `counter.step` moves c by
-    the difference the flip makes."""
-    # the walk's i-th step flips the element at i's lowest set bit
-    flips = {1 << j: 1 << e for j, e in enumerate(_bits(ground))}
-    n = len(flips)
+    the difference the flip makes.
+
+    Beside X the walk keeps two masks at the counter's `pair_width` w: `rows`,
+    the rows of X's elements (bits p*w .. p*w + w - 1 for p in X), and `cols`,
+    their columns (bit p*w + q for q in X, for every p). A flip XORs the
+    element's row and column into them, and `rows & cols` is X's pair mask
+    (`_pairs(X, w)`), which the step reads. The flipped element's own pairs
+    are in it when the flip adds the element; no step reads them."""
+    n = ground.bit_count()
     _check_cap(n, cap)
+    # the walk's i-th step flips the element at i's lowest set bit
+    w = counter.pair_width
+    row0, col0 = _row_col(w)
+    flips = {1 << j: (e, 1 << e, row0 << e * w, col0 << e) for j, e in enumerate(_bits(ground))}
     step = counter.step
-    x = 0
+    x = rows = cols = 0
     c = 1  # the empty set is its own only coverable subset
     sign = -1 if n & 1 else 1
     hist: dict[int, int] = defaultdict(int)
     hist[c] = sign
     for i in range(1, 1 << n):
-        bit = flips[i & -i]
+        e, bit, row, col = flips[i & -i]
         x ^= bit
+        rows ^= row
+        cols ^= col
         if x & bit:
-            c += step(bit.bit_length() - 1, x ^ bit)
+            c += step(e, x ^ bit, rows & cols)
         else:
-            c -= step(bit.bit_length() - 1, x)
+            c -= step(e, x, rows & cols)
         sign = -sign
         hist[c] += sign
     return hist

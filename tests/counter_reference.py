@@ -17,7 +17,7 @@ from geomcover.geometry import (
     affine_hull,
     flat_contains,
 )
-from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, ie_decide
+from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, _pairs, ie_decide
 from incidence_reference import candidate_cover_sets
 
 
@@ -154,14 +154,18 @@ def reference_decide(points, family, k, flats=(), cap=DEFAULT_SUBSET_CAP) -> boo
 
 def gray_walk(counter) -> dict[int, int]:
     """{X: c(X)} over the submasks X of the counter's ground, visited by the
-    Gray walk of `_signed_histogram` and moved by `counter.step` at each flip."""
+    Gray walk of `_signed_histogram` and moved by `counter.step` at each flip,
+    which reads the pair mask of the subset it steps from, built afresh."""
     order = _bits(counter.mask)
+    w = counter.pair_width
     x, c = 0, 1
     seen = {0: 1}
     for i in range(1, 1 << len(order)):
         e = order[(i & -i).bit_length() - 1]
+        y = x & ~(1 << e)
+        delta = counter.step(e, y, _pairs(y, w))
         x ^= 1 << e
-        c = c + counter.step(e, x ^ 1 << e) if x >> e & 1 else c - counter.step(e, x)
+        c = c + delta if x >> e & 1 else c - delta
         seen[x] = c
     return seen
 

@@ -33,6 +33,7 @@ from geomcover.inclusion_exclusion import (
     CoverableCounter,
     SolverInternalError,
     _least_budget,
+    _pairs,
     _self_reduce,
     _signed_histogram,
     _signed_sum,
@@ -364,8 +365,9 @@ class TestPlaneCounterIdentities:
                 y = sum(1 << e for b, e in enumerate(order) if local >> b & 1)
                 for b, e in enumerate(order):
                     if not local >> b & 1:
-                        assert (counter.step(e, y) == ref.c_of_mask(local | 1 << b)
-                                - ref.c_of_mask(local)), (points, lines, e, y)
+                        assert (counter.step(e, y, _pairs(y, counter.pair_width))
+                                == ref.c_of_mask(local | 1 << b) - ref.c_of_mask(local)), \
+                            (points, lines, e, y)
 
     def test_sums_match_reference(self):
         for points, lines in _plane_grounds():
@@ -423,26 +425,64 @@ class TestCurveCounterIdentities:
             for i in range(1, 1 << 9):
                 e = (i & -i).bit_length() - 1
                 y = x & ~(1 << e)
-                assert counter.step(e, y) == c[y | 1 << e] - c[y], (fam.kind, points, e, y)
+                assert counter.step(e, y, _pairs(y, 9)) == c[y | 1 << e] - c[y], \
+                    (fam.kind, points, e, y)
                 x ^= 1 << e
             assert x == 1 << 8  # the walk visited every subset and ends on the top bit
 
     def test_sums_match_reference_signed_sum(self):
+        """The sums over the whole ground, and over proper submask grounds as
+        extraction walks them: pair masks as wide as the whole ground, with
+        only the submask's elements flipping."""
         full = (1 << 9) - 1
+        rng = random.Random(83)
         for fam, points in degenerate_curve_instances():
             c = _brute_c(points, fam)
-            ref = dict.fromkeys(range(10), 0)
-            sub = full
-            while True:
-                sign = -1 if (9 - sub.bit_count()) & 1 else 1
+            counter = CoverableCounter(points, fam)
+            for ground in [full] + [rng.randint(1, full - 1) for _ in range(6)]:
+                ref = dict.fromkeys(range(10), 0)
+                sub = ground
+                while True:
+                    sign = -1 if (ground.bit_count() - sub.bit_count()) & 1 else 1
+                    for k in ref:
+                        ref[k] += sign * c[sub] ** k
+                    if not sub:
+                        break
+                    sub = (sub - 1) & ground
                 for k in ref:
-                    ref[k] += sign * c[sub] ** k
-                if not sub:
-                    break
-                sub = (sub - 1) & full
-            assert ie_sums(points, fam, range(10)) == ref
-            for k in range(10):
-                assert ie_decide(points, fam, k) == (ref[k] >= 1, ref[k], 1 << 9)
+                    assert _signed_sum(counter, ground, k, DEFAULT_SUBSET_CAP).ie_sum == ref[k], \
+                        (fam.kind, points, ground, k)
+                if ground == full:
+                    assert ie_sums(points, fam, range(10)) == ref
+                    for k in range(10):
+                        assert ie_decide(points, fam, k) == (ref[k] >= 1, ref[k], 1 << 9)
+
+    def test_walk_keeps_the_pair_mask_of_its_subset(self):
+        """At each flip the sweep hands the step the flipped element, the
+        subset without it as Y, and the pair mask of the subset after the
+        flip, equal to `_pairs` of that subset."""
+        rng = random.Random(89)
+        counters = [CoverableCounter(points, fam) for fam, points in degenerate_curve_instances()[:3]]
+        counters.append(CoverableCounter(_plane_grounds()[0][0], PLANE3))
+        for counter in counters:
+            real_step, calls = counter.step, []
+
+            def recording_step(e, y, pairs):
+                calls.append((e, y, pairs))
+                return real_step(e, y, pairs)
+
+            counter.step = recording_step
+            for ground in (counter.mask, rng.randint(1, counter.mask - 1)):
+                calls.clear()
+                _signed_histogram(counter, ground, DEFAULT_SUBSET_CAP)
+                order = _bits(ground)
+                assert len(calls) == (1 << len(order)) - 1
+                x = 0
+                for i, (e, y, pairs) in enumerate(calls, 1):
+                    assert e == order[(i & -i).bit_length() - 1]
+                    x ^= 1 << e
+                    assert y == x & ~(1 << e)
+                    assert pairs == _pairs(x, counter.pair_width), (counter.points, ground, i)
 
 
 # the 12 integer points at distance 5 from the origin

@@ -249,6 +249,22 @@ class TestCli:
             decs = {r[3] for r in rows if r[0] == n}
             assert len(decs) == 1
 
+    def test_bench_auto_names_its_route(self, tmp_path, capsys):
+        """`auto` routes each instance as `solve` does, and its rows name the
+        route: the oracle at 9 points, the sweep at 16 and, under an ie cap
+        of 15, the search."""
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"entries": [
+            {"model": "grid", "params": {"n": n}, "seed": 0, "k": n, "algorithms": ["auto", "oracle"]}
+            for n in (3, 4)
+        ]}))
+        for flags, route in (([], "ie"), (["--ie-cap", "15"], "branch")):
+            assert main(["bench", "--suite", str(suite)] + flags) == EXIT_OK
+            rows = [l.split(",") for l in capsys.readouterr().out.strip().splitlines()[1:]]
+            assert sorted((r[0], r[2], r[3]) for r in rows) == [
+                ("16", "auto:" + route, "yes"), ("16", "oracle", "yes"),
+                ("9", "auto:oracle", "yes"), ("9", "oracle", "yes")]
+
     def test_bench_empty_suite(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({"entries": []}))
@@ -269,7 +285,9 @@ class TestCli:
         ]
         # entries whose fields have the wrong type or sign, named by index
         bad_fields = [{"k": "3"}, {"k": -1}, {"k": 2.5}, {"k": True}, {"repetitions": "2"},
-                      {"repetitions": -1}, {"seed": "0"}, {"seed": 1.5}, {"params": [3]}]
+                      {"repetitions": -1}, {"seed": "0"}, {"seed": 1.5}, {"params": [3]},
+                      {"algorithms": ["ie", "iee"]}, {"algorithms": ["Auto"]},
+                      {"algorithms": [["ie"]]}]
         field_suites = [{"entries": [entry, dict(entry, **field)]} for field in bad_fields]
         for bad in bad_suites + field_suites:
             suite.write_text(json.dumps(bad))
