@@ -99,17 +99,23 @@ class ResultRecord:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _pick_auto(inst: Instance, oracle_cap: int, ie_cap: int) -> str:
+def _pick_auto(inst: Instance, oracle_cap: int, ie_cap: int, min_cover: bool = False) -> str:
+    """The oracle up to n = 12 and its cap, then `ie` up to its cap, then
+    `branch`. A minimum needs `ie` beyond the oracle, whose cap check exits
+    3 past its cap: `branch` decides one budget only."""
     if inst.n <= min(12, oracle_cap):
         return "oracle"
-    if inst.n <= ie_cap:
+    if inst.n <= ie_cap or min_cover:
         return "ie"
     return "branch"
 
 
 def _route(inst: Instance, algorithm: str, args) -> str:
     """The algorithm that runs: `auto`'s pick for the instance, else `algorithm`."""
-    return _pick_auto(inst, args.oracle_cap, args.ie_cap) if algorithm == "auto" else algorithm
+    if algorithm != "auto":
+        return algorithm
+    # bench has no --min: its solves decide their budget
+    return _pick_auto(inst, args.oracle_cap, args.ie_cap, getattr(args, "min_cover", False))
 
 
 def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord:

@@ -671,11 +671,10 @@ def plane_masks3(points: Sequence[Point]) -> list[tuple[Plane3, int]]:
 class PlaneLayer:
     """The incidence layer of a point set in R^3: every line through two of
     the points and every plane through three non-collinear ones, as point
-    masks (point i is bit i) in canonical object order, with the tables that
-    name a line or plane by the points that fix it. `lines` holds the line
-    masks and `planes` (mask, indexes of the lines inside it);
-    `pair_line[i*n + j]` is the line through points i < j, and
-    `line_point_plane[l*n + x]` the plane through line l and point x off it.
+    masks (point i is bit i) in canonical object order. `lines` holds the line
+    masks, `planes` (mask, indexes of the lines inside it) and `line_planes`
+    the indexes of the planes that contain each line, and
+    `line_point_plane[l*n + x]` is the plane through line l and point x off it.
     `line(l)` and `plane(p)` build the objects.
 
     Every line holds at least two of the points, so it lies in a plane
@@ -689,18 +688,14 @@ class PlaneLayer:
         self.scale, self._rows = _scaled(self.points, 3)
         self.lines: list[int] = self._lines.masks
         self.planes: list[tuple[int, list[int]]] = []
-        self.pair_line = [0] * (n * n)
-        for l, m in enumerate(self.lines):
-            on = _bits(m)
-            for a, i in enumerate(on):
-                for j in on[a + 1:]:
-                    self.pair_line[i * n + j] = l
+        self.line_planes: list[list[int]] = [[] for _ in self.lines]
         self.line_point_plane: list[Optional[int]] = [None] * (len(self.lines) * n)
-        for m in self._planes.masks:
+        for p, m in enumerate(self._planes.masks):
             contained = [j for j, lm in enumerate(self.lines) if not lm & ~m]
             for j in contained:
+                self.line_planes[j].append(p)
                 for x in _bits(m & ~self.lines[j]):
-                    self.line_point_plane[j * n + x] = len(self.planes)
+                    self.line_point_plane[j * n + x] = p
             self.planes.append((m, contained))
 
     def line(self, l: int) -> Flat:
@@ -708,14 +703,6 @@ class PlaneLayer:
 
     def plane(self, p: int) -> Plane3:
         return self._planes.obj(p)
-
-    def lines_plane(self, f: int, g: int) -> Optional[int]:
-        """The plane through two distinct lines, or None when they are skew.
-        A point x of g off f spans plane(f, x), the only candidate."""
-        gm = self.lines[g]
-        off = gm & ~self.lines[f]
-        p = self.line_point_plane[f * len(self.points) + (off & -off).bit_length() - 1]
-        return p if not gm & ~self.planes[p][0] else None
 
     def hull_plane(self, kind: str, at: int,
                    avoid: Sequence[int] = ()) -> tuple[tuple[int, int, int, int], int]:

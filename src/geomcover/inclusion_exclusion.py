@@ -19,20 +19,23 @@ pairs and, per curve through e with four or more points, the larger
 subsets are popcounts of the subset itself.
 
 Plane counters have width 0 and read no pair mask. They read the integer
-incidence layer (`PlaneLayer`) and charge each coverable set to a unique
-greedy hull-growing prefix of at most three elements, which owns a tail
-mask of optional later elements; a flip steps c by the prefixes that hold
-the element and those whose tail holds it. The plane search's leaves, over
-points and lines of its layer, use the same counter.
+incidence layer (`PlaneLayer`): each layer plane and line gets a ground
+mask, and a coverable set of two or more elements spans one layer plane or
+lies on one layer line, and so in each plane through that line. A flip
+steps c by popcounts over the masks that hold the element, each weighted
+by 1 for a plane and 1 - P(l) for a line in P(l) layer planes, with the
+sets of a point and at most two other points in closed form. The plane
+search's leaves, over points and lines of its layer, use the same
+counter.
 
 c(X) depends on X alone, so one counter built over the whole ground
 answers the sum over the submasks of any subset of it. Witness extraction
 runs on the counter that made the decision and on that decision's sum: it
 self-reduces by removing one object at a time, each step one sweep over the
 submasks of what is left. The objects to try come from one `CandidateTable`
-per counter, built from the counter's own curve masks or plane
-representatives, which lists for any remaining mask exactly what
-`candidate_cover_sets` lists for the remaining elements.
+per counter, built from the counter's own curve or plane and line masks,
+which lists for any remaining mask exactly what `candidate_cover_sets`
+lists for the remaining elements.
 
 Counts are exact arbitrary-precision integers throughout.
 """
@@ -40,7 +43,7 @@ Counts are exact arbitrary-precision integers throughout.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .geometry import (
     PLANE3,
@@ -169,11 +172,6 @@ def c_count(points: Sequence[Point], family: FamilySpec) -> int:
 # fast per-subset counting
 
 
-def _above(bits: int, b: int) -> int:
-    """The bits of `bits` above bit b."""
-    return bits >> (b + 1) << (b + 1)
-
-
 def _row_col(w: int) -> tuple[int, int]:
     """Element 0's row (bits 0 .. w - 1) and column (bit p*w for each p < w)
     in a pair mask of width w; element e's are these shifted left by e*w and
@@ -195,8 +193,8 @@ def _pairs(y: int, w: int) -> int:
 
 class CoverableCounter:
     """Precomputes, for one fixed ground set, what c(X) reads for any subset
-    mask X of it: the curve masks of a curve family, or every representative
-    of the plane family with its optional-tail mask. `step(e, Y, pairs)`
+    mask X of it: the curve masks of a curve family, or the ground masks of
+    the layer planes and lines for the plane family. `step(e, Y, pairs)`
     gives c(Y + e) - c(Y) for e not in Y, where `pairs` is Y's pair mask at
     width `pair_width` (`_pairs`): n for curves, whose step reads ordered
     point pairs, and 0 for planes, whose step reads none. `mask` is the
@@ -279,28 +277,25 @@ class CoverableCounter:
             total += W[(mask & y).bit_count()]
         return total
 
-    # -- planes: representatives grow the affine hull strictly, size <= 3
+    # -- planes: one ground mask per layer plane and line
 
     def _build_planes(self, layer: PlaneLayer, mask: int, lines: Sequence[int]):
-        """Every representative over the ground of `on_layer`, read off the
-        layer alone. A representative is a prefix of a coverable set, in bit
-        order, whose affine hull grows with each element until it spans the
-        set (so at most three elements), and its tail is the later ground
-        elements inside the hull reached by then: each coverable set is one
-        representative plus a subset of its tail, so c(X) is 1 plus the sum of
-        2^|tail & X| over the representatives inside X.
+        """The ground masks of the layer over the ground of `on_layer`: G_p,
+        per layer plane p, holds the ground points on p and the ground lines
+        inside it; G_l, per layer line l, the ground points on l and l's own
+        bit when l is a ground line. A coverable set of two or more elements
+        either spans one layer plane and lies in its G_p alone, or lies in
+        one G_l and so in the G_p of each of the P(l) layer planes through l.
+        Counted once per G_p and 1 - P(l) times per G_l that holds it, each
+        coverable set counts once. So a flip of e adds {e}, and 2^|G & Y| - 1
+        per mask G that holds e, times 1 for a plane and 1 - P(l) for a line.
 
-        Two elements span a line l (a point pair, or a point on a line of the
-        ground) or a plane (a point off a line, or two coplanar lines); their
-        tail is the bits of that span above the second. A third element x off
-        l that spans a plane with it adds a triple, whose tail is the bits of
-        l strictly between the second element and x and those of the plane
-        above x. A single element has no tail, as points come before lines.
-
-        `reps` keeps (bits, tail, span) for the candidate table, where span
-        names the hull: ("point", i), ("line", l) or ("plane", p). The step
-        reads, per element e, (R - e, tail) for each representative R that
-        holds e and (R, tail - e) for each R whose tail holds e."""
+        Any two or three points are coplanar, so the sets of a point e and at
+        most two points of Y count in closed form, and a point's step reads
+        only the masks holding it that hold four or more points or a ground
+        line. A line's step reads every mask that holds it. Masks with fewer
+        than two elements, and lines in one layer plane (factor 0), add
+        nothing."""
         n = len(layer.points)
         self.layer = layer
         self._points_mask = mask
@@ -308,78 +303,37 @@ class CoverableCounter:
         self.pair_width = 0  # the step reads no pair mask
         self.mask = ground = mask | ((1 << len(lines)) - 1) << n
         self.n = ground.bit_count()
-        line_at = dict(self._stamped)
-        pair_line, line_point_plane = layer.pair_line, layer.line_point_plane
-        plane_bits: dict[int, int] = {}
-
-        def inside_plane(p: int) -> int:
-            bits = plane_bits.get(p)
-            if bits is None:
-                bits = plane_bits[p] = self._inside(layer.planes[p][0])
-            return bits
-
-        def plane_with(l: int, x: int) -> Optional[int]:
-            """The plane through line l and the ground element x off it; None
-            when x is a line skew to l."""
-            if x < n:
-                return line_point_plane[l * n + x]
-            return layer.lines_plane(l, line_at[x])
-
-        reps = []
-        for i in _bits(mask):
-            reps.append((1 << i, 0, ("point", i)))
-            for j in _bits(_above(ground, i)):
-                pair = 1 << i | 1 << j
-                if j < n:
-                    l = pair_line[i * n + j]
-                elif layer.lines[line_at[j]] >> i & 1:
-                    l = line_at[j]
-                else:
-                    p = plane_with(line_at[j], i)
-                    reps.append((pair, _above(inside_plane(p), j), ("plane", p)))
-                    continue
-                lb = self._inside(layer.lines[l])
-                tail = _above(lb, j)
-                reps.append((pair, tail, ("line", l)))
-                for x in _bits(_above(ground & ~lb, j)):
-                    p = plane_with(l, x)
-                    if p is not None:
-                        reps.append((pair | 1 << x,
-                                     tail & ((1 << x) - 1) | _above(inside_plane(p), x),
-                                     ("plane", p)))
-        for f_bit, f in self._stamped:
-            reps.append((1 << f_bit, 0, ("line", f)))
-            for g_bit in _bits(_above(ground, f_bit)):
-                p = plane_with(f, g_bit)
-                if p is not None:
-                    reps.append((1 << f_bit | 1 << g_bit, _above(inside_plane(p), g_bit),
-                                 ("plane", p)))
-        self.reps = reps
-
-        adds: list[list[tuple[int, int]]] = [[] for _ in range(ground.bit_length())]
-        for bits, tail, _ in reps:
-            if not bits & (bits - 1):
-                continue  # a single, the 1 that every step adds
-            rest = bits
-            while rest:
-                low = rest & -rest
-                adds[low.bit_length() - 1].append((bits ^ low, tail))
-                rest ^= low
-            rest = tail
-            while rest:
-                low = rest & -rest
-                adds[low.bit_length() - 1].append((bits, tail ^ low))
-                rest ^= low
+        self.plane_masks = planes = [m & mask for m, _ in layer.planes]
+        self.line_masks = lmasks = [m & mask for m in layer.lines]
+        for bit, l in self._stamped:
+            lmasks[l] |= 1 << bit
+            for p in layer.line_planes[l]:
+                planes[p] |= 1 << bit
+        terms = [(g, 1) for g in planes if g & (g - 1)]
+        terms += [(g, 1 - len(ps)) for g, ps in zip(lmasks, layer.line_planes)
+                  if g & (g - 1) and len(ps) != 1]
+        low = (1 << n) - 1  # the point bits
+        reads: list[list[tuple[int, int]]] = [[] for _ in range(ground.bit_length())]
+        for g, a in terms:
+            if g > low or g.bit_count() >= 4:
+                for e in _bits(g):
+                    reads[e].append((g, a))
+        # V[m]: the subsets of at most two among m points; a line's step
+        # counts only itself outside the masks
+        V = [1 + m + m * (m - 1) // 2 for m in range(n + 1)]
+        ONE = [1] * (n + 1)
 
         def step(e: int, y: int, pairs: int) -> int:
-            """c(Y + e) - c(Y) for e not in Y: 1 for {e}, and 2^|tail & Y|
-            for each other representative inside Y + e that holds e (it is
-            new) or whose tail holds e (its term doubles). `pairs` is 0, the
-            pair mask at width 0."""
-            total = 1
-            for rest, tail in adds[e]:
-                if y & rest == rest:
-                    total += 1 << (tail & y).bit_count()
+            """c(Y + e) - c(Y) for e not in Y: for a point, {e} with at most
+            two points of Y, and per mask G it reads, the subsets of G & Y
+            beyond those, times G's factor; for a line, {e}, and per mask G
+            holding it, the nonempty subsets of G & Y, times G's factor.
+            `pairs` is 0, the pair mask at width 0."""
+            v = V if e < n else ONE
+            total = v[(y & low).bit_count()]
+            for g, a in reads[e]:
+                gy = g & y
+                total += a * ((1 << gy.bit_count()) - v[(gy & low).bit_count()])
             return total
 
         self.step = step
@@ -525,12 +479,17 @@ class CandidateTable:
 
     Curves: each fitted curve of the counter, spanned by any d of its points,
     and the canonical completion of each tuple of fewer than d points,
-    spanned by that tuple. Planes: the candidate plane of each
-    representative's hull, spanned by the representative: the layer plane it
-    spans, the canonical plane through the layer line it spans, or the
-    horizontal plane through its single point. Each is first an integer
-    row; the rows are merged and ordered by their exact keys (`Fits.keys`),
-    and each object is built once."""
+    spanned by that tuple. Planes, read off the counter's ground masks: the
+    horizontal plane through each ground point, spanned by the point; the
+    canonical plane through each layer line l with two or more ground points
+    or on the ground, spanned by two elements of G_l or by the line itself;
+    and each layer plane p that the ground spans (G_p in no G_l of a line l
+    inside p), spanned by two elements of G_p. Two that lie on one line l do
+    not span p, but they span l, and l's canonical plane holds every
+    remaining element of G_p and comes first among the planes through l in
+    object order, so the list prunes p then. Each is first an integer row;
+    the rows are merged and ordered by their exact keys (`Fits.keys`), and
+    each object is built once."""
 
     def __init__(self, counter: CoverableCounter):
         fits, spans = (self._plane_entries(counter) if counter.family.kind == "plane3"
@@ -546,20 +505,26 @@ class CandidateTable:
 
     @staticmethod
     def _plane_entries(counter: CoverableCounter) -> tuple[Fits, list]:
-        """The plane of each representative's hull, as an integer row of the
-        layer, with its mask and the representatives spanning it."""
-        layer = counter.layer
-        hulls: dict[tuple, int] = {}  # a representative's hull -> its entry
+        """The plane of each point, line and plane hull of the ground, as an
+        integer row of the layer, with its mask and its spans."""
+        layer, lmasks = counter.layer, counter.line_masks
+        hulls = [(("point", i), [(1 << i, 1)]) for i in _bits(counter._points_mask)]
+        on_ground = {l: 1 << bit for bit, l in counter._stamped}
+        for l, g in enumerate(lmasks):
+            spans = [(g, 2)] if g & (g - 1) else []
+            if l in on_ground:
+                spans.append((on_ground[l], 1))
+            if spans:
+                hulls.append((("line", l), spans))
+        for p, g in enumerate(counter.plane_masks):
+            if g & (g - 1) and all(g & ~lmasks[l] for l in layer.planes[p][1]):
+                hulls.append((("plane", p), [(g, 2)]))
         rows, masks, spans = [], [], []
-        for bits, _, hull in counter.reps:
-            h = hulls.get(hull)
-            if h is None:
-                h = hulls[hull] = len(rows)
-                row, points = layer.hull_plane(*hull)
-                rows.append(row)
-                masks.append(counter._inside(points))
-                spans.append([])
-            spans[h].append((bits, bits.bit_count()))
+        for hull, span in hulls:
+            row, points = layer.hull_plane(*hull)
+            rows.append(row)
+            masks.append(counter._inside(points))
+            spans.append(span)
         return Fits("plane3", layer.scale, rows, masks), spans
 
     @staticmethod

@@ -346,7 +346,38 @@ def _plane_grounds():
     return grounds
 
 
+def _hand_built_plane_grounds():
+    """Grounds of points and lines that reach every kind of ground mask of
+    the plane counter: points on one line and in no layer plane (1 - P(l) = 1), a line
+    in a pencil of three layer planes (1 - P(l) = -2) with four ground
+    points on it, ground points on a ground line, and coplanar and skew
+    pairs of ground lines."""
+    axis = [pt(t, 0, 0) for t in range(4)]
+    pencil = [pt(0, 1, 0), pt(0, 0, 1), pt(0, 1, 1)]   # z = 0, y = 0, y = z
+    xaxis, yline = line_through(axis[0], axis[1]), line_through(pt(0, 1, 0), pt(1, 1, 0))
+    skew, cross = line_through(pt(0, 0, 1), pt(0, 1, 1)), line_through(axis[0], pt(0, 1, 2))
+    return [
+        ([pt(t, 2 * t, 3 * t) for t in range(6)], []),
+        (axis + pencil, []),
+        (axis[:3] + pencil, [xaxis]),
+        (axis[:2] + [pt(1, 1, 0), pt(0, 0, 1)], [xaxis, yline]),   # parallel
+        (axis[1:3] + [pt(0, 1, 1)], [xaxis, cross, skew]),         # crossing, skew
+        ([pt(0, 1, 0), pt(5, 5, 5)], [xaxis, skew, yline, cross]),
+    ]
+
+
 class TestPlaneCounterIdentities:
+    def test_hand_built_grounds_match_references_on_every_mask(self):
+        pencils = set()  # P(l) of the lines with two or more ground elements
+        for points, lines in _hand_built_plane_grounds():
+            counter = layer_counter(points, lines)
+            pencils |= {len(ps) for g, ps in zip(counter.line_masks, counter.layer.line_planes)
+                        if g & (g - 1)}
+            assert_counter_matches_reference(counter, FractionPlaneCounter(points, lines))
+            assert_table_lists_candidate_cover_sets(
+                CandidateTable(counter), counter, points, lines, PLANE3, range(1 << counter.n))
+        assert {0, 2, 3, 4} <= pencils, pencils
+
     def test_walk_and_c_of_mask_match_fraction_reference(self):
         grounds = _plane_grounds()
         assert sum(1 for _, lines in grounds if len(lines) >= 2) >= 3

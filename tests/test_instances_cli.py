@@ -156,6 +156,23 @@ class TestCli:
         assert main(["solve", "--input", str(path), "--k", "4"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["algorithm"] == "oracle"
 
+    def test_auto_min_never_routes_to_branch(self, tmp_path, capsys):
+        # beyond the oracle, --min goes to ie, whose cap check exits 3 past
+        # its cap; only an explicit branch is an invalid --min
+        line, inst = self.write(tmp_path, "l.json", "uniform-random",
+                                {"family": "line2", "n": 30, "coord_range": 60}, 1)
+        assert inst.n == 30
+        assert main(["solve", "--input", str(line), "--min"]) == EXIT_CAP
+        small, inst = self.write(tmp_path, "s.json", "uniform-random",
+                                 {"family": "line2", "n": 8, "coord_range": 20}, 2)
+        assert inst.n == 8
+        assert main(["solve", "--input", str(small), "--min",
+                     "--ie-cap", "5", "--oracle-cap", "5"]) == EXIT_CAP
+        assert main(["solve", "--input", str(small), "--min", "--algorithm", "branch"]) == EXIT_INVALID
+        assert main(["solve", "--input", str(small), "--min", "--ie-cap", "8",
+                     "--oracle-cap", "5"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["algorithm"] == "ie"
+
     def test_invalid_input_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

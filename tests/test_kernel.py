@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -298,6 +299,68 @@ def _clustered_planes(draw):
     return [pt(*p) for p in list(dict.fromkeys(points))[:12]], draw(st.integers(1, 3))
 
 
+@st.composite
+def _tiled_curves(draw, fam):
+    """A curve C through s*k points, each of them on one of k planted curves
+    of `fam` that hold s points of C and e more each (k = 4 and e = 2 for
+    lines, k = 3 and e = 3 for circles and parabolas), at budget k. The
+    planted curves cover every point; C, the richest curve, is one point
+    short of forcing; and once forced it would leave e points on each planted
+    curve, which k - 1 curves do not cover in general position."""
+    k, e = (4, 2) if fam is LINE2 else (3, 3)
+    small = st.integers(-4, 4)
+    nonzero = small.filter(bool)
+    points = []
+    if fam is LINE2:
+        m0, c0 = draw(small), draw(small)
+        for x in draw(st.lists(small, min_size=k, max_size=k, unique=True)):
+            m = draw(small.filter(lambda v: v != m0))
+            y = m0 * x + c0
+            points += [(x, y)] + [(x + t, y + m * t) for t in
+                                  draw(st.lists(nonzero, min_size=e, max_size=e, unique=True))]
+    elif fam is VPARABOLA2:
+        a, b, c = draw(nonzero), draw(small), draw(small)
+        xs = draw(st.lists(st.integers(-6, 6), min_size=2 * k, max_size=2 * k, unique=True))
+        for p, q in zip(xs[::2], xs[1::2]):
+            lam = draw(nonzero.filter(lambda v: v != -a))
+            extra = draw(st.lists(st.integers(-6, 6).filter(lambda x: x not in (p, q)),
+                                  min_size=e, max_size=e, unique=True))
+            points += [(x, a * x * x + b * x + c + lam * (x - p) * (x - q)) for x in [p, q] + extra]
+    else:
+        on_c = draw(st.lists(st.sampled_from(_RADIUS5), min_size=2 * k, max_size=2 * k, unique=True))
+        for (px, py), (qx, qy) in zip(on_c[::2], on_c[1::2]):
+            # the centres on the bisector of P and Q, which passes through C's
+            vx, vy = (px + qx, py + qy) if (px + qx, py + qy) != (0, 0) else (-py, px)
+            mu = Fraction(draw(nonzero), 2)
+            zx, zy = mu * vx, mu * vy
+            points += [(px, py), (qx, qy)]
+            for m in draw(st.lists(small, min_size=e, max_size=e, unique=True)):
+                # the second point of the circle on the line through P along (1, m)
+                tau = -2 * ((px - zx) + m * (py - zy)) / (1 + m * m)
+                points.append((px + tau, py + tau * m))
+    return [pt(*p) for p in dict.fromkeys(points)], k
+
+
+@st.composite
+def _tiled_plane(draw):
+    """A plane H of k(k+1) points on k lines of k+1 points each, at k = 2,
+    each line in a planted plane with two more points off H, at budget k.
+    The planted planes cover every point; H, the richest plane, is one point
+    short of forcing; and once forced it would leave two points on each
+    planted plane, which one plane does not cover in general position."""
+    k, e = 2, 2
+    coord = st.integers(-3, 3)
+    points = []
+    for y in draw(st.lists(coord, min_size=k, max_size=k, unique=True)):
+        a, b = draw(coord), draw(coord)
+        points += [(x, y, 0) for x in draw(st.lists(coord, min_size=k + 1, max_size=k + 1,
+                                                    unique=True))]
+        points += [(x + t * a, y + t * b, t) for x, t in
+                   draw(st.lists(st.tuples(coord, coord.filter(bool)), min_size=e, max_size=e,
+                                 unique=True))]
+    return [pt(*p) for p in dict.fromkeys(points)], k
+
+
 def _assert_kernel_properties(points, fam, k, kern, bound):
     """The kernel's instance is equisolvable with the input, has at most
     `bound` points, and its forced objects plus an oracle cover of its points
@@ -325,6 +388,23 @@ class TestKernelProperties:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(_clustered_planes())
     def test_plane_kernel(self, instance):
+        points, k = instance
+        kern = plane_kernel_r3(points, k)
+        _assert_kernel_properties(points, PLANE3, k, kern, kern.k ** 3 + kern.k ** 2)
+
+    # instances whose other objects tile a rich object that falls one point
+    # short of the forcing threshold
+    @pytest.mark.parametrize("fam", (LINE2, CIRCLE2, VPARABOLA2), ids=lambda f: f.kind)
+    @settings(derandomize=True, database=None, max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_curve_kernel_on_tilings(self, fam, data):
+        points, k = data.draw(_tiled_curves(fam))
+        kern = curve_kernel(points, fam, k)
+        _assert_kernel_properties(points, fam, k, kern, fam.s * kern.k ** 2)
+
+    @settings(derandomize=True, database=None, max_examples=15, deadline=None)
+    @given(_tiled_plane())
+    def test_plane_kernel_on_tilings(self, instance):
         points, k = instance
         kern = plane_kernel_r3(points, k)
         _assert_kernel_properties(points, PLANE3, k, kern, kern.k ** 3 + kern.k ** 2)

@@ -54,9 +54,8 @@ def _points_in(search, mask):
 
 def _line_index(layer, p, q):
     """The layer index of the line through the layer points p and q."""
-    n = len(layer.points)
-    i, j = sorted((layer.points.index(p), layer.points.index(q)))
-    return layer.pair_line[i * n + j]
+    both = _mask_of(layer, [p, q])
+    return next(l for l, m in enumerate(layer.lines) if not both & ~m)
 
 
 def _mask_of(layer, points):
@@ -510,8 +509,13 @@ class TestLeafCounter:
             return index[line_through(self.HAND[a], self.HAND[b])]
 
         A, B, C, D = line(0, 1), line(3, 4), line(5, 6), line(7, 8)
-        assert all(search.layer.lines_plane(f, g) is not None for f, g in ((A, B), (A, C), (C, D)))
-        assert all(search.layer.lines_plane(f, g) is None for f, g in ((A, D), (B, D)))
+
+        def coplanar(f, g):
+            both = search.lines[f] | search.lines[g]
+            return any(not both & ~m for m, _ in search.planes)
+
+        assert all(coplanar(f, g) for f, g in ((A, B), (A, C), (C, D)))
+        assert not any(coplanar(f, g) for f, g in ((A, D), (B, D)))
         off = sum(1 << i for i in range(9, 14))
         cases = [
             (off, (A, B)),                     # parallel
