@@ -99,29 +99,43 @@ class ResultRecord:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _pick_auto(inst: Instance, oracle_cap: int, ie_cap: int, min_cover: bool = False) -> str:
-    """The oracle up to n = 12 and its cap, then `ie` up to its cap, then
-    `branch`. A minimum needs `ie` beyond the oracle, whose cap check exits
-    3 past its cap: `branch` decides one budget only."""
-    if inst.n <= min(12, oracle_cap):
-        return "oracle"
-    if inst.n <= ie_cap or min_cover:
-        return "ie"
-    return "branch"
+def _pick_auto(inst: Instance, oracle_cap: int, ie_cap: int, min_cover: bool = False) -> tuple:
+    """The routes `auto` tries in turn, each as (algorithm, oracle node
+    budget or None); a route that passes its budget hands over to the next.
+
+    - n <= min(12, oracle cap): the oracle, unbounded.
+    - 12 < n <= oracle cap and n <= ie cap: the oracle within 2^n search
+      nodes, the sweep's own subset count, then `ie`.
+    - otherwise `ie` up to its cap, then `branch`. A minimum needs `ie`
+      beyond the oracle, whose cap check exits 3 past its cap: `branch`
+      decides one budget only.
+
+    Measured (`solve --witness`, best of 2, plain perf_counter, uniform-random
+    seeds 1-3 at opt and opt-1; oracle / ie ms):
+    - coord range 6 (`auto`'s benchmark shapes): the oracle wins every solve
+      of all four families, 2-8 / 9-27 at n = 13 and 2-38 / 82-239 at n = 16.
+    - coord range 20 (general position): the oracle loses on 3 of 24
+      instances, line2 n = 16 seeds 1 and 3 (161-170 / 75-105), vparabola2
+      n = 13 seed 2 (180-185 / 13-45) and vparabola2 n = 16 seed 2
+      (469-1083 / 41-133). Their searches take 0.2-2.5 M nodes against
+      2^16 = 65,536, so they fall back: on vparabola2 n = 16 seed 2 `auto`
+      takes 186 / 80 ms at k = 5 / 4, the sweep alone 94 / 47 ms and the
+      unbounded oracle 1050 / 880 ms.
+    """
+    n = inst.n
+    if n <= min(12, oracle_cap):
+        return (("oracle", None),)
+    if n <= oracle_cap and n <= ie_cap:
+        return (("oracle", 1 << n), ("ie", None))
+    if n <= ie_cap or min_cover:
+        return (("ie", None),)
+    return (("branch", None),)
 
 
-def _route(inst: Instance, algorithm: str, args) -> str:
-    """The algorithm that runs: `auto`'s pick for the instance, else `algorithm`."""
-    if algorithm != "auto":
-        return algorithm
-    # bench has no --min: its solves decide their budget
-    return _pick_auto(inst, args.oracle_cap, args.ie_cap, getattr(args, "min_cover", False))
-
-
-def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord:
-    """Solve `inst` at budget k with `algorithm`, timed into
-    `record.stats.wall_ms`, and check any witness the solver returns."""
-    t0 = time.perf_counter()
+def _solve(inst: Instance, algorithm: str, k: int, args,
+           max_nodes: Optional[int] = None) -> ResultRecord:
+    """The record of one algorithm's solve of `inst` at budget k, untimed and
+    unchecked; the oracle stops past `max_nodes` search nodes."""
     record = ResultRecord(algorithm=algorithm, seed=args.seed, config={
         "k": k,
         "family": inst.family.kind,
@@ -147,7 +161,7 @@ def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord
             budget = record.opt if args.min_cover else k
             record.witness = _self_reduce(counter, budget, total, args.ie_cap)
     elif algorithm == "oracle":
-        res = oracle_min_cover(inst.points, inst.family, cap=args.oracle_cap)
+        res = oracle_min_cover(inst.points, inst.family, cap=args.oracle_cap, max_nodes=max_nodes)
         record.opt = res.opt
         record.decision = res.opt <= k
         if args.witness and record.decision:
@@ -165,6 +179,25 @@ def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord
             record.witness = res.witness
     else:
         raise InvalidInstanceError("unknown algorithm %r" % algorithm)
+    return record
+
+
+def _run_algorithm(inst: Instance, algorithm: str, k: int, args) -> ResultRecord:
+    """Solve `inst` at budget k with `algorithm` (for `auto`, the first of
+    its routes that finishes, named in `record.algorithm`), timed into
+    `record.stats.wall_ms`, and check any witness the solver returns."""
+    t0 = time.perf_counter()
+    if algorithm == "auto":
+        routes = _pick_auto(inst, args.oracle_cap, args.ie_cap, args.min_cover)
+    else:
+        routes = ((algorithm, None),)
+    for route, max_nodes in routes:
+        try:
+            record = _solve(inst, route, k, args, max_nodes)
+            break
+        except CapExceededError:
+            if max_nodes is None:
+                raise
     record.stats.wall_ms = int((time.perf_counter() - t0) * 1000)
 
     if record.witness is not None:
@@ -189,23 +222,22 @@ def _cmd_solve(args) -> int:
     k = args.k if args.k is not None else inst.k
     if k < 0:
         raise ValueError("negative budget --k %d" % k)
-    algorithm = _route(inst, args.algorithm, args)
-    record = _run_algorithm(inst, algorithm, k, args)
+    record = _run_algorithm(inst, args.algorithm, k, args)
 
     if args.verify:
-        if algorithm == "oracle":
-            record.verified = True  # the oracle's own answer, within its cap
-        elif inst.n <= args.oracle_cap:
-            truth = oracle_min_cover(inst.points, inst.family, cap=args.oracle_cap)
-            expected = truth.opt <= k
-            record.verified = record.decision == expected
+        # the oracle's answers are checked by the sweep, all others by the oracle
+        check = "ie" if record.algorithm == "oracle" else "oracle"
+        if inst.n <= (args.ie_cap if check == "ie" else args.oracle_cap):
+            truth = _solve(inst, check, k, argparse.Namespace(**dict(vars(args), witness=False)))
+            record.verified = (record.decision == truth.decision
+                               and (not args.min_cover or record.opt == truth.opt))
             if not record.verified:
-                print("verification mismatch: %s said %s, oracle says %s"
-                      % (algorithm, record.decision, expected), file=sys.stderr)
+                print("verification mismatch: %s said %s (opt %s), %s says %s (opt %s)"
+                      % (record.algorithm, record.decision, record.opt,
+                         check, truth.decision, truth.opt), file=sys.stderr)
                 print(record.to_json(timing=args.timing))
                 return EXIT_MISMATCH
-        else:
-            record.verified = None  # beyond the oracle cap
+        # else verified stays null: the instance is beyond the checking route's cap
 
     print(record.to_json(timing=args.timing))
     return EXIT_OK
@@ -287,14 +319,14 @@ def _cmd_bench(args) -> int:
         k = entry.get("k", inst.k)
         reps = entry.get("repetitions", 1)
         for algorithm in entry["algorithms"]:
-            route = _route(inst, algorithm, args)
-            # auto's rows name the route it took, as in auto:oracle
-            name = algorithm if route == algorithm else "%s:%s" % (algorithm, route)
             for _ in range(reps):
                 ns = argparse.Namespace(
                     seed=entry.get("seed", 0), threads=1, ie_cap=args.ie_cap,
                     oracle_cap=args.oracle_cap, min_cover=False, witness=False)
-                record = _run_algorithm(inst, route, k, ns)
+                record = _run_algorithm(inst, algorithm, k, ns)
+                # auto's rows name the route that answered, as in auto:oracle
+                name = algorithm if record.algorithm == algorithm else "%s:%s" % (
+                    algorithm, record.algorithm)
                 leaves = record.stats.leaves_ie + record.stats.leaves_rejected
                 rows.append((inst.n, k, name, "yes" if record.decision else "no",
                              record.stats.nodes_expanded, leaves, record.stats.wall_ms))
@@ -318,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute the minimum cover size")
     solve.add_argument("--witness", action="store_true", help="extract a concrete cover")
     solve.add_argument("--verify", action="store_true",
-                       help="cross-check against the brute-force oracle when within cap")
+                       help="cross-check with a second route within its cap: the sweep "
+                            "for an oracle answer, the oracle for any other")
     solve.add_argument("--threads", type=int, default=1,
                        help="recorded in config.threads; the search always runs sequentially")
     solve.add_argument("--seed", type=int, default=0)

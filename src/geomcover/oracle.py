@@ -33,11 +33,14 @@ class OracleResult(NamedTuple):
 
 def oracle_min_cover(points: Sequence[Point], family: FamilySpec,
                      cap: int = DEFAULT_ORACLE_CAP,
-                     stop_at: Optional[int] = None) -> OracleResult:
+                     stop_at: Optional[int] = None,
+                     max_nodes: Optional[int] = None) -> OracleResult:
     """Exact minimum cover size with a witness. Branches on the lowest-index
     uncovered point over all candidate sets containing it, best-first by
     covered count. With stop_at, returns early once a cover of that size or
-    better is found (the reported opt is then only an upper bound)."""
+    better is found (the reported opt is then only an upper bound). With
+    max_nodes, raises CapExceededError once the search makes more nodes than
+    that; below it the search, opt and witness are those of an unbounded run."""
     pts = tuple(points)
     n = len(pts)
     if n > cap:
@@ -61,9 +64,13 @@ def oracle_min_cover(points: Sequence[Point], family: FamilySpec,
     best_rows: list = []
     # a found cover (of at most n objects) at or below stop_at ends the search
     good_enough = min(n, stop_at) if stop_at is not None else -1
+    nodes_left = max_nodes if max_nodes is not None else -1  # -1: no budget
 
     def search(uncovered: int, chosen: list):
-        nonlocal best, best_rows
+        nonlocal best, best_rows, nodes_left
+        nodes_left -= 1
+        if nodes_left == -1:
+            raise CapExceededError("oracle search passed its budget of %d nodes" % max_nodes)
         if not uncovered:
             if len(chosen) < best:
                 best = len(chosen)

@@ -4,23 +4,25 @@ from geomcover.geometry import CIRCLE2, LINE2, VPARABOLA2, PlaneLayer, Point, pt
 from geomcover.inclusion_exclusion import CoverableCounter
 
 
-def random_points_2d(rng: random.Random, n: int, span: int = 4) -> list[Point]:
-    """Distinct integer-grid points; the small span breeds collinear triples."""
+def _random_grid_points(rng: random.Random, n: int, span: int, dim: int) -> list[Point]:
+    """n distinct points of the grid {0..span}^dim, drawn at random."""
+    if n > (span + 1) ** dim:
+        raise ValueError("%d distinct points do not fit in a %d-D grid of span %d" % (n, dim, span))
     out: list[Point] = []
     while len(out) < n:
-        p = pt(rng.randint(0, span), rng.randint(0, span))
+        p = pt(*(rng.randint(0, span) for _ in range(dim)))
         if p not in out:
             out.append(p)
     return out
+
+
+def random_points_2d(rng: random.Random, n: int, span: int = 4) -> list[Point]:
+    """Distinct integer-grid points; the small span breeds collinear triples."""
+    return _random_grid_points(rng, n, span, 2)
 
 
 def random_points_3d(rng: random.Random, n: int, span: int = 3) -> list[Point]:
-    out: list[Point] = []
-    while len(out) < n:
-        p = pt(rng.randint(0, span), rng.randint(0, span), rng.randint(0, span))
-        if p not in out:
-            out.append(p)
-    return out
+    return _random_grid_points(rng, n, span, 3)
 
 
 def degenerate_curve_instances():

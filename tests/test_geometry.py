@@ -47,6 +47,17 @@ from geomcover.kernel import _replacement_point
 CURVE_FAMILIES = (LINE2, CIRCLE2, VPARABOLA2)
 
 
+class TestRandomGridPoints:
+    def test_a_full_grid_is_drawn_and_an_overfull_one_is_refused(self):
+        rng = random.Random(5)
+        assert len(set(random_points_3d(rng, 8, span=1))) == 8
+        assert len(set(random_points_2d(rng, 4, span=1))) == 4
+        with pytest.raises(ValueError):
+            random_points_3d(rng, 9, span=1)
+        with pytest.raises(ValueError):
+            random_points_2d(rng, 5, span=1)
+
+
 class TestCurveThrough:
     def test_line_two_points(self):
         assert curve_through(LINE2, [pt(0, 0), pt(1, 1)]) == (line2_curve(1, -1, 0),)

@@ -4,13 +4,15 @@ import os
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import geomcover
 from geomcover import cli, inclusion_exclusion
-from geomcover.cli import EXIT_CAP, EXIT_INVALID, EXIT_OK, main
+from geomcover.cli import EXIT_CAP, EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from geomcover.geometry import LINE2, PLANE3, line_masks3, pt
+from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP
 from geomcover.instances import (
     Instance,
     InvalidInstanceError,
@@ -18,6 +20,7 @@ from geomcover.instances import (
     parse_instance,
     serialize_instance,
 )
+from geomcover.oracle import DEFAULT_ORACLE_CAP, OracleResult
 
 
 class TestInstanceFiles:
@@ -173,6 +176,65 @@ class TestCli:
                      "--oracle-cap", "5"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["algorithm"] == "ie"
 
+    def test_auto_routing_table(self):
+        """`auto` sends n <= 12 to the oracle; n = 13..16 to the oracle within
+        2^n nodes and then to the sweep, while both caps allow; and the rest
+        as before: `ie` within its cap (or for --min), else `branch`."""
+        oracle, ie, branch = ("oracle", None), ("ie", None), ("branch", None)
+        caps = (DEFAULT_ORACLE_CAP, DEFAULT_SUBSET_CAP)
+        table = [
+            # n, (oracle cap, ie cap), min, routes
+            (12, caps, False, (oracle,)),
+            (13, caps, False, (("oracle", 1 << 13), ie)),
+            (16, caps, False, (("oracle", 1 << 16), ie)),
+            (17, caps, False, (ie,)),
+            (12, (11, 26), False, (ie,)),
+            (12, (16, 11), False, (oracle,)),
+            (13, (12, 26), False, (ie,)),
+            (16, (15, 26), False, (ie,)),
+            (16, (16, 16), False, (("oracle", 1 << 16), ie)),
+            (13, (16, 12), False, (branch,)),
+            (16, (16, 15), False, (branch,)),
+            (16, (16, 15), True, (ie,)),
+            (17, (17, 17), False, (("oracle", 1 << 17), ie)),
+            (17, (16, 16), False, (branch,)),
+            (17, (16, 16), True, (ie,)),
+        ]
+        for n, (oracle_cap, ie_cap), min_cover, routes in table:
+            assert cli._pick_auto(SimpleNamespace(n=n), oracle_cap, ie_cap, min_cover) == routes, (
+                n, oracle_cap, ie_cap, min_cover)
+
+    def test_auto_records_name_the_route_that_answered(self, tmp_path, capsys):
+        """line2 at coord range 6, seed 1: the oracle answers n = 12..16
+        within 2^n nodes (132, 548 and 173 of them); past its cap, or at
+        n = 17, the sweep answers."""
+        for n, routes in ((12, ("oracle", "oracle")), (13, ("oracle", "ie")),
+                          (16, ("oracle", "ie")), (17, ("ie", "ie"))):
+            path, inst = self.write(tmp_path, "l.json", "uniform-random",
+                                    {"family": "line2", "n": n, "coord_range": 6}, 1)
+            assert inst.n == n
+            for flags, route in zip(([], ["--oracle-cap", "12"]), routes):
+                assert main(["solve", "--input", str(path)] + flags) == EXIT_OK
+                rec = json.loads(capsys.readouterr().out)
+                assert (rec["algorithm"], rec["decision"]) == (route, True), (n, flags)
+
+    def test_auto_record_is_the_record_of_the_route_that_answered(self, tmp_path, capsys):
+        """Byte for byte: an easy n = 16 instance is the oracle's record, and
+        the golden vparabola2 n = 13 seed 18 instance, whose search needs
+        124,787 nodes against 8,192, is the sweep's."""
+        cases = (("circle2", 16, 1, "oracle"), ("vparabola2", 13, 18, "ie"))
+        for family, n, seed, route in cases:
+            path, inst = self.write(tmp_path, "u.json", "uniform-random",
+                                    {"family": family, "n": n, "coord_range": 6}, seed)
+            assert inst.n == n
+            for k in (inst.k, inst.k - 1, 5):
+                argv = ["solve", "--input", str(path), "--witness", "--k", str(k)]
+                assert main(argv) == EXIT_OK
+                auto = capsys.readouterr().out
+                assert main(argv + ["--algorithm", route]) == EXIT_OK
+                assert auto == capsys.readouterr().out, (family, k)
+                assert json.loads(auto)["algorithm"] == route
+
     def test_invalid_input_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -268,19 +330,21 @@ class TestCli:
 
     def test_bench_auto_names_its_route(self, tmp_path, capsys):
         """`auto` routes each instance as `solve` does, and its rows name the
-        route: the oracle at 9 points, the sweep at 16 and, under an ie cap
-        of 15, the search."""
+        route that answered: the oracle at 9 points and at 16, the sweep at
+        16 under an oracle cap of 15 and, under an ie cap of 15, the search."""
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({"entries": [
-            {"model": "grid", "params": {"n": n}, "seed": 0, "k": n, "algorithms": ["auto", "oracle"]}
+            {"model": "grid", "params": {"n": n}, "seed": 0, "k": n, "algorithms": ["auto", "branch"]}
             for n in (3, 4)
         ]}))
-        for flags, route in (([], "ie"), (["--ie-cap", "15"], "branch")):
+        for flags, route in (([], "oracle"), (["--oracle-cap", "15"], "ie"),
+                             (["--oracle-cap", "15", "--ie-cap", "15"], "branch"),
+                             (["--ie-cap", "15"], "branch")):
             assert main(["bench", "--suite", str(suite)] + flags) == EXIT_OK
             rows = [l.split(",") for l in capsys.readouterr().out.strip().splitlines()[1:]]
             assert sorted((r[0], r[2], r[3]) for r in rows) == [
-                ("16", "auto:" + route, "yes"), ("16", "oracle", "yes"),
-                ("9", "auto:oracle", "yes"), ("9", "oracle", "yes")]
+                ("16", "auto:" + route, "yes"), ("16", "branch", "yes"),
+                ("9", "auto:oracle", "yes"), ("9", "branch", "yes")]
 
     def test_bench_empty_suite(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"
@@ -360,8 +424,9 @@ class TestCli:
             assert here == fresh.stdout, flags
 
     def test_verify_runs_the_oracle_once(self, tmp_path, capsys, monkeypatch):
-        """An oracle-routed solve is its own verification: --verify runs the
-        oracle once on every route and only adds "verified": true."""
+        """--verify runs the oracle once on every route, and only adds
+        "verified": true: an oracle-routed solve is cross-checked by the
+        sweep, every other solve by the oracle."""
         calls = []
         real = cli.oracle_min_cover
 
@@ -386,6 +451,33 @@ class TestCli:
                 assert len(calls) == 1, (algorithm, flags)
                 verified = capsys.readouterr().out
                 assert verified == plain.replace('"verified":null', '"verified":true')
+
+    def test_verify_checks_the_oracle_with_the_sweep(self, tmp_path, capsys, monkeypatch):
+        """An oracle that is off by one fails --verify with exit 4, on its
+        decision at k and on its opt under --min; beyond the ie cap its
+        answer stays unverified (null)."""
+        real = cli.oracle_min_cover
+
+        def off_by_one(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return OracleResult(res.opt + 1, res.witness)
+
+        path, _ = self.write(tmp_path, "u.json", "uniform-random",
+                                {"family": "line2", "n": 13, "coord_range": 6}, 1)
+        argv = ["solve", "--input", str(path), "--verify"]
+        assert main(argv + ["--min"]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["algorithm"], rec["verified"]) == ("oracle", True)
+        opt = rec["opt"]
+        monkeypatch.setattr(cli, "oracle_min_cover", off_by_one)
+        for algorithm in ("auto", "oracle"):
+            for flags in (["--k", str(opt)], ["--min", "--k", str(opt + 1)]):
+                assert main(argv + ["--algorithm", algorithm] + flags) == EXIT_MISMATCH
+                captured = capsys.readouterr()
+                assert json.loads(captured.out)["verified"] is False
+                assert captured.err.startswith("verification mismatch: oracle said")
+        assert main(argv + ["--algorithm", "oracle", "--ie-cap", "12"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["verified"] is None
 
     def test_gen_rejects_bad_sizes(self, tmp_path, capsys):
         out = tmp_path / "bad.json"

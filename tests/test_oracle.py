@@ -122,6 +122,48 @@ class TestWitnessRows:
                 assert tuple(oracle_min_cover(pts, fam, stop_at=k)) == reference_min_cover(pts, fam, k)
 
 
+def _nodes_needed(pts, fam) -> int:
+    """The least node budget under which the oracle finishes, by doubling
+    and then bisection."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            oracle_min_cover(pts, fam, max_nodes=hi)
+            break
+        except CapExceededError:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            oracle_min_cover(pts, fam, max_nodes=mid)
+            hi = mid
+        except CapExceededError:
+            lo = mid
+    return hi
+
+
+class TestNodeBudget:
+    def test_budget_raises_past_the_search_and_changes_nothing_within_it(self):
+        """A run that needs B search nodes raises under B - 1 and, under B
+        or more, returns the unbudgeted opt and witness."""
+        rng = random.Random(41)
+        cases = [(fam, random_points_2d(rng, rng.randint(5, 11), span=6))
+                 for fam in (LINE2, CIRCLE2, VPARABOLA2) for _ in range(3)]
+        cases += [(PLANE3, random_points_3d(rng, rng.randint(5, 11))) for _ in range(3)]
+        for fam, pts in cases:
+            plain = oracle_min_cover(pts, fam)
+            need = _nodes_needed(pts, fam)
+            assert need > 1
+            with pytest.raises(CapExceededError):
+                oracle_min_cover(pts, fam, max_nodes=need - 1)
+            for budget in (need, need + 1, 10 * need):
+                assert oracle_min_cover(pts, fam, max_nodes=budget) == plain
+
+    def test_budget_zero_raises(self):
+        with pytest.raises(CapExceededError):
+            oracle_min_cover(GRID3, LINE2, max_nodes=0)
+
+
 class TestCountRich:
     def test_grid_threshold_three(self):
         assert count_rich(GRID3, LINE2, 3) == 8  # 3 rows, 3 columns, 2 diagonals
