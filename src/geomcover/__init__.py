@@ -23,30 +23,21 @@ from .geometry import (
     GeometryError,
     Plane3,
     Point,
-    affine_hull,
     check_cover,
     curve_covers,
-    curve_through,
     enumerate_candidates,
     family_by_tag,
     flat_contains,
-    line_through,
-    plane_through,
     pt,
-    richness,
 )
 from .inclusion_exclusion import (
     CapExceededError,
     CoverableCounter,
-    c_count,
     extract_cover,
     ie_decide,
-    ie_min_cover,
     ie_sums,
-    q_count,
-    representative,
 )
 from .instances import Instance, InvalidInstanceError, generate, load_instance, parse_instance, save_instance, serialize_instance
 from .kernel import KernelResult, curve_kernel, plane_kernel_r3
-from .oracle import count_rich, oracle_decide, oracle_min_cover
+from .oracle import oracle_min_cover
 from .plane_branch import extend_lines, plane_cover

@@ -146,8 +146,6 @@ def _solve(inst: Instance, algorithm: str, k: int, args,
 
     if algorithm == "ie":
         # one counter and one sweep decide; extraction reuses both
-        if k < 0 and not args.min_cover:
-            raise ValueError("negative budget")
         counter = CoverableCounter(inst.points, inst.family)
         hist = _signed_histogram(counter, counter.mask, args.ie_cap)
         record.stats.ie_subsets += 1 << inst.n

@@ -107,42 +107,12 @@ class Curve:
         return "Curve(%s: %s)" % (self.kind, ", ".join(str(c) for c in self.coeffs))
 
 
-def line2_curve(a, b, c) -> Curve:
-    a, b, c = _frac(a), _frac(b), _frac(c)
-    if a == 0 and b == 0:
-        raise GeometryError("line needs (a, b) != (0, 0)")
-    lead = a if a != 0 else b
-    return Curve("line2", (a / lead, b / lead, c / lead))
-
-
-def circle2_curve(cx, cy, r2) -> Curve:
-    cx, cy, r2 = _frac(cx), _frac(cy), _frac(r2)
-    if r2 <= 0:
-        raise GeometryError("circle needs r2 > 0")
-    return Curve("circle2", (cx, cy, r2))
-
-
-def vparabola2_curve(a, b, c) -> Curve:
-    a, b, c = _frac(a), _frac(b), _frac(c)
-    if a == 0:
-        raise GeometryError("vertical parabola needs a != 0")
-    return Curve("vparabola2", (a, b, c))
-
-
 @dataclass(frozen=True, order=True)
 class Plane3:
     coeffs: tuple[Fraction, ...]  # (a, b, c, e) for ax + by + cz + e = 0
 
     def __repr__(self) -> str:
         return "Plane3(%s)" % ", ".join(str(c) for c in self.coeffs)
-
-
-def plane3_curve(a, b, c, e) -> Plane3:
-    a, b, c, e = _frac(a), _frac(b), _frac(c), _frac(e)
-    if a == 0 and b == 0 and c == 0:
-        raise GeometryError("plane needs (a, b, c) != (0, 0, 0)")
-    lead = next(x for x in (a, b, c) if x != 0)
-    return Plane3((a / lead, b / lead, c / lead, e / lead))
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +151,6 @@ def covers(obj, p: Point) -> bool:
     if isinstance(obj, Flat):
         return flat_contains(obj, p)
     raise GeometryError("cannot test coverage against %r" % (obj,))
-
-
-def richness(obj, points: Sequence[Point]) -> int:
-    """Number of points of P the object covers."""
-    return sum(1 for p in points if covers(obj, p))
 
 
 # ---------------------------------------------------------------------------
@@ -366,49 +331,6 @@ def _completions(kind: str, d: int, scale: int, pts: Sequence[tuple[int, int]]):
                    sum(1 << t for t, (u, v, w) in enumerate(lifted) if a * u + b * v + c * w + e == 0))
 
 
-def curve_through(family: FamilySpec, points: Sequence[Point]) -> tuple[Curve, ...]:
-    """All family curves through the given points; a canonical completion when
-    fewer than d points are given (then only existence is meaningful).
-
-    Returns the empty tuple when no family curve exists, e.g. a vertical
-    parabola through two points sharing an x-coordinate.
-    """
-    if family.kind == "plane3":
-        raise GeometryError("use plane_through for plane3")
-    if family.kind not in _LIFTS:
-        raise GeometryError("unknown family %r" % family.kind)
-    pts = tuple(points)
-    if len(set(pts)) != len(pts):
-        raise GeometryError("duplicate points")
-    if any(p.dim != 2 for p in pts):
-        raise GeometryError("curve fitting needs 2D points")
-    if not pts or len(pts) > family.s + 1:
-        raise GeometryError("curve_through takes 1..s+1 points, got %d" % len(pts))
-
-    if len(pts) == family.d:
-        return tuple(curve for curve, _ in curve_masks(pts, family))
-
-    scale, rows = _scaled(pts, 2)
-    row = _completion(family.kind, scale, rows)
-    return () if row is None else (Fits(family.kind, scale, [row], [0]).obj(0),)
-
-
-def covering_curve(family: FamilySpec, points: Sequence[Point]) -> Optional[Curve]:
-    """Some family curve through every given point, or None if none exists."""
-    pts = tuple(points)
-    if not pts:
-        return None
-    cap = family.s + 1
-    if len(pts) <= cap:
-        fits = curve_through(family, pts)
-        return fits[0] if fits else None
-    fits = curve_through(family, pts[:cap])
-    if not fits:
-        return None
-    c = fits[0]
-    return c if all(curve_covers(c, p) for p in pts[cap:]) else None
-
-
 # ---------------------------------------------------------------------------
 # candidate enumeration
 
@@ -454,11 +376,6 @@ def curve_fits(points: Sequence[Point], family: FamilySpec) -> Fits:
     return Fits(family.kind, scale, coefs, masks)
 
 
-def curve_masks(points: Sequence[Point], family: FamilySpec) -> list[tuple[Curve, int]]:
-    """`curve_fits` as (curve, mask) pairs, each curve built."""
-    return curve_fits(points, family).pairs()
-
-
 def enumerate_candidates(points: Sequence[Point], family: FamilySpec):
     """All family objects through at least d points of P, deduplicated and in
     canonical order. For plane3 these are planes through affinely independent
@@ -469,30 +386,6 @@ def enumerate_candidates(points: Sequence[Point], family: FamilySpec):
 
 # ---------------------------------------------------------------------------
 # 3D flats (ambient dimension 3 only)
-
-
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
-    work = [list(r) for r in rows if any(x != 0 for x in r)]
-    pivots = []
-    r = 0
-    for col in range(3):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r][col]
-        work[r] = [x / lead for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                g = work[i][col]
-                work[i] = [x - g * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
 @dataclass(frozen=True, order=True)
@@ -512,31 +405,6 @@ class Flat:
         return "Flat(dim=%d, base=%s)" % (self.dim, self.base)
 
 
-def make_flat(anchor: Sequence, directions: Sequence[Sequence]) -> Flat:
-    anchor = tuple(_frac(x) for x in anchor)
-    if len(anchor) != 3:
-        raise GeometryError("flats live in R^3")
-    basis, pivots = _rref([[_frac(x) for x in d] for d in directions])
-    base = list(anchor)
-    for row, col in zip(basis, pivots):
-        f = base[col]
-        if f != 0:
-            base = [x - f * y for x, y in zip(base, row)]
-    return Flat(tuple(base), basis)
-
-
-def flat_point(p: Point) -> Flat:
-    return make_flat(p.coords, [])
-
-
-def line_through(p: Point, q: Point) -> Flat:
-    if p == q:
-        raise GeometryError("line needs two distinct points")
-    if p.dim != 3 or q.dim != 3:
-        raise GeometryError("line_through is for R^3 points")
-    return make_flat(p.coords, [[b - a for a, b in zip(p.coords, q.coords)]])
-
-
 def _reduce_by_basis(v: list[Fraction], basis) -> list[Fraction]:
     for row in basis:
         col = next(i for i, x in enumerate(row) if x != 0)
@@ -544,24 +412,6 @@ def _reduce_by_basis(v: list[Fraction], basis) -> list[Fraction]:
         if f != 0:
             v = [a - f * b for a, b in zip(v, row)]
     return v
-
-
-def affine_hull(objs: Sequence[Union[Point, Flat]]) -> Flat:
-    """Smallest flat containing every input point/flat (dim 3 = full space)."""
-    if not objs:
-        raise GeometryError("affine_hull of nothing")
-    first = objs[0]
-    anchor = first.coords if isinstance(first, Point) else first.base
-    dirs = []
-    for o in objs:
-        if isinstance(o, Point):
-            if o.dim != 3:
-                raise GeometryError("affine_hull is for R^3")
-            dirs.append([b - a for a, b in zip(anchor, o.coords)])
-        else:
-            dirs.append([b - a for a, b in zip(anchor, o.base)])
-            dirs.extend(list(d) for d in o.basis)
-    return make_flat(anchor, dirs)
 
 
 def flat_contains(outer: Union[Flat, "Plane3"], inner: Union[Flat, Point]) -> bool:
@@ -581,18 +431,6 @@ def flat_contains(outer: Union[Flat, "Plane3"], inner: Union[Flat, Point]) -> bo
         if any(x != 0 for x in _reduce_by_basis(list(d), outer.basis)):
             return False
     return True
-
-
-def plane_through(p: Point, q: Point, r: Point) -> Plane3:
-    if len({p, q, r}) != 3:
-        raise GeometryError("plane needs three distinct points")
-    u = [b - a for a, b in zip(p.coords, q.coords)]
-    v = [b - a for a, b in zip(p.coords, r.coords)]
-    n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-    if all(x == 0 for x in n):
-        raise GeometryError("collinear points do not determine a plane")
-    e = -(n[0] * p[0] + n[1] * p[1] + n[2] * p[2])
-    return plane3_curve(n[0], n[1], n[2], e)
 
 
 def line_fits3(points: Sequence[Point]) -> Fits:
@@ -656,16 +494,6 @@ def plane_fits3(points: Sequence[Point]) -> Fits:
             for sub in itertools.combinations(members, 2):
                 on_found[sub] = on_found.get(sub, 0) | mask
     return Fits("plane3", scale, found, masks).in_order()
-
-
-def line_masks3(points: Sequence[Point]) -> list[tuple[Flat, int]]:
-    """`line_fits3` as (line, mask) pairs, each line built."""
-    return line_fits3(points).pairs()
-
-
-def plane_masks3(points: Sequence[Point]) -> list[tuple[Plane3, int]]:
-    """`plane_fits3` as (plane, mask) pairs, each plane built."""
-    return plane_fits3(points).pairs()
 
 
 class PlaneLayer:
@@ -752,7 +580,8 @@ def _completed_plane(rows: Sequence[tuple[int, int, int]], p: tuple[int, int, in
 
 def enumerate_lines3(points: Sequence[Point]) -> list[Flat]:
     """Deduplicated lines through at least two of the given R^3 points."""
-    return [line for line, _ in line_masks3(points)]
+    fits = line_fits3(points)
+    return [fits.obj(i) for i in range(len(fits.rows))]
 
 
 # ---------------------------------------------------------------------------

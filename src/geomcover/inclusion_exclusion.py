@@ -43,26 +43,19 @@ Counts are exact arbitrary-precision integers throughout.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .geometry import (
     PLANE3,
     FamilySpec,
     Fits,
-    Flat,
-    GeometryError,
     PlaneLayer,
     Point,
     _bits,
     _completions,
     _maximal_sets,
     _scaled,
-    affine_hull,
-    covering_curve,
-    curve_covers,
     curve_fits,
-    curve_through,
-    flat_contains,
 )
 
 DEFAULT_SUBSET_CAP = 26
@@ -74,98 +67,6 @@ class CapExceededError(RuntimeError):
 
 class SolverInternalError(RuntimeError):
     """An internal consistency check failed; indicates a solver bug."""
-
-
-GroundElement = Union[Point, Flat]
-
-
-# ---------------------------------------------------------------------------
-# representatives
-
-
-def representative(elements: Sequence[GroundElement], family: FamilySpec):
-    """Representative of a coverable set, listed in the caller's order (that
-    order is the ordering pi). Curves: the first min(|Q|, s+1) points.
-    Plane variant: the greedy prefix whose affine hull keeps growing until it
-    spans the whole set. The representative of the empty set is empty."""
-    els = tuple(elements)
-    if not els:
-        return ()
-    if family.kind != "plane3":
-        if any(not isinstance(e, Point) for e in els):
-            raise GeometryError("curve representatives take points only")
-        if covering_curve(family, els) is None:
-            raise GeometryError("set is not coverable by one %s" % family.kind)
-        return els[: family.s + 1]
-
-    hull = affine_hull(els)
-    if hull.dim > 2:
-        raise GeometryError("set is not coverable by one plane")
-    rep = [els[0]]
-    cur = affine_hull(els[:1])
-    for e in els[1:]:
-        if cur.dim == hull.dim:
-            break
-        if not flat_contains(cur, e):
-            rep.append(e)
-            cur = affine_hull(rep)
-    return tuple(rep)
-
-
-def q_count(elements: Sequence[GroundElement], family: FamilySpec,
-            rep: Sequence[GroundElement]) -> int:
-    """Number of coverable subsets of `elements` (in the given order pi)
-    whose representative is `rep`. Invalid representatives count 0."""
-    els = tuple(elements)
-    rep = tuple(rep)
-    if not rep:
-        return 1  # the empty set
-    pos = {e: i for i, e in enumerate(els)}
-    if any(e not in pos for e in rep):
-        return 0
-    idx = [pos[e] for e in rep]
-    if any(a >= b for a, b in zip(idx, idx[1:])):
-        return 0
-
-    if family.kind != "plane3":
-        s = family.s
-        if len(rep) > s + 1:
-            return 0
-        if len(rep) <= s:
-            return 1 if covering_curve(family, rep) is not None else 0
-        fits = curve_through(family, rep)
-        if not fits:
-            return 0
-        c = fits[0]
-        tail = sum(1 for e in els[idx[-1] + 1:] if curve_covers(c, e))
-        return 1 << tail
-
-    hulls = []
-    for j in range(1, len(rep) + 1):
-        hulls.append(affine_hull(rep[:j]))
-    if hulls[-1].dim > 2:
-        return 0
-    for j in range(1, len(rep)):
-        if flat_contains(hulls[j - 1], rep[j]):
-            return 0  # hull must grow strictly
-    tail = 0
-    rep_positions = set(idx)
-    for i, e in enumerate(els):
-        if i in rep_positions:
-            continue
-        j = sum(1 for r_i in idx if r_i < i)
-        if j == 0:
-            continue  # before the first representative element: never optional
-        if flat_contains(hulls[j - 1], e):
-            tail += 1
-    return 1 << tail
-
-
-def c_count(points: Sequence[Point], family: FamilySpec) -> int:
-    """Number of single-object-coverable subsets of `points`, the empty set
-    included. Independent of the point order."""
-    counter = CoverableCounter(points, family)
-    return counter.c_of_mask(counter.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +361,6 @@ def ie_sums(points: Sequence[Point], family: FamilySpec, ks: Sequence[int], *,
     return {k: _power_sum(hist, k) for k in ks}
 
 
-def ie_min_cover(points: Sequence[Point], family: FamilySpec, *,
-                 cap: int = DEFAULT_SUBSET_CAP) -> int:
-    """Minimum k whose alternating sum reaches 1, from one subset sweep."""
-    counter = CoverableCounter(points, family)
-    return _least_budget(_signed_histogram(counter, counter.mask, cap), counter.n)[0]
-
-
 # ---------------------------------------------------------------------------
 # witness extraction
 
@@ -560,7 +454,7 @@ def _self_reduce(counter: CoverableCounter, k: int, total: int, cap: int) -> lis
     listed object through the pi-first remaining element whose removal
     leaves a yes-instance at one budget less, decided over the same counter."""
     if total < 1:
-        raise SolverInternalError("extract_cover called on a no-instance")
+        raise SolverInternalError("self-reduction called on a no-instance")
     table = CandidateTable(counter)
     rem = counter.mask
     chosen = []

@@ -1,5 +1,4 @@
-"""Independent ground truth: exhaustive set-cover search and rich-candidate
-counting.
+"""Independent ground truth: exhaustive set-cover search.
 
 `oracle_min_cover` is a plain branch-and-bound over maximal candidate cover
 sets. It reads the candidates off the same tested integer incidence layer
@@ -18,8 +17,6 @@ from .geometry import (
     GeometryError,
     Point,
     cover_set_rows,
-    curve_fits,
-    plane_fits3,
 )
 from .inclusion_exclusion import CapExceededError
 
@@ -33,14 +30,12 @@ class OracleResult(NamedTuple):
 
 def oracle_min_cover(points: Sequence[Point], family: FamilySpec,
                      cap: int = DEFAULT_ORACLE_CAP,
-                     stop_at: Optional[int] = None,
                      max_nodes: Optional[int] = None) -> OracleResult:
     """Exact minimum cover size with a witness. Branches on the lowest-index
     uncovered point over all candidate sets containing it, best-first by
-    covered count. With stop_at, returns early once a cover of that size or
-    better is found (the reported opt is then only an upper bound). With
-    max_nodes, raises CapExceededError once the search makes more nodes than
-    that; below it the search, opt and witness are those of an unbounded run."""
+    covered count. With max_nodes, raises CapExceededError once the search
+    makes more nodes than that; below it the search, opt and witness are those
+    of an unbounded run."""
     pts = tuple(points)
     n = len(pts)
     if n > cap:
@@ -62,8 +57,6 @@ def oracle_min_cover(points: Sequence[Point], family: FamilySpec,
 
     best = n + 1  # no cover found yet
     best_rows: list = []
-    # a found cover (of at most n objects) at or below stop_at ends the search
-    good_enough = min(n, stop_at) if stop_at is not None else -1
     nodes_left = max_nodes if max_nodes is not None else -1  # -1: no budget
 
     def search(uncovered: int, chosen: list):
@@ -77,36 +70,16 @@ def oracle_min_cover(points: Sequence[Point], family: FamilySpec,
                 best_rows = list(chosen)
             return
         lower = len(chosen) + -(-uncovered.bit_count() // max_size)
-        if lower >= best or best <= good_enough:
+        if lower >= best:
             return
         e = (uncovered & -uncovered).bit_length() - 1
         for row, mask in by_element[e]:
             chosen.append(row)
             search(uncovered & ~mask, chosen)
             chosen.pop()
-            if best <= good_enough:
-                return
 
     search(full, [])
     if best > n:
         raise GeometryError("no cover found; candidate sets are incomplete")
     return OracleResult(best, [fits.obj(row) for row in best_rows])
-
-
-def oracle_decide(points: Sequence[Point], family: FamilySpec, k: int,
-                  cap: int = DEFAULT_ORACLE_CAP) -> bool:
-    """True iff a cover of at most k objects exists."""
-    if k < 0:
-        raise ValueError("negative budget")
-    res = oracle_min_cover(points, family, cap, stop_at=k)
-    return res.opt <= k
-
-
-def count_rich(points: Sequence[Point], family: FamilySpec, gamma: int) -> int:
-    """Exact number of candidates (objects through at least d points) covering
-    gamma or more points."""
-    if gamma < family.d:
-        raise ValueError("gamma below the family's degrees of freedom")
-    fits = plane_fits3(points) if family.kind == "plane3" else curve_fits(points, family)
-    return sum(1 for mask in fits.masks if mask.bit_count() >= gamma)
 

@@ -4,21 +4,105 @@ representative fitted with `affine_hull` and every tail tested with
 `flat_contains`, over any ground of R^3 points followed by lines, and c(X)
 evaluated afresh for each subset. Also the signed sums and the decider that
 read it, and the checks that compare a counter and its candidate table with
-the references."""
+the references.
+
+`representative` and `q_count` are the paper's representative counting over
+points in a caller's order pi, for curves and for planes over points and
+flats: summed over all representatives, q_count gives c."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Union
 
 from geomcover.geometry import (
     PLANE3,
+    FamilySpec,
     Flat,
+    GeometryError,
     Point,
-    affine_hull,
+    curve_covers,
     flat_contains,
 )
 from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, _pairs, ie_decide
-from incidence_reference import candidate_cover_sets
+from incidence_reference import affine_hull, candidate_cover_sets, covering_curve, curve_through
+
+
+def representative(elements: Sequence[Union[Point, Flat]], family: FamilySpec):
+    """Representative of a coverable set, listed in the caller's order (that
+    order is the ordering pi). Curves: the first min(|Q|, s+1) points.
+    Plane variant: the greedy prefix whose affine hull keeps growing until it
+    spans the whole set. The representative of the empty set is empty."""
+    els = tuple(elements)
+    if not els:
+        return ()
+    if family.kind != "plane3":
+        if any(not isinstance(e, Point) for e in els):
+            raise GeometryError("curve representatives take points only")
+        if covering_curve(family, els) is None:
+            raise GeometryError("set is not coverable by one %s" % family.kind)
+        return els[: family.s + 1]
+
+    hull = affine_hull(els)
+    if hull.dim > 2:
+        raise GeometryError("set is not coverable by one plane")
+    rep = [els[0]]
+    cur = affine_hull(els[:1])
+    for e in els[1:]:
+        if cur.dim == hull.dim:
+            break
+        if not flat_contains(cur, e):
+            rep.append(e)
+            cur = affine_hull(rep)
+    return tuple(rep)
+
+
+def q_count(elements: Sequence[Union[Point, Flat]], family: FamilySpec,
+            rep: Sequence[Union[Point, Flat]]) -> int:
+    """Number of coverable subsets of `elements` (in the given order pi)
+    whose representative is `rep`. Invalid representatives count 0."""
+    els = tuple(elements)
+    rep = tuple(rep)
+    if not rep:
+        return 1  # the empty set
+    pos = {e: i for i, e in enumerate(els)}
+    if any(e not in pos for e in rep):
+        return 0
+    idx = [pos[e] for e in rep]
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        return 0
+
+    if family.kind != "plane3":
+        s = family.s
+        if len(rep) > s + 1:
+            return 0
+        if len(rep) <= s:
+            return 1 if covering_curve(family, rep) is not None else 0
+        fits = curve_through(family, rep)
+        if not fits:
+            return 0
+        c = fits[0]
+        tail = sum(1 for e in els[idx[-1] + 1:] if curve_covers(c, e))
+        return 1 << tail
+
+    hulls = []
+    for j in range(1, len(rep) + 1):
+        hulls.append(affine_hull(rep[:j]))
+    if hulls[-1].dim > 2:
+        return 0
+    for j in range(1, len(rep)):
+        if flat_contains(hulls[j - 1], rep[j]):
+            return 0  # hull must grow strictly
+    tail = 0
+    rep_positions = set(idx)
+    for i, e in enumerate(els):
+        if i in rep_positions:
+            continue
+        j = sum(1 for r_i in idx if r_i < i)
+        if j == 0:
+            continue  # before the first representative element: never optional
+        if flat_contains(hulls[j - 1], e):
+            tail += 1
+    return 1 << tail
 
 
 def _bits(mask: int) -> list[int]:

@@ -1,9 +1,16 @@
 """The Fraction incidence builders, the reference the tests hold the integer
 ones in `geomcover.geometry` against: each curve fitted by rational formulas
-and every incidence decided by rational substitution. They must agree with
-`curve_masks`, `line_masks3` and `plane_masks3` object for object, mask for
-mask and in order, and `curve_completion` with `curve_through` on fewer than
-d points.
+and every incidence decided by rational substitution. `curve_masks`,
+`line_masks3` and `plane_masks3` must agree with the `.pairs()` of
+`curve_fits`, `line_fits3` and `plane_fits3` object for object, mask for mask
+and in order, and `curve_completion` with `curve_through` on fewer than d
+points.
+
+The Fraction objects and flats come first: the canonical constructors
+(`line2_curve`, `circle2_curve`, `vparabola2_curve`, `plane3_curve`),
+`curve_through` and `covering_curve` over the integer fits, and the flats of
+R^3 in reduced-echelon form (`make_flat`, `line_through`, `affine_hull`,
+`plane_through`).
 
 `candidate_cover_sets` is the Fraction enumerator of the oracle's candidate
 list: every 1- to 3-tuple of the ground (points, then R^3 flats for plane3)
@@ -20,31 +27,183 @@ layer indexes, must yield the same planes in the same order."""
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional, Sequence
+from fractions import Fraction
+from typing import Iterator, Optional, Sequence, Union
 
 from geomcover.geometry import (
+    _LIFTS,
     Curve,
     FamilySpec,
+    Fits,
     Flat,
     GeometryError,
     Plane3,
     Point,
+    _completion,
     _frac,
     _maximal_sets,
-    _rref,
-    affine_hull,
-    circle2_curve,
-    covering_curve,
+    _scaled,
     curve_covers,
-    curve_through,
+    curve_fits,
     flat_contains,
-    line2_curve,
-    line_through,
-    plane3_curve,
     plane_covers,
-    plane_through,
-    vparabola2_curve,
 )
+
+
+# ---------------------------------------------------------------------------
+# Fraction objects and flats
+
+
+def line2_curve(a, b, c) -> Curve:
+    a, b, c = _frac(a), _frac(b), _frac(c)
+    if a == 0 and b == 0:
+        raise GeometryError("line needs (a, b) != (0, 0)")
+    lead = a if a != 0 else b
+    return Curve("line2", (a / lead, b / lead, c / lead))
+
+
+def circle2_curve(cx, cy, r2) -> Curve:
+    cx, cy, r2 = _frac(cx), _frac(cy), _frac(r2)
+    if r2 <= 0:
+        raise GeometryError("circle needs r2 > 0")
+    return Curve("circle2", (cx, cy, r2))
+
+
+def vparabola2_curve(a, b, c) -> Curve:
+    a, b, c = _frac(a), _frac(b), _frac(c)
+    if a == 0:
+        raise GeometryError("vertical parabola needs a != 0")
+    return Curve("vparabola2", (a, b, c))
+
+
+def plane3_curve(a, b, c, e) -> Plane3:
+    a, b, c, e = _frac(a), _frac(b), _frac(c), _frac(e)
+    if a == 0 and b == 0 and c == 0:
+        raise GeometryError("plane needs (a, b, c) != (0, 0, 0)")
+    lead = next(x for x in (a, b, c) if x != 0)
+    return Plane3((a / lead, b / lead, c / lead, e / lead))
+
+
+def curve_through(family: FamilySpec, points: Sequence[Point]) -> tuple[Curve, ...]:
+    """All family curves through the given points; a canonical completion when
+    fewer than d points are given (then only existence is meaningful).
+
+    Returns the empty tuple when no family curve exists, e.g. a vertical
+    parabola through two points sharing an x-coordinate.
+    """
+    if family.kind == "plane3":
+        raise GeometryError("use plane_through for plane3")
+    if family.kind not in _LIFTS:
+        raise GeometryError("unknown family %r" % family.kind)
+    pts = tuple(points)
+    if len(set(pts)) != len(pts):
+        raise GeometryError("duplicate points")
+    if any(p.dim != 2 for p in pts):
+        raise GeometryError("curve fitting needs 2D points")
+    if not pts or len(pts) > family.s + 1:
+        raise GeometryError("curve_through takes 1..s+1 points, got %d" % len(pts))
+
+    if len(pts) == family.d:
+        return tuple(curve for curve, _ in curve_fits(pts, family).pairs())
+
+    scale, rows = _scaled(pts, 2)
+    row = _completion(family.kind, scale, rows)
+    return () if row is None else (Fits(family.kind, scale, [row], [0]).obj(0),)
+
+
+def covering_curve(family: FamilySpec, points: Sequence[Point]) -> Optional[Curve]:
+    """Some family curve through every given point, or None if none exists."""
+    pts = tuple(points)
+    if not pts:
+        return None
+    cap = family.s + 1
+    if len(pts) <= cap:
+        fits = curve_through(family, pts)
+        return fits[0] if fits else None
+    fits = curve_through(family, pts[:cap])
+    if not fits:
+        return None
+    c = fits[0]
+    return c if all(curve_covers(c, p) for p in pts[cap:]) else None
+
+
+def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
+    work = [list(r) for r in rows if any(x != 0 for x in r)]
+    pivots = []
+    r = 0
+    for col in range(3):
+        piv = None
+        for i in range(r, len(work)):
+            if work[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        lead = work[r][col]
+        work[r] = [x / lead for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                g = work[i][col]
+                work[i] = [x - g * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def make_flat(anchor: Sequence, directions: Sequence[Sequence]) -> Flat:
+    anchor = tuple(_frac(x) for x in anchor)
+    if len(anchor) != 3:
+        raise GeometryError("flats live in R^3")
+    basis, pivots = _rref([[_frac(x) for x in d] for d in directions])
+    base = list(anchor)
+    for row, col in zip(basis, pivots):
+        f = base[col]
+        if f != 0:
+            base = [x - f * y for x, y in zip(base, row)]
+    return Flat(tuple(base), basis)
+
+
+def line_through(p: Point, q: Point) -> Flat:
+    if p == q:
+        raise GeometryError("line needs two distinct points")
+    if p.dim != 3 or q.dim != 3:
+        raise GeometryError("line_through is for R^3 points")
+    return make_flat(p.coords, [[b - a for a, b in zip(p.coords, q.coords)]])
+
+
+def affine_hull(objs: Sequence[Union[Point, Flat]]) -> Flat:
+    """Smallest flat containing every input point/flat (dim 3 = full space)."""
+    if not objs:
+        raise GeometryError("affine_hull of nothing")
+    first = objs[0]
+    anchor = first.coords if isinstance(first, Point) else first.base
+    dirs = []
+    for o in objs:
+        if isinstance(o, Point):
+            if o.dim != 3:
+                raise GeometryError("affine_hull is for R^3")
+            dirs.append([b - a for a, b in zip(anchor, o.coords)])
+        else:
+            dirs.append([b - a for a, b in zip(anchor, o.base)])
+            dirs.extend(list(d) for d in o.basis)
+    return make_flat(anchor, dirs)
+
+
+def plane_through(p: Point, q: Point, r: Point) -> Plane3:
+    if len({p, q, r}) != 3:
+        raise GeometryError("plane needs three distinct points")
+    u = [b - a for a, b in zip(p.coords, q.coords)]
+    v = [b - a for a, b in zip(p.coords, r.coords)]
+    n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    if all(x == 0 for x in n):
+        raise GeometryError("collinear points do not determine a plane")
+    e = -(n[0] * p[0] + n[1] * p[1] + n[2] * p[2])
+    return plane3_curve(n[0], n[1], n[2], e)
+
+
+# ---------------------------------------------------------------------------
+# Fraction incidence builders
 
 
 def _line_through_two(p: Point, q: Point) -> Curve:

@@ -10,7 +10,8 @@ import json
 import random
 import time
 
-from conftest import random_points_2d, random_points_3d
+from conftest import c_count, ie_min_cover, random_points_2d, random_points_3d
+from counter_reference import q_count
 from geomcover.cli import EXIT_OK, main
 from geomcover.curve_branch import curve_cover
 from geomcover.geometry import (
@@ -19,18 +20,19 @@ from geomcover.geometry import (
     PLANE3,
     VPARABOLA2,
     check_cover,
-    covering_curve,
+    curve_covers,
+    curve_fits,
     enumerate_candidates,
     enumerate_lines3,
     flat_contains,
     pt,
-    richness,
 )
-from geomcover.inclusion_exclusion import c_count, extract_cover, ie_min_cover, ie_sums, q_count
+from geomcover.inclusion_exclusion import extract_cover, ie_sums
 from geomcover.instances import generate, serialize_instance
 from geomcover.kernel import curve_kernel, plane_kernel_r3
-from geomcover.oracle import count_rich, oracle_min_cover
+from geomcover.oracle import oracle_min_cover
 from geomcover.plane_branch import plane_cover
+from incidence_reference import covering_curve
 
 GRID3 = [pt(i, j) for i in range(3) for j in range(3)]
 CURVE_FAMILIES = (LINE2, CIRCLE2, VPARABOLA2)
@@ -137,10 +139,10 @@ class TestAcceptance:
 
     def test_3_exact_counts(self):
         min_cover = ie_min_cover(GRID3, LINE2)
-        rich = count_rich(GRID3, LINE2, 3)
+        rich = sum(mask.bit_count() >= 3 for mask in curve_fits(GRID3, LINE2).masks)
         oracle_opt = oracle_min_cover(GRID3, LINE2).opt
         brute_rich = sum(1 for c in enumerate_candidates(GRID3, LINE2)
-                         if richness(c, GRID3) >= 3)
+                         if sum(curve_covers(c, p) for p in GRID3) >= 3)
         report(3, "3x3 grid: min cover 3 and 8 lines of 3",
                min_cover == 3 == oracle_opt and rich == 8 == brute_rich)
 
@@ -194,7 +196,7 @@ class TestAcceptance:
                 ok &= not original
             else:
                 ok &= len(res.points) <= family.s * res.k * res.k
-                ok &= all(richness(c, res.points) <= family.s * res.k
+                ok &= all(sum(curve_covers(c, p) for p in res.points) <= family.s * res.k
                           for c in enumerate_candidates(res.points, family))
                 reduced = (oracle_min_cover(res.points, family).opt <= res.k
                            if res.points else True)

@@ -20,16 +20,16 @@ from geomcover.geometry import (
     LINE2,
     VPARABOLA2,
     check_cover,
+    curve_covers,
     enumerate_candidates,
-    line2_curve,
     pt,
-    richness,
 )
 from geomcover.inclusion_exclusion import extract_cover, ie_decide
 from geomcover.instances import generate
 from geomcover.kernel import curve_kernel
-from geomcover.oracle import oracle_decide, oracle_min_cover
+from geomcover.oracle import oracle_min_cover
 from geomcover.plane_branch import make_plane_config
+from incidence_reference import line2_curve
 
 TRIPLES = [pt(0, 0), pt(1, 0), pt(2, 0),
            pt(0, 7), pt(1, 9), pt(2, 11),
@@ -55,7 +55,7 @@ def rich_poor_candidates(points, family, lo, hi):
     if lo > hi:
         raise ValueError("empty richness window")
     pts = tuple(points)
-    out = [(richness(c, pts), c) for c in enumerate_candidates(pts, family)]
+    out = [(sum(curve_covers(c, p) for p in pts), c) for c in enumerate_candidates(pts, family)]
     out = [(r, c) for r, c in out if lo <= r <= hi]
     out.sort(key=lambda rc: (-rc[0], rc[1]))
     return [c for _, c in out]
@@ -230,7 +230,7 @@ class TestCurveCover:
             for _ in range(12):
                 pts = random_points_2d(rng, rng.randint(4, 10))
                 k = rng.randint(1, 4)
-                want = oracle_decide(pts, fam, k)
+                want = oracle_min_cover(pts, fam).opt <= k
                 res = curve_cover(pts, fam, k)
                 assert res.decision == want == ie_decide(pts, fam, k).decision
                 if res.decision:

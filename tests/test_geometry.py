@@ -16,33 +16,31 @@ from geomcover.geometry import (
     VPARABOLA2,
     Fits,
     GeometryError,
-    affine_hull,
     candidate_cover_sets,
     check_cover,
-    circle2_curve,
-    covering_curve,
     curve_covers,
     curve_fits,
-    curve_masks,
-    curve_through,
     enumerate_candidates,
     flat_contains,
-    flat_point,
-    line2_curve,
     line_fits3,
-    line_masks3,
-    line_through,
-    plane3_curve,
     plane_covers,
     plane_fits3,
-    plane_masks3,
-    plane_through,
     pt,
-    richness,
-    vparabola2_curve,
 )
 from geomcover.instances import generate
 from geomcover.kernel import _replacement_point
+from incidence_reference import (
+    affine_hull,
+    circle2_curve,
+    covering_curve,
+    curve_through,
+    line2_curve,
+    line_through,
+    make_flat,
+    plane3_curve,
+    plane_through,
+    vparabola2_curve,
+)
 
 CURVE_FAMILIES = (LINE2, CIRCLE2, VPARABOLA2)
 
@@ -114,9 +112,10 @@ class TestMembership:
         assert not curve_covers(vparabola2_curve(1, 0, 0), pt(2, 5))
 
     def test_richness(self):
-        assert richness(line2_curve(0, 1, 0), [pt(0, 0), pt(1, 0), pt(1, 1)]) == 2
-        assert richness(line2_curve(0, 1, 0), []) == 0
-        assert richness(circle2_curve(0, 0, 25), [pt(3, 4), pt(5, 0), pt(0, 5), pt(1, 1)]) == 3
+        xaxis, circle = line2_curve(0, 1, 0), circle2_curve(0, 0, 25)
+        assert sum(curve_covers(xaxis, p) for p in [pt(0, 0), pt(1, 0), pt(1, 1)]) == 2
+        assert sum(curve_covers(xaxis, p) for p in []) == 0
+        assert sum(curve_covers(circle, p) for p in [pt(3, 4), pt(5, 0), pt(0, 5), pt(1, 1)]) == 3
 
 
 class TestIntersections:
@@ -170,7 +169,7 @@ class TestEnumeration:
                 naive.update(curve_through(fam, combo))
             got = enumerate_candidates(pts, fam)
             assert got == sorted(naive)
-            assert all(richness(c, pts) >= fam.d for c in got)
+            assert all(sum(curve_covers(c, p) for p in pts) >= fam.d for c in got)
 
     def test_curve_masks_match_brute_force(self):
         # every d-tuple fitted, every point tested; clusters give curves
@@ -183,12 +182,12 @@ class TestEnumeration:
                 for combo in itertools.combinations(pts, fam.d):
                     for c in curve_through(fam, combo):
                         brute[c] = sum(1 << i for i, p in enumerate(pts) if curve_covers(c, p))
-                got = curve_masks(pts, fam)
+                got = curve_fits(pts, fam).pairs()
                 assert got == list(brute.items()), fam.kind
                 if fam == own:
                     assert max(m.bit_count() for m in brute.values()) >= 5
         with pytest.raises(GeometryError):
-            curve_masks([pt(0, 0), pt(1, 1), pt(0, 0)], LINE2)
+            curve_fits([pt(0, 0), pt(1, 1), pt(0, 0)], LINE2)
 
     def test_3d_masks_match_fraction_predicates(self):
         # the masks come from point pairs and triples; every point on a line
@@ -199,11 +198,11 @@ class TestEnumeration:
                 + random_points_3d(rng, 3, span=5)]
         for pts in sets:
             pairs = sorted({line_through(p, q) for p, q in itertools.combinations(pts, 2)})
-            lines = line_masks3(pts)
+            lines = line_fits3(pts).pairs()
             assert [line for line, _ in lines] == pairs
             for line, mask in lines:
                 assert mask == sum(1 << i for i, p in enumerate(pts) if flat_contains(line, p))
-            planes = plane_masks3(pts)
+            planes = plane_fits3(pts).pairs()
             assert [plane for plane, _ in planes] == enumerate_candidates(pts, PLANE3)
             for plane, mask in planes:
                 assert mask == sum(1 << i for i, p in enumerate(pts) if plane_covers(plane, p))
@@ -245,15 +244,15 @@ class TestIntegerIncidence:
 
     def assert_curves_match(self, pts):
         for fam in CURVE_FAMILIES:
-            assert curve_masks(pts, fam) == reference.curve_masks(pts, fam), (fam.kind, pts)
+            assert curve_fits(pts, fam).pairs() == reference.curve_masks(pts, fam), (fam.kind, pts)
             for combo in itertools.chain(*(itertools.combinations(pts, size)
                                            for size in range(1, fam.d))):
                 assert curve_through(fam, combo) == reference.curve_completion(fam, combo), (
                     fam.kind, combo)
 
     def assert_flats_match(self, pts):
-        assert line_masks3(pts) == reference.line_masks3(pts), pts
-        assert plane_masks3(pts) == reference.plane_masks3(pts), pts
+        assert line_fits3(pts).pairs() == reference.line_masks3(pts), pts
+        assert plane_fits3(pts).pairs() == reference.plane_masks3(pts), pts
 
     def test_degenerate_curve_instances(self):
         for _, pts in degenerate_curve_instances():
@@ -283,14 +282,14 @@ class TestIntegerIncidence:
                 moved = _affine(pts, scale, shift)
                 self.assert_curves_match(moved)
                 for fam in CURVE_FAMILIES:
-                    assert [m for _, m in curve_masks(moved, fam)] == [m for _, m in curve_masks(pts, fam)]
+                    assert curve_fits(moved, fam).masks == curve_fits(pts, fam).masks
         sets3 = [list(generate("degenerate-plane", {"k": 2, "m": 4}, seed=5).points),
                  _rational_points(rng, 8, 3)]
         for pts in sets3:
             for scale, shift in maps:
                 moved = _affine(pts, scale, shift)
                 self.assert_flats_match(moved)
-                assert sorted(m for _, m in plane_masks3(moved)) == sorted(m for _, m in plane_masks3(pts))
+                assert sorted(plane_fits3(moved).masks) == sorted(plane_fits3(pts).masks)
 
     def test_coordinates_near_10_to_the_12(self):
         rng = random.Random(41)
@@ -309,14 +308,14 @@ class TestIntegerIncidence:
         # (0, 1, 3): point 2 lies below the last fitting point but on the plane
         pts = [pt(0, 0, 0), pt(1, 0, 0), pt(2, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 0)]
         self.assert_flats_match(pts)
-        assert dict(plane_masks3(pts))[plane3_curve(0, 0, 1, 0)] == 0b101111
+        assert dict(plane_fits3(pts).pairs())[plane3_curve(0, 0, 1, 0)] == 0b101111
 
     def test_replacement_points(self):
         # replacement points lie on lines in canonical form, whose base and
         # direction are rational
         rng = random.Random(43)
         pts = list(generate("degenerate-plane", {"k": 2, "m": 5}, seed=2).points)
-        for line, _ in line_masks3(pts)[:6]:
+        for line, _ in line_fits3(pts).pairs()[:6]:
             for _ in range(2):
                 pts.append(_replacement_point(line, pts, rng))
         assert any(c.denominator > 1 for p in pts for c in p.coords)
@@ -401,22 +400,22 @@ class TestDimensionChecks:
         for fam in CURVE_FAMILIES:
             for n in (1, fam.d - 1, fam.d, 5):
                 with pytest.raises(GeometryError):
-                    curve_masks([pt(i, i * i, 1) for i in range(n)], fam)
+                    curve_fits([pt(i, i * i, 1) for i in range(n)], fam)
         with pytest.raises(GeometryError):
-            curve_masks([pt(0, 0), pt(1, 0), pt(0, 1, 2)], CIRCLE2)
+            curve_fits([pt(0, 0), pt(1, 0), pt(0, 1, 2)], CIRCLE2)
 
     def test_line_masks3_rejects_2d_points(self):
         for n in (1, 4):
             with pytest.raises(GeometryError):
-                line_masks3([pt(i, 2 * i) for i in range(n)])
+                line_fits3([pt(i, 2 * i) for i in range(n)])
         with pytest.raises(GeometryError):
-            line_masks3([pt(0, 0, 0), pt(1, 0)])
+            line_fits3([pt(0, 0, 0), pt(1, 0)])
 
     def test_plane_masks3_rejects_2d_points(self):
         with pytest.raises(GeometryError):
-            plane_masks3([pt(0, 0), pt(1, 0), pt(0, 1), pt(2, 3)])
+            plane_fits3([pt(0, 0), pt(1, 0), pt(0, 1), pt(2, 3)])
         with pytest.raises(GeometryError):
-            plane_masks3([pt(0, 0, 0), pt(1, 0, 0), pt(0, 1)])
+            plane_fits3([pt(0, 0, 0), pt(1, 0, 0), pt(0, 1)])
 
 
 class TestFlats:
@@ -456,7 +455,7 @@ class TestFlats:
         xaxis = line_through(pt(0, 0, 0), pt(1, 0, 0))
         assert flat_contains(z0, xaxis)
         assert not flat_contains(z0, pt(1, 1, 1))
-        assert flat_contains(xaxis, flat_point(pt(3, 0, 0)))
+        assert flat_contains(xaxis, make_flat(pt(3, 0, 0).coords, []))
 
     def test_flat_canonical_form_unique(self):
         # same line from different spans

@@ -11,7 +11,7 @@ import pytest
 import geomcover
 from geomcover import cli, inclusion_exclusion
 from geomcover.cli import EXIT_CAP, EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
-from geomcover.geometry import LINE2, PLANE3, line_masks3, pt
+from geomcover.geometry import LINE2, PLANE3, line_fits3, pt
 from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP
 from geomcover.instances import (
     Instance,
@@ -20,7 +20,7 @@ from geomcover.instances import (
     parse_instance,
     serialize_instance,
 )
-from geomcover.oracle import DEFAULT_ORACLE_CAP, OracleResult
+from geomcover.oracle import DEFAULT_ORACLE_CAP, OracleResult, oracle_min_cover
 
 
 class TestInstanceFiles:
@@ -84,8 +84,7 @@ class TestGenerators:
         inst = generate("on-curves", {"family": "line2", "k": 3, "m": 4}, seed=7)
         assert inst.n == 12
         assert inst.metadata["planted_cover_size"] == 3
-        from geomcover.oracle import oracle_decide
-        assert oracle_decide(inst.points, LINE2, 3)
+        assert oracle_min_cover(inst.points, LINE2).opt <= 3
 
     def test_on_curves_deterministic(self):
         a = generate("on-curves", {"family": "circle2", "k": 2, "m": 5}, seed=3)
@@ -96,7 +95,7 @@ class TestGenerators:
 
     def test_degenerate_plane_plants_collinear_cluster(self):
         inst = generate("degenerate-plane", {"k": 2, "m": 10}, seed=1)
-        count = max(mask.bit_count() for _, mask in line_masks3(inst.points))
+        count = max(mask.bit_count() for mask in line_fits3(inst.points).masks)
         assert count >= 9  # at least 90% of one cluster on a line
         assert inst.metadata["planted_cover_size"] == 2
 

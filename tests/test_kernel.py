@@ -14,17 +14,12 @@ from geomcover.geometry import (
     VPARABOLA2,
     check_cover,
     curve_covers,
-    curve_masks,
-    curve_through,
+    curve_fits,
     enumerate_candidates,
     enumerate_lines3,
     flat_contains,
-    line2_curve,
-    line_masks3,
-    line_through,
-    plane3_curve,
+    line_fits3,
     pt,
-    richness,
 )
 from geomcover.instances import generate
 from geomcover.kernel import (
@@ -33,7 +28,8 @@ from geomcover.kernel import (
     curve_kernel,
     plane_kernel_r3,
 )
-from geomcover.oracle import oracle_decide, oracle_min_cover
+from geomcover.oracle import oracle_min_cover
+from incidence_reference import curve_through, line2_curve, line_through, plane3_curve
 
 
 def _kernel_cases():
@@ -94,14 +90,14 @@ class TestCurveKernel:
                 pts = random_points_2d(rng, rng.randint(4, 9))
                 k = rng.randint(1, 3)
                 res = curve_kernel(pts, fam, k)
-                original = oracle_decide(pts, fam, k)
+                original = oracle_min_cover(pts, fam).opt <= k
                 if res.verdict == "rejected":
                     assert not original
                     continue
                 assert len(res.points) <= fam.s * res.k * res.k
                 for c in enumerate_candidates(res.points, fam):
-                    assert richness(c, res.points) <= fam.s * res.k
-                reduced = oracle_decide(res.points, fam, res.k) if res.points else True
+                    assert sum(curve_covers(c, p) for p in res.points) <= fam.s * res.k
+                reduced = (oracle_min_cover(res.points, fam).opt <= res.k) if res.points else True
                 assert original == reduced
 
     def test_matches_reference_that_reenumerates_each_round(self):
@@ -128,7 +124,7 @@ class TestCurveKernel:
                 assert res.candidates == ()
                 continue
             assert (sorted((res.fits.obj(c), m) for c, m in res.candidates)
-                    == sorted(curve_masks(res.points, fam))), (fam.kind, pts, k)
+                    == sorted(curve_fits(res.points, fam).pairs())), (fam.kind, pts, k)
             renumbered += bool(res.forced) and bool(res.candidates)
         assert renumbered >= 12
 
@@ -174,7 +170,7 @@ class TestPlaneKernel:
         res = plane_kernel_r3(P, 1, rng_seed=3)
         assert res.verdict == "reduced"
         assert res.k == 0 and res.points == () and len(res.forced) == 1
-        assert oracle_decide(P, PLANE3, 1)
+        assert oracle_min_cover(P, PLANE3).opt <= 1
 
     def test_four_general_points_rejected_at_k1(self):
         P = [pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)]
@@ -186,7 +182,7 @@ class TestPlaneKernel:
             pts = random_points_3d(rng, rng.randint(4, 9))
             k = rng.randint(1, 3)
             res = plane_kernel_r3(pts, k, rng_seed=t)
-            original = oracle_decide(pts, PLANE3, k)
+            original = oracle_min_cover(pts, PLANE3).opt <= k
             if res.verdict == "rejected":
                 assert not original
                 continue
@@ -194,7 +190,7 @@ class TestPlaneKernel:
             for line in enumerate_lines3(res.points):
                 online = sum(1 for p in res.points if flat_contains(line, p))
                 assert online <= res.k + 1
-            reduced = oracle_decide(res.points, PLANE3, res.k) if res.points else True
+            reduced = (oracle_min_cover(res.points, PLANE3).opt <= res.k) if res.points else True
             assert original == reduced
 
     def test_line_counts_match_point_by_point_count(self):
@@ -205,7 +201,7 @@ class TestPlaneKernel:
         for pts in sets:
             lines = sorted({line_through(p, q) for p, q in itertools.combinations(pts, 2)})
             want = [(line, sum(1 for p in pts if flat_contains(line, p))) for line in lines]
-            assert [(line, mask.bit_count()) for line, mask in line_masks3(pts)] == want
+            assert [(line, mask.bit_count()) for line, mask in line_fits3(pts).pairs()] == want
             heaviest = max(heaviest, max(count for _, count in want))
         assert heaviest >= 4
 
@@ -365,7 +361,7 @@ def _assert_kernel_properties(points, fam, k, kern, bound):
     """The kernel's instance is equisolvable with the input, has at most
     `bound` points, and its forced objects plus an oracle cover of its points
     cover the input within k."""
-    truth = oracle_decide(points, fam, k)
+    truth = oracle_min_cover(points, fam).opt <= k
     if kern.rejected:
         assert not truth
         return

@@ -12,16 +12,18 @@ from geomcover.geometry import (
     GeometryError,
     check_cover,
     cover_set_rows,
+    curve_fits,
+    plane_fits3,
     pt,
 )
 from geomcover.inclusion_exclusion import CapExceededError
 from geomcover.instances import generate
-from geomcover.oracle import count_rich, oracle_decide, oracle_min_cover
+from geomcover.oracle import oracle_min_cover
 
 GRID3 = [pt(i, j) for i in range(3) for j in range(3)]
 
 
-def reference_min_cover(points, family, stop_at=None):
+def reference_min_cover(points, family):
     """(opt, witness) of the oracle's branch-and-bound run over the Fraction
     reference's candidate list, branching on its (object, mask) pairs."""
     n = len(points)
@@ -29,7 +31,6 @@ def reference_min_cover(points, family, stop_at=None):
     by_element = [[(obj, mask) for obj, mask in cands if mask >> e & 1] for e in range(n)]
     max_size = max((mask.bit_count() for _, mask in cands), default=1)
     best, best_witness = n + 1, []
-    good_enough = min(n, stop_at) if stop_at is not None else -1
 
     def search(uncovered, chosen):
         nonlocal best, best_witness
@@ -37,13 +38,11 @@ def reference_min_cover(points, family, stop_at=None):
             if len(chosen) < best:
                 best, best_witness = len(chosen), list(chosen)
             return
-        if len(chosen) + -(-uncovered.bit_count() // max_size) >= best or best <= good_enough:
+        if len(chosen) + -(-uncovered.bit_count() // max_size) >= best:
             return
         e = (uncovered & -uncovered).bit_length() - 1
         for obj, mask in by_element[e]:
             search(uncovered & ~mask, chosen + [obj])
-            if best <= good_enough:
-                return
 
     search((1 << n) - 1, [])
     return best, best_witness
@@ -86,15 +85,15 @@ class TestMinCover:
     def test_decide_monotone(self):
         rng = random.Random(17)
         pts = random_points_2d(rng, 8)
-        decisions = [oracle_decide(pts, LINE2, k) for k in range(0, 9)]
+        decisions = [oracle_min_cover(pts, LINE2).opt <= k for k in range(0, 9)]
         assert decisions == sorted(decisions)
         assert decisions[-1]
 
     def test_decide_budget_above_n(self):
         # a budget past n objects must not be mistaken for a found cover
-        assert oracle_decide([pt(0, 0, 0)], PLANE3, 2)
+        assert oracle_min_cover([pt(0, 0, 0)], PLANE3).opt <= 2
         pts = [pt(0, 0), pt(1, 2), pt(3, 1)]
-        assert [oracle_decide(pts, LINE2, k) for k in range(6)] == [False, False, True, True, True, True]
+        assert [oracle_min_cover(pts, LINE2).opt <= k for k in range(6)] == [False, False, True, True, True, True]
 
 
 class TestWitnessRows:
@@ -102,7 +101,7 @@ class TestWitnessRows:
         """The oracle branches on row indexes and builds only the witness's
         objects: they are objects of kept candidate rows whose masks cover
         every point, and opt and witness are those of the same search over
-        the Fraction reference's objects, with and without stop_at."""
+        the Fraction reference's objects."""
         rng = random.Random(29)
         cases = [(fam, random_points_2d(rng, rng.randint(1, 9)))
                  for fam in (LINE2, CIRCLE2, VPARABOLA2) for _ in range(5)]
@@ -118,8 +117,6 @@ class TestWitnessRows:
                 covered |= built[obj]
             assert covered == (1 << len(pts)) - 1
             assert tuple(res) == reference_min_cover(pts, fam), (fam.kind, pts)
-            for k in range(res.opt + 1):
-                assert tuple(oracle_min_cover(pts, fam, stop_at=k)) == reference_min_cover(pts, fam, k)
 
 
 def _nodes_needed(pts, fam) -> int:
@@ -162,6 +159,13 @@ class TestNodeBudget:
     def test_budget_zero_raises(self):
         with pytest.raises(CapExceededError):
             oracle_min_cover(GRID3, LINE2, max_nodes=0)
+
+
+def count_rich(points, family, gamma: int) -> int:
+    """The candidates through gamma or more of the points: popcounts over
+    the masks of the fitted curves or planes."""
+    fits = plane_fits3(points) if family.kind == "plane3" else curve_fits(points, family)
+    return sum(mask.bit_count() >= gamma for mask in fits.masks)
 
 
 class TestCountRich:

@@ -21,8 +21,6 @@ from geomcover.geometry import (
     _bits,
     check_cover,
     flat_contains,
-    line_through,
-    plane3_curve,
     plane_covers,
     pt,
 )
@@ -34,7 +32,7 @@ from geomcover.inclusion_exclusion import (
 )
 from geomcover.instances import generate
 from geomcover.kernel import KernelResult, plane_kernel_r3
-from geomcover.oracle import oracle_decide
+from geomcover.oracle import oracle_min_cover
 from geomcover.plane_branch import (
     _is_ripe,
     _line_rich_enough,
@@ -45,6 +43,7 @@ from geomcover.plane_branch import (
     plane_cover,
     plane_object,
 )
+from incidence_reference import line_through, plane3_curve
 
 
 def _points_in(search, mask):
@@ -228,7 +227,7 @@ class TestPlaneCover:
         for t in range(12):
             pts = random_points_3d(rng, rng.randint(4, 9))
             k = rng.randint(1, 3)
-            want = oracle_decide(pts, PLANE3, k)
+            want = oracle_min_cover(pts, PLANE3).opt <= k
             res = plane_cover(pts, k, rng_seed=t)
             assert res.decision == want, (pts, k)
             if res.decision:
@@ -245,7 +244,7 @@ class TestPlaneCover:
             pts = list(inst.points)
             if len(pts) > 12:
                 continue
-            want = oracle_decide(pts, PLANE3, inst.k)
+            want = oracle_min_cover(pts, PLANE3).opt <= inst.k
             res = plane_cover(pts, inst.k, rng_seed=seed)
             assert res.decision == want
             if res.decision:
@@ -567,6 +566,6 @@ class TestPlaneCoverProperty:
     def test_agrees_with_oracle(self, instance):
         points, k = instance
         res = plane_cover(points, k)
-        assert res.decision == oracle_decide(points, PLANE3, k)
+        assert res.decision == (oracle_min_cover(points, PLANE3).opt <= k)
         if res.decision:
             assert check_cover(points, res.witness, k)
