@@ -28,6 +28,7 @@ from .geometry import (
     enumerate_candidates,
     family_by_tag,
     flat_contains,
+    incidence_layer,
     pt,
 )
 from .inclusion_exclusion import (

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .curve_branch import SearchStats, curve_cover
-from .geometry import Curve, GeometryError, Plane3, check_cover
+from .geometry import Curve, GeometryError, Plane3, check_cover, incidence_layer
 from .inclusion_exclusion import (
     DEFAULT_SUBSET_CAP,
     CapExceededError,
@@ -47,6 +47,14 @@ EXIT_CAP = 3
 EXIT_MISMATCH = 4
 
 ALGORITHMS = ("ie", "branch", "oracle", "auto")
+
+# the routes of `auto`, as `_pick_auto` takes them
+ORACLE_CAP_HELP = ("the most points the oracle takes (exit 3 past it); auto: n <= min(12, "
+                   "oracle cap) goes to the oracle, unbounded, and 12 < n <= oracle cap and "
+                   "n <= ie cap to the oracle within 2^n search nodes, then ie")
+IE_CAP_HELP = ("the most elements a subset sweep takes, in ie and in branch's leaves (exit 3 "
+               "past it); auto: a minimum with ie cap < n <= oracle cap goes to the oracle, "
+               "unbounded; otherwise ie up to its cap, then branch (a minimum stays on ie)")
 
 
 class VerificationMismatch(RuntimeError):
@@ -106,6 +114,8 @@ def _pick_auto(inst: Instance, oracle_cap: int, ie_cap: int, min_cover: bool = F
     - n <= min(12, oracle cap): the oracle, unbounded.
     - 12 < n <= oracle cap and n <= ie cap: the oracle within 2^n search
       nodes, the sweep's own subset count, then `ie`.
+    - a minimum with ie cap < n <= oracle cap: the oracle, unbounded, as
+      the sweep would exit 3 past its cap.
     - otherwise `ie` up to its cap, then `branch`. A minimum needs `ie`
       beyond the oracle, whose cap check exits 3 past its cap: `branch`
       decides one budget only.
@@ -127,6 +137,8 @@ def _pick_auto(inst: Instance, oracle_cap: int, ie_cap: int, min_cover: bool = F
         return (("oracle", None),)
     if n <= oracle_cap and n <= ie_cap:
         return (("oracle", 1 << n), ("ie", None))
+    if n <= oracle_cap and min_cover:
+        return (("oracle", None),)
     if n <= ie_cap or min_cover:
         return (("ie", None),)
     return (("branch", None),)
@@ -146,7 +158,7 @@ def _solve(inst: Instance, algorithm: str, k: int, args,
 
     if algorithm == "ie":
         # one counter and one sweep decide; extraction reuses both
-        counter = CoverableCounter(inst.points, inst.family)
+        counter = CoverableCounter(incidence_layer(inst.points, inst.family))
         hist = _signed_histogram(counter, counter.mask, args.ie_cap)
         record.stats.ie_subsets += 1 << inst.n
         if args.min_cover:
@@ -353,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--threads", type=int, default=1,
                        help="recorded in config.threads; the search always runs sequentially")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--ie-cap", type=int, default=DEFAULT_SUBSET_CAP)
-    solve.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    solve.add_argument("--ie-cap", type=int, default=DEFAULT_SUBSET_CAP, help=IE_CAP_HELP)
+    solve.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, help=ORACLE_CAP_HELP)
     solve.add_argument("--dedup", action="store_true", help="drop duplicate points with a warning")
     solve.add_argument("--timing", action="store_true", help="include wall time in the record")
     solve.set_defaults(func=_cmd_solve)
@@ -382,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a benchmark suite and emit CSV")
     bench.add_argument("--suite", required=True)
-    bench.add_argument("--ie-cap", type=int, default=DEFAULT_SUBSET_CAP)
-    bench.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    bench.add_argument("--ie-cap", type=int, default=DEFAULT_SUBSET_CAP, help=IE_CAP_HELP)
+    bench.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, help=ORACLE_CAP_HELP)
     bench.set_defaults(func=_cmd_bench)
     return parser
 

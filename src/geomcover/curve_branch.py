@@ -9,8 +9,10 @@ search object, the one search path that the paper's polynomial-space bound
 assumes; it is shared with the R^3 plane solver, and so is the node skeleton
 `_Search` (node counting, the child walk, sweep leaves and their cache).
 
-The curve search reads its candidates off the kernel's result: the kernel has
-fitted every curve once, and cuts the masks to the points it keeps. Almost
+Both searches read the incidence layer that their kernel hands on with its
+result, over the points in its ground mask: the curve kernel's own curve
+masks, fitted once, or the plane kernel's `PlaneLayer`. Every sweep leaf's
+counter is cut from that layer, so no leaf fits a curve or plane. Almost
 every child of a node is too large for its remaining budget, so both searches
 count those children at the parent, in bulk where a whole run of picks must
 fall short (`_Search._walk`), and call only the children that pass.
@@ -146,14 +148,13 @@ class _Search:
     kernelized instance: the root, counting entered and size-rejected nodes,
     the walk over a node's children, telling sweep leaves apart by the
     config's base-case point counts, and the sweep leaf itself, whose
-    no-answers are remembered by (mask, pending lines, budget). A subclass
-    supplies its node `_expand`, which gives the walk its slots, and
-    `_counter(mask, lines)`, the leaf's counter over the points in `mask` and
-    the pending `lines`, and `_object(h)`, the object a partial cover names
-    by `h`."""
+    no-answers are remembered by (mask, pending lines, budget). Masks are
+    over the points of the kernel's layer, and the root's is the kernel's
+    ground. A subclass supplies its node `_expand`, which gives the walk its
+    slots, and `_object(h)`, the object a partial cover names by `h`."""
 
     def __init__(self, kern: KernelResult, family: FamilySpec, config: BranchConfig):
-        self.points = kern.points
+        self.layer, self.ground = kern.layer, kern.ground
         self.family = family
         self.cfg = config
         self.stats = SearchStats()
@@ -162,12 +163,13 @@ class _Search:
     def _ie(self, mask: int, lines: tuple, budget: int) -> Optional[list]:
         """The sweep leaf over the points in `mask` and the pending `lines`: a
         cover of them by at most `budget` objects, or None when there is
-        none, decided and extracted on one counter. No-leaves are remembered;
-        a yes-leaf ends the search."""
+        none, decided and extracted on one counter cut from the layer.
+        No-leaves are remembered; a yes-leaf ends the search."""
         key = (mask, lines, budget)
         if key in self._no_leaves:
             return None
-        ext = sweep_leaf(self._counter(mask, lines), budget, self.cfg.ie_cap, self.stats)
+        ext = sweep_leaf(CoverableCounter(self.layer, mask, lines), budget, self.cfg.ie_cap,
+                         self.stats)
         if ext is None:
             self._no_leaves.add(key)
         return ext
@@ -201,7 +203,7 @@ class _Search:
     def run(self, partition: tuple[int, ...]) -> tuple[bool, Optional[list]]:
         """Search one budget partition from the root, which passes its size
         test or is rejected like any other node."""
-        mask = (1 << len(self.points)) - 1
+        mask = self.ground
         if mask.bit_count() > self.cfg.caps[0][sum(partition)]:
             self._reject(1, 1)
             return False, None
@@ -269,28 +271,24 @@ class _Search:
 
 class _CurveSearch(_Search):
     """Mask-based search over one kernelized instance. Its candidate curves
-    and their point masks come from the kernel, which fitted them once; per
-    node only popcounts remain. A node's children pick from its window, in
-    one slot of the skeleton's child walk (`_Search._walk`)."""
+    and their point masks are the kernel's layer, fitted once; per node only
+    popcounts remain. A node's children pick from its window, in one slot of
+    the skeleton's child walk (`_Search._walk`)."""
 
     def __init__(self, kern: KernelResult, family: FamilySpec, config: BranchConfig):
         super().__init__(kern, family, config)
-        # (index into `fits`, mask), sorted once by curve, so that a stable
-        # sort by richness orders each window; a curve is built only for a
-        # witness
-        self.fits = kern.fits
-        keys = self.fits.keys() if self.fits is not None else ()
-        self.cands = sorted(kern.candidates, key=lambda cm: keys[cm[0]])
-
-    def _counter(self, mask: int, lines: tuple) -> CoverableCounter:
-        return CoverableCounter([p for i, p in enumerate(self.points) if (mask >> i) & 1],
-                                self.family)
+        # (layer index, mask) of each curve through d ground points, sorted
+        # once by curve, so that a stable sort by richness orders each
+        # window; a curve is built only for a witness
+        keys, ground, d = self.layer.keys(), self.ground, family.d
+        self.cands = sorted(((c, m) for c, m in enumerate(self.layer.masks)
+                             if (m & ground).bit_count() >= d), key=lambda cm: keys[cm[0]])
 
     def _object(self, h):
-        return self.fits.obj(h)
+        return self.layer.obj(h)
 
     def window(self, mask: int, depth: int) -> list[tuple]:
-        """(index, mask, richness) of the kernel's candidates whose richness
+        """(layer index, mask, richness) of the candidates whose richness
         over the points in `mask` lies in [gamma_depth, gamma_(depth-1)],
         richest first, ties in curve order. Richness >= d keeps only curves
         through d surviving points, matching a fresh enumeration over the
@@ -333,7 +331,7 @@ def branch_cover(kern: KernelResult, family: FamilySpec, config: BranchConfig, s
 
     if k2 < 2 or len(pts) < config.base[k2]:
         stats.leaves_ie += 1
-        ext = sweep_leaf(CoverableCounter(pts, family), k2, config.ie_cap, stats)
+        ext = sweep_leaf(CoverableCounter(kern.layer, kern.ground), k2, config.ie_cap, stats)
         if ext is None:
             return CoverResult(False, None, stats)
         return CoverResult(True, list(forced) + ext, stats)

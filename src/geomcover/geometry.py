@@ -247,6 +247,8 @@ class Fits:
     """Objects of one kind fitted over one point set, each as the integer row
     it was fitted from (`rows[i]`) and the mask of the points on it
     (`masks[i]`, point i is bit i). `obj(i)` builds the i-th object.
+    `scaled` holds the points the rows were fitted over, times `scale`, when
+    the builder keeps them (`curve_fits` does).
 
     `keys()` orders the objects exactly as their dataclasses compare, without
     building them. Each canonical coefficient is a quotient p/q from the row
@@ -255,8 +257,10 @@ class Fits:
     order-preserving and equal only for equal quotients. (Python's // floors
     the exact quotient whatever the sign of q, as if q were made positive.)"""
 
-    def __init__(self, kind: str, scale: int, rows: list, masks: list[int]):
+    def __init__(self, kind: str, scale: int, rows: list, masks: list[int],
+                 scaled: Sequence[tuple[int, ...]] = ()):
         self.kind, self.scale, self.rows, self.masks = kind, scale, rows, masks
+        self.scaled = scaled
         self._keys: Optional[list[tuple[int, ...]]] = None
 
     def obj(self, i: int):
@@ -266,10 +270,6 @@ class Fits:
         if self.kind == "line3":
             return Flat(coeffs[:3], (coeffs[3:],))
         return Curve(self.kind, coeffs)
-
-    def pairs(self) -> list[tuple[object, int]]:
-        """(object, mask) of every object, each built."""
-        return [(self.obj(i), m) for i, m in enumerate(self.masks)]
 
     def keys(self) -> list[tuple[int, ...]]:
         if self._keys is None:
@@ -288,7 +288,7 @@ class Fits:
         """The same objects, listed in canonical order."""
         order = self.order()
         out = Fits(self.kind, self.scale, [self.rows[i] for i in order],
-                   [self.masks[i] for i in order])
+                   [self.masks[i] for i in order], self.scaled)
         out._keys = [self._keys[i] for i in order]
         return out
 
@@ -316,19 +316,21 @@ def _completion(kind: str, scale: int, pts: Sequence[tuple[int, int]]):
     return d, b, -scale * d, d * (scale * y1 - x1 * x1) - x1 * b
 
 
-def _completions(kind: str, d: int, scale: int, pts: Sequence[tuple[int, int]]):
-    """(tuple mask, tuple size, row, mask of the points on it) of the
+def _completions(kind: str, d: int, scale: int, pts: Sequence[tuple[int, int]], ground: int):
+    """(tuple mask, tuple size, row, mask of the ground points on it) of the
     canonical completion of each tuple of fewer than d of the scaled points
-    `pts` that has one, by size and then lexicographically."""
-    lifted = [_LIFTS[kind](x, y) for x, y in pts]
+    `pts` in the mask `ground` (point i is bit i) that has one, by size and
+    then lexicographically."""
+    members = _bits(ground)
+    lifted = [(t, _LIFTS[kind](*pts[t])) for t in members]
     for size in range(1, d):
-        for combo in itertools.combinations(range(len(pts)), size):
+        for combo in itertools.combinations(members, size):
             row = _completion(kind, scale, [pts[i] for i in combo])
             if row is None:
                 continue
             a, b, c, e = row
             yield (sum(1 << i for i in combo), size, row,
-                   sum(1 << t for t, (u, v, w) in enumerate(lifted) if a * u + b * v + c * w + e == 0))
+                   sum(1 << t for t, (u, v, w) in lifted if a * u + b * v + c * w + e == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,7 @@ def curve_fits(points: Sequence[Point], family: FamilySpec) -> Fits:
             members = [i for i in range(n) if mask >> i & 1]
             for sub in itertools.combinations(members, size - 1):
                 on_found[sub] = on_found.get(sub, 0) | mask
-    return Fits(family.kind, scale, coefs, masks)
+    return Fits(family.kind, scale, coefs, masks, rows)
 
 
 def enumerate_candidates(points: Sequence[Point], family: FamilySpec):
@@ -503,17 +505,19 @@ class PlaneLayer:
     masks, `planes` (mask, indexes of the lines inside it) and `line_planes`
     the indexes of the planes that contain each line, and
     `line_point_plane[l*n + x]` is the plane through line l and point x off it.
-    `line(l)` and `plane(p)` build the objects.
+    `plane(p)` builds a plane, and `scaled` holds the points times `scale`.
 
     Every line holds at least two of the points, so it lies in a plane
     exactly when its mask is inside the plane's."""
+
+    kind = "plane3"
 
     def __init__(self, points: Sequence[Point]):
         self.points = tuple(points)
         n = len(self.points)
         self._lines = line_fits3(self.points)
         self._planes = plane_fits3(self.points)
-        self.scale, self._rows = _scaled(self.points, 3)
+        self.scale, self.scaled = _scaled(self.points, 3)
         self.lines: list[int] = self._lines.masks
         self.planes: list[tuple[int, list[int]]] = []
         self.line_planes: list[list[int]] = [[] for _ in self.lines]
@@ -525,9 +529,6 @@ class PlaneLayer:
                 for x in _bits(m & ~self.lines[j]):
                     self.line_point_plane[j * n + x] = p
             self.planes.append((m, contained))
-
-    def line(self, l: int) -> Flat:
-        return self._lines.obj(l)
 
     def plane(self, p: int) -> Plane3:
         return self._planes.obj(p)
@@ -541,8 +542,15 @@ class PlaneLayer:
         if kind == "plane":
             return self._planes.rows[at], self.planes[at][0]
         if kind == "line":
-            return _completed_plane(self._rows, *self._lines.rows[at], avoid=avoid)
-        return _completed_plane(self._rows, self._rows[at])
+            return _completed_plane(self.scaled, *self._lines.rows[at], avoid=avoid)
+        return _completed_plane(self.scaled, self.scaled[at])
+
+
+def incidence_layer(points: Sequence[Point], family: FamilySpec) -> Union[Fits, PlaneLayer]:
+    """The incidence layer that a counter over `points` reads: their
+    `PlaneLayer` for planes, their `curve_fits` for a curve family. Either
+    names its family by `kind` and keeps the points scaled to integers."""
+    return PlaneLayer(points) if family.kind == "plane3" else curve_fits(points, family)
 
 
 def _completed_plane(rows: Sequence[tuple[int, int, int]], p: tuple[int, int, int],
@@ -607,9 +615,9 @@ def cover_set_rows(points: Sequence[Point], family: FamilySpec) -> tuple[Fits, l
         completed += [_completed_plane(scaled, p) for p in scaled]
     else:
         fitted = curve_fits(pts, family)
-        scale, scaled = _scaled(pts, 2)
+        scale, scaled = fitted.scale, fitted.scaled
         completed = [(row, mask) for _, _, row, mask in
-                     _completions(family.kind, family.d, scale, scaled)]
+                     _completions(family.kind, family.d, scale, scaled, (1 << len(scaled)) - 1)]
     masks = fitted.masks + [mask for _, mask in completed]
     fits = Fits(family.kind, scale, fitted.rows + [row for row, _ in completed], masks)
     keys = fits.keys()

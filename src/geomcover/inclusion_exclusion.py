@@ -9,33 +9,37 @@ step, moves c by the difference the flip makes, and keeps a signed
 histogram of the c values, so each budget's sum takes one power per
 distinct c.
 
+Every counter is cut from an incidence layer (`geometry.incidence_layer`):
+the `curve_fits` of a point set, or its `PlaneLayer`. Its ground is any
+subset of the layer's points, plus pending layer lines for planes, so a
+search reads one layer per solve, the one its kernel hands on, and no
+sweep leaf fits a curve or plane of its own.
+
 Beside the subset, the walk keeps its pair mask: bit p*w + q for each
 ordered pair p, q of its elements, at the counter's width w, moved by two
 XORs and one AND per flip. Curve counters keep, per point e, a triple mask
-of the ordered pairs of other points that lie with e on one curve through
-three or more ground points, so one AND with the walk's pair mask and a
-popcount count the coverable triples that a flip of e adds or removes; the
-pairs and, per curve through e with four or more points, the larger
-subsets are popcounts of the subset itself.
+of the ordered pairs of other points that lie with e on one layer curve
+through three or more ground points, so one AND with the walk's pair mask
+and a popcount count the coverable triples that a flip of e adds or
+removes; the pairs and, per curve through e with four or more points, the
+larger subsets are popcounts of the subset itself.
 
-Plane counters have width 0 and read no pair mask. They read the integer
-incidence layer (`PlaneLayer`): each layer plane and line gets a ground
-mask, and a coverable set of two or more elements spans one layer plane or
-lies on one layer line, and so in each plane through that line. A flip
-steps c by popcounts over the masks that hold the element, each weighted
-by 1 for a plane and 1 - P(l) for a line in P(l) layer planes, with the
-sets of a point and at most two other points in closed form. The plane
-search's leaves, over points and lines of its layer, use the same
-counter.
+Plane counters have width 0 and read no pair mask. Each plane and line of
+their `PlaneLayer` gets a ground mask, and a coverable set of two or more
+elements spans one layer plane or lies on one layer line, and so in each
+plane through that line. A flip steps c by popcounts over the masks that
+hold the element, each weighted by 1 for a plane and 1 - P(l) for a line in
+P(l) layer planes, with the sets of a point and at most two other points in
+closed form.
 
 c(X) depends on X alone, so one counter built over the whole ground
 answers the sum over the submasks of any subset of it. Witness extraction
 runs on the counter that made the decision and on that decision's sum: it
 self-reduces by removing one object at a time, each step one sweep over the
 submasks of what is left. The objects to try come from one `CandidateTable`
-per counter, built from the counter's own curve or plane and line masks,
+per counter, built from its layer's integer rows and its ground masks,
 which lists for any remaining mask exactly what `candidate_cover_sets`
-lists for the remaining elements.
+lists for the remaining elements, and builds only the objects picked.
 
 Counts are exact arbitrary-precision integers throughout.
 """
@@ -43,10 +47,10 @@ Counts are exact arbitrary-precision integers throughout.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .geometry import (
-    PLANE3,
+    FAMILIES,
     FamilySpec,
     Fits,
     PlaneLayer,
@@ -54,8 +58,7 @@ from .geometry import (
     _bits,
     _completions,
     _maximal_sets,
-    _scaled,
-    curve_fits,
+    incidence_layer,
 )
 
 DEFAULT_SUBSET_CAP = 26
@@ -94,70 +97,64 @@ def _pairs(y: int, w: int) -> int:
 
 class CoverableCounter:
     """Precomputes, for one fixed ground set, what c(X) reads for any subset
-    mask X of it: the curve masks of a curve family, or the ground masks of
-    the layer planes and lines for the plane family. `step(e, Y, pairs)`
-    gives c(Y + e) - c(Y) for e not in Y, where `pairs` is Y's pair mask at
-    width `pair_width` (`_pairs`): n for curves, whose step reads ordered
-    point pairs, and 0 for planes, whose step reads none. `mask` is the
-    ground's mask and `n` its size.
+    mask X of it. The ground is read off an incidence layer
+    (`geometry.incidence_layer`), in the layer's point numbering (point i is
+    bit i): the points in `ground`, all of them by default, and for a
+    `PlaneLayer` the distinct layer `lines` after them (the q-th is bit
+    n + q, for n layer points). A curve counter keeps the layer's curve masks
+    cut to the ground, a plane counter the ground masks of the layer planes
+    and lines. `step(e, Y, pairs)` gives c(Y + e) - c(Y) for e not in Y,
+    where `pairs` is Y's pair mask at width `pair_width` (`_pairs`): n for
+    curves, whose step reads ordered point pairs, and 0 for planes, whose
+    step reads none. `mask` is the ground's mask and `n` its size."""
 
-    Built from points, the ground is those points (point i is bit i). A plane
-    counter over some points and lines of a `PlaneLayer`, such as a plane
-    search leaf's, comes from `on_layer`."""
-
-    def __init__(self, points: Sequence[Point], family: FamilySpec):
-        self.points = tuple(points)
-        self.family = family
-        if family.kind == "plane3":
-            self._build_planes(PlaneLayer(self.points), (1 << len(self.points)) - 1, ())
+    def __init__(self, layer: Union[Fits, PlaneLayer], ground: Optional[int] = None,
+                 lines: Sequence[int] = ()):
+        self.layer = layer
+        self.family = FAMILIES[layer.kind]
+        if ground is None:
+            ground = (1 << len(layer.scaled)) - 1
+        if self.family.kind == "plane3":
+            self._build_planes(ground, lines)
         else:
-            self._build_curves()
-
-    @classmethod
-    def on_layer(cls, layer: PlaneLayer, mask: int, lines: Sequence[int]) -> "CoverableCounter":
-        """The plane counter whose ground is the layer points in `mask` (point
-        i is bit i) and the distinct layer `lines` (the q-th is bit n + q, for
-        n layer points), in that order."""
-        counter = cls.__new__(cls)
-        counter.family = PLANE3
-        counter._build_planes(layer, mask, lines)
-        return counter
+            self._build_curves(ground)
 
     # -- curves: one point mask per curve through >= 3 ground points
 
-    def _build_curves(self):
+    def _build_curves(self, ground: int):
         """A subset of three or more points is coverable exactly when it lies
         inside the mask of one curve through >= 3 ground points (s+1 points
         fix a curve, so that curve is unique). `_pair[e]` holds the partners
         e can be covered with: two distinct points lie on a line and on a
         circle, and on a vertical parabola exactly when their x coordinates
-        differ. `fitted` keeps every curve through d ground points for the
-        candidate table."""
-        pts, fam = self.points, self.family
-        self.n = n = len(pts)
-        self.mask = (1 << n) - 1
-        self.fitted = curve_fits(pts, fam)
-        self.pair_width = n
+        differ."""
+        fits = self.layer
+        pts = fits.scaled
+        self.n = ground.bit_count()
+        self.mask = ground
+        self.pair_width = n = len(pts)
         # tri[e]: bit p*n + q for each ordered pair of distinct other points
         # p, q on a >= 3-point curve through e; heavy[e]: the curves through
         # e with >= 4 points
         tri = [0] * n
         heavy: list[list[int]] = [[] for _ in range(n)]
-        for mask in self.fitted.masks:
-            members = _bits(mask)
-            if len(members) < 3:
+        for mask in fits.masks:
+            mask &= ground
+            size = mask.bit_count()
+            if size < 3:
                 continue
-            for a in members:
-                if len(members) >= 4:
+            for a in _bits(mask):
+                if size >= 4:
                     heavy[a].append(mask)
                 others = mask & ~(1 << a)
                 for p in _bits(others):
                     tri[a] |= (others ^ 1 << p) << p * n
-        if fam.kind == "vparabola2":
-            self._pair = [sum(1 << j for j in range(n) if pts[j][0] != pts[i][0])
+        if self.family.kind == "vparabola2":
+            members = _bits(ground)
+            self._pair = [sum(1 << j for j in members if pts[j][0] != pts[i][0])
                           for i in range(n)]
         else:
-            self._pair = [self.mask & ~(1 << i) for i in range(n)]
+            self._pair = [ground & ~(1 << i) for i in range(n)]
         self._tri = tri
         self._heavy = heavy
         # _W[m]: the subsets of three or more among m points
@@ -180,16 +177,17 @@ class CoverableCounter:
 
     # -- planes: one ground mask per layer plane and line
 
-    def _build_planes(self, layer: PlaneLayer, mask: int, lines: Sequence[int]):
-        """The ground masks of the layer over the ground of `on_layer`: G_p,
-        per layer plane p, holds the ground points on p and the ground lines
-        inside it; G_l, per layer line l, the ground points on l and l's own
-        bit when l is a ground line. A coverable set of two or more elements
-        either spans one layer plane and lies in its G_p alone, or lies in
-        one G_l and so in the G_p of each of the P(l) layer planes through l.
-        Counted once per G_p and 1 - P(l) times per G_l that holds it, each
-        coverable set counts once. So a flip of e adds {e}, and 2^|G & Y| - 1
-        per mask G that holds e, times 1 for a plane and 1 - P(l) for a line.
+    def _build_planes(self, mask: int, lines: Sequence[int]):
+        """The ground masks of the layer over the points in `mask` and the
+        layer `lines`: G_p, per layer plane p, holds the ground points on p
+        and the ground lines inside it; G_l, per layer line l, the ground
+        points on l and l's own bit when l is a ground line. A coverable set
+        of two or more elements either spans one layer plane and lies in its
+        G_p alone, or lies in one G_l and so in the G_p of each of the P(l)
+        layer planes through l. Counted once per G_p and 1 - P(l) times per
+        G_l that holds it, each coverable set counts once. So a flip of e adds
+        {e}, and 2^|G & Y| - 1 per mask G that holds e, times 1 for a plane
+        and 1 - P(l) for a line.
 
         Any two or three points are coplanar, so the sets of a point e and at
         most two points of Y count in closed form, and a point's step reads
@@ -197,8 +195,8 @@ class CoverableCounter:
         line. A line's step reads every mask that holds it. Masks with fewer
         than two elements, and lines in one layer plane (factor 0), add
         nothing."""
+        layer = self.layer
         n = len(layer.points)
-        self.layer = layer
         self._points_mask = mask
         self._stamped = list(enumerate(lines, n))   # (bit, line index)
         self.pair_width = 0  # the step reads no pair mask
@@ -248,23 +246,6 @@ class CoverableCounter:
             if not self.layer.lines[l] & ~points:
                 bits |= 1 << bit
         return bits
-
-    # -- evaluation
-
-    def c_of_mask(self, mask: int) -> int:
-        """c(X) for the subset mask X: 1 for the empty set, plus the step of
-        each element of X over the elements before it in bit order, with
-        that prefix's pair mask."""
-        w = self.pair_width
-        row, col = _row_col(w)
-        total = 1
-        y = rows = cols = 0
-        for e in _bits(mask):
-            total += self.step(e, y, rows & cols)
-            y |= 1 << e
-            rows |= row << e * w
-            cols |= col << e
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +326,7 @@ def ie_decide(points: Sequence[Point], family: FamilySpec, k: int, *,
     """Signed subset sweep; yes iff the alternating sum reaches 1."""
     if k < 0:
         raise ValueError("negative budget")
-    counter = CoverableCounter(points, family)
+    counter = CoverableCounter(incidence_layer(points, family))
     return _signed_sum(counter, counter.mask, k, cap)
 
 
@@ -353,7 +334,7 @@ def ie_sums(points: Sequence[Point], family: FamilySpec, ks: Sequence[int], *,
             cap: int = DEFAULT_SUBSET_CAP) -> dict[int, int]:
     """Alternating sums for several budgets from one sweep: each distinct c
     is powered once per budget."""
-    counter = CoverableCounter(points, family)
+    counter = CoverableCounter(incidence_layer(points, family))
     ks = sorted(set(ks))
     if any(k < 0 for k in ks):
         raise ValueError("negative budget")
@@ -371,19 +352,20 @@ class CandidateTable:
     (mask, need) pairs, where the object is spanned by a remaining mask R
     when some span has |mask & R| >= need.
 
-    Curves: each fitted curve of the counter, spanned by any d of its points,
-    and the canonical completion of each tuple of fewer than d points,
-    spanned by that tuple. Planes, read off the counter's ground masks: the
-    horizontal plane through each ground point, spanned by the point; the
-    canonical plane through each layer line l with two or more ground points
-    or on the ground, spanned by two elements of G_l or by the line itself;
-    and each layer plane p that the ground spans (G_p in no G_l of a line l
-    inside p), spanned by two elements of G_p. Two that lie on one line l do
-    not span p, but they span l, and l's canonical plane holds every
+    Curves: each layer curve through d or more ground points, spanned by any d
+    of them, and the canonical completion of each tuple of fewer than d ground
+    points, spanned by that tuple. Planes, read off the counter's ground
+    masks: the horizontal plane through each ground point, spanned by the
+    point; the canonical plane through each layer line l with two or more
+    ground points or on the ground, spanned by two elements of G_l or by the
+    line itself; and each layer plane p that the ground spans (G_p in no G_l
+    of a line l inside p), spanned by two elements of G_p. Two that lie on one
+    line l do not span p, but they span l, and l's canonical plane holds every
     remaining element of G_p and comes first among the planes through l in
-    object order, so the list prunes p then. Each is first an integer row;
-    the rows are merged and ordered by their exact keys (`Fits.keys`), and
-    each object is built once."""
+    object order, so the list prunes p then. Each is an integer row; the rows
+    are merged and ordered by their exact keys (`Fits.keys`), and `obj(h)`
+    builds the object of row h, which extraction does only for the objects it
+    picks."""
 
     def __init__(self, counter: CoverableCounter):
         fits, spans = (self._plane_entries(counter) if counter.family.kind == "plane3"
@@ -395,7 +377,11 @@ class CandidateTable:
             f = first.setdefault(key, h)
             if f != h:
                 spans[f] += spans[h]
-        self._rows = [(fits.obj(h), fits.masks[h], spans[h]) for _, h in sorted(first.items())]
+        self._fits = fits
+        self._rows = [(h, fits.masks[h], spans[h]) for _, h in sorted(first.items())]
+
+    def obj(self, h: int):
+        return self._fits.obj(h)
 
     @staticmethod
     def _plane_entries(counter: CoverableCounter) -> tuple[Fits, list]:
@@ -423,26 +409,33 @@ class CandidateTable:
 
     @staticmethod
     def _curve_entries(counter: CoverableCounter) -> tuple[Fits, list]:
-        """Each fitted curve, spanned by d of its points, then the completion
-        of each tuple of fewer than d points, spanned by the tuple, each as an
-        integer row with its mask."""
-        fits, kind, d = counter.fitted, counter.family.kind, counter.family.d
-        scale, pts = _scaled(counter.points, 2)
-        rows, masks = list(fits.rows), list(fits.masks)
-        spans = [[(mask, d)] for mask in masks]
-        for combo, size, row, mask in _completions(kind, d, scale, pts):
+        """Each layer curve through d or more ground points, spanned by d of
+        them, then the completion of each tuple of fewer than d ground
+        points, spanned by the tuple, each as an integer row with its mask
+        over the ground."""
+        layer, ground, d = counter.layer, counter.mask, counter.family.d
+        kind, scale = layer.kind, layer.scale
+        rows, masks, spans = [], [], []
+        for row, mask in zip(layer.rows, layer.masks):
+            mask &= ground
+            if mask.bit_count() >= d:
+                rows.append(row)
+                masks.append(mask)
+                spans.append([(mask, d)])
+        for combo, size, row, mask in _completions(kind, d, scale, layer.scaled, ground):
             rows.append(row)
             masks.append(mask)
             spans.append([(combo, size)])
         return Fits(kind, scale, rows, masks), spans
 
-    def cover_sets(self, rem: int) -> list[tuple[object, int]]:
-        """`candidate_cover_sets` of the ground elements in `rem`, with masks
-        over the whole ground: the objects spanned by elements of `rem`
-        alone (one spanned only through removed elements can tie on its
-        restricted mask and be canonically smaller), largest first, ties in
-        object order, dominated masks pruned."""
-        live = [(obj, mask & rem) for obj, mask, spans in self._rows
+    def cover_sets(self, rem: int) -> list[tuple[int, int]]:
+        """`candidate_cover_sets` of the ground elements in `rem`, each
+        object as its row index (`obj` builds it), with masks over the whole
+        ground: the objects spanned by elements of `rem` alone (one spanned
+        only through removed elements can tie on its restricted mask and be
+        canonically smaller), largest first, ties in object order, dominated
+        masks pruned."""
+        live = [(h, mask & rem) for h, mask, spans in self._rows
                 if any((span & rem).bit_count() >= need for span, need in spans)]
         live.sort(key=lambda om: -om[1].bit_count())
         return _maximal_sets(live)
@@ -463,9 +456,9 @@ def _self_reduce(counter: CoverableCounter, k: int, total: int, cap: int) -> lis
         if not budget:
             raise SolverInternalError("the budget ran out before the ground was covered")
         first = rem & -rem  # pi-first remaining element
-        for obj, mask in table.cover_sets(rem):
+        for h, mask in table.cover_sets(rem):
             if mask & first and _signed_sum(counter, rem & ~mask, budget - 1, cap).decision:
-                chosen.append(obj)
+                chosen.append(table.obj(h))
                 rem &= ~mask
                 budget -= 1
                 break
@@ -481,5 +474,5 @@ def extract_cover(points: Sequence[Point], family: FamilySpec, k: int, *,
     decides the ground, then every step reads the same counter."""
     if k < 0:
         raise ValueError("negative budget")
-    counter = CoverableCounter(points, family)
+    counter = CoverableCounter(incidence_layer(points, family))
     return _self_reduce(counter, k, _signed_sum(counter, counter.mask, k, cap).ie_sum, cap)

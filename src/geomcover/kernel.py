@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .geometry import (
     FamilySpec,
@@ -25,6 +25,7 @@ from .geometry import (
     Flat,
     GeometryError,
     Plane3,
+    PlaneLayer,
     Point,
     curve_fits,
     flat_contains,
@@ -41,31 +42,17 @@ class KernelResult:
     forced: list
     verdict: str  # "reduced" | "rejected"
     added_points: tuple[Point, ...] = ()
-    # curve kernel: (index into `fits`, mask over `points`) of each curve
-    # through at least d of them, from the masks the kernel built, and the
-    # kernel's fits, which build a curve on demand; empty for planes
-    candidates: tuple[tuple[int, int], ...] = field(default=(), compare=False)
-    fits: Optional[Fits] = field(default=None, compare=False)
+    # the incidence layer that the search and its sweep leaves read, and the
+    # mask of `points` in it (point i is bit i): for curves the kernel's own
+    # `curve_fits` over its input points, for planes the `PlaneLayer` of
+    # `points`; None and 0 when there is nothing to search (a rejected
+    # instance, or an empty one at budget 0)
+    layer: Union[Fits, PlaneLayer, None] = field(default=None, compare=False)
+    ground: int = field(default=0, compare=False)
 
     @property
     def rejected(self) -> bool:
         return self.verdict == "rejected"
-
-
-def _restrict(masks: list[int], alive: int, d: int) -> tuple[tuple[int, int], ...]:
-    """(index, mask) of the curves through at least d alive points, each mask
-    cut to the alive points and renumbered so that the j-th alive point is
-    bit j."""
-    gone = [i for i in range(alive.bit_length() - 1, -1, -1) if not alive >> i & 1]
-    out = []
-    for c, m in enumerate(masks):
-        m &= alive
-        if m.bit_count() < d:
-            continue
-        for i in gone:
-            m = (m & ((1 << i) - 1)) | (m >> (i + 1) << i)
-        out.append((c, m))
-    return tuple(out)
 
 
 def curve_kernel(points: Sequence[Point], family: FamilySpec, k: int) -> KernelResult:
@@ -73,7 +60,8 @@ def curve_kernel(points: Sequence[Point], family: FamilySpec, k: int) -> KernelR
     built once: a curve reaching a threshold s*k+1 >= d over the surviving
     points passes through d of them, so a fresh enumeration would find it.
     For the same reason the masks of a reduced instance, cut to its points,
-    are its candidates: every curve through d of them."""
+    hold every curve through d of them, so they are its layer, with the
+    surviving points as its ground."""
     if k < 0:
         raise ValueError("negative budget")
     pts = tuple(points)
@@ -96,8 +84,7 @@ def curve_kernel(points: Sequence[Point], family: FamilySpec, k: int) -> KernelR
     kept = tuple(p for i, p in enumerate(pts) if alive >> i & 1)
     if len(kept) > s * k_cur * k_cur:
         return KernelResult(kept, k_cur, forced, "rejected")
-    return KernelResult(kept, k_cur, forced, "reduced",
-                        candidates=_restrict(masks, alive, family.d), fits=fits)
+    return KernelResult(kept, k_cur, forced, "reduced", layer=fits, ground=alive)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +177,7 @@ def _make_one_ready(pts: list[Point], k: int, rng: random.Random,
 def plane_kernel_r3(points: Sequence[Point], k: int, rng_seed: int = 0) -> KernelResult:
     """Reduce an R^3 plane-cover instance: 1-readiness, then forced planes,
     iterated to a fixpoint; reject when more than k^3 + k^2 points survive
-    (evaluated at the post-forcing budget)."""
+    (evaluated at the post-forcing budget), else hand on their `PlaneLayer`."""
     if k < 0:
         raise ValueError("negative budget")
     if any(p.dim != 3 for p in points):
@@ -212,6 +199,7 @@ def plane_kernel_r3(points: Sequence[Point], k: int, rng_seed: int = 0) -> Kerne
         forced.append(planes.obj(best))
         pts = [p for i, p in enumerate(pts) if not (best_mask >> i) & 1]
         k_cur -= 1
-    bound = k_cur * k_cur * (k_cur + 1)
-    verdict = "rejected" if len(pts) > bound else "reduced"
-    return KernelResult(tuple(pts), k_cur, forced, verdict, tuple(added))
+    if len(pts) > k_cur * k_cur * (k_cur + 1):
+        return KernelResult(tuple(pts), k_cur, forced, "rejected", tuple(added))
+    return KernelResult(tuple(pts), k_cur, forced, "reduced", tuple(added),
+                        layer=PlaneLayer(pts), ground=(1 << len(pts)) - 1)

@@ -15,15 +15,16 @@ degeneracy thresholds, so no irrational quantity is ever approximated. The
 paper bounds the points that such a plane leaves behind (its ghost points)
 by an allowance; no code here checks that bound.
 
-Every step reads the search's incidence layer (`PlaneLayer`: lines and
-candidate planes as point masks, built once per search). A window plane is
+Every step reads the incidence layer that the kernel hands on with its
+result (`PlaneLayer`: lines and candidate planes as point masks, built once
+per solve over the reduced points). A window plane is
 a layer index, and so is an extension: the plane through a ripe line and a
 point is a `line_point_plane` entry, and which lines a plane holds is a mask
 test. Only when no such plane is admissible does the extension take a
 canonical plane through the line, kept as its integer row and mask. The
 deepest level hands the remaining points plus all pending lines to the
-mixed points-and-lines subset sweep, which is exact; its counter is read off
-the same layer, and an accepting leaf extracts its witness on the same
+mixed points-and-lines subset sweep, which is exact; its counter is cut
+from the same layer, and an accepting leaf extracts its witness on the same
 counter and sum. A `Plane3` is built only for a witness.
 """
 
@@ -42,7 +43,7 @@ from .curve_branch import (
     recursion_depth,
 )
 from .geometry import PLANE3, FamilySpec, Fits, Plane3, PlaneLayer, Point, _bits
-from .inclusion_exclusion import DEFAULT_SUBSET_CAP, CoverableCounter
+from .inclusion_exclusion import DEFAULT_SUBSET_CAP
 from .kernel import KernelResult, plane_kernel_r3
 
 
@@ -132,7 +133,7 @@ class _PlaneSearch(_Search):
     """Mask-based search over one kernelized instance. A stamped line is a
     pair (index into self.lines, depth at which it was guessed).
 
-    Lines and candidate planes are the point masks of the instance's
+    Lines and candidate planes are the point masks of the kernel's
     `PlaneLayer`, which the sweep leaves' counters read as well. The layer
     lists them in canonical object order, so a window sorted stably by
     richness breaks its ties by object. A partial cover names each plane as
@@ -141,12 +142,8 @@ class _PlaneSearch(_Search):
 
     def __init__(self, kern: KernelResult, family: FamilySpec, config: BranchConfig):
         super().__init__(kern, family, config)
-        self.layer = PlaneLayer(self.points)
         self.planes = self.layer.planes     # (mask, line indexes)
         self.lines = self.layer.lines       # masks
-
-    def _counter(self, mask: int, lines: tuple) -> CoverableCounter:
-        return CoverableCounter.on_layer(self.layer, mask, lines)
 
     def _object(self, h) -> Plane3:
         return plane_object(self.layer, h)

@@ -1,7 +1,9 @@
 import random
 
-from geomcover.geometry import CIRCLE2, LINE2, VPARABOLA2, PlaneLayer, Point, pt
+from counter_reference import c_of_mask
+from geomcover.geometry import CIRCLE2, LINE2, VPARABOLA2, PlaneLayer, Point, incidence_layer, pt
 from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, CoverableCounter, _least_budget, _signed_histogram
+from incidence_reference import layer_line
 
 
 def _random_grid_points(rng: random.Random, n: int, span: int, dim: int) -> list[Point]:
@@ -58,19 +60,19 @@ def layer_counter(points, lines) -> CoverableCounter:
         ends = (line.base, tuple(b + d for b, d in zip(line.base, line.basis[0])))
         extra += [Point(p) for p in ends if Point(p) not in points and Point(p) not in extra]
     layer = PlaneLayer(list(points) + extra)
-    index = {layer.line(j): j for j in range(len(layer.lines))}
-    return CoverableCounter.on_layer(layer, (1 << len(points)) - 1, [index[line] for line in lines])
+    index = {layer_line(layer, j): j for j in range(len(layer.lines))}
+    return CoverableCounter(layer, (1 << len(points)) - 1, [index[line] for line in lines])
 
 
 def c_count(points, family) -> int:
     """c of the whole ground: the subsets of the points that one object
     covers, the empty set included, read off the production counter."""
-    counter = CoverableCounter(points, family)
-    return counter.c_of_mask(counter.mask)
+    counter = CoverableCounter(incidence_layer(points, family))
+    return c_of_mask(counter, counter.mask)
 
 
 def ie_min_cover(points, family) -> int:
     """The least budget whose alternating sum reaches 1, from one subset
     sweep over the points, read as the CLI's `ie --min` reads it."""
-    counter = CoverableCounter(points, family)
+    counter = CoverableCounter(incidence_layer(points, family))
     return _least_budget(_signed_histogram(counter, counter.mask, DEFAULT_SUBSET_CAP), counter.n)[0]

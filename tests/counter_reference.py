@@ -23,8 +23,24 @@ from geomcover.geometry import (
     curve_covers,
     flat_contains,
 )
-from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, _pairs, ie_decide
+from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, _pairs, _row_col, ie_decide
 from incidence_reference import affine_hull, candidate_cover_sets, covering_curve, curve_through
+
+
+def c_of_mask(counter, mask: int) -> int:
+    """c(X) of a production counter for the subset mask X: 1 for the empty
+    set, plus the step of each element of X over the elements before it in
+    bit order, with that prefix's pair mask."""
+    w = counter.pair_width
+    row, col = _row_col(w)
+    total = 1
+    y = rows = cols = 0
+    for e in _bits(mask):
+        total += counter.step(e, y, rows & cols)
+        y |= 1 << e
+        rows |= row << e * w
+        cols |= col << e
+    return total
 
 
 def representative(elements: Sequence[Union[Point, Flat]], family: FamilySpec):
@@ -264,7 +280,7 @@ def assert_counter_matches_reference(counter, ref: FractionPlaneCounter):
     assert len(walk) == 1 << ref.n
     for local in range(1 << ref.n):
         x = sum(1 << g for b, g in enumerate(order) if local >> b & 1)
-        assert walk[x] == counter.c_of_mask(x) == ref.c_of_mask(local), (x, local)
+        assert walk[x] == c_of_mask(counter, x) == ref.c_of_mask(local), (x, local)
 
 
 def assert_table_lists_candidate_cover_sets(table, counter, points, lines, family, locals_):
@@ -278,7 +294,7 @@ def assert_table_lists_candidate_cover_sets(table, counter, points, lines, famil
         rem = sum(1 << order[i] for i in kept)
         pts = [ground[i] for i in kept if i < len(points)]
         fls = [ground[i] for i in kept if i >= len(points)]
-        listed = table.cover_sets(rem)
+        listed = [(table.obj(h), mask) for h, mask in table.cover_sets(rem)]
         assert all(mask & ~rem == 0 for _, mask in listed)
         renumbered = [(obj, sum(1 << j for j, i in enumerate(kept) if mask >> order[i] & 1))
                       for obj, mask in listed]

@@ -1,7 +1,7 @@
 """The Fraction incidence builders, the reference the tests hold the integer
 ones in `geomcover.geometry` against: each curve fitted by rational formulas
 and every incidence decided by rational substitution. `curve_masks`,
-`line_masks3` and `plane_masks3` must agree with the `.pairs()` of
+`line_masks3` and `plane_masks3` must agree with the `fit_pairs` of
 `curve_fits`, `line_fits3` and `plane_fits3` object for object, mask for mask
 and in order, and `curve_completion` with `curve_through` on fewer than d
 points.
@@ -38,6 +38,7 @@ from geomcover.geometry import (
     Flat,
     GeometryError,
     Plane3,
+    PlaneLayer,
     Point,
     _completion,
     _frac,
@@ -48,6 +49,16 @@ from geomcover.geometry import (
     flat_contains,
     plane_covers,
 )
+
+
+def fit_pairs(fits: Fits) -> list[tuple[object, int]]:
+    """(object, mask) of every object of `fits`, each built."""
+    return [(fits.obj(i), m) for i, m in enumerate(fits.masks)]
+
+
+def layer_line(layer: PlaneLayer, l: int) -> Flat:
+    """The `Flat` of the line with index l of a `PlaneLayer`."""
+    return layer._lines.obj(l)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +115,7 @@ def curve_through(family: FamilySpec, points: Sequence[Point]) -> tuple[Curve, .
         raise GeometryError("curve_through takes 1..s+1 points, got %d" % len(pts))
 
     if len(pts) == family.d:
-        return tuple(curve for curve, _ in curve_fits(pts, family).pairs())
+        return tuple(curve for curve, _ in fit_pairs(curve_fits(pts, family)))
 
     scale, rows = _scaled(pts, 2)
     row = _completion(family.kind, scale, rows)

@@ -19,6 +19,7 @@ from geomcover.geometry import (
     CIRCLE2,
     LINE2,
     VPARABOLA2,
+    Point,
     check_cover,
     curve_covers,
     enumerate_candidates,
@@ -61,6 +62,11 @@ def rich_poor_candidates(points, family, lo, hi):
     return [c for _, c in out]
 
 
+def _layer_points(layer):
+    """The points of a curve layer, from its scaled integer points."""
+    return [Point(tuple(Fraction(c, layer.scale) for c in p)) for p in layer.scaled]
+
+
 class _PlainSearch(_CurveSearch):
     """The reference search: it enters every child, each of which tests its
     own size in rational arithmetic, over the combinations of a window sorted
@@ -73,7 +79,7 @@ class _PlainSearch(_CurveSearch):
 
     def window(self, mask, depth):
         lo, hi = self.cfg.gammas[depth], self.cfg.gammas[depth - 1]
-        window = [(self.fits.obj(c), m, (m & mask).bit_count()) for c, m in self.cands]
+        window = [(self.layer.obj(c), m, (m & mask).bit_count()) for c, m in self.cands]
         window = [(c, m, r) for c, m, r in window if r >= self.family.d and lo <= r <= hi]
         window.sort(key=lambda t: (-t[2], t[0]))
         return window
@@ -81,7 +87,7 @@ class _PlainSearch(_CurveSearch):
     def run(self, partition, mask=None, depth=1, partial=()):
         cfg = self.cfg
         if mask is None:
-            mask = (1 << len(self.points)) - 1
+            mask = self.ground
         self.stats.nodes_expanded += 1
         self.stats.max_depth = max(self.stats.max_depth, depth)
         remaining_budget = sum(partition[depth - 1:])
@@ -93,7 +99,7 @@ class _PlainSearch(_CurveSearch):
         if depth == cfg.r or below_base_threshold(n_pts, factor * remaining_budget, cfg.k):
             self.stats.leaves_ie += 1
             if self._ie(mask, (), remaining_budget) is not None:
-                points = [p for i, p in enumerate(self.points) if (mask >> i) & 1]
+                points = [p for i, p in enumerate(_layer_points(self.layer)) if (mask >> i) & 1]
                 ext = extract_cover(points, self.family, remaining_budget, cap=cfg.ie_cap)
                 return True, list(partial) + ext
             return False, None
@@ -243,14 +249,18 @@ class TestCurveCover:
                 kerns = [curve_kernel(pts, fam, k), curve_kernel(pts, fam, len(pts))]
                 for kern in [kern for kern in kerns if not kern.rejected]:
                     search = _CurveSearch(kern, fam, cfg)
-                    n = len(kern.points)
-                    masks = [(1 << n) - 1] + [mask_rng.getrandbits(n) for _ in range(4)]
+                    # random subsets of the kept points, as masks over the
+                    # kernel's input points
+                    kept = [i for i in range(len(pts)) if kern.ground >> i & 1]
+                    picks = [mask_rng.getrandbits(len(kept)) for _ in range(4)]
+                    masks = [kern.ground] + [sum(1 << i for j, i in enumerate(kept) if r >> j & 1)
+                                             for r in picks]
                     for depth in range(1, cfg.r):
                         for mask in masks:
-                            survivors = [p for i, p in enumerate(kern.points) if (mask >> i) & 1]
+                            survivors = [p for i, p in enumerate(pts) if (mask >> i) & 1]
                             fresh = rich_poor_candidates(survivors, fam, cfg.gammas[depth],
                                                          cfg.gammas[depth - 1])
-                            assert [search.fits.obj(c)
+                            assert [search.layer.obj(c)
                                     for c, _, _ in search.window(mask, depth)] == fresh
 
     def test_leaf_count_bounded_by_branch_product(self):
@@ -281,18 +291,25 @@ class TestCountAtParent:
         assert len(searches) >= 40 and short and zero, (len(searches), short, zero)
 
 
+def _count_curve_fits(monkeypatch) -> list:
+    """Patch `curve_fits` wherever a geomcover module binds it, so that each
+    call appends its number of points to the returned list."""
+    calls = []
+    real = geometry.curve_fits
+
+    def counting(points, family):
+        calls.append(len(points))
+        return real(points, family)
+
+    for module in (geometry, kernel, curve_branch, inclusion_exclusion, oracle):
+        if getattr(module, "curve_fits", None) is real:
+            monkeypatch.setattr(module, "curve_fits", counting)
+    return calls
+
+
 class TestOneCurveBuild:
     def test_curve_cover_fits_once(self, monkeypatch):
-        calls = []
-        real = geometry.curve_fits
-
-        def counting(points, family):
-            calls.append(len(points))
-            return real(points, family)
-
-        for module in (geometry, kernel, curve_branch, inclusion_exclusion, oracle):
-            if getattr(module, "curve_fits", None) is real:
-                monkeypatch.setattr(module, "curve_fits", counting)
+        calls = _count_curve_fits(monkeypatch)
         # searched no-instances whose search reaches no sweep leaf, so the
         # kernel's build is the only one
         cases = [("uniform-random", {"family": "line2", "n": 10, "coord_range": 6}, 5, LINE2, 4),
@@ -306,3 +323,37 @@ class TestOneCurveBuild:
             assert res.stats.nodes_expanded > 1 and res.stats.leaves_ie == 0
             assert not res.decision
             assert calls == [len(points)]
+
+    def test_yes_leaves_fit_nothing(self, monkeypatch):
+        """Solves that end at a yes sweep leaf fit their curves once, in the
+        kernel: the leaf's counter and candidate table are cut from the
+        kernel's layer. Where the kernel forces curves first, the leaf's
+        ground is a mask of the surviving input points, with holes: at a
+        search leaf (line2, two forced) and at the small case that skips the
+        search (line2, kernel budget 1)."""
+        calls = _count_curve_fits(monkeypatch)
+        grounds = []
+        real_init = inclusion_exclusion.CoverableCounter.__init__
+
+        def recording_init(self, layer, ground=None, lines=()):
+            grounds.append(ground)
+            real_init(self, layer, ground, lines)
+
+        monkeypatch.setattr(inclusion_exclusion.CoverableCounter, "__init__", recording_init)
+        cases = [("circle2", {"k": 2, "m": 5, "noise": 2}, 0, CIRCLE2, 3, False),
+                 ("vparabola2", {"k": 2, "m": 5, "noise": 2}, 0, VPARABOLA2, 3, False),
+                 ("line2", {"k": 2, "m": 8, "noise": 3}, 0, LINE2, 4, True),
+                 ("line2", {"k": 2, "m": 5, "noise": 2}, 1, LINE2, 3, True)]
+        for family, params, seed, fam, k, forces in cases:
+            points = generate("on-curves", dict(params, family=family), seed).points
+            kern = curve_kernel(points, fam, k)
+            assert bool(kern.forced) == forces and not kern.rejected
+            calls.clear()
+            grounds.clear()
+            res = curve_cover(points, fam, k)
+            assert res.decision and res.stats.leaves_ie == 1, family
+            assert check_cover(points, res.witness, k)
+            assert calls == [len(points)], family
+            assert grounds and all(g is not None and not g & ~kern.ground for g in grounds)
+            if forces:
+                assert kern.ground & (kern.ground + 1) and all(g & (g + 1) for g in grounds)

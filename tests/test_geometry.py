@@ -34,6 +34,7 @@ from incidence_reference import (
     circle2_curve,
     covering_curve,
     curve_through,
+    fit_pairs,
     line2_curve,
     line_through,
     make_flat,
@@ -182,7 +183,7 @@ class TestEnumeration:
                 for combo in itertools.combinations(pts, fam.d):
                     for c in curve_through(fam, combo):
                         brute[c] = sum(1 << i for i, p in enumerate(pts) if curve_covers(c, p))
-                got = curve_fits(pts, fam).pairs()
+                got = fit_pairs(curve_fits(pts, fam))
                 assert got == list(brute.items()), fam.kind
                 if fam == own:
                     assert max(m.bit_count() for m in brute.values()) >= 5
@@ -198,11 +199,11 @@ class TestEnumeration:
                 + random_points_3d(rng, 3, span=5)]
         for pts in sets:
             pairs = sorted({line_through(p, q) for p, q in itertools.combinations(pts, 2)})
-            lines = line_fits3(pts).pairs()
+            lines = fit_pairs(line_fits3(pts))
             assert [line for line, _ in lines] == pairs
             for line, mask in lines:
                 assert mask == sum(1 << i for i, p in enumerate(pts) if flat_contains(line, p))
-            planes = plane_fits3(pts).pairs()
+            planes = fit_pairs(plane_fits3(pts))
             assert [plane for plane, _ in planes] == enumerate_candidates(pts, PLANE3)
             for plane, mask in planes:
                 assert mask == sum(1 << i for i, p in enumerate(pts) if plane_covers(plane, p))
@@ -244,15 +245,15 @@ class TestIntegerIncidence:
 
     def assert_curves_match(self, pts):
         for fam in CURVE_FAMILIES:
-            assert curve_fits(pts, fam).pairs() == reference.curve_masks(pts, fam), (fam.kind, pts)
+            assert fit_pairs(curve_fits(pts, fam)) == reference.curve_masks(pts, fam), (fam.kind, pts)
             for combo in itertools.chain(*(itertools.combinations(pts, size)
                                            for size in range(1, fam.d))):
                 assert curve_through(fam, combo) == reference.curve_completion(fam, combo), (
                     fam.kind, combo)
 
     def assert_flats_match(self, pts):
-        assert line_fits3(pts).pairs() == reference.line_masks3(pts), pts
-        assert plane_fits3(pts).pairs() == reference.plane_masks3(pts), pts
+        assert fit_pairs(line_fits3(pts)) == reference.line_masks3(pts), pts
+        assert fit_pairs(plane_fits3(pts)) == reference.plane_masks3(pts), pts
 
     def test_degenerate_curve_instances(self):
         for _, pts in degenerate_curve_instances():
@@ -308,14 +309,14 @@ class TestIntegerIncidence:
         # (0, 1, 3): point 2 lies below the last fitting point but on the plane
         pts = [pt(0, 0, 0), pt(1, 0, 0), pt(2, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 0)]
         self.assert_flats_match(pts)
-        assert dict(plane_fits3(pts).pairs())[plane3_curve(0, 0, 1, 0)] == 0b101111
+        assert dict(fit_pairs(plane_fits3(pts)))[plane3_curve(0, 0, 1, 0)] == 0b101111
 
     def test_replacement_points(self):
         # replacement points lie on lines in canonical form, whose base and
         # direction are rational
         rng = random.Random(43)
         pts = list(generate("degenerate-plane", {"k": 2, "m": 5}, seed=2).points)
-        for line, _ in line_fits3(pts).pairs()[:6]:
+        for line, _ in fit_pairs(line_fits3(pts))[:6]:
             for _ in range(2):
                 pts.append(_replacement_point(line, pts, rng))
         assert any(c.denominator > 1 for p in pts for c in p.coords)

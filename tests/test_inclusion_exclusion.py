@@ -15,6 +15,7 @@ from conftest import (
 )
 from counter_reference import (
     FractionPlaneCounter,
+    c_of_mask,
     assert_counter_matches_reference,
     assert_table_lists_candidate_cover_sets,
     q_count,
@@ -30,6 +31,7 @@ from geomcover.geometry import (
     VPARABOLA2,
     _bits,
     check_cover,
+    incidence_layer,
     pt,
 )
 from geomcover.inclusion_exclusion import (
@@ -148,13 +150,13 @@ class TestCCount:
         rng = random.Random(31)
         pts = random_points_2d(rng, 9)
         for fam in (LINE2, CIRCLE2):
-            counter = CoverableCounter(pts, fam)
+            counter = CoverableCounter(incidence_layer(pts, fam))
             full = (1 << 9) - 1
             for _ in range(40):
                 small = rng.randrange(1 << 9)
                 big = small | rng.randrange(1 << 9)
-                assert counter.c_of_mask(small & big) <= counter.c_of_mask(big)
-            assert counter.c_of_mask(0) == 1
+                assert c_of_mask(counter, small & big) <= c_of_mask(counter, big)
+            assert c_of_mask(counter, 0) == 1
 
 
 class TestDecide:
@@ -239,7 +241,7 @@ class TestExtract:
 
     def test_sum_below_one_raises(self):
         # the check tests the sum it is handed, here on a yes-instance
-        counter = CoverableCounter([pt(0, 0), pt(1, 0), pt(2, 0)], LINE2)
+        counter = CoverableCounter(incidence_layer([pt(0, 0), pt(1, 0), pt(2, 0)], LINE2))
         for total in (0, -3):
             with pytest.raises(SolverInternalError):
                 _self_reduce(counter, 1, total, DEFAULT_SUBSET_CAP)
@@ -330,12 +332,38 @@ class TestCandidateTable:
         grounds += [(PLANE3, points, lines) for points, lines in _random_plane_grounds(71, 30, 3, 8)]
         assert sum(1 for _, _, lines in grounds if len(lines) >= 2) >= 5
         for fam, points, lines in grounds:
-            counter = layer_counter(points, lines) if lines else CoverableCounter(points, fam)
+            counter = (layer_counter(points, lines) if lines
+                       else CoverableCounter(incidence_layer(points, fam)))
             table = CandidateTable(counter)
             full = (1 << counter.n) - 1
             assert_table_lists_candidate_cover_sets(
                 table, counter, points, lines, fam,
                 [full, 0] + [rng.randint(1, full) for _ in range(8)])
+
+
+    def test_curve_counter_cut_from_a_larger_layer(self):
+        """A curve counter over a ground with holes in a larger layer, as a
+        search leaf's after the kernel forced curves, has the c values, the
+        signed sums and the candidate list of a counter built over the
+        ground's points alone."""
+        rng = random.Random(83)
+        for fam, points in _random_curve_grounds(89, 6, 6, 11):
+            layer = incidence_layer(points, fam)
+            ground = rng.getrandbits(len(points)) | 1 << rng.randrange(len(points))
+            kept = _bits(ground)
+            counter = CoverableCounter(layer, ground)
+            alone = CoverableCounter(incidence_layer([points[i] for i in kept], fam))
+            assert (counter.n, counter.mask) == (len(kept), ground)
+            for local in range(1 << len(kept)):
+                x = sum(1 << i for j, i in enumerate(kept) if local >> j & 1)
+                assert c_of_mask(counter, x) == c_of_mask(alone, local)
+            for k in range(4):
+                assert (_signed_sum(counter, ground, k, DEFAULT_SUBSET_CAP)
+                        == _signed_sum(alone, alone.mask, k, DEFAULT_SUBSET_CAP))
+            full = (1 << len(kept)) - 1
+            assert_table_lists_candidate_cover_sets(
+                CandidateTable(counter), counter, [points[i] for i in kept], (), fam,
+                [full] + [rng.randint(0, full) for _ in range(6)])
 
 
 def _plane_grounds():
@@ -385,7 +413,8 @@ class TestPlaneCounterIdentities:
         grounds = _plane_grounds()
         assert sum(1 for _, lines in grounds if len(lines) >= 2) >= 3
         for points, lines in grounds:
-            counter = layer_counter(points, lines) if lines else CoverableCounter(points, PLANE3)
+            counter = (layer_counter(points, lines) if lines
+                       else CoverableCounter(incidence_layer(points, PLANE3)))
             assert_counter_matches_reference(counter, FractionPlaneCounter(points, lines))
 
     def test_every_step_is_the_difference_of_c(self):
@@ -448,13 +477,13 @@ def _brute_c(points, fam):
 class TestCurveCounterIdentities:
     def test_c_of_mask_matches_brute_force(self):
         for fam, points in degenerate_curve_instances():
-            counter = CoverableCounter(points, fam)
-            assert [counter.c_of_mask(x) for x in range(1 << 9)] == _brute_c(points, fam)
+            counter = CoverableCounter(incidence_layer(points, fam))
+            assert [c_of_mask(counter, x) for x in range(1 << 9)] == _brute_c(points, fam)
 
     def test_every_gray_step_matches_brute_difference(self):
         for fam, points in degenerate_curve_instances():
             c = _brute_c(points, fam)
-            counter = CoverableCounter(points, fam)
+            counter = CoverableCounter(incidence_layer(points, fam))
             x = 0
             for i in range(1, 1 << 9):
                 e = (i & -i).bit_length() - 1
@@ -472,7 +501,7 @@ class TestCurveCounterIdentities:
         rng = random.Random(83)
         for fam, points in degenerate_curve_instances():
             c = _brute_c(points, fam)
-            counter = CoverableCounter(points, fam)
+            counter = CoverableCounter(incidence_layer(points, fam))
             for ground in [full] + [rng.randint(1, full - 1) for _ in range(6)]:
                 ref = dict.fromkeys(range(10), 0)
                 sub = ground
@@ -496,8 +525,9 @@ class TestCurveCounterIdentities:
         subset without it as Y, and the pair mask of the subset after the
         flip, equal to `_pairs` of that subset."""
         rng = random.Random(89)
-        counters = [CoverableCounter(points, fam) for fam, points in degenerate_curve_instances()[:3]]
-        counters.append(CoverableCounter(_plane_grounds()[0][0], PLANE3))
+        counters = [CoverableCounter(incidence_layer(points, fam))
+                    for fam, points in degenerate_curve_instances()[:3]]
+        counters.append(CoverableCounter(incidence_layer(_plane_grounds()[0][0], PLANE3)))
         for counter in counters:
             real_step, calls = counter.step, []
 

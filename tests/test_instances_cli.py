@@ -175,9 +175,23 @@ class TestCli:
                      "--oracle-cap", "5"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["algorithm"] == "ie"
 
+    def test_auto_min_past_the_ie_cap_asks_the_oracle(self, tmp_path, capsys):
+        # 12 < n <= oracle cap with n past the ie cap: the sweep would exit
+        # 3, so auto --min goes to the unbounded oracle and gets its opt
+        path, inst = self.write(tmp_path, "u.json", "uniform-random", {"n": 14}, 3)
+        assert inst.n == 14
+        argv = ["solve", "--input", str(path), "--min", "--ie-cap", "12"]
+        assert main(argv + ["--algorithm", "oracle"]) == EXIT_OK
+        want = json.loads(capsys.readouterr().out)
+        assert main(argv) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["algorithm"], rec["opt"], rec["decision"]) == ("oracle", want["opt"], True)
+        assert want["opt"] == 5
+
     def test_auto_routing_table(self):
         """`auto` sends n <= 12 to the oracle; n = 13..16 to the oracle within
-        2^n nodes and then to the sweep, while both caps allow; and the rest
+        2^n nodes and then to the sweep, while both caps allow; a minimum
+        past the ie cap but within the oracle's to the oracle; and the rest
         as before: `ie` within its cap (or for --min), else `branch`."""
         oracle, ie, branch = ("oracle", None), ("ie", None), ("branch", None)
         caps = (DEFAULT_ORACLE_CAP, DEFAULT_SUBSET_CAP)
@@ -194,7 +208,7 @@ class TestCli:
             (16, (16, 16), False, (("oracle", 1 << 16), ie)),
             (13, (16, 12), False, (branch,)),
             (16, (16, 15), False, (branch,)),
-            (16, (16, 15), True, (ie,)),
+            (16, (16, 15), True, (oracle,)),
             (17, (17, 17), False, (("oracle", 1 << 17), ie)),
             (17, (16, 16), False, (branch,)),
             (17, (16, 16), True, (ie,)),

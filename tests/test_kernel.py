@@ -29,7 +29,7 @@ from geomcover.kernel import (
     plane_kernel_r3,
 )
 from geomcover.oracle import oracle_min_cover
-from incidence_reference import curve_through, line2_curve, line_through, plane3_curve
+from incidence_reference import curve_through, fit_pairs, line2_curve, line_through, plane3_curve
 
 
 def _kernel_cases():
@@ -110,9 +110,11 @@ class TestCurveKernel:
         assert ties >= 10
 
     def test_candidates_are_the_reduced_instances_curves(self):
-        # the kernel's masks, cut to the surviving points, are exactly the
-        # curves a fresh enumeration over them finds; in the planted cases a
-        # cluster of 9 is forced at k=4, so the masks are renumbered
+        # the kernel's layer is its input's curves, and its ground the
+        # surviving points: the layer curves through d or more ground points,
+        # cut to the ground and renumbered, are exactly the curves a fresh
+        # enumeration over the surviving points finds; in the planted cases
+        # a cluster of 9 is forced at k=4, so the ground has holes
         planted = [(fam, generate("on-curves", {"family": fam.kind, "k": clusters, "m": 9,
                                                 "noise": 6 - clusters}, seed).points, 4)
                    for fam in (LINE2, CIRCLE2, VPARABOLA2) for clusters in (1, 2)
@@ -121,11 +123,19 @@ class TestCurveKernel:
         for fam, pts, k in _kernel_cases() + planted:
             res = curve_kernel(pts, fam, k)
             if res.rejected:
-                assert res.candidates == ()
+                assert res.layer is None and res.ground == 0
                 continue
-            assert (sorted((res.fits.obj(c), m) for c, m in res.candidates)
-                    == sorted(curve_fits(res.points, fam).pairs())), (fam.kind, pts, k)
-            renumbered += bool(res.forced) and bool(res.candidates)
+            kept = [i for i in range(len(pts)) if res.ground >> i & 1]
+            assert tuple(pts[i] for i in kept) == res.points
+            assert fit_pairs(res.layer) == fit_pairs(curve_fits(pts, fam))
+
+            def renumber(mask):
+                return sum(1 << j for j, i in enumerate(kept) if mask >> i & 1)
+
+            cut = sorted((curve, renumber(m & res.ground)) for curve, m in fit_pairs(res.layer)
+                         if (m & res.ground).bit_count() >= fam.d)
+            assert cut == sorted(fit_pairs(curve_fits(res.points, fam))), (fam.kind, pts, k)
+            renumbered += bool(res.forced) and bool(cut)
         assert renumbered >= 12
 
     def test_idempotent(self):
@@ -201,7 +211,7 @@ class TestPlaneKernel:
         for pts in sets:
             lines = sorted({line_through(p, q) for p, q in itertools.combinations(pts, 2)})
             want = [(line, sum(1 for p in pts if flat_contains(line, p))) for line in lines]
-            assert [(line, mask.bit_count()) for line, mask in line_fits3(pts).pairs()] == want
+            assert [(line, mask.bit_count()) for line, mask in fit_pairs(line_fits3(pts))] == want
             heaviest = max(heaviest, max(count for _, count in want))
         assert heaviest >= 4
 

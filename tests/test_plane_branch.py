@@ -43,12 +43,19 @@ from geomcover.plane_branch import (
     plane_cover,
     plane_object,
 )
-from incidence_reference import line_through, plane3_curve
+from incidence_reference import layer_line, line_through, plane3_curve
 
 
-def _points_in(search, mask):
-    """The points of the search's instance in `mask` (point i is bit i)."""
-    return [p for i, p in enumerate(search.points) if (mask >> i) & 1]
+def _points_in(layer, mask):
+    """The points of the layer in `mask` (point i is bit i)."""
+    return [p for i, p in enumerate(layer.points) if (mask >> i) & 1]
+
+
+def _reduced(points, k=3):
+    """The kernel result that hands `points` on as they are, with their
+    layer."""
+    return KernelResult(tuple(points), k, [], "reduced", layer=PlaneLayer(points),
+                        ground=(1 << len(points)) - 1)
 
 
 def _line_index(layer, p, q):
@@ -178,8 +185,8 @@ class TestExtendLines:
                 mask = rng.choice([rng.getrandbits(n), near & rng.getrandbits(n), near, 0])
                 got = [_extension_objects(layer, c) for c in _combos(layer, lines, mask, avoid)]
                 want = list(incidence_reference.extend_lines(
-                    [layer.line(j) for j in lines], _points_in(layer, mask),
-                    avoid=[layer.line(j) for j in avoid]))
+                    [layer_line(layer, j) for j in lines], _points_in(layer, mask),
+                    avoid=[layer_line(layer, j) for j in avoid]))
                 assert got == want, (points, lines, avoid, mask)
                 seen["calls"] += 1
                 options = extend_lines(layer, lines, mask, avoid)
@@ -200,7 +207,7 @@ class TestExtendLines:
                     seen["all_filtered"] += bool(off)
                     plane = _extension_objects(layer, [fallback])[0]
                     seen["walked"] += plane != incidence_reference.canonical_plane_through_line(
-                        layer.line(line))
+                        layer_line(layer, line))
         assert all(seen.values()), seen
 
 
@@ -301,7 +308,7 @@ def _searched(points, k):
 
 def _unreduced(points):
     """The plane search over `points` as they are, without the kernel."""
-    return _PlaneSearch(KernelResult(tuple(points), 3, [], "reduced"), PLANE3, make_plane_config(3))
+    return _PlaneSearch(_reduced(points), PLANE3, make_plane_config(3))
 
 
 class _PlainSearch(_PlaneSearch):
@@ -317,7 +324,7 @@ class _PlainSearch(_PlaneSearch):
     def run(self, partition, mask=None, stamped=(), depth=1, partial=()):
         cfg = self.cfg
         if mask is None:
-            mask = (1 << len(self.points)) - 1
+            mask = self.ground
         remaining_budget = sum(partition[2 * (depth - 1):])
         gammas = cfg.gammas
         assert len(stamped) <= cfg.k, "pending lines exceed the budget"
@@ -433,7 +440,7 @@ class TestChildWalk:
         """A node whose line window is shorter than its line pick count has
         no child: it counts itself, and its depth stays the deepest."""
         points = [pt(i, 0, 0) for i in range(5)] + [pt(0, 1, 0), pt(0, 0, 1)]
-        kern = KernelResult(tuple(points), 3, [], "reduced")
+        kern = _reduced(points)
         config = make_plane_config(3)
         mask = 0b11111  # the five points of one line
         for partition in ((0, 2, 1, 0, 0, 0), (1, 2, 0, 0, 0, 0), (0, 3, 0, 0, 0, 0)):
@@ -448,10 +455,10 @@ def _assert_leaf_matches_counter(search, mask, lines, budgets):
     """Every c(X) of the leaf's counter, from its step walk and from
     c_of_mask, equals the Fraction reference's over the same ground (the
     points in mask, then the lines), and so does every signed sum."""
-    n = len(search.points)
-    points = _points_in(search, mask)
-    flats = [search.layer.line(j) for j in lines]
-    leaf = CoverableCounter.on_layer(search.layer, mask, lines)
+    n = len(search.layer.points)
+    points = _points_in(search.layer, mask)
+    flats = [layer_line(search.layer, j) for j in lines]
+    leaf = CoverableCounter(search.layer, mask, lines)
     ref = FractionPlaneCounter(points, flats)
     order = [i for i in range(n) if (mask >> i) & 1] + [n + q for q in range(len(lines))]
     assert leaf.mask == sum(1 << g for g in order)
@@ -485,11 +492,11 @@ class TestLeafCounter:
         for points in _leaf_instances():
             search = _searched(points, 2)
             for mask, lines, _ in sorted(search.leaves)[::8]:
-                counter = CoverableCounter.on_layer(search.layer, mask, lines)
+                counter = CoverableCounter(search.layer, mask, lines)
                 full = (1 << counter.n) - 1
                 assert_table_lists_candidate_cover_sets(
-                    CandidateTable(counter), counter, _points_in(search, mask),
-                    [search.layer.line(j) for j in lines], PLANE3,
+                    CandidateTable(counter), counter, _points_in(search.layer, mask),
+                    [layer_line(search.layer, j) for j in lines], PLANE3,
                     [full] + [rng.randint(1, full) for _ in range(2)])
                 with_lines += bool(lines)
         assert with_lines >= 10, with_lines
@@ -502,7 +509,7 @@ class TestLeafCounter:
 
     def test_hand_built_grounds(self):
         search = _unreduced(self.HAND)
-        index = {search.layer.line(j): j for j in range(len(search.lines))}
+        index = {layer_line(search.layer, j): j for j in range(len(search.lines))}
 
         def line(a, b):
             return index[line_through(self.HAND[a], self.HAND[b])]
@@ -536,10 +543,10 @@ class TestIncidenceLayer:
         point_sets = _leaf_instances() + [list(anchor.points)]
         assert len(point_sets[-1]) == 24
         for points in point_sets:
-            search = _unreduced(points)
-            for p, (_, contained) in enumerate(search.planes):
-                assert contained == [j for j in range(len(search.lines))
-                                     if flat_contains(search.layer.plane(p), search.layer.line(j))]
+            layer = _unreduced(points).layer
+            for p, (_, contained) in enumerate(layer.planes):
+                assert contained == [j for j in range(len(layer.lines))
+                                     if flat_contains(layer.plane(p), layer_line(layer, j))]
 
 
 @st.composite
