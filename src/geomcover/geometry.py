@@ -508,15 +508,17 @@ class PlaneLayer:
     `plane(p)` builds a plane, and `scaled` holds the points times `scale`.
 
     Every line holds at least two of the points, so it lies in a plane
-    exactly when its mask is inside the plane's."""
+    exactly when its mask is inside the plane's. A caller that already holds
+    the points' `line_fits3` and `plane_fits3` passes them in."""
 
     kind = "plane3"
 
-    def __init__(self, points: Sequence[Point]):
+    def __init__(self, points: Sequence[Point], lines: Optional[Fits] = None,
+                 planes: Optional[Fits] = None):
         self.points = tuple(points)
         n = len(self.points)
-        self._lines = line_fits3(self.points)
-        self._planes = plane_fits3(self.points)
+        self._lines = line_fits3(self.points) if lines is None else lines
+        self._planes = plane_fits3(self.points) if planes is None else planes
         self.scale, self.scaled = _scaled(self.points, 3)
         self.lines: list[int] = self._lines.masks
         self.planes: list[tuple[int, list[int]]] = []

@@ -15,22 +15,24 @@ subset of the layer's points, plus pending layer lines for planes, so a
 search reads one layer per solve, the one its kernel hands on, and no
 sweep leaf fits a curve or plane of its own.
 
-Beside the subset, the walk keeps its pair mask: bit p*w + q for each
-ordered pair p, q of its elements, at the counter's width w, moved by two
-XORs and one AND per flip. Curve counters keep, per point e, a triple mask
-of the ordered pairs of other points that lie with e on one layer curve
-through three or more ground points, so one AND with the walk's pair mask
-and a popcount count the coverable triples that a flip of e adds or
-removes; the pairs and, per curve through e with four or more points, the
-larger subsets are popcounts of the subset itself.
+Each family has its own walk. Beside the subset, the curve walk keeps its
+pair mask: bit p*w + q for each ordered pair p, q of its elements, at the
+counter's width w = n, moved by two XORs and one AND per flip. Curve
+counters keep, per point e, a triple mask of the ordered pairs of other
+points that lie with e on one layer curve through three or more ground
+points, so one AND with the walk's pair mask and a popcount count the
+coverable triples that a flip of e adds or removes; the pairs and, per
+curve through e with four or more points, the larger subsets are popcounts
+of the subset itself.
 
-Plane counters have width 0 and read no pair mask. Each plane and line of
-their `PlaneLayer` gets a ground mask, and a coverable set of two or more
-elements spans one layer plane or lies on one layer line, and so in each
-plane through that line. A flip steps c by popcounts over the masks that
-hold the element, each weighted by 1 for a plane and 1 - P(l) for a line in
-P(l) layer planes, with the sets of a point and at most two other points in
-closed form.
+The plane walk keeps the subset alone. Each plane and line of a plane
+counter's `PlaneLayer` gets a ground mask, and a coverable set of two or
+more elements spans one layer plane or lies on one layer line, and so in
+each plane through that line. A flip steps c by popcounts over the masks
+that hold the element, each weighted by 1 for a plane and 1 - P(l) for a
+line in P(l) layer planes, with the sets of a point and at most two other
+points in closed form; the walk sums these terms in its loop, from one
+entry per element of the counter's tables.
 
 c(X) depends on X alone, so one counter built over the whole ground
 answers the sum over the submasks of any subset of it. Witness extraction
@@ -103,10 +105,12 @@ class CoverableCounter:
     `PlaneLayer` the distinct layer `lines` after them (the q-th is bit
     n + q, for n layer points). A curve counter keeps the layer's curve masks
     cut to the ground, a plane counter the ground masks of the layer planes
-    and lines. `step(e, Y, pairs)` gives c(Y + e) - c(Y) for e not in Y,
-    where `pairs` is Y's pair mask at width `pair_width` (`_pairs`): n for
-    curves, whose step reads ordered point pairs, and 0 for planes, whose
-    step reads none. `mask` is the ground's mask and `n` its size."""
+    and lines. What the Gray walk of `_signed_histogram` reads to step c at
+    a flip differs by family: a curve counter's `step(e, Y, pairs)` gives
+    c(Y + e) - c(Y) for e not in Y, where `pairs` is Y's pair mask at width
+    `pair_width` = n (`_pairs`); a plane counter's `flips` hold, per element,
+    the tables whose popcount terms the plane walk sums. `mask` is the
+    ground's mask and `n` its size."""
 
     def __init__(self, layer: Union[Fits, PlaneLayer], ground: Optional[int] = None,
                  lines: Sequence[int] = ()):
@@ -194,12 +198,16 @@ class CoverableCounter:
         only the masks holding it that hold four or more points or a ground
         line. A line's step reads every mask that holds it. Masks with fewer
         than two elements, and lines in one layer plane (factor 0), add
-        nothing."""
+        nothing.
+
+        `flips[e]`, per ground bit e, is what the plane walk of
+        `_signed_histogram` reads to step c at a flip of e: (e's bit, v, the
+        (G, factor) pairs e reads), where v[m] counts the sets of e and at
+        most two of m points of Y (V) for a point, and 1 for a line."""
         layer = self.layer
         n = len(layer.points)
         self._points_mask = mask
         self._stamped = list(enumerate(lines, n))   # (bit, line index)
-        self.pair_width = 0  # the step reads no pair mask
         self.mask = ground = mask | ((1 << len(lines)) - 1) << n
         self.n = ground.bit_count()
         self.plane_masks = planes = [m & mask for m, _ in layer.planes]
@@ -221,21 +229,7 @@ class CoverableCounter:
         # counts only itself outside the masks
         V = [1 + m + m * (m - 1) // 2 for m in range(n + 1)]
         ONE = [1] * (n + 1)
-
-        def step(e: int, y: int, pairs: int) -> int:
-            """c(Y + e) - c(Y) for e not in Y: for a point, {e} with at most
-            two points of Y, and per mask G it reads, the subsets of G & Y
-            beyond those, times G's factor; for a line, {e}, and per mask G
-            holding it, the nonempty subsets of G & Y, times G's factor.
-            `pairs` is 0, the pair mask at width 0."""
-            v = V if e < n else ONE
-            total = v[(y & low).bit_count()]
-            for g, a in reads[e]:
-                gy = g & y
-                total += a * ((1 << gy.bit_count()) - v[(gy & low).bit_count()])
-            return total
-
-        self.step = step
+        self.flips = [(1 << e, V if e < n else ONE, reads[e]) for e in range(len(reads))]
 
     def _inside(self, points: int) -> int:
         """The ground bits of a flat whose layer points are `points`: those
@@ -266,17 +260,20 @@ def _check_cap(n: int, cap: int):
 def _signed_histogram(counter: CoverableCounter, ground: int, cap: int) -> dict[int, int]:
     """{c(X): signed multiplicity} over the submasks X of the `ground` mask,
     each X counted with sign (-1)^|ground \\ X|. One Gray-code walk from the
-    empty set flips one ground bit per step, and `counter.step` moves c by
-    the difference the flip makes.
+    empty set flips one ground bit per step and moves c by the difference the
+    flip makes: the walk of the counter's family.
 
-    Beside X the walk keeps two masks at the counter's `pair_width` w: `rows`,
-    the rows of X's elements (bits p*w .. p*w + w - 1 for p in X), and `cols`,
-    their columns (bit p*w + q for q in X, for every p). A flip XORs the
-    element's row and column into them, and `rows & cols` is X's pair mask
-    (`_pairs(X, w)`), which the step reads. The flipped element's own pairs
-    are in it when the flip adds the element; no step reads them."""
+    The curve walk reads `counter.step`, and beside X it keeps two masks at
+    the counter's `pair_width` w: `rows`, the rows of X's elements (bits
+    p*w .. p*w + w - 1 for p in X), and `cols`, their columns (bit p*w + q
+    for q in X, for every p). A flip XORs the element's row and column into
+    them, and `rows & cols` is X's pair mask (`_pairs(X, w)`), which the step
+    reads. The flipped element's own pairs are in it when the flip adds the
+    element; no step reads them."""
     n = ground.bit_count()
     _check_cap(n, cap)
+    if counter.family.kind == "plane3":
+        return _plane_histogram(counter, ground)
     # the walk's i-th step flips the element at i's lowest set bit
     w = counter.pair_width
     row0, col0 = _row_col(w)
@@ -298,6 +295,35 @@ def _signed_histogram(counter: CoverableCounter, ground: int, cap: int) -> dict[
             c -= step(e, x, rows & cols)
         sign = -sign
         hist[c] += sign
+    return hist
+
+
+def _plane_histogram(counter: CoverableCounter, ground: int) -> dict[int, int]:
+    """The plane walk of `_signed_histogram`. It keeps X alone, and sums the
+    step of each flipped element e in the loop from e's entry of the
+    counter's `flips`: c(Y + e) - c(Y), for Y = X without e, is v[|Y's
+    points|] plus, per (G, a) that e reads, a * (2^|G & Y| - v[|G & Y's
+    points|])."""
+    n = ground.bit_count()
+    # the walk's i-th step flips the element at the position of i's lowest
+    # set bit
+    flips = [counter.flips[e] for e in _bits(ground)]
+    low = counter._points_mask  # the ground's point bits
+    x = 0
+    c = 1
+    sign = -1 if n & 1 else 1
+    hist = {c: sign}
+    for i in range(1, 1 << n):
+        bit, v, reads = flips[(i & -i).bit_length() - 1]
+        x ^= bit
+        y = x & ~bit
+        d = v[(y & low).bit_count()]
+        for g, a in reads:
+            gy = g & y
+            d += a * ((1 << gy.bit_count()) - v[(gy & low).bit_count()])
+        c = c + d if x & bit else c - d
+        sign = -sign
+        hist[c] = hist.get(c, 0) + sign
     return hist
 
 

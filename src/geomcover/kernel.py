@@ -136,9 +136,10 @@ def _replacement_point(line: Flat, pts: Sequence[Point], rng: random.Random) -> 
 
 
 def _make_one_ready(pts: list[Point], k: int, rng: random.Random,
-                    added: list[Point]) -> list[Point]:
+                    added: list[Point]) -> tuple[list[Point], Fits]:
     """Trim every line to at most k+1 points, restoring collaterally damaged
-    heavy lines with general-position replacements.
+    heavy lines with general-position replacements. Returns the points and
+    their `line_fits3`.
 
     At k = 1 the heavy threshold sits at the two-point floor, where every
     point pair spans a heavy line and restoring them all inflates the
@@ -152,7 +153,7 @@ def _make_one_ready(pts: list[Point], k: int, rng: random.Random,
         lines = line_fits3(pts)
         sizes = [m.bit_count() for m in lines.masks]
         if max(sizes, default=0) <= limit:
-            return pts
+            return pts, lines
         # the richest line, ties to the canonically smallest (the first)
         target = sizes.index(max(sizes))
         drop = lines.masks[target]
@@ -177,7 +178,8 @@ def _make_one_ready(pts: list[Point], k: int, rng: random.Random,
 def plane_kernel_r3(points: Sequence[Point], k: int, rng_seed: int = 0) -> KernelResult:
     """Reduce an R^3 plane-cover instance: 1-readiness, then forced planes,
     iterated to a fixpoint; reject when more than k^3 + k^2 points survive
-    (evaluated at the post-forcing budget), else hand on their `PlaneLayer`."""
+    (evaluated at the post-forcing budget), else hand on their `PlaneLayer`,
+    built on the last round's fits when no plane was forced after them."""
     if k < 0:
         raise ValueError("negative budget")
     if any(p.dim != 3 for p in points):
@@ -187,12 +189,14 @@ def plane_kernel_r3(points: Sequence[Point], k: int, rng_seed: int = 0) -> Kerne
     forced: list[Plane3] = []
     added: list[Point] = []
     k_cur = k
+    fits = ()  # the lines and planes of `pts` once it stops for want of a rich plane
     while k_cur >= 1:
-        pts = _make_one_ready(pts, k_cur, rng, added)
+        pts, lines = _make_one_ready(pts, k_cur, rng, added)
         threshold = k_cur * (k_cur + 1) + 1
         planes = plane_fits3(pts)
         sizes = [m.bit_count() for m in planes.masks]
         if max(sizes, default=0) < threshold:
+            fits = lines, planes
             break
         best = sizes.index(max(sizes))  # the first of the richest
         best_mask = planes.masks[best]
@@ -202,4 +206,4 @@ def plane_kernel_r3(points: Sequence[Point], k: int, rng_seed: int = 0) -> Kerne
     if len(pts) > k_cur * k_cur * (k_cur + 1):
         return KernelResult(tuple(pts), k_cur, forced, "rejected", tuple(added))
     return KernelResult(tuple(pts), k_cur, forced, "reduced", tuple(added),
-                        layer=PlaneLayer(pts), ground=(1 << len(pts)) - 1)
+                        layer=PlaneLayer(pts, *fits), ground=(1 << len(pts)) - 1)

@@ -23,23 +23,36 @@ from geomcover.geometry import (
     curve_covers,
     flat_contains,
 )
-from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, _pairs, _row_col, ie_decide
+from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, _pairs, ie_decide
 from incidence_reference import affine_hull, candidate_cover_sets, covering_curve, curve_through
+
+
+def step(counter, e: int, y: int) -> int:
+    """c(Y + e) - c(Y) of a production counter, for e not in the subset mask
+    Y: a curve counter's `step` with Y's pair mask built afresh, and for a
+    plane counter the sum that the plane walk of `_signed_histogram` takes
+    over e's entry of the counter's `flips`, computed here from the same
+    tables."""
+    if counter.family.kind != "plane3":
+        return counter.step(e, y, _pairs(y, counter.pair_width))
+    _, v, reads = counter.flips[e]
+    low = counter._points_mask
+    total = v[(y & low).bit_count()]
+    for g, a in reads:
+        gy = g & y
+        total += a * ((1 << gy.bit_count()) - v[(gy & low).bit_count()])
+    return total
 
 
 def c_of_mask(counter, mask: int) -> int:
     """c(X) of a production counter for the subset mask X: 1 for the empty
     set, plus the step of each element of X over the elements before it in
-    bit order, with that prefix's pair mask."""
-    w = counter.pair_width
-    row, col = _row_col(w)
+    bit order."""
     total = 1
-    y = rows = cols = 0
+    y = 0
     for e in _bits(mask):
-        total += counter.step(e, y, rows & cols)
+        total += step(counter, e, y)
         y |= 1 << e
-        rows |= row << e * w
-        cols |= col << e
     return total
 
 
@@ -254,16 +267,13 @@ def reference_decide(points, family, k, flats=(), cap=DEFAULT_SUBSET_CAP) -> boo
 
 def gray_walk(counter) -> dict[int, int]:
     """{X: c(X)} over the submasks X of the counter's ground, visited by the
-    Gray walk of `_signed_histogram` and moved by `counter.step` at each flip,
-    which reads the pair mask of the subset it steps from, built afresh."""
+    Gray walk of `_signed_histogram` and moved by `step` at each flip."""
     order = _bits(counter.mask)
-    w = counter.pair_width
     x, c = 0, 1
     seen = {0: 1}
     for i in range(1, 1 << len(order)):
         e = order[(i & -i).bit_length() - 1]
-        y = x & ~(1 << e)
-        delta = counter.step(e, y, _pairs(y, w))
+        delta = step(counter, e, x & ~(1 << e))
         x ^= 1 << e
         c = c + delta if x >> e & 1 else c - delta
         seen[x] = c

@@ -21,6 +21,7 @@ from counter_reference import (
     q_count,
     reference_sums,
     representative,
+    step,
 )
 from extraction_reference import reference_extract_cover
 from geomcover.curve_branch import curve_cover
@@ -428,18 +429,34 @@ class TestPlaneCounterIdentities:
                 y = sum(1 << e for b, e in enumerate(order) if local >> b & 1)
                 for b, e in enumerate(order):
                     if not local >> b & 1:
-                        assert (counter.step(e, y, _pairs(y, counter.pair_width))
+                        assert (step(counter, e, y)
                                 == ref.c_of_mask(local | 1 << b) - ref.c_of_mask(local)), \
                             (points, lines, e, y)
 
     def test_sums_match_reference(self):
+        """The sums over the whole ground, and over proper submask grounds as
+        extraction walks them: random ones, and on grounds with lines the
+        points alone, the lines alone and a random part of either."""
+        rng = random.Random(97)
         for points, lines in _plane_grounds():
             counter = layer_counter(points, lines)
-            ref = reference_sums(FractionPlaneCounter(points, lines), (1 << counter.n) - 1, range(5))
-            for k, total in ref.items():
-                assert _signed_sum(counter, counter.mask, k, DEFAULT_SUBSET_CAP).ie_sum == total
-            if not lines:
-                assert ie_sums(points, PLANE3, range(5)) == ref
+            ref = FractionPlaneCounter(points, lines)
+            order = _bits(counter.mask)  # the counter's bit of the reference's element b
+            full = (1 << counter.n) - 1
+            locals_ = [full] + [rng.randint(1, full - 1) for _ in range(4)]
+            if lines:
+                on_points = (1 << len(points)) - 1
+                on_lines = full & ~on_points
+                locals_ += [on_points, on_lines, on_points & rng.randint(1, full),
+                            on_lines & rng.randint(1, full)]
+            for local in locals_:
+                ground = sum(1 << order[b] for b in _bits(local))
+                sums = reference_sums(ref, local, range(5))
+                for k, total in sums.items():
+                    assert _signed_sum(counter, ground, k, DEFAULT_SUBSET_CAP).ie_sum == total, \
+                        (points, lines, local, k)
+                if local == full and not lines:
+                    assert ie_sums(points, PLANE3, range(5)) == sums
 
 
 class TestOracleEquivalence:
@@ -521,14 +538,12 @@ class TestCurveCounterIdentities:
                         assert ie_decide(points, fam, k) == (ref[k] >= 1, ref[k], 1 << 9)
 
     def test_walk_keeps_the_pair_mask_of_its_subset(self):
-        """At each flip the sweep hands the step the flipped element, the
-        subset without it as Y, and the pair mask of the subset after the
+        """At each flip the curve sweep hands the step the flipped element,
+        the subset without it as Y, and the pair mask of the subset after the
         flip, equal to `_pairs` of that subset."""
         rng = random.Random(89)
-        counters = [CoverableCounter(incidence_layer(points, fam))
-                    for fam, points in degenerate_curve_instances()[:3]]
-        counters.append(CoverableCounter(incidence_layer(_plane_grounds()[0][0], PLANE3)))
-        for counter in counters:
+        for counter in [CoverableCounter(incidence_layer(points, fam))
+                        for fam, points in degenerate_curve_instances()[:3]]:
             real_step, calls = counter.step, []
 
             def recording_step(e, y, pairs):

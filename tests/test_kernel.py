@@ -12,6 +12,7 @@ from geomcover.geometry import (
     LINE2,
     PLANE3,
     VPARABOLA2,
+    PlaneLayer,
     check_cover,
     curve_covers,
     curve_fits,
@@ -214,6 +215,32 @@ class TestPlaneKernel:
             assert [(line, mask.bit_count()) for line, mask in fit_pairs(line_fits3(pts))] == want
             heaviest = max(heaviest, max(count for _, count in want))
         assert heaviest >= 4
+
+    def test_layer_is_the_layer_of_its_points(self):
+        """The layer a reduced instance hands on, whether built on the last
+        round's fits or fitted afresh after a forced plane, is the
+        `PlaneLayer` of its points."""
+        rng = random.Random(71)
+        cases = [(random_points_3d(rng, rng.randint(4, 9)), rng.randint(1, 3)) for _ in range(15)]
+        cases += [(list(generate("degenerate-plane", {"k": k, "m": m}, seed=s).points), k)
+                  for k, m, s in ((2, 5, 0), (3, 5, 1), (2, 6, 3))]
+        # a forced plane, then a round that stops with points left; a forced
+        # plane that ends the budget and the points; no round at budget 0
+        flat = [pt(x, x * x % 7, 0) for x in range(9)]
+        cases += [(flat + [pt(1, 1, 7)], 2),
+                  ([pt(0, 0, 0), pt(1, 0, 0), pt(2, 0, 0), pt(0, 1, 1)], 1), ([], 0)]
+        forced = 0
+        for t, (pts, k) in enumerate(cases):
+            res = plane_kernel_r3(pts, k, rng_seed=t)
+            if res.rejected:
+                continue
+            forced += bool(res.forced)
+            fresh = PlaneLayer(res.points)
+            assert fit_pairs(res.layer._lines) == fit_pairs(fresh._lines), (pts, k)
+            assert fit_pairs(res.layer._planes) == fit_pairs(fresh._planes), (pts, k)
+            assert (res.layer.planes, res.layer.line_planes, res.layer.line_point_plane) == \
+                (fresh.planes, fresh.line_planes, fresh.line_point_plane), (pts, k)
+        assert forced >= 2
 
     def test_same_seed_bit_identical(self):
         rng = random.Random(83)
