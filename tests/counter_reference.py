@@ -23,8 +23,20 @@ from geomcover.geometry import (
     curve_covers,
     flat_contains,
 )
-from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, _pairs, ie_decide
+from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, _row_col, ie_decide
 from incidence_reference import affine_hull, candidate_cover_sets, covering_curve, curve_through
+
+
+def _pairs(y: int, w: int) -> int:
+    """The pair mask of the subset mask y at width w: bit p*w + q for each p
+    and q in y, built directly. It is the rows of y's elements AND their
+    columns, which the curve walk keeps up to date by XOR at each flip."""
+    row, col = _row_col(w)
+    rows = cols = 0
+    for e in _bits(y):
+        rows |= row << e * w
+        cols |= col << e
+    return rows & cols
 
 
 def step(counter, e: int, y: int) -> int:

@@ -15,6 +15,7 @@ from conftest import (
 )
 from counter_reference import (
     FractionPlaneCounter,
+    _pairs,
     c_of_mask,
     assert_counter_matches_reference,
     assert_table_lists_candidate_cover_sets,
@@ -37,12 +38,12 @@ from geomcover.geometry import (
 )
 from geomcover.inclusion_exclusion import (
     DEFAULT_SUBSET_CAP,
+    LOW_BLOCK,
     CandidateTable,
     CapExceededError,
     CoverableCounter,
     SolverInternalError,
     _least_budget,
-    _pairs,
     _self_reduce,
     _signed_histogram,
     _signed_sum,
@@ -491,6 +492,20 @@ def _brute_c(points, fam):
     return table
 
 
+def _brute_signed_sums(c, ground, ks):
+    """{k: the sum over the submasks X of `ground` of c[X]^k, negated when
+    |ground \\ X| is odd} from a table c of every c(X)."""
+    sums = dict.fromkeys(ks, 0)
+    sub = ground
+    while True:
+        sign = -1 if (ground.bit_count() - sub.bit_count()) & 1 else 1
+        for k in sums:
+            sums[k] += sign * c[sub] ** k
+        if not sub:
+            return sums
+        sub = (sub - 1) & ground
+
+
 class TestCurveCounterIdentities:
     def test_c_of_mask_matches_brute_force(self):
         for fam, points in degenerate_curve_instances():
@@ -520,15 +535,7 @@ class TestCurveCounterIdentities:
             c = _brute_c(points, fam)
             counter = CoverableCounter(incidence_layer(points, fam))
             for ground in [full] + [rng.randint(1, full - 1) for _ in range(6)]:
-                ref = dict.fromkeys(range(10), 0)
-                sub = ground
-                while True:
-                    sign = -1 if (ground.bit_count() - sub.bit_count()) & 1 else 1
-                    for k in ref:
-                        ref[k] += sign * c[sub] ** k
-                    if not sub:
-                        break
-                    sub = (sub - 1) & ground
+                ref = _brute_signed_sums(c, ground, range(10))
                 for k in ref:
                     assert _signed_sum(counter, ground, k, DEFAULT_SUBSET_CAP).ie_sum == ref[k], \
                         (fam.kind, points, ground, k)
@@ -538,9 +545,11 @@ class TestCurveCounterIdentities:
                         assert ie_decide(points, fam, k) == (ref[k] >= 1, ref[k], 1 << 9)
 
     def test_walk_keeps_the_pair_mask_of_its_subset(self):
-        """At each flip the curve sweep hands the step the flipped element,
-        the subset without it as Y, and the pair mask of the subset after the
-        flip, equal to `_pairs` of that subset."""
+        """Every step call of the curve sweep gets an element e outside its
+        subset Y and the pair mask of Y, equal to `_pairs` of Y. The walk
+        flips the high elements (those past the lowest LOW_BLOCK of the
+        ground) in Gray order, one step per flip, and at each high subset H
+        it steps each low element once over H."""
         rng = random.Random(89)
         for counter in [CoverableCounter(incidence_layer(points, fam))
                         for fam, points in degenerate_curve_instances()[:3]]:
@@ -551,17 +560,67 @@ class TestCurveCounterIdentities:
                 return real_step(e, y, pairs)
 
             counter.step = recording_step
-            for ground in (counter.mask, rng.randint(1, counter.mask - 1)):
+            grounds = [counter.mask, rng.randint(1, counter.mask - 1)]
+            grounds += [counter.mask & ~(1 << rng.randrange(9)) for _ in range(2)]
+            for ground in grounds:
                 calls.clear()
                 _signed_histogram(counter, ground, DEFAULT_SUBSET_CAP)
                 order = _bits(ground)
-                assert len(calls) == (1 << len(order)) - 1
-                x = 0
-                for i, (e, y, pairs) in enumerate(calls, 1):
-                    assert e == order[(i & -i).bit_length() - 1]
-                    x ^= 1 << e
-                    assert y == x & ~(1 << e)
-                    assert pairs == _pairs(x, counter.pair_width), (counter.points, ground, i)
+                low, high = order[:LOW_BLOCK], order[LOW_BLOCK:]
+                for e, y, pairs in calls:
+                    assert not y >> e & 1 and y & ground == y
+                    assert pairs == _pairs(y, counter.pair_width), (counter.points, ground, e, y)
+                flips = [(e, y) for e, y, _ in calls if e in high]
+                visited = [0]
+                for i, (e, y) in enumerate(flips, 1):
+                    assert e == high[(i & -i).bit_length() - 1]
+                    assert y == visited[-1] & ~(1 << e)
+                    visited.append(visited[-1] ^ 1 << e)
+                assert len(set(visited)) == 1 << len(high)
+                assert sorted((e, y) for e, y, _ in calls if e in low) == \
+                    sorted((e, h) for e in low for h in visited)
+
+
+def _block_boundary_instances():
+    """Curve instances of 10 points whose degeneracies sit where the curve
+    sweep's low block (the lowest LOW_BLOCK = 7 ground elements) meets its
+    high elements on the prefix grounds: one curve with three or more points
+    in the block, and one with four or more points split across it."""
+    return [
+        # y = 0 holds points 0-3; x = 5 holds 5-9
+        (LINE2, [pt(0, 0), pt(1, 0), pt(2, 0), pt(3, 0), pt(1, 3),
+                 pt(5, 1), pt(5, 2), pt(5, 3), pt(5, 4), pt(5, 5)]),
+        # the circle of radius 5 about the origin holds 0-2 and 8; that of
+        # radius 5 about (10, 10) holds 5-7 and 9
+        (CIRCLE2, [pt(5, 0), pt(0, 5), pt(-5, 0), pt(1, 1), pt(2, 7),
+                   pt(13, 14), pt(14, 13), pt(10, 15), pt(0, -5), pt(15, 10)]),
+        # y = x^2 holds 0, 2-4, 8 and 9; points 0 and 1, 2 and 5, and 0 and 7
+        # share x
+        (VPARABOLA2, [pt(0, 0), pt(0, 3), pt(1, 1), pt(2, 4), pt(-1, 1),
+                      pt(1, 5), pt(4, 0), pt(0, 7), pt(-2, 4), pt(3, 9)]),
+    ]
+
+
+class TestCurveBlockBoundaries:
+    def test_signed_sums_at_every_ground_size(self):
+        """The curve sweep's signed sums against brute force at every ground
+        size from 0 to 10, three past the low block, so that the block is the
+        whole ground, exactly full, and followed by one to three high
+        elements: on the prefix grounds, where the degeneracies sit at the
+        block's boundary, and on random grounds with holes."""
+        rng = random.Random(97)
+        for fam, points in _block_boundary_instances():
+            c = _brute_c(points, fam)
+            counter = CoverableCounter(incidence_layer(points, fam))
+            for size in range(len(points) + 1):
+                grounds = [(1 << size) - 1]
+                grounds += [sum(1 << i for i in rng.sample(range(len(points)), size))
+                            for _ in range(2)]
+                for ground in grounds:
+                    ref = _brute_signed_sums(c, ground, range(10))
+                    for k in ref:
+                        assert _signed_sum(counter, ground, k, DEFAULT_SUBSET_CAP).ie_sum == ref[k], \
+                            (fam.kind, ground, k)
 
 
 # the 12 integer points at distance 5 from the origin
