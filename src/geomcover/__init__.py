@@ -27,7 +27,6 @@ from .geometry import (
     curve_covers,
     enumerate_candidates,
     family_by_tag,
-    flat_contains,
     incidence_layer,
     pt,
 )

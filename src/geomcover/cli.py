@@ -120,17 +120,19 @@ def _pick_auto(inst: Instance, oracle_cap: int, ie_cap: int, min_cover: bool = F
       beyond the oracle, whose cap check exits 3 past its cap: `branch`
       decides one budget only.
 
-    Measured (`solve --witness`, best of 2, plain perf_counter, uniform-random
-    seeds 1-3 at opt and opt-1; oracle / ie ms):
-    - coord range 6 (`auto`'s benchmark shapes): the oracle wins every solve
-      of all four families, 2-8 / 9-27 at n = 13 and 2-38 / 82-239 at n = 16.
-    - coord range 20 (general position): the oracle loses on 3 of 24
-      instances, line2 n = 16 seeds 1 and 3 (161-170 / 75-105), vparabola2
-      n = 13 seed 2 (180-185 / 13-45) and vparabola2 n = 16 seed 2
-      (469-1083 / 41-133). Their searches take 0.2-2.5 M nodes against
-      2^16 = 65,536, so they fall back: on vparabola2 n = 16 seed 2 `auto`
-      takes 186 / 80 ms at k = 5 / 4, the sweep alone 94 / 47 ms and the
-      unbounded oracle 1050 / 880 ms.
+    Measured (`solve --witness`, best of 2, plain perf_counter, in process,
+    uniform-random seeds 1-3 at opt and opt-1; oracle / ie ms):
+    - coord range 6 (`auto`'s benchmark shapes): the oracle wins or ties
+      every solve of all four families: 1-5 / 2-12 for the curve families
+      and 4-9 / 8-20 for plane3 at n = 13, 1-20 / 11-48 and 11-15 / 67-131
+      at n = 16.
+    - coord range 20 (general position): the oracle loses on 5 of 24
+      instances, line2 n = 16 seeds 1 and 3 (71-81 / 9-15), circle2 n = 13
+      seed 3 (19-20 / 3-8), vparabola2 n = 13 seed 2 (81-86 / 3-11) and
+      vparabola2 n = 16 seed 2 (471-504 / 12-25). Their searches pass 2^n
+      nodes, so they fall back, and `auto` takes 15-54 ms on them: on
+      vparabola2 n = 16 seed 2 it takes 54 / 36 ms at k = 5 / 4, the sweep
+      alone 25 / 12 ms and the unbounded oracle 504 / 471 ms.
     """
     n = inst.n
     if n <= min(12, oracle_cap):
@@ -388,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     kern.add_argument("--input", required=True)
     kern.add_argument("--k", type=int, default=None)
     kern.add_argument("--out", required=True)
-    kern.add_argument("--seed", type=int, default=0)
+    kern.add_argument("--seed", type=int, default=0,
+                      help="seeds the plane kernel's replacement points on the lines it restores")
     kern.add_argument("--dedup", action="store_true")
     kern.set_defaults(func=_cmd_kernelize)
 

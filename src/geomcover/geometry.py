@@ -1,4 +1,4 @@
-"""Exact rational geometry: points, plane curves, 3D planes and affine flats.
+"""Exact rational geometry: points, plane curves, 3D planes and 3D lines.
 
 Every incidence is decided exactly; there is no floating point and no
 tolerance tuning anywhere in the solver stack. The candidate builders
@@ -9,7 +9,11 @@ planes are closed under uniform scaling, so no incidence changes. They keep
 each object as the integer row it was fitted from (`Fits`) and order the
 objects by exact integer keys. Only an object that leaves the solver is built
 in its canonical fractions.Fraction coefficient form, in which two objects
-are geometrically equal iff their dataclasses compare equal.
+are geometrically equal iff their dataclasses compare equal. A 3D line is
+such an object (`Flat`); the plane kernel's line repair reads its base and
+direction and scales them with the points, so no solver path decides an
+incidence on Fractions. Only the independent cover checker (`covers`,
+`check_cover`) substitutes points into built curves and planes.
 
 Supported curve families (kind, degrees of freedom d, multiplicity-type s):
 
@@ -143,13 +147,11 @@ def plane_covers(plane: Plane3, p: Point) -> bool:
 
 
 def covers(obj, p: Point) -> bool:
-    """Membership of a point on any covering object (Curve, Plane3 or Flat)."""
+    """Membership of a point on a covering object, a Curve or a Plane3."""
     if isinstance(obj, Curve):
         return curve_covers(obj, p)
     if isinstance(obj, Plane3):
         return plane_covers(obj, p)
-    if isinstance(obj, Flat):
-        return flat_contains(obj, p)
     raise GeometryError("cannot test coverage against %r" % (obj,))
 
 
@@ -394,7 +396,9 @@ def enumerate_candidates(points: Sequence[Point], family: FamilySpec):
 class Flat:
     """Affine subspace of R^3 in canonical form: reduced-echelon direction
     basis, base point zeroed along the pivot coordinates. dim 0..3 (3 = the
-    whole space, used as the distinguished 'full' hull value)."""
+    whole space, used as the distinguished 'full' hull value). The solver
+    builds only lines (`Fits.obj` of a "line3" fit); the tests' Fraction
+    references build the other dimensions and test containment."""
 
     base: tuple[Fraction, ...]
     basis: tuple[tuple[Fraction, ...], ...]
@@ -405,34 +409,6 @@ class Flat:
 
     def __repr__(self) -> str:
         return "Flat(dim=%d, base=%s)" % (self.dim, self.base)
-
-
-def _reduce_by_basis(v: list[Fraction], basis) -> list[Fraction]:
-    for row in basis:
-        col = next(i for i, x in enumerate(row) if x != 0)
-        f = v[col]
-        if f != 0:
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
-def flat_contains(outer: Union[Flat, "Plane3"], inner: Union[Flat, Point]) -> bool:
-    """Exact containment of a point or flat inside a flat or plane."""
-    if isinstance(outer, Plane3):
-        a, b, c, e = outer.coeffs
-        if isinstance(inner, Point):
-            return plane_covers(outer, inner)
-        base_ok = a * inner.base[0] + b * inner.base[1] + c * inner.base[2] + e == 0
-        return base_ok and all(a * d[0] + b * d[1] + c * d[2] == 0 for d in inner.basis)
-    if isinstance(inner, Point):
-        v = _reduce_by_basis([x - y for x, y in zip(inner.coords, outer.base)], outer.basis)
-        return all(x == 0 for x in v)
-    if not flat_contains(outer, Point(inner.base)):
-        return False
-    for d in inner.basis:
-        if any(x != 0 for x in _reduce_by_basis(list(d), outer.basis)):
-            return False
-    return True
 
 
 def line_fits3(points: Sequence[Point]) -> Fits:
@@ -658,15 +634,9 @@ def _maximal_sets(sets: Sequence[tuple[object, int]]) -> list[tuple[object, int]
 # independent cover checking
 
 
-def check_cover(points: Sequence[Point], objects: Sequence, k: int,
-                flats: Sequence[Flat] = ()) -> bool:
-    """True iff at most k objects jointly cover every point and flat."""
+def check_cover(points: Sequence[Point], objects: Sequence, k: int) -> bool:
+    """True iff at most k objects, each a Curve or a Plane3, jointly cover
+    every point."""
     if len(objects) > k:
         return False
-    for p in points:
-        if not any(covers(o, p) for o in objects):
-            return False
-    for f in flats:
-        if not any(isinstance(o, (Plane3, Flat)) and flat_contains(o, f) for o in objects):
-            return False
-    return True
+    return all(any(covers(o, p) for o in objects) for p in points)

@@ -7,17 +7,19 @@ s*k^2 remaining points rule out any k-cover.
 Plane kernel (R^3): first make the point set 1-ready, i.e. no line carries
 more than k+1 points (heavy lines are trimmed, and lines whose heaviness was
 collaterally destroyed get replacement points in general position on them,
-from a seeded generator). Two planes then share at most k+1 points, and the
-curve-kernel argument applies with s = k+1. Readiness and plane forcing are
-iterated to a fixpoint so the output instance is stable under
-re-kernelization.
+from a seeded generator). A replacement point's bad parameters on its line,
+the current points on it and the crossings of the lines through two points
+off it, are collected once on integers, and the draws avoid them. Two
+planes then share at most k+1 points, and the curve-kernel argument applies
+with s = k+1. Readiness and plane forcing are iterated to a fixpoint so the
+output instance is stable under re-kernelization.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .geometry import (
     FamilySpec,
@@ -27,8 +29,8 @@ from .geometry import (
     Plane3,
     PlaneLayer,
     Point,
+    _scaled,
     curve_fits,
-    flat_contains,
     line_fits3,
     plane_fits3,
 )
@@ -91,46 +93,58 @@ def curve_kernel(points: Sequence[Point], family: FamilySpec, k: int) -> KernelR
 # plane kernel
 
 
-def _collinear3(a: Point, b: Point, c: Point) -> bool:
-    u = [y - x for x, y in zip(a.coords, b.coords)]
-    v = [y - x for x, y in zip(a.coords, c.coords)]
-    return (u[1] * v[2] - u[2] * v[1] == 0
-            and u[2] * v[0] - u[0] * v[2] == 0
-            and u[0] * v[1] - u[1] * v[0] == 0)
+def _cross(u, v) -> tuple[int, int, int]:
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
 
 
 def _replacement_point(line: Flat, pts: Sequence[Point], rng: random.Random) -> Point:
     """A point on `line`, off every other line spanned by two current points.
-    Integer parameters are drawn from a widening window; rejected samples are
-    retried. At most n + C(n, 2) parameters are bad: a current point, or where
-    the line through two points off `line` crosses it. So once the window
-    holds more integers than that and its draws have failed, it is scanned in
-    order and its first good parameter is taken."""
+    The bad parameters are collected once, over the points and `line` scaled
+    to integers: the parameter of each current point on `line`,
+    and where the line through two points off `line` crosses it, when the two
+    span a plane with `line` and are not parallel to it. A line through one
+    point on `line` and one off it meets `line` only at the first. So at most
+    n + C(n, 2) parameters are bad; only the integer ones are kept, as only
+    integers are drawn. Integer parameters are drawn from a widening window;
+    once the window holds more integers than that bound and its draws have
+    failed, it is scanned in order and its first good parameter is taken."""
     base, direction = line.base, line.basis[0]
+    _, rows = _scaled([*pts, Point(base), Point(direction)], 3)
+    a, d = rows[-2], rows[-1]  # the line's base and direction, scaled alike
+    lead = next(c for c in range(3) if d[c])
+    bad = set()
+    off = []  # the points off `line`, relative to its base
+    for p in rows[:-2]:
+        v = (p[0] - a[0], p[1] - a[1], p[2] - a[2])
+        if any(_cross(d, v)):
+            off.append(v)
+        elif v[lead] % d[lead] == 0:
+            bad.add(v[lead] // d[lead])
+    for i, v in enumerate(off):
+        for w in off[i + 1:]:
+            # t*d = v + s*e at the crossing, so t*(d x e) = v x e
+            e = (w[0] - v[0], w[1] - v[1], w[2] - v[2])
+            n = _cross(d, e)
+            if any(n) and v[0] * n[0] + v[1] * n[1] + v[2] * n[2] == 0:
+                c = next(c for c in range(3) if n[c])
+                m = _cross(v, e)[c]
+                if m % n[c] == 0:
+                    bad.add(m // n[c])
     bad_bound = len(pts) + len(pts) * (len(pts) - 1) // 2
 
-    def good(t: int) -> Optional[Point]:
-        cand = Point(tuple(b + t * d for b, d in zip(base, direction)))
-        if cand in pts:
-            return None
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if _collinear3(cand, pts[i], pts[j]):
-                    if not (flat_contains(line, pts[i]) and flat_contains(line, pts[j])):
-                        return None
-        return cand
+    def at(t: int) -> Point:
+        return Point(tuple(b + t * x for b, x in zip(base, direction)))
 
     span = 8
     while True:
         for _ in range(40):
-            cand = good(rng.randint(-span, span))
-            if cand is not None:
-                return cand
+            t = rng.randint(-span, span)
+            if t not in bad:
+                return at(t)
         if 2 * span + 1 > bad_bound:
             for t in range(-span, span + 1):
-                cand = good(t)
-                if cand is not None:
-                    return cand
+                if t not in bad:
+                    return at(t)
             raise SolverInternalError("no replacement point on %r" % (line,))
         span *= 2
 

@@ -21,10 +21,15 @@ from geomcover.geometry import (
     GeometryError,
     Point,
     curve_covers,
-    flat_contains,
 )
 from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, _row_col, ie_decide
-from incidence_reference import affine_hull, candidate_cover_sets, covering_curve, curve_through
+from incidence_reference import (
+    affine_hull,
+    candidate_cover_sets,
+    covering_curve,
+    curve_through,
+    flat_contains,
+)
 
 
 def _pairs(y: int, w: int) -> int:

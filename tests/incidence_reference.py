@@ -10,7 +10,13 @@ The Fraction objects and flats come first: the canonical constructors
 (`line2_curve`, `circle2_curve`, `vparabola2_curve`, `plane3_curve`),
 `curve_through` and `covering_curve` over the integer fits, and the flats of
 R^3 in reduced-echelon form (`make_flat`, `line_through`, `affine_hull`,
-`plane_through`).
+`plane_through`), with `flat_contains`, the exact containment of a point or
+flat in a flat or plane, and `_collinear3`.
+
+`reference_replacement_point` is the plane kernel's line repair that re-tests
+every pair of current points per draw, in Fractions; the integer
+`geomcover.kernel._replacement_point` must return the same point from the
+same generator state.
 
 `candidate_cover_sets` is the Fraction enumerator of the oracle's candidate
 list: every 1- to 3-tuple of the ground (points, then R^3 flats for plane3)
@@ -46,9 +52,9 @@ from geomcover.geometry import (
     _scaled,
     curve_covers,
     curve_fits,
-    flat_contains,
     plane_covers,
 )
+from geomcover.inclusion_exclusion import SolverInternalError
 
 
 def fit_pairs(fits: Fits) -> list[tuple[object, int]]:
@@ -211,6 +217,78 @@ def plane_through(p: Point, q: Point, r: Point) -> Plane3:
         raise GeometryError("collinear points do not determine a plane")
     e = -(n[0] * p[0] + n[1] * p[1] + n[2] * p[2])
     return plane3_curve(n[0], n[1], n[2], e)
+
+
+def _reduce_by_basis(v: list[Fraction], basis) -> list[Fraction]:
+    for row in basis:
+        col = next(i for i, x in enumerate(row) if x != 0)
+        f = v[col]
+        if f != 0:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def flat_contains(outer: Union[Flat, Plane3], inner: Union[Flat, Point]) -> bool:
+    """Exact containment of a point or flat inside a flat or plane."""
+    if isinstance(outer, Plane3):
+        a, b, c, e = outer.coeffs
+        if isinstance(inner, Point):
+            return plane_covers(outer, inner)
+        base_ok = a * inner.base[0] + b * inner.base[1] + c * inner.base[2] + e == 0
+        return base_ok and all(a * d[0] + b * d[1] + c * d[2] == 0 for d in inner.basis)
+    if isinstance(inner, Point):
+        v = _reduce_by_basis([x - y for x, y in zip(inner.coords, outer.base)], outer.basis)
+        return all(x == 0 for x in v)
+    if not flat_contains(outer, Point(inner.base)):
+        return False
+    for d in inner.basis:
+        if any(x != 0 for x in _reduce_by_basis(list(d), outer.basis)):
+            return False
+    return True
+
+
+def _collinear3(a: Point, b: Point, c: Point) -> bool:
+    u = [y - x for x, y in zip(a.coords, b.coords)]
+    v = [y - x for x, y in zip(a.coords, c.coords)]
+    return (u[1] * v[2] - u[2] * v[1] == 0
+            and u[2] * v[0] - u[0] * v[2] == 0
+            and u[0] * v[1] - u[1] * v[0] == 0)
+
+
+def reference_replacement_point(line: Flat, pts: Sequence[Point], rng) -> Point:
+    """A point on `line`, off every other line spanned by two current points.
+    Integer parameters are drawn from a widening window; rejected samples are
+    retried. At most n + C(n, 2) parameters are bad: a current point, or where
+    the line through two points off `line` crosses it. So once the window
+    holds more integers than that and its draws have failed, it is scanned in
+    order and its first good parameter is taken."""
+    base, direction = line.base, line.basis[0]
+    bad_bound = len(pts) + len(pts) * (len(pts) - 1) // 2
+
+    def good(t: int) -> Optional[Point]:
+        cand = Point(tuple(b + t * d for b, d in zip(base, direction)))
+        if cand in pts:
+            return None
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                if _collinear3(cand, pts[i], pts[j]):
+                    if not (flat_contains(line, pts[i]) and flat_contains(line, pts[j])):
+                        return None
+        return cand
+
+    span = 8
+    while True:
+        for _ in range(40):
+            cand = good(rng.randint(-span, span))
+            if cand is not None:
+                return cand
+        if 2 * span + 1 > bad_bound:
+            for t in range(-span, span + 1):
+                cand = good(t)
+                if cand is not None:
+                    return cand
+            raise SolverInternalError("no replacement point on %r" % (line,))
+        span *= 2
 
 
 # ---------------------------------------------------------------------------

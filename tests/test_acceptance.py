@@ -24,7 +24,6 @@ from geomcover.geometry import (
     curve_fits,
     enumerate_candidates,
     enumerate_lines3,
-    flat_contains,
     pt,
 )
 from geomcover.inclusion_exclusion import extract_cover, ie_sums
@@ -32,7 +31,7 @@ from geomcover.instances import generate, serialize_instance
 from geomcover.kernel import curve_kernel, plane_kernel_r3
 from geomcover.oracle import oracle_min_cover
 from geomcover.plane_branch import plane_cover
-from incidence_reference import covering_curve
+from incidence_reference import covering_curve, flat_contains
 
 GRID3 = [pt(i, j) for i in range(3) for j in range(3)]
 CURVE_FAMILIES = (LINE2, CIRCLE2, VPARABOLA2)

@@ -21,7 +21,6 @@ from geomcover.geometry import (
     curve_covers,
     curve_fits,
     enumerate_candidates,
-    flat_contains,
     line_fits3,
     plane_covers,
     plane_fits3,
@@ -35,6 +34,7 @@ from incidence_reference import (
     covering_curve,
     curve_through,
     fit_pairs,
+    flat_contains,
     line2_curve,
     line_through,
     make_flat,

@@ -31,6 +31,7 @@ from geomcover.geometry import (
     LINE2,
     PLANE3,
     VPARABOLA2,
+    Plane3,
     _bits,
     check_cover,
     incidence_layer,
@@ -53,7 +54,7 @@ from geomcover.inclusion_exclusion import (
 )
 from geomcover.instances import generate
 from geomcover.oracle import oracle_min_cover
-from incidence_reference import covering_curve, line2_curve, line_through
+from incidence_reference import covering_curve, flat_contains, line2_curve, line_through
 
 
 def brute_coverable_count(pts, fam):
@@ -266,7 +267,7 @@ class TestExtract:
                 w = _extract(fam, points, budget, lines)
                 ref = reference_extract_cover(points, fam, budget, flats=lines)
                 assert repr(w) == repr(ref) and w == ref, (fam, points, lines, budget)
-                assert check_cover(points, w, budget, flats=lines)
+                assert _covers_ground(points, lines, w, budget)
 
     def test_random_witnesses_check_out(self):
         rng = random.Random(43)
@@ -282,7 +283,7 @@ class TestExtract:
         points = [pt(0, 1, 0), pt(1, 2, 0), pt(0, 0, 5)]
         k = _min_cover(PLANE3, points, [xaxis])
         w = _extract(PLANE3, points, k, [xaxis])
-        assert check_cover(points, w, k, flats=[xaxis])
+        assert _covers_ground(points, [xaxis], w, k)
 
 
 def _min_cover(fam, points, lines):
@@ -291,6 +292,13 @@ def _min_cover(fam, points, lines):
         return ie_min_cover(points, fam)
     counter = layer_counter(points, lines)
     return _least_budget(_signed_histogram(counter, counter.mask, DEFAULT_SUBSET_CAP), counter.n)[0]
+
+
+def _covers_ground(points, lines, objects, k):
+    """At most k objects cover every point, and each line lies in one of the
+    planes among them."""
+    return check_cover(points, objects, k) and all(
+        any(isinstance(o, Plane3) and flat_contains(o, line) for o in objects) for line in lines)
 
 
 def _extract(fam, points, budget, lines):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import degenerate_curve_instances, random_points_2d, random_points_3d
+from geomcover import kernel
 from geomcover.geometry import (
     CIRCLE2,
     LINE2,
@@ -18,19 +19,22 @@ from geomcover.geometry import (
     curve_fits,
     enumerate_candidates,
     enumerate_lines3,
-    flat_contains,
     line_fits3,
     pt,
 )
 from geomcover.instances import generate
-from geomcover.kernel import (
-    _collinear3,
-    _replacement_point,
-    curve_kernel,
-    plane_kernel_r3,
-)
+from geomcover.kernel import _replacement_point, curve_kernel, plane_kernel_r3
 from geomcover.oracle import oracle_min_cover
-from incidence_reference import curve_through, fit_pairs, line2_curve, line_through, plane3_curve
+from incidence_reference import (
+    _collinear3,
+    curve_through,
+    fit_pairs,
+    flat_contains,
+    line2_curve,
+    line_through,
+    plane3_curve,
+    reference_replacement_point,
+)
 
 
 def _kernel_cases():
@@ -260,12 +264,70 @@ class TestPlaneKernel:
                 assert again.points == res.points and again.k == res.k
 
 
+def _grid_plus_two(a, b, base=(0, 0, 0), u=(1, 0, 0), v=(0, 1, 0)):
+    """The a x b grid base + i*u + j*v, then the points (0, 0, 5) and (1, 2, 7)."""
+    grid = [pt(*(o + i * x + j * y for o, x, y in zip(base, u, v)))
+            for i in range(a) for j in range(b)]
+    return grid + [pt(0, 0, 5), pt(1, 2, 7)]
+
+
+class TestPlaneKernelRepair:
+    def test_matches_the_kernel_on_the_fraction_reference(self, monkeypatch):
+        """The kernel's points, forced planes, budget, added points and
+        verdict equal the kernel's with the Fraction line repair, on grids in
+        z = 0 and tilted grids with fractional coordinates, plus two points
+        off the grid."""
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        cases = [(_grid_plus_two(a, b), k, seed)
+                 for a, b in ((3, 4), (4, 4)) for k in (2, 3, 4) for seed in (0, 1, 2)]
+        cases.append((_grid_plus_two(4, 5), 3, 0))
+        for base, u, v in (((0, 0, 0), (half, 0, third), (0, 2 * third, half)),
+                           ((1, half, 0), (1, 1, third), (-half, 1, 2))):
+            cases += [(_grid_plus_two(4, 4, base, u, v), k, seed) for k, seed in ((2, 0), (2, 1), (3, 0))]
+
+        def result(res):
+            return res.points, res.forced, res.k, res.added_points, res.verdict
+
+        added = 0
+        for pts, k, seed in cases:
+            got = plane_kernel_r3(pts, k, rng_seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel, "_replacement_point", reference_replacement_point)
+                want = plane_kernel_r3(pts, k, rng_seed=seed)
+            assert result(got) == result(want), (pts, k, seed)
+            added += len(got.added_points)
+        assert added >= 90
+
+
 class _AlwaysTaken:
     """A stand-in generator whose every draw is parameter 0, a point that is
     already in the instance."""
 
     def randint(self, a, b):
         return 0
+
+
+def _replacement_cases(seed, count):
+    """(line, points, generator seed): 3 to 12 distinct points of [-3, 3]^3,
+    in about 30 % of cases divided by 2 or 3, and a line through two of them
+    with up to 5 more points on it, at integer and half-integer parameters."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        den = rng.choice((2, 3)) if rng.random() < 0.3 else 1
+        pts = list(dict.fromkeys(pt(*(Fraction(rng.randint(-3, 3), den) for _ in range(3)))
+                                 for _ in range(rng.randint(3, 12))))
+        if len(pts) < 2:
+            continue
+        line = line_through(*rng.sample(pts, 2))
+        for _ in range(rng.randint(0, 5)):
+            t = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2)))
+            on = pt(*(b + t * d for b, d in zip(line.base, line.basis[0])))
+            if on not in pts:
+                pts.append(on)
+        rng.shuffle(pts)
+        cases.append((line, pts, rng.randrange(1 << 30)))
+    return cases
 
 
 class TestReplacementPoint:
@@ -277,11 +339,35 @@ class TestReplacementPoint:
         xaxis = line_through(P[0], P[1])
         assert xaxis.base == (0, 0, 0)
         got = _replacement_point(xaxis, P, _AlwaysTaken())
-        assert got == pt(-7, 0, 0)
+        assert got == pt(-7, 0, 0) == reference_replacement_point(xaxis, P, _AlwaysTaken())
         assert flat_contains(xaxis, got) and got not in P
         for a, b in itertools.combinations(P, 2):
             if not (flat_contains(xaxis, a) and flat_contains(xaxis, b)):
                 assert not _collinear3(got, a, b)
+
+    def test_scan_waits_for_a_window_past_the_bound(self):
+        # one more point raises the bound to 6 + C(6, 2) = 21, so the window
+        # of 17 is not scanned, though only four parameters are bad; the
+        # window of 33 is, from t = -16
+        P = [pt(0, 0, 0), pt(1, 0, 0), pt(-8, 1, 0), pt(-8, -1, 0), pt(-7, 1, 1), pt(5, 5, 5)]
+        xaxis = line_through(P[0], P[1])
+        got = _replacement_point(xaxis, P, _AlwaysTaken())
+        assert got == pt(-16, 0, 0) == reference_replacement_point(xaxis, P, _AlwaysTaken())
+
+    def test_matches_the_fraction_reference(self):
+        """The same point as the repair that re-tests every pair per draw,
+        from the same generator state, and the generator left in the same
+        state."""
+        rejected = fractional = 0
+        for line, pts, seed in _replacement_cases(61, 2000):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = _replacement_point(line, pts, rng)
+            assert got == reference_replacement_point(line, pts, ref_rng), (line, pts, seed)
+            assert rng.getstate() == ref_rng.getstate()
+            first = random.Random(seed).randint(-8, 8)
+            rejected += got != pt(*(b + first * d for b, d in zip(line.base, line.basis[0])))
+            fractional += any(c.denominator > 1 for c in got)
+        assert rejected >= 200 and fractional >= 200
 
 
 # the lattice points at distance 5 from the origin

@@ -20,7 +20,6 @@ from geomcover.geometry import (
     PlaneLayer,
     _bits,
     check_cover,
-    flat_contains,
     plane_covers,
     pt,
 )
@@ -43,7 +42,7 @@ from geomcover.plane_branch import (
     plane_cover,
     plane_object,
 )
-from incidence_reference import layer_line, line_through, plane3_curve
+from incidence_reference import flat_contains, layer_line, line_through, plane3_curve
 
 
 def _points_in(layer, mask):
