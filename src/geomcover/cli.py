@@ -4,8 +4,9 @@ Exit codes: 0 decision computed (yes or no), 2 invalid input, 3 cap
 exceeded, 4 verification mismatch (solver bug).
 
 Result records are emitted as canonical JSON. Wall-clock timing is kept out
-of the record unless --timing is passed, so records from identical seeds are
-byte-identical. Every solve runs sequentially; --threads is only recorded.
+of the record unless --timing is passed, so the records of one instance
+file and one set of flags are byte-identical. Every solve runs sequentially;
+--threads is only recorded.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ class ResultRecord:
     opt: Optional[int] = None
     witness: Optional[list] = None
     stats: SearchStats = field(default_factory=SearchStats)
-    seed: Optional[int] = None
     config: dict = field(default_factory=dict)
     verified: Optional[bool] = None
 
@@ -100,7 +100,6 @@ class ResultRecord:
             "opt": self.opt,
             "witness": _witness_json(self.witness) if self.witness is not None else None,
             "stats": stats,
-            "seed": self.seed,
             "config": self.config,
             "verified": self.verified,
         }
@@ -150,7 +149,7 @@ def _solve(inst: Instance, algorithm: str, k: int, args,
            max_nodes: Optional[int] = None) -> ResultRecord:
     """The record of one algorithm's solve of `inst` at budget k, untimed and
     unchecked; the oracle stops past `max_nodes` search nodes."""
-    record = ResultRecord(algorithm=algorithm, seed=args.seed, config={
+    record = ResultRecord(algorithm=algorithm, config={
         "k": k,
         "family": inst.family.kind,
         "n": inst.n,
@@ -182,7 +181,7 @@ def _solve(inst: Instance, algorithm: str, k: int, args,
         if args.min_cover:
             raise InvalidInstanceError("--min needs the ie or oracle algorithm")
         if inst.family.kind == "plane3":
-            res = plane_cover(inst.points, k, ie_cap=args.ie_cap, rng_seed=args.seed or 0)
+            res = plane_cover(inst.points, k, ie_cap=args.ie_cap)
         else:
             res = curve_cover(inst.points, inst.family, k, ie_cap=args.ie_cap)
         record.decision = res.decision
@@ -271,7 +270,7 @@ def _cmd_kernelize(args) -> int:
     inst = load_instance(args.input, dedup=args.dedup)
     k = args.k if args.k is not None else inst.k
     if inst.family.kind == "plane3":
-        res = plane_kernel_r3(inst.points, k, rng_seed=args.seed or 0)
+        res = plane_kernel_r3(inst.points, k)
     else:
         res = curve_kernel(inst.points, inst.family, k)
     meta = dict(inst.metadata)
@@ -333,7 +332,7 @@ def _cmd_bench(args) -> int:
         for algorithm in entry["algorithms"]:
             for _ in range(reps):
                 ns = argparse.Namespace(
-                    seed=entry.get("seed", 0), threads=1, ie_cap=args.ie_cap,
+                    threads=1, ie_cap=args.ie_cap,
                     oracle_cap=args.oracle_cap, min_cover=False, witness=False)
                 record = _run_algorithm(inst, algorithm, k, ns)
                 # auto's rows name the route that answered, as in auto:oracle
@@ -366,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "for an oracle answer, the oracle for any other")
     solve.add_argument("--threads", type=int, default=1,
                        help="recorded in config.threads; the search always runs sequentially")
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--ie-cap", type=int, default=DEFAULT_SUBSET_CAP, help=IE_CAP_HELP)
     solve.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, help=ORACLE_CAP_HELP)
     solve.add_argument("--dedup", action="store_true", help="drop duplicate points with a warning")
@@ -390,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     kern.add_argument("--input", required=True)
     kern.add_argument("--k", type=int, default=None)
     kern.add_argument("--out", required=True)
-    kern.add_argument("--seed", type=int, default=0,
-                      help="seeds the plane kernel's replacement points on the lines it restores")
     kern.add_argument("--dedup", action="store_true")
     kern.set_defaults(func=_cmd_kernelize)
 

@@ -45,9 +45,11 @@ answers the sum over the submasks of any subset of it. Witness extraction
 runs on the counter that made the decision and on that decision's sum: it
 self-reduces by removing one object at a time, each step one sweep over the
 submasks of what is left. The objects to try come from one `CandidateTable`
-per counter, built from its layer's integer rows and its ground masks,
-which lists for any remaining mask exactly what `candidate_cover_sets`
-lists for the remaining elements, and builds only the objects picked.
+per counter, built from its layer's integer rows and its ground masks. For
+a remaining mask it lists the objects through the first remaining element,
+in the order of `candidate_cover_sets` of the remaining elements; a step
+prunes their dominated masks as it goes, skipping those inside a mask that
+failed, and builds only the object it picks.
 
 Counts are exact arbitrary-precision integers throughout.
 """
@@ -68,7 +70,6 @@ from .geometry import (
     Point,
     _bits,
     _completions,
-    _maximal_sets,
     incidence_layer,
 )
 
@@ -505,22 +506,18 @@ class CandidateTable:
     line l do not span p, but they span l, and l's canonical plane holds every
     remaining element of G_p and comes first among the planes through l in
     object order, so the list prunes p then. Each is an integer row; the rows
-    are merged and ordered by their exact keys (`Fits.keys`), and `obj(h)`
-    builds the object of row h, which extraction does only for the objects it
-    picks."""
+    are ordered by their exact keys (`Fits.keys`), the rows of one object side
+    by side, and `obj(h)` builds the object of row h, which extraction does
+    only for the objects it picks."""
 
     def __init__(self, counter: CoverableCounter):
         fits, spans = (self._plane_entries(counter) if counter.family.kind == "plane3"
                        else self._curve_entries(counter))
-        # one row per object, in object order, so that a stable sort by size
-        # orders each list; entries of one object share its row and spans
-        first: dict[tuple, int] = {}  # order key -> the object's first entry
-        for h, key in enumerate(fits.keys()):
-            f = first.setdefault(key, h)
-            if f != h:
-                spans[f] += spans[h]
+        # every entry, in object order, so that a stable sort by size orders
+        # each list; the entries of one object share its mask and sit side by
+        # side
         self._fits = fits
-        self._rows = [(h, fits.masks[h], spans[h]) for _, h in sorted(first.items())]
+        self._rows = [(h, fits.masks[h], spans[h]) for h in fits.order()]
 
     def obj(self, h: int):
         return self._fits.obj(h)
@@ -570,24 +567,28 @@ class CandidateTable:
             spans.append([(combo, size)])
         return Fits(kind, scale, rows, masks), spans
 
-    def cover_sets(self, rem: int) -> list[tuple[int, int]]:
-        """`candidate_cover_sets` of the ground elements in `rem`, each
-        object as its row index (`obj` builds it), with masks over the whole
-        ground: the objects spanned by elements of `rem` alone (one spanned
-        only through removed elements can tie on its restricted mask and be
-        canonically smaller), largest first, ties in object order, dominated
-        masks pruned."""
+    def through(self, first: int, rem: int) -> list[tuple[int, int]]:
+        """The entries whose mask holds `first` and that elements of `rem`
+        alone span, each as its row index (`obj` builds it) and its mask cut
+        to `rem`, largest first, ties in object order. One spanned only
+        through removed elements can tie on its cut mask and be canonically
+        smaller, so it is left out. Pruning the dominated masks gives the
+        entries of `candidate_cover_sets` of `rem` that hold `first`: a mask
+        that contains one holding `first` holds it too."""
         live = [(h, mask & rem) for h, mask, spans in self._rows
-                if any((span & rem).bit_count() >= need for span, need in spans)]
+                if mask & first and any((span & rem).bit_count() >= need for span, need in spans)]
         live.sort(key=lambda om: -om[1].bit_count())
-        return _maximal_sets(live)
+        return live
 
 
 def _self_reduce(counter: CoverableCounter, k: int, total: int, cap: int) -> list:
     """A cover of the counter's ground by at most k objects, given the
-    ground's alternating sum `total` at budget k. Each step takes the first
-    listed object through the pi-first remaining element whose removal
-    leaves a yes-instance at one budget less, decided over the same counter."""
+    ground's alternating sum `total` at budget k. Each step tries the
+    objects through the pi-first remaining element, largest cut mask first,
+    and takes the first whose removal leaves a yes-instance at one budget
+    less, decided over the same counter. It skips an object whose cut mask
+    lies inside one that failed, so it tries exactly the set-maximal masks
+    of `candidate_cover_sets`' list through that element, in list order."""
     if total < 1:
         raise SolverInternalError("self-reduction called on a no-instance")
     table = CandidateTable(counter)
@@ -597,13 +598,16 @@ def _self_reduce(counter: CoverableCounter, k: int, total: int, cap: int) -> lis
     while rem:
         if not budget:
             raise SolverInternalError("the budget ran out before the ground was covered")
-        first = rem & -rem  # pi-first remaining element
-        for h, mask in table.cover_sets(rem):
-            if mask & first and _signed_sum(counter, rem & ~mask, budget - 1, cap).decision:
+        failed = []  # the cut masks tried at this step, each leaving a no-instance
+        for h, mask in table.through(rem & -rem, rem):
+            if any(mask | f == f for f in failed):
+                continue  # removing less of `rem` leaves a no-instance too
+            if _signed_sum(counter, rem & ~mask, budget - 1, cap).decision:
                 chosen.append(table.obj(h))
                 rem &= ~mask
                 budget -= 1
                 break
+            failed.append(mask)
         else:
             raise SolverInternalError("no candidate extends the partial cover")
     return chosen

@@ -6,18 +6,18 @@ s*k^2 remaining points rule out any k-cover.
 
 Plane kernel (R^3): first make the point set 1-ready, i.e. no line carries
 more than k+1 points (heavy lines are trimmed, and lines whose heaviness was
-collaterally destroyed get replacement points in general position on them,
-from a seeded generator). A replacement point's bad parameters on its line,
-the current points on it and the crossings of the lines through two points
-off it, are collected once on integers, and the draws avoid them. Two
-planes then share at most k+1 points, and the curve-kernel argument applies
-with s = k+1. Readiness and plane forcing are iterated to a fixpoint so the
-output instance is stable under re-kernelization.
+collaterally destroyed get replacement points in general position on them).
+A replacement point's bad parameters on its line, the current points on it
+and the crossings of the lines through two points off it, are collected
+once on integers, and the point sits at the least nonnegative parameter
+that is not bad, so the kernel is deterministic. Two planes then share at
+most k+1 points, and the curve-kernel argument applies with s = k+1.
+Readiness and plane forcing are iterated to a fixpoint so the output
+instance is stable under re-kernelization.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -34,7 +34,6 @@ from .geometry import (
     line_fits3,
     plane_fits3,
 )
-from .inclusion_exclusion import SolverInternalError
 
 
 @dataclass
@@ -97,17 +96,15 @@ def _cross(u, v) -> tuple[int, int, int]:
     return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
 
 
-def _replacement_point(line: Flat, pts: Sequence[Point], rng: random.Random) -> Point:
-    """A point on `line`, off every other line spanned by two current points.
-    The bad parameters are collected once, over the points and `line` scaled
-    to integers: the parameter of each current point on `line`,
-    and where the line through two points off `line` crosses it, when the two
-    span a plane with `line` and are not parallel to it. A line through one
-    point on `line` and one off it meets `line` only at the first. So at most
-    n + C(n, 2) parameters are bad; only the integer ones are kept, as only
-    integers are drawn. Integer parameters are drawn from a widening window;
-    once the window holds more integers than that bound and its draws have
-    failed, it is scanned in order and its first good parameter is taken."""
+def _replacement_point(line: Flat, pts: Sequence[Point]) -> Point:
+    """A point on `line`, off every other line spanned by two current points:
+    the one at the least nonnegative integer parameter that is not bad. The
+    bad parameters are collected once, over the points and `line` scaled to
+    integers: the parameter of each current point on `line`, and where the
+    line through two points off `line` crosses it, when the two span a plane
+    with `line` and are not parallel to it. A line through one point on
+    `line` and one off it meets `line` only at the first. Only the integer
+    ones are kept; as they are finitely many, the scan ends."""
     base, direction = line.base, line.basis[0]
     _, rows = _scaled([*pts, Point(base), Point(direction)], 3)
     a, d = rows[-2], rows[-1]  # the line's base and direction, scaled alike
@@ -130,27 +127,13 @@ def _replacement_point(line: Flat, pts: Sequence[Point], rng: random.Random) -> 
                 m = _cross(v, e)[c]
                 if m % n[c] == 0:
                     bad.add(m // n[c])
-    bad_bound = len(pts) + len(pts) * (len(pts) - 1) // 2
-
-    def at(t: int) -> Point:
-        return Point(tuple(b + t * x for b, x in zip(base, direction)))
-
-    span = 8
-    while True:
-        for _ in range(40):
-            t = rng.randint(-span, span)
-            if t not in bad:
-                return at(t)
-        if 2 * span + 1 > bad_bound:
-            for t in range(-span, span + 1):
-                if t not in bad:
-                    return at(t)
-            raise SolverInternalError("no replacement point on %r" % (line,))
-        span *= 2
+    t = 0
+    while t in bad:
+        t += 1
+    return Point(tuple(b + t * x for b, x in zip(base, direction)))
 
 
-def _make_one_ready(pts: list[Point], k: int, rng: random.Random,
-                    added: list[Point]) -> tuple[list[Point], Fits]:
+def _make_one_ready(pts: list[Point], k: int, added: list[Point]) -> tuple[list[Point], Fits]:
     """Trim every line to at most k+1 points, restoring collaterally damaged
     heavy lines with general-position replacements. Returns the points and
     their `line_fits3`.
@@ -183,13 +166,13 @@ def _make_one_ready(pts: list[Point], k: int, rng: random.Random,
         for j, mask in heavy_before:
             have = (mask & ~drop).bit_count()
             while have < limit:
-                newp = _replacement_point(lines.obj(j), pts, rng)
+                newp = _replacement_point(lines.obj(j), pts)
                 pts.append(newp)
                 added.append(newp)
                 have += 1
 
 
-def plane_kernel_r3(points: Sequence[Point], k: int, rng_seed: int = 0) -> KernelResult:
+def plane_kernel_r3(points: Sequence[Point], k: int) -> KernelResult:
     """Reduce an R^3 plane-cover instance: 1-readiness, then forced planes,
     iterated to a fixpoint; reject when more than k^3 + k^2 points survive
     (evaluated at the post-forcing budget), else hand on their `PlaneLayer`,
@@ -198,14 +181,13 @@ def plane_kernel_r3(points: Sequence[Point], k: int, rng_seed: int = 0) -> Kerne
         raise ValueError("negative budget")
     if any(p.dim != 3 for p in points):
         raise GeometryError("plane kernel needs R^3 points")
-    rng = random.Random(rng_seed)
     pts = list(points)
     forced: list[Plane3] = []
     added: list[Point] = []
     k_cur = k
     fits = ()  # the lines and planes of `pts` once it stops for want of a rich plane
     while k_cur >= 1:
-        pts, lines = _make_one_ready(pts, k_cur, rng, added)
+        pts, lines = _make_one_ready(pts, k_cur, added)
         threshold = k_cur * (k_cur + 1) + 1
         planes = plane_fits3(pts)
         sizes = [m.bit_count() for m in planes.masks]

@@ -211,11 +211,10 @@ class _PlaneSearch(_Search):
                               stamped + tuple((j, depth) for j in names[h_i:])))
 
 
-def plane_cover(points: Sequence[Point], k: int, ie_cap: int = DEFAULT_SUBSET_CAP,
-                rng_seed: int = 0) -> CoverResult:
+def plane_cover(points: Sequence[Point], k: int, ie_cap: int = DEFAULT_SUBSET_CAP) -> CoverResult:
     """Kernelize, then run the recursive search over every budget partition
     <h_1, l_1, ..., h_r, l_r> summing to the reduced budget."""
-    kern = plane_kernel_r3(points, k, rng_seed)
+    kern = plane_kernel_r3(points, k)
     config = make_plane_config(kern.k, ie_cap)
     return branch_cover(kern, PLANE3, config, _PlaneSearch,
                         budget_partitions(config.k, 2 * config.r))

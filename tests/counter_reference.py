@@ -20,6 +20,7 @@ from geomcover.geometry import (
     Flat,
     GeometryError,
     Point,
+    _maximal_sets,
     curve_covers,
 )
 from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, _row_col, ie_decide
@@ -311,18 +312,24 @@ def assert_counter_matches_reference(counter, ref: FractionPlaneCounter):
 
 
 def assert_table_lists_candidate_cover_sets(table, counter, points, lines, family, locals_):
-    """For each subset (a mask over the elements of `points + lines`), the
-    table's list is `candidate_cover_sets` of those elements: object for
-    object, mask for mask and in order."""
+    """For each nonempty subset (a mask over the elements of `points +
+    lines`), the table's list through the subset's first element, with its
+    dominated masks pruned, is `candidate_cover_sets` of those elements cut
+    to the objects through that element: object for object, mask for mask
+    and in order."""
     ground = list(points) + list(lines)
     order = _bits(counter.mask)  # the ground bit of each element
     for local in locals_:
         kept = [i for i in range(len(ground)) if local >> i & 1]
+        if not kept:
+            continue
         rem = sum(1 << order[i] for i in kept)
         pts = [ground[i] for i in kept if i < len(points)]
         fls = [ground[i] for i in kept if i >= len(points)]
-        listed = [(table.obj(h), mask) for h, mask in table.cover_sets(rem)]
+        listed = [(table.obj(h), mask) for h, mask in _maximal_sets(table.through(rem & -rem, rem))]
         assert all(mask & ~rem == 0 for _, mask in listed)
         renumbered = [(obj, sum(1 << j for j, i in enumerate(kept) if mask >> order[i] & 1))
                       for obj, mask in listed]
-        assert renumbered == candidate_cover_sets(pts, family, fls), (family, points, lines, rem)
+        # the first element of `rem` is element 0 of the renumbered subset
+        want = [(obj, mask) for obj, mask in candidate_cover_sets(pts, family, fls) if mask & 1]
+        assert renumbered == want, (family, points, lines, rem)

@@ -13,10 +13,10 @@ R^3 in reduced-echelon form (`make_flat`, `line_through`, `affine_hull`,
 `plane_through`), with `flat_contains`, the exact containment of a point or
 flat in a flat or plane, and `_collinear3`.
 
-`reference_replacement_point` is the plane kernel's line repair that re-tests
-every pair of current points per draw, in Fractions; the integer
-`geomcover.kernel._replacement_point` must return the same point from the
-same generator state.
+`reference_replacement_point` is the plane kernel's line repair that tests
+each parameter t = 0, 1, 2, ... against every pair of current points, in
+Fractions; the integer `geomcover.kernel._replacement_point` must return the
+same point.
 
 `candidate_cover_sets` is the Fraction enumerator of the oracle's candidate
 list: every 1- to 3-tuple of the ground (points, then R^3 flats for plane3)
@@ -54,7 +54,6 @@ from geomcover.geometry import (
     curve_fits,
     plane_covers,
 )
-from geomcover.inclusion_exclusion import SolverInternalError
 
 
 def fit_pairs(fits: Fits) -> list[tuple[object, int]]:
@@ -255,15 +254,11 @@ def _collinear3(a: Point, b: Point, c: Point) -> bool:
             and u[0] * v[1] - u[1] * v[0] == 0)
 
 
-def reference_replacement_point(line: Flat, pts: Sequence[Point], rng) -> Point:
-    """A point on `line`, off every other line spanned by two current points.
-    Integer parameters are drawn from a widening window; rejected samples are
-    retried. At most n + C(n, 2) parameters are bad: a current point, or where
-    the line through two points off `line` crosses it. So once the window
-    holds more integers than that and its draws have failed, it is scanned in
-    order and its first good parameter is taken."""
+def reference_replacement_point(line: Flat, pts: Sequence[Point]) -> Point:
+    """A point on `line`, off every other line spanned by two current points:
+    the one at the least nonnegative integer parameter that passes a test
+    of the candidate against every pair of current points, in Fractions."""
     base, direction = line.base, line.basis[0]
-    bad_bound = len(pts) + len(pts) * (len(pts) - 1) // 2
 
     def good(t: int) -> Optional[Point]:
         cand = Point(tuple(b + t * d for b, d in zip(base, direction)))
@@ -276,19 +271,10 @@ def reference_replacement_point(line: Flat, pts: Sequence[Point], rng) -> Point:
                         return None
         return cand
 
-    span = 8
-    while True:
-        for _ in range(40):
-            cand = good(rng.randint(-span, span))
-            if cand is not None:
-                return cand
-        if 2 * span + 1 > bad_bound:
-            for t in range(-span, span + 1):
-                cand = good(t)
-                if cand is not None:
-                    return cand
-            raise SolverInternalError("no replacement point on %r" % (line,))
-        span *= 2
+    t = 0
+    while (cand := good(t)) is None:
+        t += 1
+    return cand
 
 
 # ---------------------------------------------------------------------------

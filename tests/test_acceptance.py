@@ -120,9 +120,9 @@ class TestAcceptance:
         suite = plane_suite(75, 25, master_seed=31)
         mismatches = 0
         degenerate_count = 0
-        for seq, (pts, k, tag) in enumerate(suite):
+        for pts, k, tag in suite:
             truth = oracle_min_cover(pts, PLANE3)
-            res = plane_cover(pts, k, rng_seed=seq)
+            res = plane_cover(pts, k)
             if res.decision != (truth.opt <= k):
                 mismatches += 1
             if res.decision:
@@ -204,7 +204,7 @@ class TestAcceptance:
         for i in range(80):
             pts = random_points_3d(rng, rng.randint(4, 10), span=rng.randint(2, 4))
             k = rng.randint(1, 3)
-            res = plane_kernel_r3(pts, k, rng_seed=i)
+            res = plane_kernel_r3(pts, k)
             original = oracle_min_cover(pts, PLANE3).opt <= k
             if res.verdict == "rejected":
                 ok &= not original
@@ -294,7 +294,7 @@ class TestAcceptance:
         ok = True
         runs = [
             ("grid", {"n": 3}, 0, ["--algorithm", "branch", "--k", "3", "--witness"]),
-            ("degenerate-plane", {"k": 2, "m": 6}, 5, ["--algorithm", "branch", "--witness", "--seed", "7"]),
+            ("degenerate-plane", {"k": 2, "m": 6}, 5, ["--algorithm", "branch", "--witness"]),
             ("uniform-random", {"n": 10, "coord_range": 5}, 11, ["--algorithm", "ie", "--min", "--witness"]),
         ]
         for model, params, seed, flags in runs:

@@ -314,11 +314,10 @@ class TestIntegerIncidence:
     def test_replacement_points(self):
         # replacement points lie on lines in canonical form, whose base and
         # direction are rational
-        rng = random.Random(43)
         pts = list(generate("degenerate-plane", {"k": 2, "m": 5}, seed=2).points)
         for line, _ in fit_pairs(line_fits3(pts))[:6]:
             for _ in range(2):
-                pts.append(_replacement_point(line, pts, rng))
+                pts.append(_replacement_point(line, pts))
         assert any(c.denominator > 1 for p in pts for c in p.coords)
         self.assert_flats_match(pts)
         self.assert_curves_match(list(dict.fromkeys(pt(x, y) for x, y, _ in pts)))

@@ -24,7 +24,9 @@ from counter_reference import (
     representative,
     step,
 )
+import extraction_reference
 from extraction_reference import reference_extract_cover
+from geomcover import inclusion_exclusion
 from geomcover.curve_branch import curve_cover
 from geomcover.geometry import (
     CIRCLE2,
@@ -269,6 +271,41 @@ class TestExtract:
                 assert repr(w) == repr(ref) and w == ref, (fam, points, lines, budget)
                 assert _covers_ground(points, lines, w, budget)
 
+    def test_decides_as_often_as_the_reference(self, monkeypatch):
+        """Extraction reads only the objects through the first remaining
+        element and skips a cut mask inside one that failed, so it runs one
+        sweep per removal that the reference loop decides, over the whole
+        pruned list: no more, no fewer."""
+        cases = [(fam, points, ()) for fam, points in degenerate_curve_instances()]
+        cases += [(fam, points, ()) for fam, points in _random_curve_grounds(53, 4, 6, 10)]
+        cases += [(PLANE3, points, lines) for points, lines in _random_plane_grounds(59, 12, 3, 7)]
+        calls = {"sweep": 0, "reference": 0}
+
+        def counting(fn, key):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        signed_sum = _signed_sum
+        monkeypatch.setattr(inclusion_exclusion, "_signed_sum", counting(signed_sum, "sweep"))
+        monkeypatch.setattr(extraction_reference, "reference_decide",
+                            counting(extraction_reference.reference_decide, "reference"))
+        failed = 0
+        for fam, points, lines in cases:
+            counter = (layer_counter(points, lines) if lines
+                       else CoverableCounter(incidence_layer(points, fam)))
+            k = _least_budget(_signed_histogram(counter, counter.mask, DEFAULT_SUBSET_CAP), counter.n)[0]
+            total = signed_sum(counter, counter.mask, k, DEFAULT_SUBSET_CAP).ie_sum
+            calls.update(sweep=0, reference=0)
+            w = _self_reduce(counter, k, total, DEFAULT_SUBSET_CAP)
+            sweeps = calls["sweep"]
+            assert w == reference_extract_cover(points, fam, k, flats=lines)
+            # the reference decides the whole ground once before its steps
+            assert sweeps == calls["reference"] - 1, (fam, points, lines)
+            failed += sweeps - len(w)
+        assert failed >= 15
+
     def test_random_witnesses_check_out(self):
         rng = random.Random(43)
         for fam in (LINE2, CIRCLE2, VPARABOLA2):
@@ -335,8 +372,10 @@ def _random_plane_grounds(seed, count, lo, hi):
 
 class TestCandidateTable:
     def test_lists_candidate_cover_sets_of_the_remaining_elements(self):
-        """Object for object, mask for mask and in order, the table's list for
-        a remaining mask is candidate_cover_sets of the remaining elements."""
+        """Object for object, mask for mask and in order, the table's list
+        through the first element of a remaining mask, with its dominated
+        masks pruned, is candidate_cover_sets of the remaining elements cut to
+        the objects through that element."""
         rng = random.Random(61)
         grounds = [(fam, points, ()) for fam, points in _random_curve_grounds(67, 10, 3, 10)]
         grounds += [(PLANE3, points, lines) for points, lines in _random_plane_grounds(71, 30, 3, 8)]

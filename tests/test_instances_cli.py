@@ -274,6 +274,25 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error:")
 
+    def test_solve_and_kernelize_take_no_seed(self, tmp_path, capsys):
+        """Only gen draws at random: solve and kernelize reject --seed, a
+        record has no seed key, and two kernelize runs of an instance whose
+        kernel adds a replacement point write the same file."""
+        path, _ = self.write(tmp_path, "d.json", "degenerate-plane", {"k": 4, "m": 4}, 2)
+        outs = [tmp_path / "k1.json", tmp_path / "k2.json"]
+        for argv in (["solve", "--input", str(path)],
+                     ["kernelize", "--input", str(path), "--k", "3", "--out", str(outs[0])]):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv + ["--seed", "1"])
+            assert exit_.value.code == EXIT_INVALID
+        capsys.readouterr()
+        assert main(["solve", "--input", str(path), "--algorithm", "oracle"]) == EXIT_OK
+        assert "seed" not in json.loads(capsys.readouterr().out)
+        for out in outs:
+            assert main(["kernelize", "--input", str(path), "--k", "3", "--out", str(out)]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert pt(1, 3, 1) in parse_instance(outs[0].read_text()).points
+
     def test_byte_identical_records(self, tmp_path, capsys):
         def record(path, *flags):
             assert main(["solve", "--input", str(path), "--algorithm", "branch",
@@ -281,7 +300,7 @@ class TestCli:
             return capsys.readouterr().out
 
         path, _ = self.write(tmp_path, "d.json", "degenerate-plane", {"k": 2, "m": 6}, 3)
-        assert record(path, "--seed", "5") == record(path, "--seed", "5")
+        assert record(path) == record(path)
 
         # the benchmark's two anchors with their pinned search counters;
         # --threads only lands in config.threads
@@ -428,7 +447,7 @@ class TestCli:
                                 {"family": "circle2", "k": 3, "m": 3}, 11)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(geomcover.__file__)))
         for flags in (["--witness"], [], ["--k", "1"], ["--k", str(inst.k)],
-                      ["--algorithm", "ie", "--min", "--witness", "--verify"], ["--seed", "4"], []):
+                      ["--algorithm", "ie", "--min", "--witness", "--verify"], []):
             argv = ["solve", "--input", str(path)] + flags
             assert main(argv) == EXIT_OK
             here = capsys.readouterr().out

@@ -230,11 +230,11 @@ class TestPlaneCover:
 
     def test_agrees_with_oracle_random(self):
         rng = random.Random(103)
-        for t in range(12):
+        for _ in range(12):
             pts = random_points_3d(rng, rng.randint(4, 9))
             k = rng.randint(1, 3)
             want = oracle_min_cover(pts, PLANE3).opt <= k
-            res = plane_cover(pts, k, rng_seed=t)
+            res = plane_cover(pts, k)
             assert res.decision == want, (pts, k)
             if res.decision:
                 assert check_cover(pts, res.witness, k)
@@ -251,7 +251,7 @@ class TestPlaneCover:
             if len(pts) > 12:
                 continue
             want = oracle_min_cover(pts, PLANE3).opt <= inst.k
-            res = plane_cover(pts, inst.k, rng_seed=seed)
+            res = plane_cover(pts, inst.k)
             assert res.decision == want
             if res.decision:
                 assert check_cover(pts, res.witness, inst.k)
@@ -274,7 +274,7 @@ class TestPlaneCover:
 
     def test_stamped_lines_stay_within_budget(self):
         inst = generate("degenerate-plane", {"k": 2, "m": 6}, seed=9)
-        res = plane_cover(list(inst.points), 2, rng_seed=9)
+        res = plane_cover(list(inst.points), 2)
         assert res.decision
         assert len(res.witness) <= 2
 
