@@ -481,7 +481,9 @@ class PlaneLayer:
     masks, `planes` (mask, indexes of the lines inside it) and `line_planes`
     the indexes of the planes that contain each line, and
     `line_point_plane[l*n + x]` is the plane through line l and point x off it.
-    `plane(p)` builds a plane, and `scaled` holds the points times `scale`.
+    `rich_planes` and `rich_lines` index the planes and lines through four or
+    more of the points. `plane(p)` builds a plane, and `scaled` holds the
+    points times `scale`.
 
     Every line holds at least two of the points, so it lies in a plane
     exactly when its mask is inside the plane's. A caller that already holds
@@ -507,6 +509,8 @@ class PlaneLayer:
                 for x in _bits(m & ~self.lines[j]):
                     self.line_point_plane[j * n + x] = p
             self.planes.append((m, contained))
+        self.rich_planes = [p for p, (m, _) in enumerate(self.planes) if m.bit_count() >= 4]
+        self.rich_lines = [l for l, m in enumerate(self.lines) if m.bit_count() >= 4]
 
     def plane(self, p: int) -> Plane3:
         return self._planes.obj(p)

@@ -5,10 +5,11 @@ over all subsets X of the ground set of c(P \\ X)^k, where c(Y) counts the
 subsets of Y coverable by a single object (the empty set included). The sum
 is at least 1 exactly on yes-instances. No table over the subsets of the
 ground is stored, beyond one of 2^b entries for a block of b elements, b at
-most the fixed `LOW_BLOCK`: one Gray-code walk visits the subsets, flipping
-one element per step, moves c by the difference the flip makes, and keeps a
-signed histogram of the c values, so each budget's sum takes one power per
-distinct c.
+most the fixed `LOW_BLOCK`: a Gray-code walk visits the subsets of the
+ground elements past the block, one flip per step, finishes the 2^b subsets
+that each of them completes with the block at once, in one packed integer
+with a field per subset, and keeps a signed histogram of the c values, so
+each budget's sum takes one power per distinct c.
 
 Every counter is cut from an incidence layer (`geometry.incidence_layer`):
 the `curve_fits` of a point set, or its `PlaneLayer`. Its ground is any
@@ -31,14 +32,18 @@ one step per low element, and one term per curve through two or more low
 points, summed over the block's subsets (a zeta transform) in one packed
 integer with a field per L.
 
-The plane walk keeps the subset alone. Each plane and line of a plane
-counter's `PlaneLayer` gets a ground mask, and a coverable set of two or
-more elements spans one layer plane or lies on one layer line, and so in
-each plane through that line. A flip steps c by popcounts over the masks
-that hold the element, each weighted by 1 for a plane and 1 - P(l) for a
-line in P(l) layer planes, with the sets of a point and at most two other
-points in closed form; the walk sums these terms in its loop, from one
-entry per element of the counter's tables.
+The plane walk runs in the same blocks, from an identity. Each plane and
+line of a plane counter's `PlaneLayer` gets a ground mask, and a coverable
+set of two or more elements spans one layer plane or lies on one layer
+line, and so in each plane through that line. Any three points are
+coplanar, so c(X) is C3 of X's points (the sets of at most three) plus X's
+lines, plus one term per plane or line mask that holds four or more ground
+points or a ground line: its factor (1 for a plane, 1 - P(l) for a line in
+P(l) layer planes) times its coverable sets past that closed form. A term
+reads its mask's meet with X by popcounts, so for each high subset the walk
+adds one precomputed packed entry per term, and a ground of at most
+`LOW_BLOCK` elements is one packed sum. The counter cuts only those masks:
+the layer lists its planes and lines of four or more points once.
 
 c(X) depends on X alone, so one counter built over the whole ground
 answers the sum over the submasks of any subset of it. Witness extraction
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from functools import cache
 from itertools import repeat
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
@@ -102,15 +108,14 @@ class CoverableCounter:
     bit i): the points in `ground`, all of them by default, and for a
     `PlaneLayer` the distinct layer `lines` after them (the q-th is bit
     n + q, for n layer points). A curve counter keeps the layer's curve masks
-    cut to the ground, a plane counter the ground masks of the layer planes
-    and lines. What the Gray walk of `_signed_histogram` reads to step c at
-    a flip differs by family: a curve counter's `step(e, Y, pairs)` gives
-    c(Y + e) - c(Y) for e not in Y, where `pairs` is Y's pair mask at width
-    `pair_width` = n, and the curve walk also reads its triple masks `_tri`
-    and its curves of four or more points `_heavy` to finish the subsets of
-    its low block; a plane counter's `flips` hold, per element, the tables
-    whose popcount terms the plane walk sums. `mask` is the ground's mask
-    and `n` its size."""
+    cut to the ground, a plane counter the read terms of its identity
+    (`terms`, see `_build_planes`), the ground masks of the layer planes and
+    lines that hold four or more ground points or a ground line, with their
+    factors. A curve counter's `step(e, Y, pairs)` gives c(Y + e) - c(Y) for
+    e not in Y, where `pairs` is Y's pair mask at width `pair_width` = n,
+    which the curve walk reads at each flip, with its triple masks `_tri` and
+    its curves of four or more points `_heavy` to finish the subsets of its
+    low block. `mask` is the ground's mask and `n` its size."""
 
     def __init__(self, layer: Union[Fits, PlaneLayer], ground: Optional[int] = None,
                  lines: Sequence[int] = ()):
@@ -179,57 +184,59 @@ class CoverableCounter:
             total += W[(mask & y).bit_count()]
         return total
 
-    # -- planes: one ground mask per layer plane and line
+    # -- planes: the ground masks of the layer's rich planes and lines
 
     def _build_planes(self, mask: int, lines: Sequence[int]):
-        """The ground masks of the layer over the points in `mask` and the
-        layer `lines`: G_p, per layer plane p, holds the ground points on p
-        and the ground lines inside it; G_l, per layer line l, the ground
-        points on l and l's own bit when l is a ground line. A coverable set
-        of two or more elements either spans one layer plane and lies in its
-        G_p alone, or lies in one G_l and so in the G_p of each of the P(l)
-        layer planes through l. Counted once per G_p and 1 - P(l) times per
-        G_l that holds it, each coverable set counts once. So a flip of e adds
-        {e}, and 2^|G & Y| - 1 per mask G that holds e, times 1 for a plane
-        and 1 - P(l) for a line.
+        """The read terms of the layer over the points in `mask` and the
+        layer `lines`. Each layer plane p has a ground mask G_p, the ground
+        points on p and the ground lines inside it, and each layer line l a
+        ground mask G_l, the ground points on l and l's own bit when l is a
+        ground line. A coverable set of two or more elements either spans one
+        layer plane and lies in its G_p alone, or lies in one G_l and so in
+        the G_p of each of the P(l) layer planes through l. Counted once per
+        G_p and 1 - P(l) times per G_l that holds it, each coverable set
+        counts once.
 
-        Any two or three points are coplanar, so the sets of a point e and at
-        most two points of Y count in closed form, and a point's step reads
-        only the masks holding it that hold four or more points or a ground
-        line. A line's step reads every mask that holds it. Masks with fewer
-        than two elements, and lines in one layer plane (factor 0), add
-        nothing.
-
-        `flips[e]`, per ground bit e, is what the plane walk of
-        `_signed_histogram` reads to step c at a flip of e: (e's bit, v, the
-        (G, factor) pairs e reads), where v[m] counts the sets of e and at
-        most two of m points of Y (V) for a point, and 1 for a line."""
+        Any three points are coplanar, so the sets of at most three points
+        count in closed form, C3(m) = C(m, 0) + ... + C(m, 3) of m points, and
+        c(X) = C3(|X's points|) + |X's lines| + the sum over the read terms
+        (G, a) of a * (2^|G & X| - C3(|G & X's points|) - |G & X's lines|).
+        A read term is a mask G of two or more elements that holds four or
+        more ground points or a ground line, with factor a = 1 for a plane
+        and 1 - P(l) for a line in P(l) != 1 layer planes; every other mask
+        adds 0 to every c(X). So only the layer's rich planes and lines
+        (`PlaneLayer.rich_planes`, `.rich_lines`), the planes of each ground
+        line's pencil and the ground lines themselves are cut: `terms` holds
+        the (G, a) pairs."""
         layer = self.layer
         n = len(layer.points)
         self._points_mask = mask
         self._stamped = list(enumerate(lines, n))   # (bit, line index)
         self.mask = ground = mask | ((1 << len(lines)) - 1) << n
         self.n = ground.bit_count()
-        self.plane_masks = planes = [m & mask for m, _ in layer.planes]
-        self.line_masks = lmasks = [m & mask for m in layer.lines]
+        planes, line_planes = layer.planes, layer.line_planes
+        inside: dict[int, int] = {}  # the ground lines inside each plane of their pencils
+        terms = []
         for bit, l in self._stamped:
-            lmasks[l] |= 1 << bit
-            for p in layer.line_planes[l]:
-                planes[p] |= 1 << bit
-        terms = [(g, 1) for g in planes if g & (g - 1)]
-        terms += [(g, 1 - len(ps)) for g, ps in zip(lmasks, layer.line_planes)
-                  if g & (g - 1) and len(ps) != 1]
-        low = (1 << n) - 1  # the point bits
-        reads: list[list[tuple[int, int]]] = [[] for _ in range(ground.bit_length())]
-        for g, a in terms:
-            if g > low or g.bit_count() >= 4:
-                for e in _bits(g):
-                    reads[e].append((g, a))
-        # V[m]: the subsets of at most two among m points; a line's step
-        # counts only itself outside the masks
-        V = [1 + m + m * (m - 1) // 2 for m in range(n + 1)]
-        ONE = [1] * (n + 1)
-        self.flips = [(1 << e, V if e < n else ONE, reads[e]) for e in range(len(reads))]
+            for p in line_planes[l]:
+                inside[p] = inside.get(p, 0) | 1 << bit
+            g = layer.lines[l] & mask
+            if g and len(line_planes[l]) != 1:
+                terms.append((g | 1 << bit, 1 - len(line_planes[l])))
+        for p, bits in inside.items():
+            g = planes[p][0] & mask | bits
+            if g & (g - 1):
+                terms.append((g, 1))
+        for p in layer.rich_planes:
+            if p not in inside:
+                g = planes[p][0] & mask
+                if g.bit_count() >= 4:
+                    terms.append((g, 1))
+        for l in layer.rich_lines:
+            g = layer.lines[l] & mask
+            if g.bit_count() >= 4 and len(line_planes[l]) != 1 and l not in lines:
+                terms.append((g, 1 - len(line_planes[l])))
+        self.terms = terms
 
     def _inside(self, points: int) -> int:
         """The ground bits of a flat whose layer points are `points`: those
@@ -260,18 +267,17 @@ def _check_cap(n: int, cap: int):
 def _signed_histogram(counter: CoverableCounter, ground: int, cap: int) -> dict[int, int]:
     """{c(X): signed multiplicity} over the submasks X of the `ground` mask,
     each X counted with sign (-1)^|ground \\ X|: the walk of the counter's
-    family, `_curve_histogram` (a walk over the high elements that finishes
-    each high subset's 2^b completions by the low block at once) or
-    `_plane_histogram` (one flip per subset). Either counts every submask
-    once."""
+    family, `_curve_histogram` or `_plane_histogram`. Each walks the high
+    elements and finishes each high subset's 2^b completions by the low
+    block at once, so either counts every submask once."""
     _check_cap(ground.bit_count(), cap)
     if counter.family.kind == "plane3":
         return _plane_histogram(counter, ground)
     return _curve_histogram(counter, ground)
 
 
-# The curve walk's low block: its lowest LOW_BLOCK ground elements, or all of
-# them on a smaller ground. The walk keeps c(H + L) for the 2^b subsets L of a
+# The walks' low block: the lowest LOW_BLOCK ground elements, or all of them
+# on a smaller ground. The curve walk keeps c(H + L) for the 2^b subsets L of a
 # block of b elements in one packed int of 2^b fields of _FIELD bits, the
 # field of L at bits L*_FIELD .. (L + 1)*_FIELD - 1. A field holds 2c(H + L),
 # plus 1 when H + L's sign is minus, and c(X) <= 2^n fits on any ground that
@@ -415,32 +421,126 @@ def _curve_histogram(counter: CoverableCounter, ground: int) -> dict[int, int]:
     return hist
 
 
+_FORMATS = {16: "H", 32: "I", 64: "Q"}  # a field's memoryview format, by its width
+
+
+@cache
+def _plane_tables(b: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """For a block of b elements, with fields of `width` bits, and each block
+    subset M: POW[M], 2 * 2^|M & L| in the field of each block subset L, that
+    is 2 per subset of M that L holds; U1[M] and U2[M], 2 * C(|M & L|, t) for
+    t = 1, 2, 2 per such subset of t elements; and TOT[M], 2 * C3(|M & L|),
+    2 per such subset of at most three. Each adds a block element i to M by
+    adding M's value in the fields of the L that hold i (or its value one
+    size down). Then the fields of odd |L|, and those of even |L|, 1 in
+    each. Built on a walk's first use of b and `width`."""
+    full = (1 << width) - 1
+    holds = [sum(full << width * s for s in range(1 << b) if s >> i & 1) for i in range(b)]
+    ones = sum(2 << width * s for s in range(1 << b))
+    POW, U1, U2, U3 = [ones], [0], [0], [0]
+    for s in range(1, 1 << b):
+        r, h = s & (s - 1), holds[(s & -s).bit_length() - 1]
+        POW.append(POW[r] + (POW[r] & h))
+        U1.append(U1[r] + (ones & h))
+        U2.append(U2[r] + (U1[r] & h))
+        U3.append(U3[r] + (U2[r] & h))
+    TOT = [ones + sum(us) for us in zip(U1, U2, U3)]
+    odd = sum(1 << width * s for s in range(1 << b) if s.bit_count() & 1)
+    return tuple(POW), tuple(U1), tuple(U2), tuple(TOT), (odd, ones // 2 - odd)
+
+
 def _plane_histogram(counter: CoverableCounter, ground: int) -> dict[int, int]:
-    """The plane walk of `_signed_histogram`. It keeps X alone, and sums the
-    step of each flipped element e in the loop from e's entry of the
-    counter's `flips`: c(Y + e) - c(Y), for Y = X without e, is v[|Y's
-    points|] plus, per (G, a) that e reads, a * (2^|G & Y| - v[|G & Y's
-    points|])."""
-    n = ground.bit_count()
-    # the walk's i-th step flips the element at the position of i's lowest
-    # set bit
-    flips = [counter.flips[e] for e in _bits(ground)]
-    low = counter._points_mask  # the ground's point bits
+    """The plane walk of `_signed_histogram`, in blocks. The lowest b =
+    min(LOW_BLOCK, m) of the m ground elements form the low block, and a
+    Gray-code walk flips the others, the high elements. For each high subset
+    H it fills the fields c(H + L), L over the block's subsets, of one packed
+    int from the counter's identity (see `_build_planes`). A read term G adds
+    a * (2^|G & (H + L)| - C3(|G & (H + L)'s points|) - |G & (H + L)'s
+    lines|): with i of H's points and l of H's lines in G, that is a *
+    (2^(i + l) * POW[G's block part] - C3(i + j) - l - |G & L's lines|) for j
+    = |G & L's points|, and C3(i + j) = C3(i) + C2(i) * j + (i + 1) * C(j, 2)
+    + C(j, 3) over the block tables. The ground's own C3 of its
+    points and count of its lines enter as a term with no power and a = -1.
+    Each term's values are listed once per (i, l), so H reads one entry per
+    term, and a ground of at most LOW_BLOCK elements is one packed sum.
+
+    A field holds 2c + 1 when H + L's sign is minus, at most 2^(m + 1) + 1: 16
+    bits serve m <= 14, 32 bits m <= 30, and 64 bits any ground a walk can
+    finish. A partial sum may borrow across fields; only the final int is
+    read, into one Counter per walk, as in `_curve_histogram`."""
+    elements = _bits(ground)
+    m = len(elements)
+    b = min(LOW_BLOCK, m)
+    width = 16 if m <= 14 else 32 if m <= 30 else 64
+    POW, U1, U2, TOT, signs = _plane_tables(b, width)
+    points = counter._points_mask & ground
+    block = ground & (2 << elements[b - 1]) - 1 if b else 0
+    high = ground ^ block
+    # the block's points come before its lines, so they are its lowest bits
+    lpoints = (1 << (points & block).bit_count()) - 1
+    # the runs of consecutive block elements, (shift, run mask, offset), to
+    # read the block part of a ground mask as a block subset
+    runs = []
+    t = block
+    while t:
+        s = (t & -t).bit_length() - 1
+        run = ((t >> s) + 1 & ~(t >> s)) - 1
+        runs.append((s, run, (block & (1 << s) - 1).bit_count()))
+        t ^= run << s
+    ll = (1 << b) - 1 ^ lpoints  # the block's lines
+    minus = signs[m & 1]  # the minus bits of the fields at |H| even
+    base = 0
+    # (POW of the block part, its block points, its block lines, a, its high
+    # points, its high lines) of each term with a high part, the ground first
+    spread = []
+    if high:
+        spread.append((0, lpoints, ll, -1, high & points, high & ~points))
+    else:
+        base = TOT[lpoints] + U1[ll]
+    for g, a in counter.terms:
+        g &= ground
+        lo = 0
+        for s, run, at in runs:
+            lo |= (g >> s & run) << at
+        lp = lo & lpoints
+        if g & high:
+            spread.append((POW[lo], lp, lo ^ lp, a, g & high & points, g & high & ~points))
+        else:
+            v = POW[lo] - TOT[lp] - U1[lo ^ lp]
+            base += v if a == 1 else a * v
+    ones = POW[0]
+    by_points, by_both = [], []  # the terms whose high part holds no line, and the others
+    for power, lp, ll, a, hp, hl in spread:
+        ni = hp.bit_count() + 1
+        vals = []
+        for l in range(hl.bit_count() + 1):
+            for i in range(ni):
+                # 2 * (C3(i + j) + l + |ll & L|), j = |lp & L|
+                v = TOT[lp] + U1[ll] + l * ones
+                if i:
+                    pairs = i * (i - 1) // 2
+                    v += (i + pairs * (i + 1) // 3) * ones + (i + pairs) * U1[lp] + i * U2[lp]
+                vals.append(a * ((power << i + l) - v))
+        if hl:
+            by_both.append((hp, hl, ni, vals))
+        else:
+            by_points.append((hp, vals))
+    size, fmt = width // 8 << b, _FORMATS[width]
+    flips = [1 << e for e in _bits(high)]
+    other = signs[~m & 1]
     x = 0
-    c = 1
-    sign = -1 if n & 1 else 1
-    hist = {c: sign}
-    for i in range(1, 1 << n):
-        bit, v, reads = flips[(i & -i).bit_length() - 1]
-        x ^= bit
-        y = x & ~bit
-        d = v[(y & low).bit_count()]
-        for g, a in reads:
-            gy = g & y
-            d += a * ((1 << gy.bit_count()) - v[(gy & low).bit_count()])
-        c = c + d if x & bit else c - d
-        sign = -sign
-        hist[c] = hist.get(c, 0) + sign
+    counts: Counter = Counter()
+    for i in range(1 << len(flips)):
+        if i:
+            x ^= flips[(i & -i).bit_length() - 1]
+        packed = (base + minus + sum([vals[(hp & x).bit_count()] for hp, vals in by_points])
+                  + sum([vals[(hp & x).bit_count() + ni * (hl & x).bit_count()]
+                         for hp, hl, ni, vals in by_both]))
+        counts.update(memoryview(packed.to_bytes(size, sys.byteorder)).cast(fmt))
+        minus, other = other, minus
+    hist: dict[int, int] = {}
+    for v, mult in counts.items():
+        hist[v >> 1] = hist.get(v >> 1, 0) + (-mult if v & 1 else mult)
     return hist
 
 
@@ -497,9 +597,10 @@ class CandidateTable:
 
     Curves: each layer curve through d or more ground points, spanned by any d
     of them, and the canonical completion of each tuple of fewer than d ground
-    points, spanned by that tuple. Planes, read off the counter's ground
-    masks: the horizontal plane through each ground point, spanned by the
-    point; the canonical plane through each layer line l with two or more
+    points, spanned by that tuple. Planes, read off the ground masks G_p and
+    G_l of every layer plane and line (see `_build_planes`): the horizontal
+    plane through each ground point, spanned by the point; the canonical
+    plane through each layer line l with two or more
     ground points or on the ground, spanned by two elements of G_l or by the
     line itself; and each layer plane p that the ground spans (G_p in no G_l
     of a line l inside p), spanned by two elements of G_p. Two that lie on one
@@ -525,17 +626,24 @@ class CandidateTable:
     @staticmethod
     def _plane_entries(counter: CoverableCounter) -> tuple[Fits, list]:
         """The plane of each point, line and plane hull of the ground, as an
-        integer row of the layer, with its mask and its spans."""
-        layer, lmasks = counter.layer, counter.line_masks
-        hulls = [(("point", i), [(1 << i, 1)]) for i in _bits(counter._points_mask)]
+        integer row of the layer, with its mask and its spans, from the
+        ground masks of every layer plane and line."""
+        layer, points = counter.layer, counter._points_mask
+        lmasks = [m & points for m in layer.lines]
+        planes = [m & points for m, _ in layer.planes]
         on_ground = {l: 1 << bit for bit, l in counter._stamped}
+        for l, bit in on_ground.items():
+            lmasks[l] |= bit
+            for p in layer.line_planes[l]:
+                planes[p] |= bit
+        hulls = [(("point", i), [(1 << i, 1)]) for i in _bits(points)]
         for l, g in enumerate(lmasks):
             spans = [(g, 2)] if g & (g - 1) else []
             if l in on_ground:
                 spans.append((on_ground[l], 1))
             if spans:
                 hulls.append((("line", l), spans))
-        for p, g in enumerate(counter.plane_masks):
+        for p, g in enumerate(planes):
             if g & (g - 1) and all(g & ~lmasks[l] for l in layer.planes[p][1]):
                 hulls.append((("plane", p), [(g, 2)]))
         rows, masks, spans = [], [], []

@@ -45,21 +45,51 @@ def _pairs(y: int, w: int) -> int:
     return rows & cols
 
 
+def _c3(m: int) -> int:
+    """The subsets of at most three among m points: any three are coplanar."""
+    return 1 + m + m * (m - 1) // 2 + m * (m - 1) * (m - 2) // 6
+
+
+def plane_c(counter, x: int) -> int:
+    """c(X) of a production plane counter for the subset mask X, from the
+    identity over the counter's read terms `terms`: C3 of X's points plus
+    X's lines, plus a * (2^|G & X| - C3(|G & X's points|) - |G & X's
+    lines|) per read term (G, a)."""
+    points = counter._points_mask
+    total = _c3((x & points).bit_count()) + (x & ~points).bit_count()
+    for g, a in counter.terms:
+        gx = g & x
+        total += a * ((1 << gx.bit_count()) - _c3((gx & points).bit_count())
+                      - (gx & ~points).bit_count())
+    return total
+
+
 def step(counter, e: int, y: int) -> int:
     """c(Y + e) - c(Y) of a production counter, for e not in the subset mask
     Y: a curve counter's `step` with Y's pair mask built afresh, and for a
-    plane counter the sum that the plane walk of `_signed_histogram` takes
-    over e's entry of the counter's `flips`, computed here from the same
-    tables."""
+    plane counter the difference of `plane_c`, the identity that the plane
+    walk of `_signed_histogram` sums in blocks."""
     if counter.family.kind != "plane3":
         return counter.step(e, y, _pairs(y, counter.pair_width))
-    _, v, reads = counter.flips[e]
-    low = counter._points_mask
-    total = v[(y & low).bit_count()]
-    for g, a in reads:
-        gy = g & y
-        total += a * ((1 << gy.bit_count()) - v[(gy & low).bit_count()])
-    return total
+    return plane_c(counter, y | 1 << e) - plane_c(counter, y)
+
+
+def reference_terms(counter) -> list[tuple[int, int]]:
+    """The read terms of a plane counter by a full scan of its layer, sorted:
+    the ground mask of every layer plane (factor 1) and of every layer line l
+    in P(l) != 1 layer planes (factor 1 - P(l)) that holds two or more ground
+    elements, four or more of them points or one of them a ground line."""
+    layer, points = counter.layer, counter._points_mask
+    planes = [m & points for m, _ in layer.planes]
+    lmasks = [m & points for m in layer.lines]
+    for bit, l in counter._stamped:
+        lmasks[l] |= 1 << bit
+        for p in layer.line_planes[l]:
+            planes[p] |= 1 << bit
+    terms = [(g, 1) for g in planes if g & (g - 1)]
+    terms += [(g, 1 - len(ps)) for g, ps in zip(lmasks, layer.line_planes)
+              if g & (g - 1) and len(ps) != 1]
+    return sorted((g, a) for g, a in terms if g & ~points or g.bit_count() >= 4)
 
 
 def c_of_mask(counter, mask: int) -> int:
@@ -271,6 +301,20 @@ def reference_sums(counter: FractionPlaneCounter, ground: int, ks) -> dict[int, 
             sums[k] += sign * c ** k
         if not sub:
             return sums
+        sub = (sub - 1) & ground
+
+
+def reference_histogram(counter: FractionPlaneCounter, ground: int) -> dict[int, int]:
+    """{c(X): signed multiplicity} over the submasks X of `ground`, each X
+    counted with sign (-1)^|ground \\ X|, by plain submask enumeration."""
+    hist: dict[int, int] = {}
+    n = ground.bit_count()
+    sub = ground
+    while True:
+        c = counter.c_of_mask(sub)
+        hist[c] = hist.get(c, 0) + (-1 if (n - sub.bit_count()) & 1 else 1)
+        if not sub:
+            return {c: m for c, m in hist.items() if m}
         sub = (sub - 1) & ground
 
 

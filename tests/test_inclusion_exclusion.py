@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -20,7 +21,9 @@ from counter_reference import (
     assert_counter_matches_reference,
     assert_table_lists_candidate_cover_sets,
     q_count,
+    reference_histogram,
     reference_sums,
+    reference_terms,
     representative,
     step,
 )
@@ -451,12 +454,21 @@ class TestPlaneCounterIdentities:
         pencils = set()  # P(l) of the lines with two or more ground elements
         for points, lines in _hand_built_plane_grounds():
             counter = layer_counter(points, lines)
-            pencils |= {len(ps) for g, ps in zip(counter.line_masks, counter.layer.line_planes)
-                        if g & (g - 1)}
+            layer, stamped = counter.layer, {l for _, l in counter._stamped}
+            pencils |= {len(ps) for l, ps in enumerate(layer.line_planes)
+                        if (layer.lines[l] & counter._points_mask).bit_count() + (l in stamped) >= 2}
             assert_counter_matches_reference(counter, FractionPlaneCounter(points, lines))
             assert_table_lists_candidate_cover_sets(
                 CandidateTable(counter), counter, points, lines, PLANE3, range(1 << counter.n))
         assert {0, 2, 3, 4} <= pencils, pencils
+
+    def test_read_terms_match_the_full_scan(self):
+        """The counter cuts only the layer's rich planes and lines, the
+        pencils of its ground lines and those lines, and finds every read
+        term that a scan of every layer plane and line finds."""
+        for points, lines in _hand_built_plane_grounds() + _plane_grounds():
+            counter = layer_counter(points, lines)
+            assert sorted(counter.terms) == reference_terms(counter), (points, lines)
 
     def test_walk_and_c_of_mask_match_fraction_reference(self):
         grounds = _plane_grounds()
@@ -668,6 +680,73 @@ class TestCurveBlockBoundaries:
                     for k in ref:
                         assert _signed_sum(counter, ground, k, DEFAULT_SUBSET_CAP).ie_sum == ref[k], \
                             (fam.kind, ground, k)
+
+
+def _plane_boundary_grounds():
+    """Plane grounds of every size from 0 to LOW_BLOCK + 3 elements, each
+    with 0-3 pending lines: coplanar-heavy ones (points of a grid in z = 0
+    and one point off it, lines in z = 0 and one across it) and general ones
+    (points and lines through points of a small cube)."""
+    rng = random.Random(101)
+    grid = [pt(x, y, 0) for x in range(4) for y in range(4)]
+    cube = [pt(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    grounds = []
+    for size in range(LOW_BLOCK + 4):
+        for coplanar, shift in itertools.product((True, False), (0, 2)):
+            nl = min((size + coplanar + shift) % 4, size)
+            pool = grid if coplanar else cube
+            points = rng.sample(pool, size - nl)
+            if coplanar and len(points) >= 3:
+                points[-1] = pt(1, 2, 3)
+            lines = []
+            while len(lines) < nl:
+                line = line_through(*rng.sample(pool, 2))
+                if coplanar and not lines:
+                    line = line_through(pt(0, 0, 0), pt(1, 1, 2))
+                if line not in lines:
+                    lines.append(line)
+            grounds.append((points, lines))
+    return grounds
+
+
+class TestPlaneBlockBoundaries:
+    def test_histograms_at_every_ground_size(self):
+        """The plane sweep's signed histogram equals the Fraction
+        reference's at every ground size from 0 to 10, three past the low
+        block, so that the block is the whole ground, exactly full, and
+        followed by one to three high elements, with 0-3 pending lines among
+        the elements: over the whole ground and over two proper sub-grounds,
+        as extraction passes them."""
+        rng = random.Random(103)
+        sizes = set()
+        for points, lines in _plane_boundary_grounds():
+            counter = layer_counter(points, lines)
+            ref = FractionPlaneCounter(points, lines)
+            order = _bits(counter.mask)  # the counter's bit of the reference's element b
+            full = (1 << ref.n) - 1
+            sizes.add((ref.n, len(lines)))
+            for local in [full] + [rng.randrange(full) for _ in range(2) if full]:
+                ground = sum(1 << order[b] for b in _bits(local))
+                hist = _signed_histogram(counter, ground, DEFAULT_SUBSET_CAP)
+                assert {c: m for c, m in hist.items() if m} == reference_histogram(ref, local), \
+                    (points, lines, local)
+        assert {n for n, _ in sizes} == set(range(LOW_BLOCK + 4))
+        assert {nl for _, nl in sizes} == {0, 1, 2, 3}
+
+    def test_field_width_switch_on_coplanar_grounds(self):
+        """On a coplanar ground every subset is coverable, so c(X) = 2^|X|
+        and the histogram is C(m, j) subsets at c = 2^j, signed by m - j. At
+        m = 14 the full ground's field 2c = 2^15 is the top of a 16-bit
+        field; at m = 15 it passes it, and the walk takes 32-bit fields.
+        Grounds of points alone and of points with two lines in their plane."""
+        grid = [pt(x, y, 0) for x in range(4) for y in range(4)]
+        in_plane = [line_through(pt(0, 5, 0), pt(1, 5, 0)), line_through(pt(5, 0, 0), pt(5, 1, 0))]
+        for m in (14, 15):
+            for points, lines in ((grid[:m], []), (grid[:m - 2], in_plane)):
+                counter = layer_counter(points, lines)
+                want = {1 << j: (-1) ** (m - j) * math.comb(m, j) for j in range(m + 1)}
+                assert _signed_histogram(counter, counter.mask, DEFAULT_SUBSET_CAP) == want, \
+                    (m, len(lines))
 
 
 # the 12 integer points at distance 5 from the origin

@@ -12,6 +12,7 @@ from counter_reference import (
     assert_counter_matches_reference,
     assert_table_lists_candidate_cover_sets,
     reference_sums,
+    reference_terms,
 )
 from geomcover import plane_branch
 from geomcover.curve_branch import branch_cover, budget_partitions
@@ -453,7 +454,8 @@ class TestChildWalk:
 def _assert_leaf_matches_counter(search, mask, lines, budgets):
     """Every c(X) of the leaf's counter, from its step walk and from
     c_of_mask, equals the Fraction reference's over the same ground (the
-    points in mask, then the lines), and so does every signed sum."""
+    points in mask, then the lines), and so does every signed sum. The
+    counter's read terms are those of a scan of every layer plane and line."""
     n = len(search.layer.points)
     points = _points_in(search.layer, mask)
     flats = [layer_line(search.layer, j) for j in lines]
@@ -461,6 +463,7 @@ def _assert_leaf_matches_counter(search, mask, lines, budgets):
     ref = FractionPlaneCounter(points, flats)
     order = [i for i in range(n) if (mask >> i) & 1] + [n + q for q in range(len(lines))]
     assert leaf.mask == sum(1 << g for g in order)
+    assert sorted(leaf.terms) == reference_terms(leaf)
     assert_counter_matches_reference(leaf, ref)
     sums = reference_sums(ref, (1 << ref.n) - 1, budgets)
     for budget in budgets:
