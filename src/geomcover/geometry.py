@@ -206,16 +206,18 @@ def _hyperplane3(p, q, r) -> tuple[int, int, int, int]:
 
 def _fit(kind: str, lifted: Sequence[tuple[int, int, int]],
          combo: Sequence[int]) -> Optional[tuple[int, int, int, int]]:
-    """The coefficients of the family curve through the lifted points `combo`
-    (d distinct points), or None when no family curve passes through them."""
+    """The coefficients of the hyperplane through the lifted points `combo`
+    (d distinct points): those of the family curve through them, except that
+    a collinear triple has no x^2 + y^2 (circle2) or x^2 (vparabola2) term,
+    so its first coefficient is 0 and no family curve passes through it.
+    None for a vparabola2 triple with a repeated x (it has no y term), which
+    lies on no curve and on no non-vertical line."""
     if kind == "line2":
         (x1, y1, _), (x2, y2, _) = lifted[combo[0]], lifted[combo[1]]
         a, b = y2 - y1, x1 - x2
         return a, b, 0, -(a * x1 + b * y1)
     coef = _hyperplane3(lifted[combo[0]], lifted[combo[1]], lifted[combo[2]])
-    # a collinear triple has no x^2 + y^2 (circle2) or x^2 (vparabola2) term,
-    # and a repeated x has no y term (vparabola2)
-    if coef[0] == 0 or (kind == "vparabola2" and coef[2] == 0):
+    if kind == "vparabola2" and coef[2] == 0:
         return None
     return coef
 
@@ -250,7 +252,9 @@ class Fits:
     it was fitted from (`rows[i]`) and the mask of the points on it
     (`masks[i]`, point i is bit i). `obj(i)` builds the i-th object.
     `scaled` holds the points the rows were fitted over, times `scale`, when
-    the builder keeps them (`curve_fits` does).
+    the builder keeps them (`curve_fits` does), and `lines` the masks of the
+    lines through three or more of them when the builder lists them
+    (`curve_fits` does for circle2 and vparabola2).
 
     `keys()` orders the objects exactly as their dataclasses compare, without
     building them. Each canonical coefficient is a quotient p/q from the row
@@ -260,9 +264,9 @@ class Fits:
     the exact quotient whatever the sign of q, as if q were made positive.)"""
 
     def __init__(self, kind: str, scale: int, rows: list, masks: list[int],
-                 scaled: Sequence[tuple[int, ...]] = ()):
+                 scaled: Sequence[tuple[int, ...]] = (), lines: Sequence[int] = ()):
         self.kind, self.scale, self.rows, self.masks = kind, scale, rows, masks
-        self.scaled = scaled
+        self.scaled, self.lines = scaled, lines
         self._keys: Optional[list[tuple[int, ...]]] = None
 
     def obj(self, i: int):
@@ -345,7 +349,14 @@ def curve_fits(points: Sequence[Point], family: FamilySpec) -> Fits:
 
     s+1 points fix a curve, so each curve is fitted once, at its s+1 lowest
     points: a later tuple inside a curve already found is skipped, and a
-    fitted curve's points below its last fitting point are already known."""
+    fitted curve's points below its last fitting point are already known.
+
+    For circle2 and vparabola2 the fit also lists, as `lines`, the lines
+    through three or more of the points (for vparabola2 the non-vertical
+    ones): the collinear triples it rejects, gathered by their first two
+    points. A line meets a curve in at most two points, so no such triple
+    is skipped, and the pair of a line's two lowest points, which comes
+    first, gathers all of it."""
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise GeometryError("duplicate points")  # a skipped tuple would hide them
@@ -358,12 +369,16 @@ def curve_fits(points: Sequence[Point], family: FamilySpec) -> Fits:
     coefs: list[tuple[int, int, int, int]] = []
     masks: list[int] = []
     on_found: dict[tuple[int, ...], int] = {}  # tuple head -> points on a found curve through it
+    on_line: dict[tuple[int, ...], int] = {}  # point pair -> the later points on its line
     for combo in itertools.combinations(range(n), size):
         head, last = combo[:-1], combo[-1]
         if on_found.get(head, 0) >> last & 1:
             continue
         coef = _fit(family.kind, lifted, combo)
         if coef is None:
+            continue
+        if size == 3 and not coef[0]:
+            on_line[head] = on_line.get(head, 0) | 1 << last
             continue
         a, b, c, e = coef
         mask = sum(1 << i for i in combo)
@@ -377,7 +392,12 @@ def curve_fits(points: Sequence[Point], family: FamilySpec) -> Fits:
             members = [i for i in range(n) if mask >> i & 1]
             for sub in itertools.combinations(members, size - 1):
                 on_found[sub] = on_found.get(sub, 0) | mask
-    return Fits(family.kind, scale, coefs, masks, rows)
+    lines: list[int] = []
+    for (i, j), later in on_line.items():
+        mask = 1 << i | 1 << j | later
+        if all(mask & ~line for line in lines):
+            lines.append(mask)
+    return Fits(family.kind, scale, coefs, masks, rows, lines)
 
 
 def enumerate_candidates(points: Sequence[Point], family: FamilySpec):

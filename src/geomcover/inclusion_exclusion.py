@@ -9,7 +9,7 @@ most the fixed `LOW_BLOCK`: a Gray-code walk visits the subsets of the
 ground elements past the block, one flip per step, finishes the 2^b subsets
 that each of them completes with the block at once, in one packed integer
 with a field per subset, and keeps a signed histogram of the c values, so
-each budget's sum takes one power per distinct c.
+each budget's sum takes one power per distinct c and sign.
 
 Every counter is cut from an incidence layer (`geometry.incidence_layer`):
 the `curve_fits` of a point set, or its `PlaneLayer`. Its ground is any
@@ -17,33 +17,19 @@ subset of the layer's points, plus pending layer lines for planes, so a
 search reads one layer per solve, the one its kernel hands on, and no
 sweep leaf fits a curve or plane of its own.
 
-Each family has its own walk. The curve walk runs in blocks: the lowest
-b = min(LOW_BLOCK, n) ground elements form the low block, and the walk
-flips only the others, the high elements. Beside the high subset H it keeps
-H's pair mask: bit p*w + q for each ordered pair p, q of its elements, at
-the counter's width w = n, moved by two XORs and one AND per flip. Curve
-counters keep, per point e, a triple mask of the ordered pairs of other
-points that lie with e on one layer curve through three or more ground
-points, so one AND with the pair mask and a popcount count the coverable
-triples that a flip of e adds or removes; the pairs and, per curve through
-e with four or more points, the larger subsets are popcounts of the subset
-itself. For each H, the walk then finishes all 2^b subsets H + L at once:
-one step per low element, and one term per curve through two or more low
-points, summed over the block's subsets (a zeta transform) in one packed
-integer with a field per L.
-
-The plane walk runs in the same blocks, from an identity. Each plane and
-line of a plane counter's `PlaneLayer` gets a ground mask, and a coverable
-set of two or more elements spans one layer plane or lies on one layer
-line, and so in each plane through that line. Any three points are
-coplanar, so c(X) is C3 of X's points (the sets of at most three) plus X's
-lines, plus one term per plane or line mask that holds four or more ground
-points or a ground line: its factor (1 for a plane, 1 - P(l) for a line in
-P(l) layer planes) times its coverable sets past that closed form. A term
-reads its mask's meet with X by popcounts, so for each high subset the walk
-adds one precomputed packed entry per term, and a ground of at most
-`LOW_BLOCK` elements is one packed sum. The counter cuts only those masks:
-the layer lists its planes and lines of four or more points once.
+One walk serves every family, from one identity. A counter keeps read
+terms (G, a, t), ground masks with factors, and a closed order s: c(X) is
+Cs of X's points (the sets of at most s of them) plus X's lines, plus a
+times G's coverable sets past the closed form Ct per term. For line2 the
+terms are the lines of three or more ground points; for circle2 and
+vparabola2 the curves of four or more, and the lines and x-classes whose
+small sets no curve covers; for planes the planes and lines of four or more
+points or through a pending line (see `CoverableCounter`). A term reads
+its mask's meet with X by popcounts, so for each high subset the walk adds
+one precomputed packed entry per high part that the terms share, and a
+ground of at most `LOW_BLOCK` elements is one packed sum. The counter cuts
+only those masks: the layer lists its rich planes and lines, and the lines
+of three or more points of a circle or parabola fit, once.
 
 c(X) depends on X alone, so one counter built over the whole ground
 answers the sum over the submasks of any subset of it. Witness extraction
@@ -64,8 +50,6 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import cache
-from itertools import repeat
-from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .geometry import (
@@ -94,33 +78,26 @@ class SolverInternalError(RuntimeError):
 # fast per-subset counting
 
 
-def _row_col(w: int) -> tuple[int, int]:
-    """Element 0's row (bits 0 .. w - 1) and column (bit p*w for each p < w)
-    in a pair mask of width w; element e's are these shifted left by e*w and
-    by e. Both are 0 at width 0."""
-    return (1 << w) - 1, sum(1 << p * w for p in range(w))
-
-
 class CoverableCounter:
     """Precomputes, for one fixed ground set, what c(X) reads for any subset
     mask X of it. The ground is read off an incidence layer
     (`geometry.incidence_layer`), in the layer's point numbering (point i is
     bit i): the points in `ground`, all of them by default, and for a
     `PlaneLayer` the distinct layer `lines` after them (the q-th is bit
-    n + q, for n layer points). A curve counter keeps the layer's curve masks
-    cut to the ground, a plane counter the read terms of its identity
-    (`terms`, see `_build_planes`), the ground masks of the layer planes and
-    lines that hold four or more ground points or a ground line, with their
-    factors. A curve counter's `step(e, Y, pairs)` gives c(Y + e) - c(Y) for
-    e not in Y, where `pairs` is Y's pair mask at width `pair_width` = n,
-    which the curve walk reads at each flip, with its triple masks `_tri` and
-    its curves of four or more points `_heavy` to finish the subsets of its
-    low block. `mask` is the ground's mask and `n` its size."""
+    n + q, for n layer points). `mask` is the ground's mask and `n` its size.
+
+    Every family counts by one identity: with Ct(i) the subsets of at most t
+    among i points, c(X) = Cs(|X's points|) + |X's lines| plus, for each read
+    term (G, a, t) in `terms`, a * (2^|G & X| - Ct(|G & X's points|) - |G &
+    X's lines|), for the closed order s = `closed`. The closed form counts
+    every set of at most s points as coverable, and each term corrects it on
+    one mask G: `_build_curves` and `_build_planes` list each family's."""
 
     def __init__(self, layer: Union[Fits, PlaneLayer], ground: Optional[int] = None,
                  lines: Sequence[int] = ()):
         self.layer = layer
         self.family = FAMILIES[layer.kind]
+        self.closed = self.family.d
         if ground is None:
             ground = (1 << len(layer.scaled)) - 1
         if self.family.kind == "plane3":
@@ -128,61 +105,45 @@ class CoverableCounter:
         else:
             self._build_curves(ground)
 
-    # -- curves: one point mask per curve through >= 3 ground points
+    # -- curves: the ground masks of the layer's rich curves and lines
 
     def _build_curves(self, ground: int):
-        """A subset of three or more points is coverable exactly when it lies
-        inside the mask of one curve through >= 3 ground points (s+1 points
-        fix a curve, so that curve is unique). `_pair[e]` holds the partners
-        e can be covered with: two distinct points lie on a line and on a
-        circle, and on a vertical parabola exactly when their x coordinates
-        differ."""
-        fits = self.layer
-        pts = fits.scaled
+        """The read terms of the layer's curves over the points in `ground`.
+        Any s = d - 1 points lie on a family curve, and s + 1 points fix one,
+        so a set of more than d points is coverable exactly when it lies on
+        one curve through d + 1 or more ground points, each a term (M, 1, d).
+        line2 closes at d = 2 and needs nothing more. circle2 and vparabola2
+        close at d = 3, and subtract the sets of at most three points that no
+        curve passes through:
+          - a collinear triple: C(j, 3) of the j points of X on each layer
+            line of three or more ground points (for vparabola2 the
+            non-vertical ones, `Fits.lines`), as (L, 1, 3) plus (L, -1, 2);
+          - vparabola2 only, a pair or triple holding two points of one
+            x-class V (two or more ground points with one x): C(v, 2) +
+            C(v, 3) + r * C(v, 2) for v of X's points in V and r outside it.
+            That is (V, -1, 1), (V, R, 2) and (V, 1 - R, 3), R = |ground \\ V|,
+            plus (V + e, 1, 3) and (V + e, -1, 2) for each ground point e
+            outside V."""
+        fits, d = self.layer, self.family.d
+        self.mask = self._points_mask = ground
         self.n = ground.bit_count()
-        self.mask = ground
-        self.pair_width = n = len(pts)
-        # tri[e]: bit p*n + q for each ordered pair of distinct other points
-        # p, q on a >= 3-point curve through e; heavy[e]: the curves through
-        # e with >= 4 points
-        tri = [0] * n
-        heavy: list[list[int]] = [[] for _ in range(n)]
-        for mask in fits.masks:
-            mask &= ground
-            size = mask.bit_count()
-            if size < 3:
-                continue
-            for a in _bits(mask):
-                if size >= 4:
-                    heavy[a].append(mask)
-                others = mask & ~(1 << a)
-                for p in _bits(others):
-                    tri[a] |= (others ^ 1 << p) << p * n
+        terms = [(m & ground, 1, d) for m in fits.masks if (m & ground).bit_count() > d]
+        for line in fits.lines:
+            g = line & ground
+            if g.bit_count() >= 3:
+                terms += [(g, 1, 3), (g, -1, 2)]
         if self.family.kind == "vparabola2":
-            members = _bits(ground)
-            self._pair = [sum(1 << j for j in members if pts[j][0] != pts[i][0])
-                          for i in range(n)]
-        else:
-            self._pair = [ground & ~(1 << i) for i in range(n)]
-        self._tri = tri
-        self._heavy = heavy
-        # _W[m]: the subsets of three or more among m points
-        self._W = [(1 << m) - 1 - m - m * (m - 1) // 2 for m in range(n + 1)]
-
-    def step(self, e: int, y: int, pairs: int) -> int:
-        """c(Y + e) - c(Y) for e not in Y: the coverable subsets that hold
-        e. `pairs` is Y's pair mask, bit p*n + q for each p and q in Y, as
-        the sweep keeps it (that of Y + e reads the same: e's triple mask
-        holds no pair with e). The subsets are {e}, the coverable pairs, the
-        triples {e, p, q} (one AND with e's triple mask finds each as the
-        ordered pairs (p, q) and (q, p): three points fix the curve) and, on
-        each curve with >= 4 points, the larger subsets (`_W`, by how many of
-        its points are in Y)."""
-        total = 1 + (self._pair[e] & y).bit_count() + ((self._tri[e] & pairs).bit_count() >> 1)
-        W = self._W
-        for mask in self._heavy[e]:
-            total += W[(mask & y).bit_count()]
-        return total
+            classes: dict[int, int] = {}
+            for i in _bits(ground):
+                x = fits.scaled[i][0]
+                classes[x] = classes.get(x, 0) | 1 << i
+            for v in classes.values():
+                if v & (v - 1):
+                    r = self.n - v.bit_count()
+                    terms += [(v, -1, 1), (v, r, 2), (v, 1 - r, 3)]
+                    for e in _bits(ground & ~v):
+                        terms += [(v | 1 << e, 1, 3), (v | 1 << e, -1, 2)]
+        self.terms = terms
 
     # -- planes: the ground masks of the layer's rich planes and lines
 
@@ -197,17 +158,13 @@ class CoverableCounter:
         G_p and 1 - P(l) times per G_l that holds it, each coverable set
         counts once.
 
-        Any three points are coplanar, so the sets of at most three points
-        count in closed form, C3(m) = C(m, 0) + ... + C(m, 3) of m points, and
-        c(X) = C3(|X's points|) + |X's lines| + the sum over the read terms
-        (G, a) of a * (2^|G & X| - C3(|G & X's points|) - |G & X's lines|).
-        A read term is a mask G of two or more elements that holds four or
-        more ground points or a ground line, with factor a = 1 for a plane
-        and 1 - P(l) for a line in P(l) != 1 layer planes; every other mask
-        adds 0 to every c(X). So only the layer's rich planes and lines
+        Any three points are coplanar, so the identity closes at s = 3, and
+        a read term (G, a, 3) is a mask G of two or more elements that holds
+        four or more ground points or a ground line, with factor a = 1 for a
+        plane and 1 - P(l) for a line in P(l) != 1 layer planes; every other
+        mask adds 0 to every c(X). So only the layer's rich planes and lines
         (`PlaneLayer.rich_planes`, `.rich_lines`), the planes of each ground
-        line's pencil and the ground lines themselves are cut: `terms` holds
-        the (G, a) pairs."""
+        line's pencil and the ground lines themselves are cut."""
         layer = self.layer
         n = len(layer.points)
         self._points_mask = mask
@@ -222,20 +179,20 @@ class CoverableCounter:
                 inside[p] = inside.get(p, 0) | 1 << bit
             g = layer.lines[l] & mask
             if g and len(line_planes[l]) != 1:
-                terms.append((g | 1 << bit, 1 - len(line_planes[l])))
+                terms.append((g | 1 << bit, 1 - len(line_planes[l]), 3))
         for p, bits in inside.items():
             g = planes[p][0] & mask | bits
             if g & (g - 1):
-                terms.append((g, 1))
+                terms.append((g, 1, 3))
         for p in layer.rich_planes:
             if p not in inside:
                 g = planes[p][0] & mask
                 if g.bit_count() >= 4:
-                    terms.append((g, 1))
+                    terms.append((g, 1, 3))
         for l in layer.rich_lines:
             g = layer.lines[l] & mask
             if g.bit_count() >= 4 and len(line_planes[l]) != 1 and l not in lines:
-                terms.append((g, 1 - len(line_planes[l])))
+                terms.append((g, 1 - len(line_planes[l]), 3))
         self.terms = terms
 
     def _inside(self, points: int) -> int:
@@ -264,173 +221,30 @@ def _check_cap(n: int, cap: int):
         raise CapExceededError("ground set of %d exceeds the subset-sweep cap %d" % (n, cap))
 
 
-def _signed_histogram(counter: CoverableCounter, ground: int, cap: int) -> dict[int, int]:
-    """{c(X): signed multiplicity} over the submasks X of the `ground` mask,
-    each X counted with sign (-1)^|ground \\ X|: the walk of the counter's
-    family, `_curve_histogram` or `_plane_histogram`. Each walks the high
-    elements and finishes each high subset's 2^b completions by the low
-    block at once, so either counts every submask once."""
-    _check_cap(ground.bit_count(), cap)
-    if counter.family.kind == "plane3":
-        return _plane_histogram(counter, ground)
-    return _curve_histogram(counter, ground)
-
-
-# The walks' low block: the lowest LOW_BLOCK ground elements, or all of them
-# on a smaller ground. The curve walk keeps c(H + L) for the 2^b subsets L of a
-# block of b elements in one packed int of 2^b fields of _FIELD bits, the
-# field of L at bits L*_FIELD .. (L + 1)*_FIELD - 1. A field holds 2c(H + L),
-# plus 1 when H + L's sign is minus, and c(X) <= 2^n fits on any ground that
-# a walk can finish. Measured on the sweep workload's passes, a block of 7
-# ran about 7 % faster than 6; 8 ran about 5 % faster still, but slower on
-# grounds of 8-10 elements, with tables four times the size (0.75 MB).
+# The walk's low block: the lowest LOW_BLOCK ground elements, or all of them
+# on a smaller ground. Its tables, built once per block size and field width,
+# are four rows of 2^b packed ints of 2^b fields each: at b = 7, 128 KB with
+# 16-bit fields and 512 KB with 64-bit ones. Measured on the sweep workload's
+# passes (with an earlier curve walk), a block of 7 ran about 7 % faster than
+# 6; 8 ran about 5 % faster still, but slower on grounds of 8-10 elements,
+# with tables four times the size.
 LOW_BLOCK = 7
-_FIELD = 64
-
-
-def _block_tables(b: int) -> tuple[list[int], int]:
-    """For a block of b elements: `up[S]` for each block subset S, 2 in the
-    field of each L that holds S and 0 elsewhere, so that adding g * up[S]
-    for each S is the subset sum (zeta transform) of g over the block; and
-    1 in the field of each L of odd size."""
-    holds = [sum(2 << _FIELD * s for s in range(1 << b) if s >> i & 1) for i in range(b)]
-    up = [sum(2 << _FIELD * s for s in range(1 << b))]
-    for s in range(1, 1 << b):
-        up.append(up[s & (s - 1)] & holds[(s & -s).bit_length() - 1])
-    return up, sum(1 << _FIELD * s for s in range(1 << b) if s.bit_count() & 1)
-
-
-# built once, for every block size a walk can take
-_BLOCKS = [_block_tables(b) for b in range(LOW_BLOCK + 1)]
-
-
-def _curve_histogram(counter: CoverableCounter, ground: int) -> dict[int, int]:
-    """The curve walk of `_signed_histogram`, in blocks. A Gray-code walk
-    from the empty set flips one high element (a ground element outside the
-    low block) per step and moves c(H), for the high subset H, by the
-    counter's `step`. Beside H it keeps two masks at the counter's
-    `pair_width` w: `rows`, the rows of H's elements (bits p*w .. p*w + w - 1
-    for p in H), and `cols`, their columns (bit p*w + q for q in H, for every
-    p); a flip XORs the element's row and column into them, and `rows & cols`
-    is H's pair mask, which each step reads.
-
-    For each H, c(H + L) = c(H) + the sum over the nonempty L'' in L of
-    g(L''), the number of subsets T of H with T + L'' coverable:
-      - {a}: `step(a, H, H's pair mask)`;
-      - {a, e}: 1 if the pair is coverable, plus 2^|M & H| - 1 per curve M
-        of three or more ground points through both;
-      - three or more on one curve M: 2^|M & H|, and 0 on no curve.
-    The packed int takes each g(S) times `up[S]`. Summed over M's low pairs
-    and larger low subsets, a curve M adds 2^|M & H| * up_2(M) - up_pairs(M),
-    where up_2(M) is the sum of `up[S]` over the subsets S of two or more of
-    M's low points and up_pairs(M) that over its pairs. So `base` holds what
-    does not depend on H: the coverable pairs, each curve inside the block,
-    and -up_pairs(M) for each other curve. A curve of two low points and one
-    high point h adds up[pair] while h is in H, which `base` takes at h's
-    flips, and each other curve with two or more low points is a `heavy`
-    term (M's high points, up_2(M)).
-
-    The fields of each H are counted, by value, into one Counter: its keys
-    2c + 1 hold the minus signs and 2c the plus signs, merged at the end."""
-    elements = _bits(ground)
-    n = len(elements)
-    b = min(LOW_BLOCK, n)
-    low, high = elements[:b], elements[b:]
-    up, odd = _BLOCKS[b]
-    block = sum(1 << e for e in low)
-    place = {e: 1 << i for i, e in enumerate(low)}  # e's bit in the block
-    w = counter.pair_width
-    tri, heavy_at = counter._tri, counter._heavy
-    base = 0
-    gain = dict.fromkeys(high, 0)  # what h's flip adds to `base`
-    heavy = []
-    for i, a in enumerate(low):
-        for j in range(i + 1, b):
-            e, pair = low[j], 1 << i | 1 << j
-            if counter._pair[a] >> e & 1:
-                base += up[pair]
-            # the third points of the curves of three ground points through
-            # a and e: their triple-mask row, without the larger curves
-            thirds = tri[a] >> e * w & ground
-            for m in heavy_at[a]:
-                if m >> e & 1:
-                    thirds &= ~m
-            for q in _bits(thirds):
-                if q not in place:
-                    gain[q] += up[pair]
-                elif place[q] >> j > 1:  # once per triple inside the block
-                    base += up[pair | place[q]]
-        # the curves of four or more counter points on which a is the first
-        # of two or more low points, cut to the walk's ground
-        for m in heavy_at[a]:
-            lows = m & block
-            if lows & -lows != 1 << a or not lows & (lows - 1):
-                continue
-            m &= ground
-            s = sum(place[e] for e in _bits(lows))
-            up_2 = up_pairs = 0
-            t = s
-            while t:
-                if t & (t - 1):
-                    up_2 += up[t]
-                    if t.bit_count() == 2:
-                        up_pairs += up[t]
-                t = (t - 1) & s
-            highs = m ^ lows
-            if not highs:
-                base += up_2 - up_pairs
-            else:
-                heavy.append((highs, up_2))
-                base -= up_pairs
-    singles = [up[1 << i] for i in range(b)]
-    ones = up[0]
-    row0, col0 = _row_col(w)
-    # the walk's i-th step flips the high element at i's lowest set bit
-    flips = {1 << j: (e, 1 << e, row0 << e * w, col0 << e, gain[e]) for j, e in enumerate(high)}
-    step = counter.step
-    size = _FIELD // 8 << b
-    x = rows = cols = pairs = 0
-    c = 1  # the empty set is its own only coverable subset
-    # the minus bits of the fields, for |H| even, then for |H| odd
-    minus, other = odd, up[0] // 2 - odd
-    if n & 1:
-        minus, other = other, minus
-    counts: Counter = Counter()
-    for i in range(1 << len(high)):
-        if i:
-            e, bit, row, col, g = flips[i & -i]
-            x ^= bit
-            rows ^= row
-            cols ^= col
-            if x & bit:
-                c += step(e, x ^ bit, pairs)
-                pairs = rows & cols
-                base += g
-            else:
-                pairs = rows & cols
-                c -= step(e, x, pairs)
-                base -= g
-        packed = base + c * ones + sum(map(mul, map(step, low, repeat(x), repeat(pairs)), singles))
-        for highs, up_2 in heavy:
-            packed += (1 << (highs & x).bit_count()) * up_2
-        counts.update(memoryview((packed + minus).to_bytes(size, sys.byteorder)).cast("Q"))
-        minus, other = other, minus
-    hist: dict[int, int] = {}
-    for v, mult in counts.items():
-        hist[v >> 1] = hist.get(v >> 1, 0) + (-mult if v & 1 else mult)
-    return hist
-
-
 _FORMATS = {16: "H", 32: "I", 64: "Q"}  # a field's memoryview format, by its width
 
 
+def _upto(i: int) -> tuple[int, int, int, int]:
+    """C0(i), ..., C3(i): the subsets of at most 0, 1, 2 and 3 among i."""
+    c2 = i * (i - 1) // 2
+    return 1, 1 + i, 1 + i + c2, 1 + i + c2 + c2 * (i - 2) // 3
+
+
 @cache
-def _plane_tables(b: int, width: int) -> tuple[tuple[int, ...], ...]:
+def _low_tables(b: int, width: int) -> tuple:
     """For a block of b elements, with fields of `width` bits, and each block
     subset M: POW[M], 2 * 2^|M & L| in the field of each block subset L, that
-    is 2 per subset of M that L holds; U1[M] and U2[M], 2 * C(|M & L|, t) for
-    t = 1, 2, 2 per such subset of t elements; and TOT[M], 2 * C3(|M & L|),
-    2 per such subset of at most three. Each adds a block element i to M by
+    is 2 per subset of M that L holds; U[t][M] for t <= 3, 2 * C(|M & L|,
+    t), 2 per such subset of t elements; and CLOSED[t][M], 2 * Ct(|M & L|),
+    2 per such subset of at most t. Each adds a block element i to M by
     adding M's value in the fields of the L that hold i (or its value one
     size down). Then the fields of odd |L|, and those of even |L|, 1 in
     each. Built on a walk's first use of b and `width`."""
@@ -444,35 +258,44 @@ def _plane_tables(b: int, width: int) -> tuple[tuple[int, ...], ...]:
         U1.append(U1[r] + (ones & h))
         U2.append(U2[r] + (U1[r] & h))
         U3.append(U3[r] + (U2[r] & h))
-    TOT = [ones + sum(us) for us in zip(U1, U2, U3)]
+    U = (ones,) * (1 << b), tuple(U1), tuple(U2), tuple(U3)
+    CLOSED = [U[0]]
+    for t in range(1, 4):
+        CLOSED.append(tuple(map(int.__add__, CLOSED[-1], U[t])))
     odd = sum(1 << width * s for s in range(1 << b) if s.bit_count() & 1)
-    return tuple(POW), tuple(U1), tuple(U2), tuple(TOT), (odd, ones // 2 - odd)
+    return tuple(POW), U, CLOSED, (odd, ones // 2 - odd)
 
 
-def _plane_histogram(counter: CoverableCounter, ground: int) -> dict[int, int]:
-    """The plane walk of `_signed_histogram`, in blocks. The lowest b =
-    min(LOW_BLOCK, m) of the m ground elements form the low block, and a
-    Gray-code walk flips the others, the high elements. For each high subset
-    H it fills the fields c(H + L), L over the block's subsets, of one packed
-    int from the counter's identity (see `_build_planes`). A read term G adds
-    a * (2^|G & (H + L)| - C3(|G & (H + L)'s points|) - |G & (H + L)'s
+def _signed_histogram(counter: CoverableCounter, ground: int, cap: int) -> Counter:
+    """The signed c values over the submasks X of the `ground` mask, each X
+    counted with sign (-1)^|ground \\ X|, as a Counter of packed field
+    values: 2c(X), plus 1 when X's sign is minus.
+
+    The walk runs in blocks. The lowest b = min(LOW_BLOCK, m) of the m
+    ground elements form the low block, and a Gray-code walk flips the
+    others, the high elements. For each high subset H it fills the fields
+    c(H + L), L over the block's subsets, of one packed int from the
+    counter's identity (see `CoverableCounter`). A read term (G, a, t) adds
+    a * (2^|G & (H + L)| - Ct(|G & (H + L)'s points|) - |G & (H + L)'s
     lines|): with i of H's points and l of H's lines in G, that is a *
-    (2^(i + l) * POW[G's block part] - C3(i + j) - l - |G & L's lines|) for j
-    = |G & L's points|, and C3(i + j) = C3(i) + C2(i) * j + (i + 1) * C(j, 2)
-    + C(j, 3) over the block tables. The ground's own C3 of its
-    points and count of its lines enter as a term with no power and a = -1.
-    Each term's values are listed once per (i, l), so H reads one entry per
-    term, and a ground of at most LOW_BLOCK elements is one packed sum.
+    (2^(i + l) * POW[G's block part] - Ct(i + j) - l - |G & L's lines|) for
+    j = |G & L's points|, and Ct(i + j) is the sum over u <= t of C_{t-u}(i)
+    * C(j, u), read off the block tables. A term whose cut holds at most t
+    points and no line adds 0 and is skipped. The ground's own closed form
+    and count of its lines enter as a term (ground, -1, s) with no power.
+    Each term's values are listed once per (i, l) and summed with those of
+    every term that shares its high part, so H reads one entry per high
+    part, and a ground of at most LOW_BLOCK elements is one packed sum.
 
     A field holds 2c + 1 when H + L's sign is minus, at most 2^(m + 1) + 1: 16
-    bits serve m <= 14, 32 bits m <= 30, and 64 bits any ground a walk can
-    finish. A partial sum may borrow across fields; only the final int is
-    read, into one Counter per walk, as in `_curve_histogram`."""
+    bits serve m <= 14, 32 bits m <= 30, and 64 bits any larger ground. A
+    partial sum may borrow across fields; only the final int is read."""
+    _check_cap(ground.bit_count(), cap)
     elements = _bits(ground)
     m = len(elements)
     b = min(LOW_BLOCK, m)
     width = 16 if m <= 14 else 32 if m <= 30 else 64
-    POW, U1, U2, TOT, signs = _plane_tables(b, width)
+    POW, U, CLOSED, signs = _low_tables(b, width)
     points = counter._points_mask & ground
     block = ground & (2 << elements[b - 1]) - 1 if b else 0
     high = ground ^ block
@@ -487,47 +310,52 @@ def _plane_histogram(counter: CoverableCounter, ground: int) -> dict[int, int]:
         run = ((t >> s) + 1 & ~(t >> s)) - 1
         runs.append((s, run, (block & (1 << s) - 1).bit_count()))
         t ^= run << s
-    ll = (1 << b) - 1 ^ lpoints  # the block's lines
-    minus = signs[m & 1]  # the minus bits of the fields at |H| even
+    ones = POW[0]
+    # (high points, high lines) -> the summed values of the terms with that
+    # high part, listed by (i, l) as i + (i's range) * l
+    parts: dict[tuple[int, int], list[int]] = {}
+    # the ground's closed form and lines, as a term with no power and a = -1
     base = 0
-    # (POW of the block part, its block points, its block lines, a, its high
-    # points, its high lines) of each term with a high part, the ground first
-    spread = []
+    order, lines = counter.closed, U[1][(1 << b) - 1 ^ lpoints]
     if high:
-        spread.append((0, lpoints, ll, -1, high & points, high & ~points))
+        hp, hl = high & points, high & ~points
+        low = [U[u][lpoints] for u in range(order, -1, -1)]
+        parts[hp, hl] = [sum(map(int.__mul__, _upto(i), low)) + lines + l * ones
+                         for l in range(hl.bit_count() + 1) for i in range(hp.bit_count() + 1)]
     else:
-        base = TOT[lpoints] + U1[ll]
-    for g, a in counter.terms:
+        base = CLOSED[order][lpoints] + lines
+    for g, a, t in counter.terms:
         g &= ground
+        if not g & ~points and g.bit_count() <= t:
+            continue  # adds 0
         lo = 0
         for s, run, at in runs:
             lo |= (g >> s & run) << at
         lp = lo & lpoints
-        if g & high:
-            spread.append((POW[lo], lp, lo ^ lp, a, g & high & points, g & high & ~points))
-        else:
-            v = POW[lo] - TOT[lp] - U1[lo ^ lp]
+        lines = U[1][lo ^ lp]  # 2 * |G & L's lines|
+        if not g & high:
+            v = POW[lo] - CLOSED[t][lp] - lines
             base += v if a == 1 else a * v
-    ones = POW[0]
-    by_points, by_both = [], []  # the terms whose high part holds no line, and the others
-    for power, lp, ll, a, hp, hl in spread:
-        ni = hp.bit_count() + 1
-        vals = []
-        for l in range(hl.bit_count() + 1):
-            for i in range(ni):
-                # 2 * (C3(i + j) + l + |ll & L|), j = |lp & L|
-                v = TOT[lp] + U1[ll] + l * ones
-                if i:
-                    pairs = i * (i - 1) // 2
-                    v += (i + pairs * (i + 1) // 3) * ones + (i + pairs) * U1[lp] + i * U2[lp]
-                vals.append(a * ((power << i + l) - v))
+            continue
+        low = [U[u][lp] for u in range(t, -1, -1)]  # 2 * C(j, u), u from t down
+        power = POW[lo]
+        hp, hl = g & high & points, g & high & ~points
+        ni, nl = hp.bit_count() + 1, hl.bit_count() + 1
+        vals = parts.setdefault((hp, hl), [0] * (ni * nl))
+        for i in range(ni):
+            # 2 * Ct(i + j)
+            closed = sum(map(int.__mul__, _upto(i), low))
+            for l in range(nl):
+                vals[i + ni * l] += a * ((power << i + l) - closed - lines - l * ones)
+    by_points, by_both = [], []  # the high parts that hold no line, and the others
+    for (hp, hl), vals in parts.items():
         if hl:
-            by_both.append((hp, hl, ni, vals))
+            by_both.append((hp, hl, hp.bit_count() + 1, vals))
         else:
             by_points.append((hp, vals))
     size, fmt = width // 8 << b, _FORMATS[width]
     flips = [1 << e for e in _bits(high)]
-    other = signs[~m & 1]
+    minus, other = signs[m & 1], signs[~m & 1]  # the minus bits of the fields at |H| even, odd
     x = 0
     counts: Counter = Counter()
     for i in range(1 << len(flips)):
@@ -538,14 +366,12 @@ def _plane_histogram(counter: CoverableCounter, ground: int) -> dict[int, int]:
                          for hp, hl, ni, vals in by_both]))
         counts.update(memoryview(packed.to_bytes(size, sys.byteorder)).cast(fmt))
         minus, other = other, minus
-    hist: dict[int, int] = {}
-    for v, mult in counts.items():
-        hist[v >> 1] = hist.get(v >> 1, 0) + (-mult if v & 1 else mult)
-    return hist
+    return counts
 
 
-def _power_sum(hist: dict[int, int], k: int) -> int:
-    return sum(m * c ** k for c, m in hist.items())
+def _power_sum(hist: Counter, k: int) -> int:
+    """The signed sum of c^k over the packed field values of `hist`."""
+    return sum([(v >> 1) ** k * (-mult if v & 1 else mult) for v, mult in hist.items()])
 
 
 def _signed_sum(counter: CoverableCounter, ground: int, k: int, cap: int) -> IEResult:
@@ -555,7 +381,7 @@ def _signed_sum(counter: CoverableCounter, ground: int, k: int, cap: int) -> IER
     return IEResult(total >= 1, total, 1 << ground.bit_count())
 
 
-def _least_budget(hist: dict[int, int], n: int) -> tuple[int, int]:
+def _least_budget(hist: Counter, n: int) -> tuple[int, int]:
     """The least k <= n whose sum in `hist` reaches 1, and that sum."""
     for k in range(n + 1):
         total = _power_sum(hist, k)

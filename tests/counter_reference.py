@@ -12,6 +12,7 @@ flats: summed over all representatives, q_count gives c."""
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Union
 
 from geomcover.geometry import (
@@ -23,7 +24,7 @@ from geomcover.geometry import (
     _maximal_sets,
     curve_covers,
 )
-from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, _row_col, ie_decide
+from geomcover.inclusion_exclusion import DEFAULT_SUBSET_CAP, ie_decide
 from incidence_reference import (
     affine_hull,
     candidate_cover_sets,
@@ -33,52 +34,47 @@ from incidence_reference import (
 )
 
 
-def _pairs(y: int, w: int) -> int:
-    """The pair mask of the subset mask y at width w: bit p*w + q for each p
-    and q in y, built directly. It is the rows of y's elements AND their
-    columns, which the curve walk keeps up to date by XOR at each flip."""
-    row, col = _row_col(w)
-    rows = cols = 0
-    for e in _bits(y):
-        rows |= row << e * w
-        cols |= col << e
-    return rows & cols
+def _closed(t: int, m: int) -> int:
+    """The subsets of at most t among m points."""
+    return sum(math.comb(m, u) for u in range(t + 1))
 
 
-def _c3(m: int) -> int:
-    """The subsets of at most three among m points: any three are coplanar."""
-    return 1 + m + m * (m - 1) // 2 + m * (m - 1) * (m - 2) // 6
-
-
-def plane_c(counter, x: int) -> int:
-    """c(X) of a production plane counter for the subset mask X, from the
-    identity over the counter's read terms `terms`: C3 of X's points plus
-    X's lines, plus a * (2^|G & X| - C3(|G & X's points|) - |G & X's
-    lines|) per read term (G, a)."""
+def c_of_mask(counter, x: int) -> int:
+    """c(X) of a production counter for the subset mask X, from the identity
+    over the counter's read terms `terms` and its closed order `closed` = s:
+    Cs of X's points plus X's lines, plus a * (2^|G & X| - Ct(|G & X's
+    points|) - |G & X's lines|) per read term (G, a, t)."""
     points = counter._points_mask
-    total = _c3((x & points).bit_count()) + (x & ~points).bit_count()
-    for g, a in counter.terms:
+    total = _closed(counter.closed, (x & points).bit_count()) + (x & ~points).bit_count()
+    for g, a, t in counter.terms:
         gx = g & x
-        total += a * ((1 << gx.bit_count()) - _c3((gx & points).bit_count())
+        total += a * ((1 << gx.bit_count()) - _closed(t, (gx & points).bit_count())
                       - (gx & ~points).bit_count())
     return total
 
 
 def step(counter, e: int, y: int) -> int:
     """c(Y + e) - c(Y) of a production counter, for e not in the subset mask
-    Y: a curve counter's `step` with Y's pair mask built afresh, and for a
-    plane counter the difference of `plane_c`, the identity that the plane
-    walk of `_signed_histogram` sums in blocks."""
-    if counter.family.kind != "plane3":
-        return counter.step(e, y, _pairs(y, counter.pair_width))
-    return plane_c(counter, y | 1 << e) - plane_c(counter, y)
+    Y: the difference of `c_of_mask`, the identity that the walk of
+    `_signed_histogram` sums in blocks."""
+    return c_of_mask(counter, y | 1 << e) - c_of_mask(counter, y)
 
 
-def reference_terms(counter) -> list[tuple[int, int]]:
+def folded(hist) -> dict[int, int]:
+    """{c: signed multiplicity} from a histogram of `_signed_histogram`,
+    whose keys are packed field values, 2c plus 1 for a minus sign."""
+    out: dict[int, int] = {}
+    for v, mult in hist.items():
+        out[v >> 1] = out.get(v >> 1, 0) + (-mult if v & 1 else mult)
+    return out
+
+
+def reference_terms(counter) -> list[tuple[int, int, int]]:
     """The read terms of a plane counter by a full scan of its layer, sorted:
     the ground mask of every layer plane (factor 1) and of every layer line l
     in P(l) != 1 layer planes (factor 1 - P(l)) that holds two or more ground
-    elements, four or more of them points or one of them a ground line."""
+    elements, four or more of them points or one of them a ground line, each
+    past the closed form C3."""
     layer, points = counter.layer, counter._points_mask
     planes = [m & points for m, _ in layer.planes]
     lmasks = [m & points for m in layer.lines]
@@ -89,19 +85,7 @@ def reference_terms(counter) -> list[tuple[int, int]]:
     terms = [(g, 1) for g in planes if g & (g - 1)]
     terms += [(g, 1 - len(ps)) for g, ps in zip(lmasks, layer.line_planes)
               if g & (g - 1) and len(ps) != 1]
-    return sorted((g, a) for g, a in terms if g & ~points or g.bit_count() >= 4)
-
-
-def c_of_mask(counter, mask: int) -> int:
-    """c(X) of a production counter for the subset mask X: 1 for the empty
-    set, plus the step of each element of X over the elements before it in
-    bit order."""
-    total = 1
-    y = 0
-    for e in _bits(mask):
-        total += step(counter, e, y)
-        y |= 1 << e
-    return total
+    return sorted((g, a, 3) for g, a in terms if g & ~points or g.bit_count() >= 4)
 
 
 def representative(elements: Sequence[Union[Point, Flat]], family: FamilySpec):
@@ -329,7 +313,7 @@ def reference_decide(points, family, k, flats=(), cap=DEFAULT_SUBSET_CAP) -> boo
 
 def gray_walk(counter) -> dict[int, int]:
     """{X: c(X)} over the submasks X of the counter's ground, visited by the
-    Gray walk of `_signed_histogram` and moved by `step` at each flip."""
+    Gray walk and moved by `step` at each flip."""
     order = _bits(counter.mask)
     x, c = 0, 1
     seen = {0: 1}

@@ -16,10 +16,10 @@ from conftest import (
 )
 from counter_reference import (
     FractionPlaneCounter,
-    _pairs,
     c_of_mask,
     assert_counter_matches_reference,
     assert_table_lists_candidate_cover_sets,
+    folded,
     q_count,
     reference_histogram,
     reference_sums,
@@ -579,15 +579,42 @@ class TestCurveCounterIdentities:
             for i in range(1, 1 << 9):
                 e = (i & -i).bit_length() - 1
                 y = x & ~(1 << e)
-                assert counter.step(e, y, _pairs(y, 9)) == c[y | 1 << e] - c[y], \
+                assert step(counter, e, y) == c[y | 1 << e] - c[y], \
                     (fam.kind, points, e, y)
                 x ^= 1 << e
             assert x == 1 << 8  # the walk visited every subset and ends on the top bit
 
+    def test_identity_matches_brute_force_on_whole_and_cut_grounds(self):
+        """The identity over a counter's read terms (`c_of_mask`) equals
+        brute force on every submask of its ground, on the degenerate and
+        block-boundary instances, for the counter over all the points and for
+        counters cut to random sub-grounds, whose x-classes and lines hold
+        fewer points. The terms read include the vparabola2 x-classes (a = -1
+        at t = 1 only there) and the circle2 collinear lines (a = -1 at t = 2
+        only there)."""
+        rng = random.Random(107)
+        kinds = set()  # (family, a, t) of the terms read
+        for fam, points in degenerate_curve_instances() + _block_boundary_instances():
+            c = _brute_c(points, fam)
+            layer = incidence_layer(points, fam)
+            full = (1 << len(points)) - 1
+            for ground in [full] + [rng.randint(1, full - 1) for _ in range(3)]:
+                counter = CoverableCounter(layer, ground)
+                assert counter.mask == ground and counter.closed == fam.d
+                kinds |= {(fam.kind, a, t) for _, a, t in counter.terms}
+                sub = ground
+                while True:
+                    assert c_of_mask(counter, sub) == c[sub], (fam.kind, points, ground, sub)
+                    if not sub:
+                        break
+                    sub = (sub - 1) & ground
+        assert {("line2", 1, 2), ("circle2", 1, 3), ("circle2", -1, 2),
+                ("vparabola2", 1, 3), ("vparabola2", -1, 1)} <= kinds, kinds
+
     def test_sums_match_reference_signed_sum(self):
         """The sums over the whole ground, and over proper submask grounds as
-        extraction walks them: pair masks as wide as the whole ground, with
-        only the submask's elements flipping."""
+        extraction walks them, on the counter over the whole ground: its
+        terms cut to the submask."""
         full = (1 << 9) - 1
         rng = random.Random(83)
         for fam, points in degenerate_curve_instances():
@@ -602,42 +629,6 @@ class TestCurveCounterIdentities:
                     assert ie_sums(points, fam, range(10)) == ref
                     for k in range(10):
                         assert ie_decide(points, fam, k) == (ref[k] >= 1, ref[k], 1 << 9)
-
-    def test_walk_keeps_the_pair_mask_of_its_subset(self):
-        """Every step call of the curve sweep gets an element e outside its
-        subset Y and the pair mask of Y, equal to `_pairs` of Y. The walk
-        flips the high elements (those past the lowest LOW_BLOCK of the
-        ground) in Gray order, one step per flip, and at each high subset H
-        it steps each low element once over H."""
-        rng = random.Random(89)
-        for counter in [CoverableCounter(incidence_layer(points, fam))
-                        for fam, points in degenerate_curve_instances()[:3]]:
-            real_step, calls = counter.step, []
-
-            def recording_step(e, y, pairs):
-                calls.append((e, y, pairs))
-                return real_step(e, y, pairs)
-
-            counter.step = recording_step
-            grounds = [counter.mask, rng.randint(1, counter.mask - 1)]
-            grounds += [counter.mask & ~(1 << rng.randrange(9)) for _ in range(2)]
-            for ground in grounds:
-                calls.clear()
-                _signed_histogram(counter, ground, DEFAULT_SUBSET_CAP)
-                order = _bits(ground)
-                low, high = order[:LOW_BLOCK], order[LOW_BLOCK:]
-                for e, y, pairs in calls:
-                    assert not y >> e & 1 and y & ground == y
-                    assert pairs == _pairs(y, counter.pair_width), (counter.points, ground, e, y)
-                flips = [(e, y) for e, y, _ in calls if e in high]
-                visited = [0]
-                for i, (e, y) in enumerate(flips, 1):
-                    assert e == high[(i & -i).bit_length() - 1]
-                    assert y == visited[-1] & ~(1 << e)
-                    visited.append(visited[-1] ^ 1 << e)
-                assert len(set(visited)) == 1 << len(high)
-                assert sorted((e, y) for e, y, _ in calls if e in low) == \
-                    sorted((e, h) for e in low for h in visited)
 
 
 def _block_boundary_instances():
@@ -727,7 +718,7 @@ class TestPlaneBlockBoundaries:
             sizes.add((ref.n, len(lines)))
             for local in [full] + [rng.randrange(full) for _ in range(2) if full]:
                 ground = sum(1 << order[b] for b in _bits(local))
-                hist = _signed_histogram(counter, ground, DEFAULT_SUBSET_CAP)
+                hist = folded(_signed_histogram(counter, ground, DEFAULT_SUBSET_CAP))
                 assert {c: m for c, m in hist.items() if m} == reference_histogram(ref, local), \
                     (points, lines, local)
         assert {n for n, _ in sizes} == set(range(LOW_BLOCK + 4))
@@ -738,17 +729,28 @@ class TestPlaneBlockBoundaries:
         and the histogram is C(m, j) subsets at c = 2^j, signed by m - j. At
         m = 14 the full ground's field 2c = 2^15 is the top of a 16-bit
         field; at m = 15 it passes it, and the walk takes 32-bit fields.
-        Grounds of points alone and of points with two lines in their plane."""
+        Grounds of points alone and of points with two lines in their plane,
+        and the curve grounds where c(X) = 2^|X| as well: collinear points
+        for line2, concyclic ones for circle2 and points of one parabola for
+        vparabola2."""
         grid = [pt(x, y, 0) for x in range(4) for y in range(4)]
         in_plane = [line_through(pt(0, 5, 0), pt(1, 5, 0)), line_through(pt(5, 0, 0), pt(5, 1, 0))]
+        curves = [(LINE2, [pt(t, 2 * t + 1) for t in range(15)]),
+                  (CIRCLE2, [pt(*p) for p in _RADIUS25]),
+                  (VPARABOLA2, [pt(x, x * x - 1) for x in range(-7, 8)])]
         for m in (14, 15):
-            for points, lines in ((grid[:m], []), (grid[:m - 2], in_plane)):
-                counter = layer_counter(points, lines)
-                want = {1 << j: (-1) ** (m - j) * math.comb(m, j) for j in range(m + 1)}
-                assert _signed_histogram(counter, counter.mask, DEFAULT_SUBSET_CAP) == want, \
-                    (m, len(lines))
+            counters = [layer_counter(points, lines)
+                        for points, lines in ((grid[:m], []), (grid[:m - 2], in_plane))]
+            counters += [CoverableCounter(incidence_layer(points[:m], fam)) for fam, points in curves]
+            want = {1 << j: (-1) ** (m - j) * math.comb(m, j) for j in range(m + 1)}
+            for counter in counters:
+                hist = _signed_histogram(counter, counter.mask, DEFAULT_SUBSET_CAP)
+                assert folded(hist) == want, (m, counter.family.kind)
 
 
+# the 20 integer points at distance 25 from the origin
+_RADIUS25 = [(25, 0), (-25, 0), (0, 25), (0, -25)] + [(a * x, b * y) for x, y in ((7, 24), (24, 7), (15, 20), (20, 15))
+                                                      for a in (1, -1) for b in (1, -1)]
 # the 12 integer points at distance 5 from the origin
 _RADIUS5 = [(5, 0), (-5, 0), (0, 5), (0, -5)] + [(a * x, b * y) for x, y in ((3, 4), (4, 3))
                                                   for a in (1, -1) for b in (1, -1)]
