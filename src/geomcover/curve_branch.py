@@ -37,6 +37,11 @@ from .kernel import KernelResult, curve_kernel
 
 @dataclass
 class SearchStats:
+    """The counters of one search: nodes entered or counted as rejected,
+    sweep leaves, the deepest level, and `ie_subsets`, which adds 2^|ground|
+    for each leaf decided, whether by a sweep or by a test that decides it
+    without one (`_PlaneSearch._pencil_no`); a remembered no-leaf adds
+    nothing."""
     nodes_expanded: int = 0
     leaves_ie: int = 0
     leaves_rejected: int = 0
@@ -164,7 +169,9 @@ class _Search:
         """The sweep leaf over the points in `mask` and the pending `lines`: a
         cover of them by at most `budget` objects, or None when there is
         none, decided and extracted on one counter cut from the layer.
-        No-leaves are remembered; a yes-leaf ends the search."""
+        No-leaves are remembered; a yes-leaf ends the search. A decided leaf
+        adds 2^|ground| to `stats.ie_subsets`, however it was decided (the
+        plane search answers some without a sweep)."""
         key = (mask, lines, budget)
         if key in self._no_leaves:
             return None

@@ -285,10 +285,14 @@ class Fits:
             self._keys = [tuple([p * big // q for p, q in qs]) for qs in quots]
         return self._keys
 
-    def order(self) -> list[int]:
-        """The indexes of the objects in canonical order."""
-        keys = self.keys()
-        return sorted(range(len(keys)), key=keys.__getitem__)
+    def order(self, among: Optional[Sequence[int]] = None) -> list[int]:
+        """The indexes of the objects, or of those `among`, in canonical
+        order. Only the rows `among` are keyed."""
+        if among is None:
+            keys = self.keys()
+            return sorted(range(len(keys)), key=keys.__getitem__)
+        keys = Fits(self.kind, self.scale, [self.rows[i] for i in among], []).keys()
+        return [among[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
 
     def in_order(self) -> "Fits":
         """The same objects, listed in canonical order."""
@@ -431,11 +435,12 @@ class Flat:
         return "Flat(dim=%d, base=%s)" % (self.dim, self.base)
 
 
-def line_fits3(points: Sequence[Point]) -> Fits:
-    """Each line through at least two of the given R^3 points, in canonical
-    order, with the mask of the points on it (point i is bit i). Each line is
-    found once, at its two lowest points, and only the points above them are
-    tested: r is on the line through p with direction d iff d x r = d x p."""
+def line_fits3(points: Sequence[Point], ordered: bool = True) -> Fits:
+    """Each line through at least two of the given R^3 points, with the mask
+    of the points on it (point i is bit i): in canonical order, or unordered
+    and unkeyed when not `ordered`. Each line is found once, at its two
+    lowest points, and only the points above them are tested: r is on the
+    line through p with direction d iff d x r = d x p."""
     scale, rows = _scaled(points, 3)
     n = len(rows)
     if len(set(rows)) != n:
@@ -460,7 +465,8 @@ def line_fits3(points: Sequence[Point]) -> Fits:
             for t in range(n):
                 if mask >> t & 1:
                     on_found[t] |= mask
-    return Fits("line3", scale, found, masks).in_order()
+    fits = Fits("line3", scale, found, masks)
+    return fits.in_order() if ordered else fits
 
 
 def plane_fits3(points: Sequence[Point]) -> Fits:

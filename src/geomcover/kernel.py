@@ -147,15 +147,17 @@ def _make_one_ready(pts: list[Point], k: int, added: list[Point]) -> tuple[list[
     """
     limit = k + 1
     while True:
-        lines = line_fits3(pts)
+        lines = line_fits3(pts, ordered=False)
         sizes = [m.bit_count() for m in lines.masks]
-        if max(sizes, default=0) <= limit:
-            return pts, lines
-        # the richest line, ties to the canonically smallest (the first)
-        target = sizes.index(max(sizes))
+        top = max(sizes, default=0)
+        if top <= limit:
+            return pts, lines.in_order()
+        # only the heavy lines are put in canonical order: the first richest
+        # is the target, and the others are repaired in that order
+        heavy = lines.order([j for j, size in enumerate(sizes) if size >= limit])
+        target = next(j for j in heavy if sizes[j] == top)
         drop = lines.masks[target]
-        heavy_before = [(j, m) for j, m in enumerate(lines.masks)
-                        if sizes[j] >= limit and j != target]
+        heavy_before = [(j, lines.masks[j]) for j in heavy if j != target]
         for _ in range(limit):
             drop &= drop - 1  # the target keeps its first k+1 points
         pts = [p for i, p in enumerate(pts) if not drop >> i & 1]

@@ -22,8 +22,11 @@ a layer index, and so is an extension: the plane through a ripe line and a
 point is a `line_point_plane` entry, and which lines a plane holds is a mask
 test. Only when no such plane is admissible does the extension take a
 canonical plane through the line, kept as its integer row and mask. The
-deepest level hands the remaining points plus all pending lines to the
-mixed points-and-lines subset sweep, which is exact; its counter is cut
+deepest level hands the remaining points plus all pending lines to a leaf.
+A saturated leaf, with as many pending lines as planes, is first tested on
+the pencil of its first line (`_PlaneSearch._pencil_no`), reading the layer
+alone; a leaf that test answers no runs no sweep. Every other leaf goes to
+the mixed points-and-lines subset sweep, which is exact; its counter is cut
 from the same layer, and an accepting leaf extracts its witness on the same
 counter and sum. A `Plane3` is built only for a witness.
 """
@@ -43,7 +46,7 @@ from .curve_branch import (
     recursion_depth,
 )
 from .geometry import PLANE3, FamilySpec, Fits, Plane3, PlaneLayer, Point, _bits
-from .inclusion_exclusion import DEFAULT_SUBSET_CAP
+from .inclusion_exclusion import DEFAULT_SUBSET_CAP, _check_cap
 from .kernel import KernelResult, plane_kernel_r3
 
 
@@ -144,9 +147,91 @@ class _PlaneSearch(_Search):
         super().__init__(kern, family, config)
         self.planes = self.layer.planes     # (mask, line indexes)
         self.lines = self.layer.lines       # masks
+        # the line through layer points i < j, at i + j*n
+        self.n = n = len(self.layer.points)
+        self._pair_line = [0] * (n * n)
+        for l, m in enumerate(self.lines):
+            on = _bits(m)
+            for a, j in enumerate(on):
+                for i in on[:a]:
+                    self._pair_line[i + j * n] = l
 
     def _object(self, h) -> Plane3:
         return plane_object(self.layer, h)
+
+    def _ie(self, mask: int, lines: tuple, budget: int) -> Optional[list]:
+        """The sweep leaf, after a no-filter: a saturated leaf, whose budget
+        equals its number of pending lines, that the pencil of its first line
+        answers no (`_pencil_no`) runs no sweep. It counts the 2^|ground|
+        subsets a sweep would, under the same cap, and is remembered as a
+        no-leaf. Every other leaf is the skeleton's sweep leaf."""
+        if budget == len(lines) and (mask, lines, budget) not in self._no_leaves:
+            size = mask.bit_count() + budget
+            _check_cap(size, self.cfg.ie_cap)
+            if self._pencil_no(mask, lines, budget):
+                self.stats.ie_subsets += 1 << size
+                self._no_leaves.add((mask, lines, budget))
+                return None
+        return super()._ie(mask, lines, budget)
+
+    def _pencil_no(self, mask: int, lines: tuple, budget: int) -> bool:
+        """True when no `budget` planes cover the points in `mask` and hold
+        the pending layer `lines`, for at most `budget` lines; False when
+        there is such a cover or the test cannot tell.
+
+        One plane must hold the points and the lines' points together: it is
+        the plane through the first line, or else through the line of the
+        lowest two points, and the lowest point off that line, unless there
+        is none or there are at most three points. With more planes, some
+        plane of a cover holds the first line l, so the test branches on it
+        with one plane less. Through l it is the plane of l and a point of
+        `mask` off l (`line_point_plane`), or a layer plane that holds
+        another pending line too, or else a plane that covers only l's own
+        points, which the first two dominate when there are any. A branch
+        drops the lines its plane holds. Two or more planes and no line are
+        left undecided."""
+        masks, planes, n = self.lines, self.planes, self.n
+        through = self.layer.line_point_plane
+        if budget < 2:
+            if not budget:
+                return bool(mask or lines)
+            union = mask
+            for o in lines:
+                union |= masks[o]
+            if lines:
+                line = lines[0]
+            elif union.bit_count() <= 3:
+                return False
+            else:
+                rest = union & (union - 1)
+                line = self._pair_line[(union & -union).bit_length() - 1 + n * (
+                    (rest & -rest).bit_length() - 1)]
+            off = union & ~masks[line]
+            if not off:
+                return False
+            plane = through[line * n + (off & -off).bit_length() - 1]
+            return bool(union & ~planes[plane][0])
+        if not lines:
+            return False
+        line, others = lines[0], lines[1:]
+        on, options = masks[line], []
+        off = mask & ~on
+        while off:  # a plane's points off the line all name that plane
+            p = through[line * n + (off & -off).bit_length() - 1]
+            options.append(p)
+            off &= ~planes[p][0]
+        for p in self.layer.line_planes[line] if others else ():
+            pm = planes[p][0]
+            if p not in options and any(not masks[o] & ~pm for o in others):
+                options.append(p)
+        if not options:
+            return self._pencil_no(mask & ~on, others, budget - 1)
+        for p in options:
+            pm = planes[p][0]
+            if not self._pencil_no(mask & ~pm, tuple([o for o in others if masks[o] & ~pm]),
+                                   budget - 1):
+                return False
+        return True
 
     def _expand(self, partition: tuple[int, ...], mask: int, depth: int, partial: tuple,
                 stamped: tuple = ()) -> tuple[bool, Optional[list]]:

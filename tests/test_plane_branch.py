@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -14,8 +15,9 @@ from counter_reference import (
     reference_sums,
     reference_terms,
 )
-from geomcover import plane_branch
-from geomcover.curve_branch import branch_cover, budget_partitions
+from geomcover import inclusion_exclusion, plane_branch
+from geomcover.cli import EXIT_CAP, EXIT_OK
+from geomcover.curve_branch import SearchStats, branch_cover, budget_partitions, sweep_leaf
 from geomcover.geometry import (
     PLANE3,
     PlaneLayer,
@@ -44,6 +46,7 @@ from geomcover.plane_branch import (
     plane_object,
 )
 from incidence_reference import flat_contains, layer_line, line_through, plane3_curve
+from test_golden_records import _load, solve_record
 
 
 def _points_in(layer, mask):
@@ -537,6 +540,157 @@ class TestLeafCounter:
         ]
         for mask, lines in cases:
             _assert_leaf_matches_counter(search, mask, lines, (0, 1, 2, 3))
+
+
+def _least_planes(layer, lines):
+    """The fewest planes that hold every one of the layer `lines`: the plane
+    through the first holds it alone, or is a layer plane that holds others."""
+    if not lines:
+        return 0
+    first, rest = lines[0], lines[1:]
+    best = 1 + _least_planes(layer, rest)
+    for p in layer.line_planes[first]:
+        held = layer.planes[p][0]
+        left = tuple(l for l in rest if layer.lines[l] & ~held)
+        if len(left) < len(rest):
+            best = min(best, 1 + _least_planes(layer, left))
+    return best
+
+
+def _pencil_against_sweep(points, line_tuples):
+    """Decide every point mask of the layer of `points` with each tuple of
+    pending lines, at a budget of its line count, by the pencil test and by
+    the sweep leaf. A pencil no must be a sweep no, and the sweep's no must
+    be the pencil's unless the lines fit in two planes fewer than the
+    budget, so that a branch can run out of lines with two planes left.
+    On a pencil no, `_ie` answers no and counts the sweep's 2^|ground|
+    subsets. Returns the number of leaves the pencil left open and the sweep
+    answered no."""
+    search = _unreduced(points)
+    layer, n = search.layer, len(points)
+    open_no = subsets = 0
+    for lines in line_tuples:
+        budget = len(lines)
+        slack = _least_planes(layer, lines) <= budget - 2
+        for mask in range(1 << n):
+            no = search._pencil_no(mask, lines, budget)
+            swept = sweep_leaf(CoverableCounter(layer, mask, lines), budget, DEFAULT_SUBSET_CAP,
+                               SearchStats())
+            if no:
+                assert swept is None and search._ie(mask, lines, budget) is None, (mask, lines)
+                subsets += 1 << mask.bit_count() + budget
+            elif swept is None:
+                assert slack, (mask, lines)
+                open_no += 1
+    assert search.stats.ie_subsets == subsets
+    return open_no
+
+
+class TestPencilLeaves:
+    """Saturated sweep leaves, whose budget equals their pending lines,
+    decided from the pencil of their first line (`_PlaneSearch._pencil_no`)."""
+
+    # seven points of the plane z = 0, on lines of two and three points
+    FLAT = [pt(0, 0, 0), pt(1, 0, 0), pt(2, 0, 0), pt(0, 1, 0), pt(1, 1, 0), pt(0, 2, 0),
+            pt(2, 1, 0)]
+    # the axes through the origin, the line y = 1 in z = 0 parallel to the
+    # x-axis, and points off all of them
+    AXES = [pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 0), pt(2, 3, 1),
+            pt(1, 2, 3), pt(3, 1, 2)]
+    # two lines through (0, 0, 0) in z = 0 and two through (0, 0, 1) in
+    # z = 1, and points off both planes
+    TWO_PAIRS = [pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 1), pt(1, -1, 1),
+                 pt(3, 1, 5), pt(1, 4, 2), pt(2, 5, 3)]
+
+    @staticmethod
+    def _lines(points, *pairs):
+        layer = PlaneLayer(points)
+        return tuple(_line_index(layer, points[a], points[b]) for a, b in pairs)
+
+    def test_hand_built_layers(self):
+        pencils = set()
+        cases = []
+        # a line of the plane z = 0 lies in one layer plane, in two with one
+        # point off z = 0, and in three with two points off z = 0 that span
+        # no plane with it
+        for off in ([], [pt(1, 1, 1)], [pt(1, 1, 1), pt(2, 0, 3)]):
+            points = self.FLAT + off
+            line_tuples = [self._lines(points, *pairs) for pairs in (
+                [(0, 1)], [(0, 3)], [(0, 1), (3, 4)], [(0, 4), (1, 3)],
+                [(0, 1), (0, 3), (1, 6)])]
+            cases.append((points, line_tuples))
+            layer = PlaneLayer(points)
+            pencils |= {len(layer.line_planes[l]) for lines in line_tuples for l in lines}
+        assert pencils == {1, 2, 3}
+        # three lines through one point, pairwise coplanar, with a line parallel
+        # to one of them and a line through two points off all of them
+        x, y, z, par, free = ((0, 1), (0, 2), (0, 3), (2, 4), (5, 6))
+        cases.append((self.AXES, [self._lines(self.AXES, *pairs) for pairs in (
+            [x, y], [x, z, y], [x, par], [y, par, x], [x, free], [free, x, y, z])]))
+        for points, line_tuples in cases:
+            assert not _pencil_against_sweep(points, line_tuples)
+
+    def test_lines_in_two_planes_stay_open(self):
+        """Four lines that two planes hold leave two planes for the points,
+        which the pencil test does not decide, so it answers no on no mask;
+        three of them, two in one plane, leave it no such slack."""
+        lines = self._lines(self.TWO_PAIRS, (0, 1), (0, 2), (3, 4), (3, 5))
+        search = _unreduced(self.TWO_PAIRS)
+        assert not any(search._pencil_no(mask, lines, 4) for mask in range(1 << 9))
+        assert not _pencil_against_sweep(self.TWO_PAIRS, [lines, lines[1:], lines[:1] + lines[2:]])
+
+    def test_random_layers(self):
+        rng = random.Random(229)
+        for _ in range(6):
+            points = random_points_3d(rng, 8, span=2)
+            layer = PlaneLayer(points)
+            line_tuples = [tuple(rng.sample(range(len(layer.lines)), rng.randint(1, 3)))
+                           for _ in range(3)]
+            _pencil_against_sweep(points, line_tuples)
+
+    @staticmethod
+    def _golden_fifteen():
+        """Golden case 15: uniform-random plane3 n = 8, range 3, seed 3,
+        branch at k = 2, a no-instance of 434 sweep leaves."""
+        case = next(c for c in _load() if c["model"] == "uniform-random"
+                    and c["params"]["n"] == 8 and c["seed"] == 3)
+        assert case["flags"][:2] == ["--algorithm", "branch"] and case["k"] == 2
+        return case, generate(case["model"], case["params"], case["seed"])
+
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        calls = []
+        real = inclusion_exclusion._signed_histogram
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(inclusion_exclusion, "_signed_histogram", counting)
+        return calls
+
+    def test_most_leaves_run_no_sweep(self, monkeypatch, tmp_path):
+        calls = self._count_sweeps(monkeypatch)
+        case, inst = self._golden_fifteen()
+        rc, out = solve_record(inst, case["flags"], case["k"], str(tmp_path))
+        assert (rc, out) == (case["rc"], case["stdout"])
+        leaves = json.loads(out)["stats"]["leaves_ie"]
+        assert leaves == 434 and 10 * len(calls) < leaves, len(calls)
+
+    def test_saturated_leaf_over_the_cap_exits_3(self, monkeypatch, tmp_path):
+        """With only the partitions that stamp two lines at depth 1, every
+        leaf is saturated: 5 points and 2 lines at most. A cap of 6 stops
+        the first such leaf before any sweep, and 7 lets every leaf pass."""
+        real = plane_branch.budget_partitions
+        monkeypatch.setattr(plane_branch, "budget_partitions",
+                            lambda k, r: [p for p in real(k, r) if p[:2] == (0, k)])
+        calls = self._count_sweeps(monkeypatch)
+        case, inst = self._golden_fifteen()
+        flags = case["flags"][:2]
+        for cap, want in ((6, EXIT_CAP), (7, EXIT_OK)):
+            rc, _ = solve_record(inst, flags + ["--ie-cap", str(cap)], 2, str(tmp_path))
+            assert rc == want
+        assert not calls
 
 
 class TestIncidenceLayer:
